@@ -46,7 +46,6 @@ from .model import (
     make_quit_model,
     make_sell_model,
     no_jumps,
-    sample_jump_increment,
 )
 from .particle import (
     CommonNoisePath,

@@ -22,9 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fokker_planck import evolve_spide, gaussian_density, make_grid
+from .fokker_planck import compare_to_particles, evolve_spide, gaussian_density, make_grid
 from .generator import check_variational_inequalities, default_probe_grid
-from .model import InitialLaw, ModelSpec, constant_mark, make_quit_model, make_sell_model, no_jumps
+from .model import (
+    INITIAL_KINDS, SELL_FLOOR, InitialLaw, ModelSpec, constant_mark, make_quit_model,
+    make_sell_model, no_jumps,
+)
 from .particle import CommonNoisePath, kde_density, simulate_path
 from .stopping import (
     QuitParams,
@@ -45,16 +48,6 @@ from .stopping import (
     sell_threshold,
     sell_value,
     threshold_sweep,
-)
-
-EXPERIMENTS = (
-    "closed_form_report",
-    "evaluate_rule",
-    "threshold_sweep",
-    "simulate_path",
-    "fokker_planck_compare",
-    "var_ineq_check",
-    "dynkin_check",
 )
 
 
@@ -84,6 +77,7 @@ _NUMERICS_KEYS = {
     "var_ineq_check": {"probe", "threshold", "tolerance", "gap_tolerance"},
     "dynkin_check": {"dt", "replications", "delta", "workers", "batch_size"},
 }
+EXPERIMENTS = tuple(_NUMERICS_KEYS)
 _RULE_KEYS = {"kind", "threshold", "fixed_time", "horizon_cap"}
 _GRID_KEYS = {"x_min", "x_max", "n_points"}
 _PROBE_KEYS = {"z_min", "z_max", "n_z", "s_max", "n_s", "log_z"}
@@ -98,15 +92,24 @@ def _check_keys(block: dict, allowed: set, where: str, errors: list) -> None:
             errors.append(f"unknown key {key!r} in {where}")
 
 
-def _require(block: dict, key: str, where: str, errors: list, types=(int, float)):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require(block: dict, key: str, where: str, errors: list):
     if key not in block:
         errors.append(f"missing key {key!r} in {where}")
         return None
     value = block[key]
-    if not isinstance(value, types) or isinstance(value, bool):
+    if not _is_number(value):
         errors.append(f"key {key!r} in {where} has wrong type")
         return None
     return value
+
+
+def _optional(block: dict, key: str, default, where: str, errors: list):
+    """A numeric key's value, ``default`` when absent, None when mistyped."""
+    return _require(block, key, where, errors) if key in block else default
 
 
 def _validate_model(model: dict, errors: list) -> None:
@@ -128,9 +131,10 @@ def _validate_model(model: dict, errors: list) -> None:
             errors.append("sell model violates precondition 'alpha0 < rho'")
         if a is not None and a <= 0:
             errors.append("sell model violates precondition 'a > 0'")
-        mark = model.get("jump_mark")
-        if model.get("jump_intensity", 0) > 0 and mark is not None:
-            if not (-1.0 < mark <= 0.0):
+        intensity = _optional(model, "jump_intensity", 0, "model", errors)
+        if intensity is not None and intensity > 0:
+            mark = _require(model, "jump_mark", "model", errors)
+            if mark is not None and not (-1.0 < mark <= 0.0):
                 errors.append("sell model violates precondition 'jump marks in (-1, 0]'")
     else:
         sigma1 = _require(model, "sigma1", "model", errors)
@@ -141,7 +145,30 @@ def _validate_model(model: dict, errors: list) -> None:
             errors.append("quit model violates precondition 'rho > 0'")
     initial = model.get("initial")
     if initial is not None:
-        _check_keys(initial, _INITIAL_KEYS, "model.initial", errors)
+        if not isinstance(initial, dict) or initial.get("kind") not in INITIAL_KINDS:
+            errors.append(f"model.initial must be an object with kind in {INITIAL_KINDS}")
+        else:
+            _check_keys(initial, _INITIAL_KEYS, "model.initial", errors)
+
+
+def _validate_numerics(kind: str, numerics: dict, errors: list) -> None:
+    dt = _optional(numerics, "dt", 1e-3, "numerics", errors)
+    spide_dt = _optional(numerics, "spide_dt", dt, "numerics", errors)
+    horizon = _optional(numerics, "horizon", 0.5, "numerics", errors)
+    reps = _optional(numerics, "replications", 1, "numerics", errors)
+    if (dt is not None and dt <= 0) or (spide_dt is not None and spide_dt <= 0):
+        errors.append("numerics.dt and numerics.spide_dt must be > 0")
+    elif kind == "fokker_planck_compare" and None not in (dt, spide_dt, horizon):
+        ratio = round(dt / spide_dt)
+        if (ratio < 1 or abs(dt / spide_dt - ratio) > 1e-9 * ratio
+                or round(horizon / spide_dt) % ratio):
+            errors.append("numerics.dt must be a whole multiple of spide_dt and divide horizon")
+    if reps is not None and reps < 1:
+        errors.append("numerics.replications must be >= 1")
+    grid = numerics.get("thresholds")
+    if kind == "threshold_sweep" and not (isinstance(grid, list) and grid
+                                          and all(map(_is_number, grid))):
+        errors.append("numerics.thresholds must be a nonempty list of numbers")
 
 
 def load_config(path) -> dict:
@@ -170,6 +197,7 @@ def load_config(path) -> dict:
     numerics = raw.get("numerics", {})
     if kind in _NUMERICS_KEYS and isinstance(numerics, dict):
         _check_keys(numerics, _NUMERICS_KEYS[kind], "numerics", errors)
+        _validate_numerics(kind, numerics, errors)
         if "rule" in numerics and isinstance(numerics["rule"], dict):
             _check_keys(numerics["rule"], _RULE_KEYS, "numerics.rule", errors)
         if "grid" in numerics and isinstance(numerics["grid"], dict):
@@ -305,16 +333,6 @@ def _closed_form_report(config, out, mhash, summary):
     summary.add("closed_form_residuals", worst, tol, worst < tol)
 
 
-def _closed_form_value(model, start):
-    if model["family"] == "sell":
-        params = SellParams(model["alpha0"], model["sigma1"], model["sigma2"],
-                            model["rho"], model["a"])
-        return sell_value(0.0, start, params)
-    params = QuitParams(model["sigma1"], model["sigma2"], model.get("gamma0", 0.0),
-                        model.get("intensity", 0.0), model["rho"])
-    return quit_value(0.0, start, params)
-
-
 def _evaluate_rule(config, out, mhash, summary, workers):
     spec, params, start = build_model(config["model"])
     numerics = config["numerics"]
@@ -338,7 +356,7 @@ def _evaluate_rule(config, out, mhash, summary, workers):
     )
     tol = config["checks"].get("closed_form_tolerance")
     if tol is not None:
-        ref = _closed_form_value(config["model"], start)
+        ref = (sell_value if spec.family == "sell" else quit_value)(0.0, start, params)
         band = max(3 * est.std_error, tol * abs(ref))
         summary.add("value_vs_closed_form", abs(est.mean - ref), band,
                     abs(est.mean - ref) <= band)
@@ -394,7 +412,7 @@ def _simulate_path(config, out, mhash, summary):
         common = CommonNoisePath.sample(horizon, dt, rng_common)
         result = simulate_path(
             spec, horizon, dt, n, common, rng_cloud,
-            floor=1e-12 if spec.family == "sell" else None,
+            floor=SELL_FLOOR if spec.family == "sell" else None,
         )
         oracle = conditional_mean_oracle(spec, start, common)
         for t_check in checkpoints:
@@ -434,8 +452,6 @@ def _fokker_planck_compare(config, out, mhash, summary):
     result = simulate_path(spec, horizon, dt, n, coarse, rng_cloud,
                            snapshot_times=(horizon,))
     kde = kde_density(result.snapshots[horizon], numerics.get("bandwidth"), x)
-    from .fokker_planck import compare_to_particles
-
     l1 = compare_to_particles(density, kde)
     defect = max(d.mass_defect for d in diags)
     write_csv(out / "densities.csv", ("x", "spide", "kde"),

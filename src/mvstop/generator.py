@@ -27,8 +27,6 @@ class CylinderFunction:
     F: Callable[[float], float]
     F_prime: Callable[[float], float]
     F_double_prime: Callable[[float], float]
-    q: Callable | None = None          # pairing test function, identity if None
-    x_part: Callable | None = None     # reserved; not supported by the generator
 
     def value(self, s: float, z: float) -> float:
         return self.psi(s) * self.F(z)
@@ -79,8 +77,6 @@ def measure_flow_coefficients(spec: ModelSpec, z: float) -> tuple[float, float]:
 def apply_generator_cylinder(
     phi: CylinderFunction, s: float, z: float, spec: ModelSpec
 ) -> float:
-    if phi.x_part is not None:
-        raise NotImplementedError("x-dependent parts are not supported")
     a, b = measure_flow_coefficients(spec, z)
     return phi.psi_prime(s) * phi.F(z) + phi.psi(s) * (
         phi.F_prime(z) * a + 0.5 * phi.F_double_prime(z) * b * b
@@ -119,9 +115,6 @@ class StoppingCandidate:
         mask = z < self.threshold if self.direction == "up" else z > self.threshold
         out = np.where(mask, cont, stop)
         return float(out) if out.ndim == 0 else out
-
-    def dz(self, s: float, z: float) -> float:
-        return self.branch(z).dz(s, z)
 
 
 @dataclass

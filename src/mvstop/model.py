@@ -24,6 +24,8 @@ class ModelError(ValueError):
 # ---------------------------------------------------------------------------
 # initial laws
 
+INITIAL_KINDS = ("point", "normal", "lognormal")
+
 
 @dataclass(frozen=True)
 class InitialLaw:
@@ -38,7 +40,7 @@ class InitialLaw:
     scale: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("point", "normal", "lognormal"):
+        if self.kind not in INITIAL_KINDS:
             raise ModelError(f"unknown initial law kind {self.kind!r}")
         if self.scale < 0:
             raise ModelError("scale must be >= 0")
@@ -142,24 +144,6 @@ def constant_mark(intensity: float, value: float) -> LevyMeasureSpec:
     return discrete_marks(intensity, [value], [1.0])
 
 
-def sample_jump_increment(
-    levy: LevyMeasureSpec, dt: float, rng: np.random.Generator
-) -> tuple[float, float]:
-    """One compound-Poisson increment over ``[t, t+dt]``.
-
-    Returns ``(jump_sum, compensator)``; the compensated increment
-    ``jump_sum - compensator`` has zero mean.
-    """
-    if dt <= 0:
-        raise ModelError("dt must be > 0")
-    compensator = dt * levy.intensity * levy.mark_mean
-    if levy.intensity == 0:
-        return 0.0, 0.0
-    count = int(rng.poisson(levy.intensity * dt))
-    jump_sum = float(levy.sample_marks(rng, count).sum()) if count else 0.0
-    return jump_sum, compensator
-
-
 # ---------------------------------------------------------------------------
 # model spec
 
@@ -233,6 +217,9 @@ def _check_sell_marks(levy: LevyMeasureSpec) -> None:
     probe = levy.sample_marks(np.random.default_rng(0), 1000)
     if np.any(probe <= -1.0) or np.any(probe > 0.0):
         raise ModelError("sell-model marks must lie in (-1, 0]")
+
+
+SELL_FLOOR = 1e-12  # sell-family particle clouds are clamped here to stay positive
 
 
 def make_sell_model(

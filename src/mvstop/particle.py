@@ -55,14 +55,18 @@ class CommonNoisePath:
 
 @dataclass
 class ParticleCloud:
+    """Particle states at one time; ``m_bar`` is their mean, computed once."""
+
     time: float
     states: np.ndarray
     floor_events: int = 0
+    m_bar: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.states = np.asarray(self.states, dtype=float)
         if self.states.ndim != 1 or self.states.size < 1:
             raise ValueError("states must be a nonempty 1-D array")
+        self.m_bar = float(self.states.mean())
 
     @property
     def n(self) -> int:
@@ -75,12 +79,9 @@ def init_cloud(initial_law: InitialLaw, n: int, rng: np.random.Generator) -> Par
     return ParticleCloud(0.0, initial_law.sample(rng, n))
 
 
-def conditional_pairing(cloud: ParticleCloud, q=None, compensated: bool = False) -> float:
+def conditional_pairing(cloud: ParticleCloud, q=None) -> float:
     """Empirical pairing ``(1/n) sum q(X_i)``; ``q`` defaults to identity."""
-    values = cloud.states if q is None else np.asarray(q(cloud.states), dtype=float)
-    if compensated:
-        return math.fsum(values.tolist()) / values.size
-    return float(np.mean(values))
+    return cloud.m_bar if q is None else float(np.mean(np.asarray(q(cloud.states), float)))
 
 
 def _jump_increments(
@@ -116,8 +117,7 @@ def step(
     """Euler-Maruyama step of the whole cloud under a shared B1 increment."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    x, t = cloud.states, cloud.time
-    m_bar = float(np.mean(x))
+    x, t, m_bar = cloud.states, cloud.time, cloud.m_bar
     drift = np.asarray(spec.drift(t, x, m_bar), float)
     b1 = np.asarray(spec.diffusion_common(t, x, m_bar), float)
     b2 = np.asarray(spec.diffusion_idio(t, x, m_bar), float)
@@ -159,14 +159,14 @@ def simulate_path(
     cloud = init_cloud(spec.initial_law, n, rng)
     times = dt * np.arange(n_steps + 1)
     m_bar = np.empty(n_steps + 1)
-    m_bar[0] = conditional_pairing(cloud)
+    m_bar[0] = cloud.m_bar
     wanted = sorted(snapshot_times)
     snapshots: dict[float, ParticleCloud] = {}
     if wanted and abs(wanted[0]) < dt / 2:
         snapshots[0.0] = cloud
     for k in range(n_steps):
         cloud = step(cloud, spec, dt, float(common.increments[k]), rng, floor=floor)
-        m_bar[k + 1] = conditional_pairing(cloud)
+        m_bar[k + 1] = cloud.m_bar
         for t_snap in wanted:
             if abs(cloud.time - t_snap) < dt / 2 and t_snap not in snapshots:
                 snapshots[t_snap] = cloud

@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import particle
 from .generator import CylinderFunction, StoppingCandidate
-from .model import LevyMeasureSpec, ModelSpec, no_jumps
-from .particle import CommonNoisePath, SimulationError, _jump_increments
+from .model import SELL_FLOOR, LevyMeasureSpec, ModelSpec, no_jumps
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +114,6 @@ class SimConfig:
     cap_payoff: str = "stop"
     workers: int = 1
     batch_size: int = 16384
-    block: int = 512
-    floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.dt <= 0 or self.t_max < 0 or self.replications < 1:
@@ -306,7 +304,7 @@ def quit_candidate(params: QuitParams, eta: float | None = None) -> StoppingCand
 
 
 def conditional_mean_oracle(
-    spec: ModelSpec, start: float, common: CommonNoisePath
+    spec: ModelSpec, start: float, common: particle.CommonNoisePath
 ) -> np.ndarray:
     """Exact conditional-mean path along a realized common-noise path.
 
@@ -327,7 +325,9 @@ def conditional_mean_oracle(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo engine
+# Monte Carlo engine: a path source per mode feeding one rule accumulator
+
+_BLOCK = 512  # fast-mode path steps drawn per row at a time
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -338,244 +338,150 @@ def _start_value(spec: ModelSpec, cfg: SimConfig) -> float:
     return cfg.start if cfg.start is not None else spec.initial_law.mean
 
 
-def _triggers_now(rule: StoppingRule, m: float) -> bool:
-    if rule.kind == "threshold_up":
-        return m >= rule.threshold
-    if rule.kind == "threshold_down":
-        return m <= rule.threshold
-    if rule.kind == "fixed_time":
-        return rule.fixed_time == 0.0
-    return False
+class _FastSource:
+    """Exact conditional-mean path in ``y`` (``log m`` for sell); rules compare in ``y``."""
+
+    block = _BLOCK
+
+    def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
+        start = _start_value(spec, cfg)
+        if spec.family == "sell":
+            if start <= 0:
+                raise ValueError("sell fast mode needs a positive start value")
+            y0 = math.log(start)
+            self.mu_dt = (spec.params["alpha0"] - 0.5 * spec.params["sigma1"] ** 2) * cfg.dt
+            self.to_m = np.exp
+            self.to_y = lambda threshold: math.log(threshold) if threshold > 0 else -math.inf
+        elif spec.family == "quit":
+            y0, self.mu_dt = start, 0.0
+            self.to_m, self.to_y = np.asarray, float  # identities on paths and thresholds
+        else:
+            raise ValueError("fast mode supports shipped model families only")
+        self.vol = spec.params["sigma1"] * math.sqrt(cfg.dt)
+        self.gens, self.dt = gens, cfg.dt
+        self.m0 = np.full(len(gens), start, dtype=float)
+        self.y = np.full(len(gens), y0, dtype=float)
+
+    def advance(self, act: np.ndarray, steps_done: int, K: int):
+        z = np.empty((act.size, K))
+        for j, r in enumerate(act):
+            z[j] = self.gens[r].standard_normal(K)
+        y_left = self.y[act]
+        ypath = y_left[:, None] + np.cumsum(self.mu_dt + self.vol * z, axis=1)
+        self.y[act] = ypath[:, -1]
+        return y_left, ypath, steps_done * self.dt + self.dt * np.arange(1, K + 1)
 
 
-def _cap_step(rule: StoppingRule, cfg: SimConfig, n_steps: int) -> int:
-    if rule.horizon_cap is None:
-        return n_steps
-    return min(n_steps, int(round(rule.horizon_cap / cfg.dt)))
+class _ParticleSource:
+    """One interacting cloud per row, advanced by ``particle.step``; ``y`` is ``m``."""
+
+    block = 1
+
+    def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
+        self.spec, self.gens, self.dt = spec, gens, cfg.dt
+        self.floor = SELL_FLOOR if spec.family == "sell" else None
+        states = np.empty((len(gens), cfg.n_particles))
+        for j, rng in enumerate(gens):
+            states[j] = spec.initial_law.sample(rng, cfg.n_particles)
+        if cfg.start is not None:
+            # pin the empirical mean exactly at the requested start value
+            states += cfg.start - states.mean(axis=1, keepdims=True)
+        self.clouds = [particle.ParticleCloud(0.0, x) for x in states]
+        self.m0 = np.array([cloud.m_bar for cloud in self.clouds])
+        self.m = self.m0.copy()
+        self.to_m, self.to_y = np.asarray, float  # identities on paths and thresholds
+
+    def advance(self, act: np.ndarray, steps_done: int, K: int):
+        y_left = self.m[act]
+        sqdt = math.sqrt(self.dt)
+        for j in act:
+            rng = self.gens[j]
+            cloud = particle.step(self.clouds[j], self.spec, self.dt,
+                                  rng.standard_normal() * sqdt, rng, self.floor)
+            self.clouds[j], self.m[j] = cloud, cloud.m_bar
+        return y_left, self.m[act, None], np.array([(steps_done + 1) * self.dt])
 
 
 class _RuleState:
     """Per-rule bookkeeping over one batch of replications."""
 
-    def __init__(self, rule: StoppingRule, nb: int, cap_step: int):
+    def __init__(self, rule: StoppingRule, nb: int, n_steps: int, dt: float):
         self.rule = rule
-        self.cap_step = cap_step
+        cap = n_steps if rule.horizon_cap is None else int(round(rule.horizon_cap / dt))
+        self.cap_step = min(n_steps, cap)
         self.alive = np.ones(nb, dtype=bool)
         self.payoff = np.zeros(nb)
         self.fint = np.zeros(nb)
         self.trunc = np.zeros(nb, dtype=bool)
 
+    def settle(self, rows, hit, t, m, g, cap_payoff: str) -> None:
+        """End ``rows`` at times ``t``: a hit pays the bequest, a cap unless it pays zero."""
+        paid = hit | (cap_payoff == "stop")
+        self.payoff[rows] = self.fint[rows]
+        if g is not None and paid.any():
+            self.payoff[rows[paid]] += g(t[paid], m[paid])
+        self.trunc[rows[~hit]] = True
+        self.alive[rows] = False
 
-def _fast_batch(spec_or_dict, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
-    spec = (
-        ModelSpec.from_dict(spec_or_dict)
-        if isinstance(spec_or_dict, dict)
-        else spec_or_dict
-    )
-    nb = hi - lo
+
+def _stops(rule: StoppingRule, y: np.ndarray, to_y, first_step: int, dt: float) -> np.ndarray:
+    """Stop flags for path values ``y`` whose column 0 lies at grid step ``first_step``."""
+    if rule.kind == "threshold_up":
+        return y >= to_y(rule.threshold)
+    if rule.kind == "threshold_down":
+        return y <= to_y(rule.threshold)
+    if rule.kind == "fixed_time":
+        at = first_step + np.arange(y.shape[1]) == int(round(rule.fixed_time / dt))
+        return np.broadcast_to(at, y.shape)
+    return np.zeros(y.shape, dtype=bool)
+
+
+def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
+    """Payoff sums of every rule over replications ``lo:hi``, all on the same paths."""
+    spec = ModelSpec.from_dict(spec) if isinstance(spec, dict) else spec
+    nb, dt, s0 = hi - lo, cfg.dt, cfg.start_time
     gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
-    dt, s0 = cfg.dt, cfg.start_time
-    n_steps = int(round(cfg.t_max / dt))
+    src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
     f, g = payoff.build()
-    start = _start_value(spec, cfg)
-    if spec.family == "sell":
-        if start <= 0:
-            raise ValueError("sell fast mode needs a positive start value")
-        p = spec.params
-        y0 = math.log(start)
-        mu_dt = (p["alpha0"] - 0.5 * p["sigma1"] ** 2) * dt
-        vol = p["sigma1"] * math.sqrt(dt)
-        to_m = np.exp
+    n_steps = int(round(cfg.t_max / dt))
+    states = [_RuleState(r, nb, n_steps, dt) for r in rules]
+    for st in states:  # time 0: a start in the stopping region or a zero cap ends the row
+        hit = _stops(st.rule, src.m0[:, None], float, 0, dt)[:, 0]
+        rows = np.flatnonzero(hit | (st.cap_step == 0))
+        st.settle(rows, hit[rows], np.full(rows.size, s0), src.m0[rows], g, cfg.cap_payoff)
 
-        def to_y(threshold: float) -> float:
-            return math.log(threshold) if threshold > 0 else -math.inf
-
-    elif spec.family == "quit":
-        y0 = start
-        mu_dt = 0.0
-        vol = spec.params["sigma1"] * math.sqrt(dt)
-
-        def to_m(y):
-            return y
-
-        def to_y(threshold: float) -> float:
-            return threshold
-
-    else:
-        raise ValueError("fast mode supports shipped model families only")
-
-    states = [_RuleState(r, nb, _cap_step(r, cfg, n_steps)) for r in rules]
-    # time-0 trigger check
-    for st in states:
-        if _triggers_now(st.rule, start) or st.cap_step == 0:
-            st.trunc[:] = st.cap_step == 0 and not _triggers_now(st.rule, start)
-            if g is not None and not (st.trunc[0] and cfg.cap_payoff == "zero"):
-                st.payoff[:] = g(s0, start)
-            st.alive[:] = False
-
-    y = np.full(nb, y0, dtype=float)
     steps_done = 0
     max_steps = max((st.cap_step for st in states), default=0)
     while steps_done < max_steps:
-        any_alive = np.zeros(nb, dtype=bool)
-        for st in states:
-            any_alive |= st.alive
-        act = np.flatnonzero(any_alive)
+        act = np.flatnonzero(np.logical_or.reduce([st.alive for st in states]))
         if act.size == 0:
             break
-        K = min(cfg.block, max_steps - steps_done)
-        z = np.empty((act.size, K))
-        for j, r in enumerate(act):
-            z[j] = gens[r].standard_normal(K)
-        ypath = y[act, None] + np.cumsum(mu_dt + vol * z, axis=1)
-        t0 = steps_done * dt
-        m_right = None
-        fcum = None
-        if f is not None:
-            m_right = to_m(ypath)
-            m_left = np.concatenate([to_m(y[act])[:, None], m_right[:, :-1]], axis=1)
-            t_left = s0 + t0 + dt * np.arange(K)
+        K = min(src.block, max_steps - steps_done)
+        y_left, ypath, t_right = src.advance(act, steps_done, K)
+        if f is not None:  # running profit, summed at left points
+            m_right = src.to_m(ypath)
+            m_left = np.concatenate([src.to_m(y_left)[:, None], m_right[:, :-1]], axis=1)
+            t_left = s0 + steps_done * dt + dt * np.arange(K)
             fcum = np.cumsum(f(t_left[None, :], m_left) * dt, axis=1)
         for st in states:
-            sub = st.alive[act]
-            if not sub.any():
+            rows_local = np.flatnonzero(st.alive[act])
+            if rows_local.size == 0:
                 continue
-            rows_local = np.flatnonzero(sub)
-            rows = act[rows_local]
             klim = min(K, st.cap_step - steps_done)
-            rule = st.rule
-            if rule.kind == "threshold_up":
-                cond = ypath[rows_local, :klim] >= to_y(rule.threshold)
-            elif rule.kind == "threshold_down":
-                cond = ypath[rows_local, :klim] <= to_y(rule.threshold)
-            elif rule.kind == "fixed_time":
-                cond = np.zeros((rows_local.size, klim), dtype=bool)
-                col = int(round(rule.fixed_time / dt)) - steps_done
-                if 1 <= col <= klim:
-                    cond[:, col - 1] = True
-            else:  # never
-                cond = np.zeros((rows_local.size, klim), dtype=bool)
-            hit = cond.any(axis=1)
-            first = cond.argmax(axis=1)
-            taken = np.where(hit, first + 1, klim)
+            cond = _stops(st.rule, ypath[:, :klim], src.to_y, steps_done + 1, dt)
+            hit = cond.any(axis=1)[rows_local]
+            col = np.where(hit, cond.argmax(axis=1)[rows_local], klim - 1)
             if f is not None:
-                st.fint[rows] += fcum[rows_local, taken - 1]
-            if hit.any():
-                hl = rows_local[hit]
-                hr = rows[hit]
-                fi = first[hit]
-                tau = t0 + (fi + 1) * dt
-                m_tau = to_m(ypath[hl, fi]) if m_right is None else m_right[hl, fi]
-                gval = g(s0 + tau, m_tau) if g is not None else 0.0
-                st.payoff[hr] = st.fint[hr] + gval
-                st.alive[hr] = False
-            if steps_done + klim >= st.cap_step:
-                left_local = rows_local[~hit]
-                left = rows[~hit]
-                if left.size:
-                    st.trunc[left] = True
-                    m_cap = to_m(ypath[left_local, klim - 1])
-                    if cfg.cap_payoff == "stop" and g is not None:
-                        st.payoff[left] = st.fint[left] + g(s0 + st.cap_step * dt, m_cap)
-                    else:
-                        st.payoff[left] = st.fint[left]
-                    st.alive[left] = False
-        y[act] = ypath[:, -1]
+                st.fint[act[rows_local]] += fcum[rows_local, col]
+            end = hit | (steps_done + klim >= st.cap_step)
+            t_end = np.where(hit, s0 + t_right[col], s0 + st.cap_step * dt)
+            ended, col = rows_local[end], col[end]
+            st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g,
+                      cfg.cap_payoff)
         steps_done += K
     return [
         (float(st.payoff.sum()), float((st.payoff**2).sum()), nb, int(st.trunc.sum()))
         for st in states
-    ]
-
-
-def _particle_batch(spec_or_dict, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
-    spec = (
-        ModelSpec.from_dict(spec_or_dict)
-        if isinstance(spec_or_dict, dict)
-        else spec_or_dict
-    )
-    nb = hi - lo
-    gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
-    dt, s0, n = cfg.dt, cfg.start_time, cfg.n_particles
-    sqdt = math.sqrt(dt)
-    n_steps = int(round(cfg.t_max / dt))
-    f, g = payoff.build()
-    floor = cfg.floor if spec.family == "sell" else None
-    states = np.empty((nb, n))
-    for j in range(nb):
-        states[j] = spec.initial_law.sample(gens[j], n)
-    if cfg.start is not None:
-        # pin the empirical mean exactly at the requested start value
-        states += cfg.start - states.mean(axis=1, keepdims=True)
-    m_bar = states.mean(axis=1)
-    rs = [_RuleState(r, nb, _cap_step(r, cfg, n_steps)) for r in rules]
-    for st in rs:
-        done = np.array([_triggers_now(st.rule, m) for m in m_bar]) | (st.cap_step == 0)
-        if done.any():
-            if g is not None:
-                st.payoff[done] = g(s0, m_bar[done])
-            st.alive[done] = False
-
-    for k in range(n_steps):
-        any_alive = np.zeros(nb, dtype=bool)
-        for st in rs:
-            any_alive |= st.alive & (st.cap_step > k)
-        act = np.flatnonzero(any_alive)
-        if act.size == 0:
-            break
-        t = k * dt
-        m_prev = m_bar.copy()
-        for j in act:
-            rng = gens[j]
-            x = states[j]
-            mb = m_prev[j]
-            dB1 = rng.standard_normal() * sqdt
-            dB2 = rng.standard_normal(n) * sqdt
-            drift = np.asarray(spec.drift(t, x, mb), float)
-            b1 = np.asarray(spec.diffusion_common(t, x, mb), float)
-            b2 = np.asarray(spec.diffusion_idio(t, x, mb), float)
-            new = x + drift * dt + b1 * dB1 + b2 * dB2 + _jump_increments(
-                x, spec, t, mb, dt, rng
-            )
-            if floor is not None:
-                new = np.maximum(new, floor)
-            if not np.all(np.isfinite(new)):
-                raise SimulationError(f"non-finite state at t={t + dt:.6f}, rep {lo + j}")
-            states[j] = new
-            m_bar[j] = new.mean()
-        tau = (k + 1) * dt
-        for st in rs:
-            rows = act[st.alive[act]]
-            if rows.size == 0:
-                continue
-            if f is not None:
-                st.fint[rows] += f(s0 + t, m_prev[rows]) * dt
-            rule = st.rule
-            if rule.kind == "threshold_up":
-                hit = m_bar[rows] >= rule.threshold
-            elif rule.kind == "threshold_down":
-                hit = m_bar[rows] <= rule.threshold
-            elif rule.kind == "fixed_time":
-                hit = np.full(rows.size, int(round(rule.fixed_time / dt)) == k + 1)
-            else:
-                hit = np.zeros(rows.size, dtype=bool)
-            hr = rows[hit]
-            if hr.size:
-                gval = g(s0 + tau, m_bar[hr]) if g is not None else 0.0
-                st.payoff[hr] = st.fint[hr] + gval
-                st.alive[hr] = False
-            if k + 1 >= st.cap_step:
-                left = rows[~hit]
-                if left.size:
-                    st.trunc[left] = True
-                    if cfg.cap_payoff == "stop" and g is not None:
-                        st.payoff[left] = st.fint[left] + g(s0 + tau, m_bar[left])
-                    else:
-                        st.payoff[left] = st.fint[left]
-                    st.alive[left] = False
-    return [
-        (float(st.payoff.sum()), float((st.payoff**2).sum()), nb, int(st.trunc.sum()))
-        for st in rs
     ]
 
 
@@ -586,7 +492,6 @@ def _batches(reps: int, batch_size: int) -> list[tuple[int, int]]:
 def _run_rules(
     spec: ModelSpec, rules: Sequence[StoppingRule], payoff: Payoff, cfg: SimConfig
 ) -> list[McEstimate]:
-    worker = _fast_batch if cfg.mode == "fast" else _particle_batch
     parts = _batches(cfg.replications, cfg.batch_size)
     if cfg.workers > 1 and len(parts) > 1:
         if payoff.kind == "custom":
@@ -594,12 +499,12 @@ def _run_rules(
         spec_arg = spec.to_dict()
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [
-                pool.submit(worker, spec_arg, tuple(rules), payoff, cfg, lo, hi)
+                pool.submit(_batch, spec_arg, tuple(rules), payoff, cfg, lo, hi)
                 for lo, hi in parts
             ]
             results = [fut.result() for fut in futures]
     else:
-        results = [worker(spec, tuple(rules), payoff, cfg, lo, hi) for lo, hi in parts]
+        results = [_batch(spec, tuple(rules), payoff, cfg, lo, hi) for lo, hi in parts]
     out = []
     for i in range(len(rules)):
         total = sum(r[i][0] for r in results)

@@ -122,6 +122,7 @@ def test_criterion_04_quit_variational_inequalities():
            f"pasting residuals ({cont_res:.2e}, {slope_res:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_05_sell_mc_matches_closed_form():
     spec = make_sell_model(SELL.alpha0, SELL.sigma1, SELL.sigma2)
     _, lam1 = lambda_roots(SELL.alpha0, SELL.sigma1, SELL.rho)
@@ -137,6 +138,7 @@ def test_criterion_05_sell_mc_matches_closed_form():
            f"trunc {est.truncation_fraction:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_06_quit_mc_matches_closed_form():
     spec = make_quit_model(QUIT.sigma1, QUIT.sigma2)
     _, eta, _ = quit_threshold(QUIT)
@@ -151,6 +153,7 @@ def test_criterion_06_quit_mc_matches_closed_form():
            f"trunc {est.truncation_fraction:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_threshold_optimality():
     sell_spec = make_sell_model(SELL.alpha0, SELL.sigma1, SELL.sigma2)
     _, lam1 = lambda_roots(SELL.alpha0, SELL.sigma1, SELL.rho)
@@ -180,6 +183,7 @@ def test_criterion_07_threshold_optimality():
            f"argmax off by more than one cell: {failures or 'none'}")
 
 
+@pytest.mark.slow
 def test_criterion_08_particle_reduction():
     spec = make_sell_model(
         SELL.alpha0, SELL.sigma1, SELL.sigma2, constant_mark(0.5, -0.2)
@@ -212,6 +216,7 @@ def test_criterion_08_particle_reduction():
            f"{part.mean:.4f} (band {combined:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_09_fokker_planck_cross_check():
     spec = make_quit_model(0.4, 0.0, initial_law=InitialLaw("normal", 0.0, 0.3))
     x = make_grid(-3.0, 3.0, 601)

@@ -74,6 +74,35 @@ class TestConfigValidation:
         assert main(["validate", bad]) == 1
 
 
+RULE = {"kind": "threshold_up", "threshold": 2.7}
+FP_MODEL = dict(QUIT_MODEL, sigma2=0.0, initial={"kind": "normal", "loc": 0.0, "scale": 0.3})
+# configs that `run` aborts on: (experiment, model, numerics, expected message)
+RUN_ABORTS = {
+    "non_numeric_jump_intensity": (
+        "evaluate_rule", dict(SELL_MODEL, jump_intensity="high", jump_mark=-0.2),
+        {"rule": RULE}, "jump_intensity"),
+    "bogus_initial_kind": (
+        "evaluate_rule", dict(SELL_MODEL, initial={"kind": "bogus"}), {"rule": RULE},
+        "model.initial"),
+    "nonpositive_dt": ("evaluate_rule", SELL_MODEL, {"dt": -1, "rule": RULE}, "> 0"),
+    "no_replications": (
+        "evaluate_rule", SELL_MODEL, {"replications": 0, "rule": RULE}, "replications"),
+    "sweep_without_thresholds": ("threshold_sweep", SELL_MODEL, {}, "thresholds"),
+    "fokker_planck_step_ratio": (
+        "fokker_planck_compare", FP_MODEL,
+        {"dt": 0.0014, "spide_dt": 1e-4, "horizon": 0.003, "n": 100}, "spide_dt"),
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_ABORTS))
+def test_validate_rejects_what_run_aborts(tmp_path, capsys, case):
+    experiment, model, numerics, message = RUN_ABORTS[case]
+    body = base_config(tmp_path, experiment=experiment, model=dict(model), numerics=numerics)
+    assert main(["validate", write_config(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 class TestRunExperiment:
     def test_closed_form_report_outputs(self, tmp_path):
         config = load_config(write_config(tmp_path, base_config(tmp_path)))

@@ -66,16 +66,6 @@ def test_generator_on_power_function():
     assert got == pytest.approx(expect, rel=1e-12)
 
 
-def test_x_dependence_rejected():
-    psi, psi_p = _exp_decay(0.1)
-    phi = CylinderFunction(
-        psi, psi_p, F=lambda z: z, F_prime=lambda z: 1.0,
-        F_double_prime=lambda z: 0.0, x_part=lambda x: x,
-    )
-    with pytest.raises(NotImplementedError):
-        apply_generator_cylinder(phi, 0.0, 1.0, make_quit_model(0.3, 0.1))
-
-
 def test_derivative_check_catches_errors():
     psi, psi_p = _exp_decay(0.2)
     good = CylinderFunction(

@@ -12,8 +12,8 @@ from mvstop.model import (
     make_quit_model,
     make_sell_model,
     no_jumps,
-    sample_jump_increment,
 )
+from mvstop.particle import _jump_increments
 
 
 class TestInitialLaw:
@@ -67,14 +67,16 @@ class TestLevyMeasure:
         assert abs((marks == -0.1).mean() - 0.25) < 0.01
 
     def test_no_jumps_increment(self):
-        assert sample_jump_increment(no_jumps(), 0.1, np.random.default_rng(0)) == (0.0, 0.0)
+        spec = make_quit_model(0.3, 0.1)
+        assert spec.levy == no_jumps()
+        draws = _jump_increments(np.zeros(5), spec, 0.0, 0.0, 0.1, np.random.default_rng(0))
+        assert np.all(draws == 0.0)
 
     def test_compensated_increment_is_centred(self):
-        levy = constant_mark(5.0, -0.2)
+        # a zero cloud of the quit model: one compensated increment per particle
+        spec = make_quit_model(0.3, 0.1, gamma0=-0.2, intensity=5.0)
         rng = np.random.default_rng(4)
-        draws = np.array(
-            [np.subtract(*sample_jump_increment(levy, 0.1, rng)) for _ in range(50_000)]
-        )
+        draws = _jump_increments(np.zeros(50_000), spec, 0.0, 0.0, 0.1, rng)
         # mean 0, variance dt * intensity * E[mark^2] = 0.02
         assert abs(draws.mean()) < 0.005
         assert abs(draws.var() - 0.02) < 0.002

@@ -36,7 +36,6 @@ def test_init_cloud_and_pairing():
     assert cloud.n == 100
     assert conditional_pairing(cloud) == 1.5
     assert conditional_pairing(cloud, q=lambda x: x**2) == pytest.approx(2.25)
-    assert conditional_pairing(cloud, compensated=True) == pytest.approx(1.5)
 
 
 def test_step_moments_quit_model():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvstop.model import InitialLaw, make_quit_model, make_sell_model
+from mvstop.model import InitialLaw, constant_mark, make_quit_model, make_sell_model
 from mvstop.particle import CommonNoisePath
 from mvstop.stopping import (
     Payoff,
@@ -11,6 +11,7 @@ from mvstop.stopping import (
     SellParams,
     SimConfig,
     StoppingRule,
+    _run_rules,
     conditional_mean_oracle,
     dynkin_residual,
     evaluate_rule_mc,
@@ -172,11 +173,15 @@ class TestMonteCarlo:
         assert est.mean == pytest.approx(2.0)   # g(0, 3.0) = 3 - 1 = 2
         assert est.std_error == 0.0
 
-    def test_never_rule_with_zero_cap_payoff(self):
+    @pytest.mark.parametrize("start,t_max", [(1.0, 0.5), (2.0, 0.0)],
+                             ids=["capped", "cap_at_0"])
+    @pytest.mark.parametrize("mode", ["fast", "particle"])
+    def test_never_rule_with_zero_cap_payoff(self, mode, start, t_max):
         spec = make_sell_model(0.1, 0.3, 0.2)
         params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
         cfg = SimConfig(
-            dt=0.01, replications=64, seed=0, t_max=0.5, start=1.0, cap_payoff="zero"
+            dt=0.01, replications=64, seed=0, t_max=t_max, start=start,
+            cap_payoff="zero", mode=mode, n_particles=100,
         )
         est = evaluate_rule_mc(spec, StoppingRule("never"), sell_payoff(params), cfg)
         assert est.mean == 0.0
@@ -239,3 +244,114 @@ def test_dynkin_residual_small_run():
     cfg = SimConfig(dt=0.005, replications=4000, seed=10, t_max=1.0, start=0.3)
     result = dynkin_residual(spec, quit_candidate(params), cfg, delta=0.3)
     assert abs(result.residual) < 4 * result.std_error + 1e-3
+
+
+# ---------------------------------------------------------------------------
+# frozen engine outputs: exact estimates on small runs that cover every
+# branch of the rule accumulator and both path sources
+
+def _frozen_runs():
+    sell = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+    quit_ = QuitParams(0.3, 0.1, rho=0.2)
+    sell_spec = make_sell_model(0.1, 0.3, 0.2)
+    quit_spec = make_quit_model(0.3, 0.1)
+    jump_sell = make_sell_model(0.1, 0.3, 0.2, constant_mark(0.5, -0.2))
+    jump_quit = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5,
+                                initial_law=InitialLaw("normal", 0.0, 0.3))
+    fast = dict(dt=0.01, seed=11, start=1.0)
+    particle = dict(dt=0.05, replications=12, t_max=3.0, mode="particle",
+                    n_particles=200, batch_size=5)
+    runs = {}
+    # 2000 steps: four blocks of at most 512, two batches, 1.1 stops at time 0
+    runs["fast_sell_sweep"] = threshold_sweep(
+        sell_spec, [1.1, 1.5, 2.2, 2.7, 3.5], sell_payoff(sell),
+        SimConfig(replications=400, t_max=20.0, batch_size=300, **dict(fast, start=1.2)),
+    ).estimates
+    # running profit; caps inside a block, at a block edge and past the horizon
+    runs["fast_quit_caps"] = _run_rules(
+        quit_spec,
+        [StoppingRule("threshold_down", threshold=QUIT_ETA),
+         StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=3.0),
+         StoppingRule("never", horizon_cap=5.12),
+         StoppingRule("threshold_down", threshold=-0.2, horizon_cap=7.77),
+         StoppingRule("threshold_up", threshold=0.5, horizon_cap=50.0)],
+        quit_payoff(quit_), SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0,
+                                      start=0.0),
+    )
+    runs["fixed_time"] = (
+        evaluate_rule_mc(sell_spec, StoppingRule("fixed_time", fixed_time=0.5),
+                         sell_payoff(sell), SimConfig(replications=300, t_max=1.0, **fast)),
+        evaluate_rule_mc(quit_spec, StoppingRule("fixed_time", fixed_time=7.0),
+                         quit_payoff(quit_), SimConfig(dt=0.01, replications=200, seed=13,
+                                                       t_max=10.0, start=0.1)),
+        evaluate_rule_mc(sell_spec, StoppingRule("fixed_time", fixed_time=0.0),
+                         sell_payoff(sell),
+                         SimConfig(replications=50, t_max=1.0, **dict(fast, start=1.2))),
+    )
+    runs["cap_zero"] = (
+        evaluate_rule_mc(sell_spec, StoppingRule("threshold_up", threshold=2.7,
+                                                 horizon_cap=4.0),
+                         sell_payoff(sell),
+                         SimConfig(replications=300, t_max=20.0, cap_payoff="zero", **fast)),
+    )
+    runs["fast_dynkin_custom"] = (
+        dynkin_residual(quit_spec, quit_candidate(quit_),
+                        SimConfig(dt=0.005, replications=300, seed=14, t_max=1.0,
+                                  start=0.3), delta=3.0).estimate,
+    )
+    runs["particle_sell_jumps"] = threshold_sweep(
+        jump_sell, [1.05, 1.3, 1.6], sell_payoff(sell),
+        SimConfig(seed=15, start=1.1, **particle),
+    ).estimates
+    runs["particle_quit"] = _run_rules(
+        jump_quit,
+        [StoppingRule("threshold_down", threshold=QUIT_ETA),
+         StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=1.0),
+         StoppingRule("fixed_time", fixed_time=0.5)],
+        quit_payoff(quit_), SimConfig(seed=16, **particle),
+    )
+    return {name: tuple(tuple(vars(e).values()) for e in ests)
+            for name, ests in runs.items()}
+
+
+FROZEN = {
+    'fast_sell_sweep': (
+        (0.19999999999999993, 1.05499077648638e-10, 400, 0.0),
+        (0.35988071592615095, 0.0077205716841956115, 400, 0.055),
+        (0.4878301910067826, 0.017373262106417365, 400, 0.1375),
+        (0.5058461889691737, 0.022301950825116556, 400, 0.2175),
+        (0.48425119931997307, 0.026176037429346922, 400, 0.305),
+    ),
+    'fast_quit_caps': (
+        (0.6536239330843308, 0.06478962250426433, 300, 0.4066666666666667),
+        (0.1508156542009942, 0.023687552358759214, 300, 0.6733333333333333),
+        (-0.03686608531717933, 0.06378625384462566, 300, 1.0),
+        (0.44288297845273417, 0.04796339363814417, 300, 0.19),
+        (-0.6397603248118506, 0.0678560554682407, 300, 0.38333333333333336),
+    ),
+    'fixed_time': (
+        (0.044883133917889, 0.012122437738601367, 300, 0.0),
+        (0.48094497919526974, 0.11471156908413808, 200, 0.0),
+        (0.19999999999999993, 4.257474626813616e-10, 50, 0.0),
+    ),
+    'cap_zero': (
+        (0.1717042348002486, 0.02281073845681103, 300, 0.8366666666666667),
+    ),
+    'fast_dynkin_custom': (
+        (1.9883381994821439, 0.09097036448764131, 300, 0.8633333333333333),
+    ),
+    'particle_sell_jumps': (
+        (0.09999999999999964, 0.0, 12, 0.0),
+        (0.22864728704332396, 0.05719683278990201, 12, 0.16666666666666666),
+        (0.30864467859318584, 0.09880977119007005, 12, 0.4166666666666667),
+    ),
+    'particle_quit': (
+        (0.20960026794218756, 0.11162755616805611, 12, 0.6666666666666666),
+        (0.017435681662791667, 0.03926413622595887, 12, 0.8333333333333334),
+        (0.0004794907024445484, 0.014375236594680528, 12, 0.0),
+    ),
+}
+
+
+def test_frozen_engine_outputs():
+    assert _frozen_runs() == FROZEN
