@@ -122,6 +122,8 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.cap_payoff not in ("stop", "zero"):
             raise ValueError(f"unknown cap_payoff {self.cap_payoff!r}")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -339,7 +341,12 @@ def _start_value(spec: ModelSpec, cfg: SimConfig) -> float:
 
 
 class _FastSource:
-    """Exact conditional-mean path in ``y`` (``log m`` for sell); rules compare in ``y``."""
+    """Exact conditional-mean path in ``y`` (``log m`` for sell); rules compare in ``y``.
+
+    Each block is drawn and integrated in place in one buffer owned by the
+    source, so the path returned by ``advance`` is valid only until the next
+    call.
+    """
 
     block = _BLOCK
 
@@ -354,22 +361,28 @@ class _FastSource:
             self.to_y = lambda threshold: math.log(threshold) if threshold > 0 else -math.inf
         elif spec.family == "quit":
             y0, self.mu_dt = start, 0.0
-            self.to_m, self.to_y = np.asarray, float  # identities on paths and thresholds
+            self.to_m, self.to_y = np.positive, float  # identities on paths and thresholds
         else:
             raise ValueError("fast mode supports shipped model families only")
         self.vol = spec.params["sigma1"] * math.sqrt(cfg.dt)
         self.gens, self.dt = gens, cfg.dt
         self.m0 = np.full(len(gens), start, dtype=float)
         self.y = np.full(len(gens), y0, dtype=float)
+        self.buf = np.empty(len(gens) * self.block)
 
     def advance(self, act: np.ndarray, steps_done: int, K: int):
-        z = np.empty((act.size, K))
+        """Rows ``act`` for ``K`` steps: left values, a view of the path block, right times."""
+        z = self.buf[: act.size * K].reshape(act.size, K)
         for j, r in enumerate(act):
-            z[j] = self.gens[r].standard_normal(K)
+            self.gens[r].standard_normal(out=z[j])
         y_left = self.y[act]
-        ypath = y_left[:, None] + np.cumsum(self.mu_dt + self.vol * z, axis=1)
-        self.y[act] = ypath[:, -1]
-        return y_left, ypath, steps_done * self.dt + self.dt * np.arange(1, K + 1)
+        # y_left + cumsum(mu_dt + vol * z), evaluated in place
+        z *= self.vol
+        z += self.mu_dt
+        np.cumsum(z, axis=1, out=z)
+        z += y_left[:, None]
+        self.y[act] = z[:, -1]
+        return y_left, z, steps_done * self.dt + self.dt * np.arange(1, K + 1)
 
 
 class _ParticleSource:
@@ -389,7 +402,7 @@ class _ParticleSource:
         self.clouds = [particle.ParticleCloud(0.0, x) for x in states]
         self.m0 = np.array([cloud.m_bar for cloud in self.clouds])
         self.m = self.m0.copy()
-        self.to_m, self.to_y = np.asarray, float  # identities on paths and thresholds
+        self.to_m, self.to_y = np.positive, float  # identities on paths and thresholds
 
     def advance(self, act: np.ndarray, steps_done: int, K: int):
         y_left = self.m[act]
@@ -424,16 +437,34 @@ class _RuleState:
         self.alive[rows] = False
 
 
-def _stops(rule: StoppingRule, y: np.ndarray, to_y, first_step: int, dt: float) -> np.ndarray:
-    """Stop flags for path values ``y`` whose column 0 lies at grid step ``first_step``."""
-    if rule.kind == "threshold_up":
-        return y >= to_y(rule.threshold)
-    if rule.kind == "threshold_down":
-        return y <= to_y(rule.threshold)
-    if rule.kind == "fixed_time":
-        at = first_step + np.arange(y.shape[1]) == int(round(rule.fixed_time / dt))
-        return np.broadcast_to(at, y.shape)
-    return np.zeros(y.shape, dtype=bool)
+def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
+                first_step: int, dt: float, extremes: dict):
+    """``(hit, col)`` of ``rule`` on ``rows`` of the path block ``y``.
+
+    Column 0 of ``y`` lies at grid step ``first_step``.  ``col`` is the first
+    stopping column of a hit row and the last column otherwise.  A threshold
+    rule searches only rows whose block extreme crosses; the row extremes are
+    cached in ``extremes`` per direction and width, so rules scanning the same
+    block share them.  ``fmax``/``fmin`` skip NaN, which never crosses.
+    """
+    width = y.shape[1]
+    hit = np.zeros(rows.size, dtype=bool)
+    col = np.full(rows.size, width - 1)
+    if rule.kind in ("threshold_up", "threshold_down"):
+        up = rule.kind == "threshold_up"
+        key = (up, width)
+        if key not in extremes:
+            extremes[key] = (np.fmax if up else np.fmin).reduce(y, axis=1)
+        thr, ext = to_y(rule.threshold), extremes[key][rows]
+        hit = ext >= thr if up else ext <= thr
+        if hit.any():
+            cross = y[rows[hit]]
+            col[hit] = np.argmax(cross >= thr if up else cross <= thr, axis=1)
+    elif rule.kind == "fixed_time":
+        k = int(round(rule.fixed_time / dt)) - first_step
+        if 0 <= k < width:
+            hit[:], col[:] = True, k
+    return hit, col
 
 
 def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
@@ -445,11 +476,13 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
     f, g = payoff.build()
     n_steps = int(round(cfg.t_max / dt))
     states = [_RuleState(r, nb, n_steps, dt) for r in rules]
+    everyone, at_start = np.arange(nb), {}
     for st in states:  # time 0: a start in the stopping region or a zero cap ends the row
-        hit = _stops(st.rule, src.m0[:, None], float, 0, dt)[:, 0]
+        hit, _ = _first_stop(st.rule, src.m0[:, None], everyone, float, 0, dt, at_start)
         rows = np.flatnonzero(hit | (st.cap_step == 0))
         st.settle(rows, hit[rows], np.full(rows.size, s0), src.m0[rows], g, cfg.cap_payoff)
 
+    fbuf = np.empty(nb * src.block) if f is not None else None
     steps_done = 0
     max_steps = max((st.cap_step for st in states), default=0)
     while steps_done < max_steps:
@@ -459,18 +492,21 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
         K = min(src.block, max_steps - steps_done)
         y_left, ypath, t_right = src.advance(act, steps_done, K)
         if f is not None:  # running profit, summed at left points
-            m_right = src.to_m(ypath)
-            m_left = np.concatenate([src.to_m(y_left)[:, None], m_right[:, :-1]], axis=1)
+            fcum = fbuf[: act.size * K].reshape(act.size, K)
+            fcum[:, 0] = y_left
+            fcum[:, 1:] = ypath[:, :-1]
+            src.to_m(fcum, out=fcum)
             t_left = s0 + steps_done * dt + dt * np.arange(K)
-            fcum = np.cumsum(f(t_left[None, :], m_left) * dt, axis=1)
+            np.multiply(f(t_left[None, :], fcum), dt, out=fcum)
+            np.cumsum(fcum, axis=1, out=fcum)
+        extremes = {}
         for st in states:
             rows_local = np.flatnonzero(st.alive[act])
             if rows_local.size == 0:
                 continue
             klim = min(K, st.cap_step - steps_done)
-            cond = _stops(st.rule, ypath[:, :klim], src.to_y, steps_done + 1, dt)
-            hit = cond.any(axis=1)[rows_local]
-            col = np.where(hit, cond.argmax(axis=1)[rows_local], klim - 1)
+            hit, col = _first_stop(st.rule, ypath[:, :klim], rows_local, src.to_y,
+                                   steps_done + 1, dt, extremes)
             if f is not None:
                 st.fint[act[rows_local]] += fcum[rows_local, col]
             end = hit | (steps_done + klim >= st.cap_step)

@@ -11,6 +11,7 @@ from mvstop.stopping import (
     SellParams,
     SimConfig,
     StoppingRule,
+    _first_stop,
     _run_rules,
     conditional_mean_oracle,
     dynkin_residual,
@@ -138,6 +139,8 @@ class TestRuleValidation:
             SimConfig(dt=-1e-3, replications=10, seed=0, t_max=1.0)
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, replications=10, seed=0, t_max=1.0, mode="magic")
+        with pytest.raises(ValueError, match="batch_size"):
+            SimConfig(dt=1e-3, replications=10, seed=0, t_max=1.0, batch_size=0)
 
 
 class TestMonteCarlo:
@@ -244,6 +247,62 @@ def test_dynkin_residual_small_run():
     cfg = SimConfig(dt=0.005, replications=4000, seed=10, t_max=1.0, start=0.3)
     result = dynkin_residual(spec, quit_candidate(params), cfg, delta=0.3)
     assert abs(result.residual) < 4 * result.std_error + 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the extreme-first rule scan against the full stop-flag matrix it replaced
+
+def _reference_scan(rule, y, rows, to_y, first_step, dt):
+    if rule.kind == "threshold_up":
+        cond = y >= to_y(rule.threshold)
+    elif rule.kind == "threshold_down":
+        cond = y <= to_y(rule.threshold)
+    elif rule.kind == "fixed_time":
+        at = first_step + np.arange(y.shape[1]) == int(round(rule.fixed_time / dt))
+        cond = np.broadcast_to(at, y.shape)
+    else:
+        cond = np.zeros(y.shape, dtype=bool)
+    hit = cond.any(axis=1)[rows]
+    return hit, np.where(hit, cond.argmax(axis=1)[rows], y.shape[1] - 1)
+
+
+def _sell_to_y(threshold):
+    return math.log(threshold) if threshold > 0 else -math.inf
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_stop_matches_full_matrix_scan(seed):
+    rng = np.random.default_rng(seed)
+    y = np.round(rng.standard_normal((40, 23)).cumsum(axis=1), 1)  # ties at thresholds
+    y[3, 5] = y[7, :] = np.nan
+    y[11, ::2] = np.nan
+    y[13, 4], y[17, 9] = np.inf, -np.inf
+    dt = 0.01
+    rules = [StoppingRule(kind, threshold=t) for kind in ("threshold_up", "threshold_down")
+             for t in (-2.0, -0.3, 0.0, 0.5, 1.0, 2.5, 40.0)]
+    rules += [StoppingRule("fixed_time", fixed_time=x) for x in (0.0, 0.05, 0.1, 0.27, 0.4)]
+    rules += [StoppingRule("never")]
+    subsets = [np.arange(40), np.sort(rng.choice(40, 17, replace=False)),
+               np.array([7, 11, 13, 17]), np.array([], dtype=int)]
+    for to_y in (float, _sell_to_y, lambda t: math.copysign(math.inf, t)):
+        for klim in (23, 9, 1):
+            block, extremes = y[:, :klim], {}
+            for rows in subsets:
+                for rule in rules:
+                    got = _first_stop(rule, block, rows, to_y, 5, dt, extremes)
+                    want = _reference_scan(rule, block, rows, to_y, 5, dt)
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_custom_running_profit_may_broadcast():
+    # a profit rate of time only gives the same integral as its full-shape copy
+    spec = make_quit_model(0.3, 0.1)
+    cfg = SimConfig(dt=0.01, replications=50, seed=3, t_max=6.0, start=0.0)
+    rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
+    narrow = Payoff("custom", f=lambda t, m: np.exp(-0.2 * t), g=None)
+    full = Payoff("custom", f=lambda t, m: np.exp(-0.2 * t) + 0.0 * m, g=None)
+    assert evaluate_rule_mc(spec, rule, narrow, cfg) == evaluate_rule_mc(spec, rule, full, cfg)
 
 
 # ---------------------------------------------------------------------------
