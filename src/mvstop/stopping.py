@@ -515,10 +515,19 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
             st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g,
                       cfg.cap_payoff)
         steps_done += K
-    return [
-        (float(st.payoff.sum()), float((st.payoff**2).sum()), nb, int(st.trunc.sum()))
-        for st in states
-    ]
+    return [(float(st.payoff.sum()), *_mean_m2(st.payoff), nb, int(st.trunc.sum()))
+            for st in states]
+
+
+def _mean_m2(x: np.ndarray) -> tuple[float, float]:
+    """Two-pass mean and sum of squared deviations, shifted by ``x[0]``.
+
+    The shift makes both exact for a constant sample, so a payoff paid
+    identically on every path reports a standard error of exactly 0.
+    """
+    d = x - x[0]
+    mean = float(x[0] + d.mean())
+    return mean, float(((x - mean) ** 2).sum())
 
 
 def _batches(reps: int, batch_size: int) -> list[tuple[int, int]]:
@@ -543,13 +552,16 @@ def _run_rules(
         results = [_batch(spec, tuple(rules), payoff, cfg, lo, hi) for lo, hi in parts]
     out = []
     for i in range(len(rules)):
-        total = sum(r[i][0] for r in results)
-        total_sq = sum(r[i][1] for r in results)
-        count = sum(r[i][2] for r in results)
-        trunc = sum(r[i][3] for r in results)
-        mean = total / count
-        var = max(0.0, (total_sq - count * mean * mean) / max(1, count - 1))
-        out.append(McEstimate(mean, math.sqrt(var / count), count, trunc / count))
+        total = count = trunc = 0
+        mean = m2 = 0.0
+        for b_total, b_mean, b_m2, b_count, b_trunc in (r[i] for r in results):
+            # Chan et al. pairwise merge of (count, mean, M2), in batch order
+            delta, share = b_mean - mean, b_count / (count + b_count)
+            m2 += b_m2 + delta * delta * count * share
+            mean += delta * share  # exact for the first batch: share is 1
+            total, count, trunc = total + b_total, count + b_count, trunc + b_trunc
+        var = m2 / max(1, count - 1)
+        out.append(McEstimate(total / count, math.sqrt(var / count), count, trunc / count))
     return out
 
 

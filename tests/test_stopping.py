@@ -176,6 +176,18 @@ class TestMonteCarlo:
         assert est.mean == pytest.approx(2.0)   # g(0, 3.0) = 3 - 1 = 2
         assert est.std_error == 0.0
 
+    def test_constant_payoff_over_uneven_batches(self):
+        # g(0, 1.2) is not a short binary fraction; ten batches, the last of one row
+        spec = make_sell_model(0.1, 0.3, 0.2)
+        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=1.0, start=1.2,
+                        batch_size=7)
+        est = evaluate_rule_mc(
+            spec, StoppingRule("threshold_up", threshold=1.1), sell_payoff(params), cfg
+        )
+        assert est.mean == pytest.approx(0.2)
+        assert est.std_error == 0.0
+
     @pytest.mark.parametrize("start,t_max", [(1.0, 0.5), (2.0, 0.0)],
                              ids=["capped", "cap_at_0"])
     @pytest.mark.parametrize("mode", ["fast", "particle"])
@@ -189,6 +201,21 @@ class TestMonteCarlo:
         est = evaluate_rule_mc(spec, StoppingRule("never"), sell_payoff(params), cfg)
         assert est.mean == 0.0
         assert est.truncation_fraction == 1.0
+
+    def test_standard_error_does_not_depend_on_batching(self):
+        # the pairwise merge of per-batch (count, mean, M2) is exact up to rounding
+        spec = make_quit_model(0.3, 0.1)
+        params = QuitParams(0.3, 0.1, rho=0.2)
+        rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
+        one, many = (
+            evaluate_rule_mc(spec, rule, quit_payoff(params),
+                             SimConfig(dt=0.01, replications=400, seed=4, t_max=5.0,
+                                       start=0.0, batch_size=size))
+            for size in (400, 7)
+        )
+        assert many.std_error == pytest.approx(one.std_error, rel=1e-12)
+        assert (many.mean, many.truncation_fraction) == pytest.approx(
+            (one.mean, one.truncation_fraction), rel=1e-12)
 
     def test_same_seed_reproduces_exactly(self):
         spec = make_quit_model(0.3, 0.1)
@@ -375,15 +402,15 @@ def _frozen_runs():
 
 FROZEN = {
     'fast_sell_sweep': (
-        (0.19999999999999993, 1.05499077648638e-10, 400, 0.0),
-        (0.35988071592615095, 0.0077205716841956115, 400, 0.055),
+        (0.19999999999999993, 0.0, 400, 0.0),
+        (0.35988071592615095, 0.00772057168419561, 400, 0.055),
         (0.4878301910067826, 0.017373262106417365, 400, 0.1375),
         (0.5058461889691737, 0.022301950825116556, 400, 0.2175),
-        (0.48425119931997307, 0.026176037429346922, 400, 0.305),
+        (0.48425119931997307, 0.026176037429346915, 400, 0.305),
     ),
     'fast_quit_caps': (
         (0.6536239330843308, 0.06478962250426433, 300, 0.4066666666666667),
-        (0.1508156542009942, 0.023687552358759214, 300, 0.6733333333333333),
+        (0.1508156542009942, 0.023687552358759217, 300, 0.6733333333333333),
         (-0.03686608531717933, 0.06378625384462566, 300, 1.0),
         (0.44288297845273417, 0.04796339363814417, 300, 0.19),
         (-0.6397603248118506, 0.0678560554682407, 300, 0.38333333333333336),
@@ -391,22 +418,22 @@ FROZEN = {
     'fixed_time': (
         (0.044883133917889, 0.012122437738601367, 300, 0.0),
         (0.48094497919526974, 0.11471156908413808, 200, 0.0),
-        (0.19999999999999993, 4.257474626813616e-10, 50, 0.0),
+        (0.19999999999999993, 0.0, 50, 0.0),
     ),
     'cap_zero': (
         (0.1717042348002486, 0.02281073845681103, 300, 0.8366666666666667),
     ),
     'fast_dynkin_custom': (
-        (1.9883381994821439, 0.09097036448764131, 300, 0.8633333333333333),
+        (1.9883381994821439, 0.0909703644876413, 300, 0.8633333333333333),
     ),
     'particle_sell_jumps': (
         (0.09999999999999964, 0.0, 12, 0.0),
-        (0.22864728704332396, 0.05719683278990201, 12, 0.16666666666666666),
+        (0.22864728704332396, 0.057196832789902, 12, 0.16666666666666666),
         (0.30864467859318584, 0.09880977119007005, 12, 0.4166666666666667),
     ),
     'particle_quit': (
-        (0.20960026794218756, 0.11162755616805611, 12, 0.6666666666666666),
-        (0.017435681662791667, 0.03926413622595887, 12, 0.8333333333333334),
+        (0.20960026794218756, 0.1116275561680561, 12, 0.6666666666666666),
+        (0.017435681662791667, 0.039264136225958875, 12, 0.8333333333333334),
         (0.0004794907024445484, 0.014375236594680528, 12, 0.0),
     ),
 }
