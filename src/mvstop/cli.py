@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,11 @@ def load_config(path) -> dict:
         raise ConfigError(errors)
     raw.setdefault("numerics", {})
     raw.setdefault("checks", {})
+    try:
+        _build_run(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        missing = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError([f"cannot build the run: {missing}"]) from exc
     return raw
 
 
@@ -263,6 +269,36 @@ def _sim_config(numerics: dict, seed: int, start: float, workers: int | None) ->
         workers=workers if workers is not None else int(numerics.get("workers", 1)),
         batch_size=int(numerics.get("batch_size", 16384)),
     )
+
+
+def _rule(numerics: dict) -> StoppingRule:
+    block = numerics.get("rule", {})
+    return StoppingRule(
+        block.get("kind", "threshold_up"),
+        threshold=block.get("threshold", math.nan),
+        fixed_time=block.get("fixed_time", math.nan),
+        horizon_cap=block.get("horizon_cap"),
+    )
+
+
+def _sweep_rule_kind(numerics: dict, family: str) -> str:
+    return numerics.get("rule_kind", "threshold_up" if family == "sell" else "threshold_down")
+
+
+def _build_run(config: dict) -> None:
+    """Build the model, settings and rules that ``run`` builds, raising what they raise."""
+    spec, _, start = build_model(config["model"])
+    kind, numerics = config["experiment"], config["numerics"]
+    if kind in ("evaluate_rule", "threshold_sweep", "dynkin_check"):
+        cfg = _sim_config(numerics, config["seed"], start, None)
+    if kind == "evaluate_rule":
+        _rule(numerics)
+    elif kind == "threshold_sweep":
+        rule_kind = _sweep_rule_kind(numerics, spec.family)
+        for t in numerics["thresholds"]:
+            StoppingRule(rule_kind, threshold=float(t))
+    elif kind == "dynkin_check":
+        replace(cfg, t_max=numerics.get("delta", 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +373,7 @@ def _evaluate_rule(config, out, mhash, summary, workers):
     spec, params, start = build_model(config["model"])
     numerics = config["numerics"]
     cfg = _sim_config(numerics, config["seed"], start, workers)
-    rule_block = dict(numerics.get("rule", {}))
-    rule = StoppingRule(
-        rule_block.get("kind", "threshold_up"),
-        threshold=rule_block.get("threshold", math.nan),
-        fixed_time=rule_block.get("fixed_time", math.nan),
-        horizon_cap=rule_block.get("horizon_cap"),
-    )
+    rule = _rule(numerics)
     payoff = sell_payoff(params) if spec.family == "sell" else quit_payoff(params)
     est = evaluate_rule_mc(spec, rule, payoff, cfg)
     write_csv(
@@ -366,9 +396,7 @@ def _threshold_sweep(config, out, mhash, summary, workers):
     spec, params, start = build_model(config["model"])
     numerics = config["numerics"]
     cfg = _sim_config(numerics, config["seed"], start, workers)
-    kind = numerics.get(
-        "rule_kind", "threshold_up" if spec.family == "sell" else "threshold_down"
-    )
+    kind = _sweep_rule_kind(numerics, spec.family)
     thresholds = numerics["thresholds"]
     payoff = sell_payoff(params) if spec.family == "sell" else quit_payoff(params)
     sweep = threshold_sweep(spec, thresholds, payoff, cfg, kind=kind)

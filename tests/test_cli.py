@@ -91,6 +91,27 @@ RUN_ABORTS = {
     "fokker_planck_step_ratio": (
         "fokker_planck_compare", FP_MODEL,
         {"dt": 0.0014, "spide_dt": 1e-4, "horizon": 0.003, "n": 100}, "spide_dt"),
+    "sell_without_sigma2": (
+        "evaluate_rule", {k: v for k, v in SELL_MODEL.items() if k != "sigma2"},
+        {"rule": RULE}, "'sigma2'"),
+    "quit_without_sigma2": (
+        "threshold_sweep", {k: v for k, v in QUIT_MODEL.items() if k != "sigma2"},
+        {"thresholds": [-0.5]}, "'sigma2'"),
+    "unknown_rule_kind": (
+        "evaluate_rule", SELL_MODEL, {"rule": {"kind": "whenever"}}, "unknown rule kind"),
+    "threshold_rule_without_threshold": (
+        "evaluate_rule", SELL_MODEL, {"rule": {"kind": "threshold_up"}}, "threshold"),
+    "unknown_mode": ("evaluate_rule", SELL_MODEL, {"mode": "magic", "rule": RULE}, "mode"),
+    "unknown_cap_payoff": (
+        "evaluate_rule", SELL_MODEL, {"cap_payoff": "half", "rule": RULE}, "cap_payoff"),
+    "negative_t_max": ("evaluate_rule", SELL_MODEL, {"t_max": -1, "rule": RULE}, "t_max"),
+    "nonpositive_horizon_cap": (
+        "evaluate_rule", SELL_MODEL, {"rule": dict(RULE, horizon_cap=0)}, "horizon_cap"),
+    "unknown_sweep_rule_kind": (
+        "threshold_sweep", SELL_MODEL, {"thresholds": [2.7], "rule_kind": "sideways"},
+        "unknown rule kind"),
+    "zero_batch_size": (
+        "evaluate_rule", SELL_MODEL, {"batch_size": 0, "rule": RULE}, "batch_size"),
 }
 
 
