@@ -468,7 +468,8 @@ def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
 
 
 def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
-    """Payoff sums of every rule over replications ``lo:hi``, all on the same paths."""
+    """Per rule, ``(payoff sum, mean, M2, count, truncated)`` over replications
+    ``lo:hi``, all on the same paths."""
     spec = ModelSpec.from_dict(spec) if isinstance(spec, dict) else spec
     nb, dt, s0 = hi - lo, cfg.dt, cfg.start_time
     gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
@@ -491,7 +492,7 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
             break
         K = min(src.block, max_steps - steps_done)
         y_left, ypath, t_right = src.advance(act, steps_done, K)
-        if f is not None:  # running profit, summed at left points
+        if f is not None:  # running profit: m at left points, then f * dt, summed in place
             fcum = fbuf[: act.size * K].reshape(act.size, K)
             fcum[:, 0] = y_left
             fcum[:, 1:] = ypath[:, :-1]
@@ -525,8 +526,7 @@ def _mean_m2(x: np.ndarray) -> tuple[float, float]:
     The shift makes both exact for a constant sample, so a payoff paid
     identically on every path reports a standard error of exactly 0.
     """
-    d = x - x[0]
-    mean = float(x[0] + d.mean())
+    mean = float(x[0] + (x - x[0]).mean())
     return mean, float(((x - mean) ** 2).sum())
 
 
