@@ -330,6 +330,12 @@ def conditional_mean_oracle(
 # Monte Carlo engine: a path source per mode feeding one rule accumulator
 
 _BLOCK = 512  # fast-mode path steps drawn per row at a time
+# Rows per short-lived temporary in the rule scan and the running profit.  A
+# freed array of a few MB makes the C allocator keep later ones of that size
+# on its heap, where freed memory stays resident; with every temporary this
+# small and every block buffer sized for a full batch, peak memory does not
+# depend on how many rows cross or on which experiments ran before.
+_ROWS = 128
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -345,7 +351,8 @@ class _FastSource:
 
     Each block is drawn and integrated in place in one buffer owned by the
     source, so the path returned by ``advance`` is valid only until the next
-    call.
+    call.  The buffer has room for a full batch whatever this batch's size; a
+    short batch touches only the pages it uses.
     """
 
     block = _BLOCK
@@ -368,7 +375,7 @@ class _FastSource:
         self.gens, self.dt = gens, cfg.dt
         self.m0 = np.full(len(gens), start, dtype=float)
         self.y = np.full(len(gens), y0, dtype=float)
-        self.buf = np.empty(len(gens) * self.block)
+        self.buf = np.empty(cfg.batch_size * self.block)
 
     def advance(self, act: np.ndarray, steps_done: int, K: int):
         """Rows ``act`` for ``K`` steps: left values, a view of the path block, right times."""
@@ -443,7 +450,8 @@ def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
 
     Column 0 of ``y`` lies at grid step ``first_step``.  ``col`` is the first
     stopping column of a hit row and the last column otherwise.  A threshold
-    rule searches only rows whose block extreme crosses; the row extremes are
+    rule searches only rows whose block extreme crosses, ``_ROWS`` at a time;
+    the row extremes are
     cached in ``extremes`` per direction and width, so rules scanning the same
     block share them.  ``fmax``/``fmin`` skip NaN, which never crosses.
     """
@@ -457,9 +465,11 @@ def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
             extremes[key] = (np.fmax if up else np.fmin).reduce(y, axis=1)
         thr, ext = to_y(rule.threshold), extremes[key][rows]
         hit = ext >= thr if up else ext <= thr
-        if hit.any():
-            cross = y[rows[hit]]
-            col[hit] = np.argmax(cross >= thr if up else cross <= thr, axis=1)
+        found = np.flatnonzero(hit)
+        for i in range(0, found.size, _ROWS):
+            part = found[i:i + _ROWS]
+            cross = y[rows[part]]
+            col[part] = np.argmax(cross >= thr if up else cross <= thr, axis=1)
     elif rule.kind == "fixed_time":
         k = int(round(rule.fixed_time / dt)) - first_step
         if 0 <= k < width:
@@ -483,7 +493,7 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
         rows = np.flatnonzero(hit | (st.cap_step == 0))
         st.settle(rows, hit[rows], np.full(rows.size, s0), src.m0[rows], g, cfg.cap_payoff)
 
-    fbuf = np.empty(nb * src.block) if f is not None else None
+    fbuf = np.empty(cfg.batch_size * src.block) if f is not None else None
     steps_done = 0
     max_steps = max((st.cap_step for st in states), default=0)
     while steps_done < max_steps:
@@ -498,7 +508,9 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
             fcum[:, 1:] = ypath[:, :-1]
             src.to_m(fcum, out=fcum)
             t_left = s0 + steps_done * dt + dt * np.arange(K)
-            np.multiply(f(t_left[None, :], fcum), dt, out=fcum)
+            for i in range(0, act.size, _ROWS):
+                part = fcum[i:i + _ROWS]
+                np.multiply(f(t_left[None, :], part), dt, out=part)
             np.cumsum(fcum, axis=1, out=fcum)
         extremes = {}
         for st in states:

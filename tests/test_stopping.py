@@ -11,6 +11,7 @@ from mvstop.stopping import (
     SellParams,
     SimConfig,
     StoppingRule,
+    _ROWS,
     _first_stop,
     _run_rules,
     conditional_mean_oracle,
@@ -300,7 +301,8 @@ def _sell_to_y(threshold):
 @pytest.mark.parametrize("seed", range(4))
 def test_first_stop_matches_full_matrix_scan(seed):
     rng = np.random.default_rng(seed)
-    y = np.round(rng.standard_normal((40, 23)).cumsum(axis=1), 1)  # ties at thresholds
+    n = 3 * _ROWS + 7  # more crossing rows than one search chunk holds
+    y = np.round(rng.standard_normal((n, 23)).cumsum(axis=1), 1)  # ties at thresholds
     y[3, 5] = y[7, :] = np.nan
     y[11, ::2] = np.nan
     y[13, 4], y[17, 9] = np.inf, -np.inf
@@ -309,7 +311,7 @@ def test_first_stop_matches_full_matrix_scan(seed):
              for t in (-2.0, -0.3, 0.0, 0.5, 1.0, 2.5, 40.0)]
     rules += [StoppingRule("fixed_time", fixed_time=x) for x in (0.0, 0.05, 0.1, 0.27, 0.4)]
     rules += [StoppingRule("never")]
-    subsets = [np.arange(40), np.sort(rng.choice(40, 17, replace=False)),
+    subsets = [np.arange(n), np.sort(rng.choice(n, 2 * _ROWS + 3, replace=False)),
                np.array([7, 11, 13, 17]), np.array([], dtype=int)]
     for to_y in (float, _sell_to_y, lambda t: math.copysign(math.inf, t)):
         for klim in (23, 9, 1):
