@@ -202,3 +202,136 @@ class TestRunExperiment:
         assert run_experiment(config) == 1
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "aborted" in summary["checks"]
+
+
+# ---------------------------------------------------------------------------
+# frozen CLI outputs: one small config per experiment x family, and the sha256
+# of every file the run writes except the manifest, which holds the wall time
+
+SELL_JUMPS = dict(SELL_MODEL, jump_intensity=0.5, jump_mark=-0.2)
+FROZEN_CONFIGS = {
+    ("closed_form_report", "sell"): (SELL_MODEL, {}, {}),
+    ("closed_form_report", "quit"): (QUIT_MODEL, {}, {}),
+    ("evaluate_rule", "sell"): (
+        SELL_JUMPS,
+        {"dt": 0.05, "replications": 6, "t_max": 2.0, "mode": "particle", "n": 100,
+         "batch_size": 4, "rule": {"kind": "threshold_up", "threshold": 1.3}},
+        {"closed_form_tolerance": 0.5}),
+    ("evaluate_rule", "quit"): (
+        QUIT_MODEL,
+        {"dt": 0.01, "replications": 300, "t_max": 10.0,
+         "rule": {"kind": "threshold_down", "threshold": -0.47, "horizon_cap": 8.0}},
+        {"closed_form_tolerance": 0.2}),
+    ("threshold_sweep", "sell"): (
+        SELL_MODEL,
+        {"dt": 0.01, "replications": 300, "t_max": 20.0, "batch_size": 200,
+         "thresholds": [2.2, 2.7, 3.2]},
+        {"argmax_within_cell": True}),
+    ("threshold_sweep", "quit"): (
+        QUIT_MODEL,
+        {"dt": 0.01, "replications": 300, "t_max": 10.0, "thresholds": [-0.7, -0.47, -0.2]},
+        {"argmax_within_cell": True}),
+    ("simulate_path", "sell"): (
+        SELL_JUMPS,
+        {"dt": 0.01, "horizon": 0.2, "n": 300, "n_paths": 2, "checkpoints": [0.1, 0.2]},
+        {}),
+    ("simulate_path", "quit"): (
+        dict(QUIT_MODEL, x0=1.0, gamma0=-0.1, intensity=0.5),
+        {"dt": 0.01, "horizon": 0.2, "n": 300, "n_paths": 2}, {}),
+    ("fokker_planck_compare", "sell"): (
+        dict(SELL_MODEL, initial={"kind": "normal", "loc": 1.0, "scale": 0.2}),
+        {"dt": 0.002, "spide_dt": 0.001, "horizon": 0.02, "n": 2000,
+         "grid": {"x_min": -0.5, "x_max": 2.5, "n_points": 121}},
+        {"max_l1": 0.2}),
+    ("fokker_planck_compare", "quit"): (
+        FP_MODEL,
+        {"dt": 0.002, "spide_dt": 0.001, "horizon": 0.02, "n": 2000,
+         "grid": {"x_min": -2.0, "x_max": 2.0, "n_points": 121}},
+        {"max_l1": 0.2}),
+    ("var_ineq_check", "sell"): (SELL_MODEL, {"probe": {"n_z": 30, "n_s": 3}}, {}),
+    ("var_ineq_check", "quit"): (
+        QUIT_MODEL, {"threshold": -0.5, "probe": {"n_z": 30, "n_s": 3}},
+        {"expect_pass": False}),
+    ("dynkin_check", "sell"): (
+        dict(SELL_MODEL, m0=1.5), {"dt": 0.01, "replications": 300, "delta": 0.5}, {}),
+    ("dynkin_check", "quit"): (
+        QUIT_MODEL, {"dt": 0.01, "replications": 300, "delta": 0.5}, {}),
+}
+FROZEN_OUTPUTS = {
+    'closed_form_report-sell': {
+        'closed_form.csv': '19096aad13540a6a2d58d03b932f95c6e722dadc230e1b327972536e8944b7ca',
+        'summary.json': '84dfe9211b2c55faa7263117fbc2565835be51f857206787f1728b352da4af20',
+    },
+    'closed_form_report-quit': {
+        'closed_form.csv': '8b70512c820cb5c891917c97d7e1abd76128b35340ee1fac3695e3f5597fb7d3',
+        'summary.json': '3214eb83175d2f8c8daf840338459dc24d59a565f7a71fa8da1be7479a551ff9',
+    },
+    'evaluate_rule-sell': {
+        'estimate.csv': 'c7733e0e38ba8074497fa87b2629b8562f18e1e89b7cb315e6fb769780955fd9',
+        'summary.json': '4484946245a5754b25c8f970ad8161ccaef95254cbd0bc34ef380d273c227b06',
+    },
+    'evaluate_rule-quit': {
+        'estimate.csv': 'f550fd2696158ff42564274e0ac7dddfefc8ec2a19cb3f913867bad0ed105417',
+        'summary.json': '579c1230520a1f867d99b7582c5b3be64fba73752273c674cfc1a781c9a7a40d',
+    },
+    'threshold_sweep-sell': {
+        'summary.json': '2a52b34f255cc9f2e75a5495e9d5076fed2ae1de7d8fb9381cfc7430eade54c2',
+        'sweep.csv': '97a709d165952ce77fff9d5a2cb461493665bd67b218e851d1486c58cd2b81ff',
+    },
+    'threshold_sweep-quit': {
+        'summary.json': '7817019b5332d0298182135ba901694b37055b7780eee647fde026ca205dda05',
+        'sweep.csv': '0a987236fff4616d3c85b0a12fc9a68c55c70c869ae83f263897f67a10b56bdb',
+    },
+    'simulate_path-sell': {
+        'summary.json': 'cee13640b22d6d598b52ca2ce8c0fce6f1abaa8253dc3ca6ac8821be0c40563c',
+        'trajectory.csv': '7d1370b1435555f6b7791af267da518b3b0f231c5ffade05ba34251debdfacf6',
+    },
+    'simulate_path-quit': {
+        'summary.json': 'ba0e7a72c5385c105d3d4bb9961f6ca26f4a3e051e48b480a6b6c4d472018a61',
+        'trajectory.csv': '027f64e4fc534b071ca61d3ba83361929c23f2f0ca2d463c88727e62292de765',
+    },
+    'fokker_planck_compare-sell': {
+        'densities.csv': '77a0c85a7b7b1ecff71b322e1ab210a3e983ffa5ad8f52f43cc8a6533f772837',
+        'fp_summary.csv': '7c193253d0543e9e2b1bda6c19649c94326a73ddb489b7d9add060ddf855e18d',
+        'summary.json': 'da480ee6d51e14a266c178991f923db3a7fa796d064f5c84a7fe653d4148a743',
+    },
+    'fokker_planck_compare-quit': {
+        'densities.csv': '7edaabeb420cf3001dfae86c795228951e2e628ae7dbd711380afbafcd3a35eb',
+        'fp_summary.csv': 'e8f8023930022dbc19e7c9b1462bbc401caf8036672a3ffda1ba9e0791243092',
+        'summary.json': '6f655cbae29c4054e50e25584eec930a9e2841110d3a8247b68594dc891dda18',
+    },
+    'var_ineq_check-sell': {
+        'summary.json': '63bd62777ea90dae5387235f332966a65afe5f63811038843737eccaf81bf61b',
+        'var_ineq_report.json': 'd5f8a4ef050da593848303e4f99993038e442c96c4f7bf613a995f0c6639ea33',
+    },
+    'var_ineq_check-quit': {
+        'summary.json': '8c2c64abf471a0181cf6b21ca4c432174c3a17499e78a5d09e2a7d694d5a6eb7',
+        'var_ineq_report.json': '78b9a2d9e612c0bd6504b2e8098d1edc635b6e31b67da5ee2e532e939e54422e',
+    },
+    'dynkin_check-sell': {
+        'dynkin.csv': '8fad20c5114c003b511af7294a64adfb08cc497bbcf1799a3d0693e7d468ca12',
+        'summary.json': '5f26d247c298b85e1e69f3050266c8bf959f92ae20cd94071a3ecae690101d0b',
+    },
+    'dynkin_check-quit': {
+        'dynkin.csv': '92ca8bb18ac38ef9ba908423a3a42076226cf84b599da30a11f3c4049005c28b',
+        'summary.json': '18d3a1cdb7658a3b12636220f1167115349550ca68df676638e95345176fcb37',
+    },
+}
+
+
+def _output_hashes(tmp_path, monkeypatch, experiment, family):
+    import hashlib
+
+    model, numerics, checks = FROZEN_CONFIGS[experiment, family]
+    monkeypatch.chdir(tmp_path)  # a relative output path keeps the manifest hash fixed
+    body = {"experiment": experiment, "model": model, "numerics": numerics, "seed": 7,
+            "output": "out", "checks": checks}
+    run_experiment(load_config(write_config(tmp_path, body)))
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((tmp_path / "out").iterdir()) if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("experiment,family", list(FROZEN_CONFIGS))
+def test_cli_outputs_frozen(tmp_path, monkeypatch, experiment, family):
+    hashes = _output_hashes(tmp_path, monkeypatch, experiment, family)
+    assert hashes == FROZEN_OUTPUTS[f"{experiment}-{family}"]
