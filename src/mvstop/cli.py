@@ -25,29 +25,16 @@ import numpy as np
 from . import __version__
 from .fokker_planck import compare_to_particles, evolve_spide, gaussian_density, make_grid
 from .generator import check_variational_inequalities, default_probe_grid
-from .model import (
-    INITIAL_KINDS, SELL_FLOOR, InitialLaw, ModelSpec, constant_mark, make_quit_model,
-    make_sell_model, no_jumps,
-)
+from .model import INITIAL_KINDS, InitialLaw, ModelSpec
 from .particle import CommonNoisePath, kde_density, simulate_path
 from .stopping import (
-    QuitParams,
-    SellParams,
+    FAMILIES,
+    Family,
     SimConfig,
     StoppingRule,
     conditional_mean_oracle,
     dynkin_residual,
     evaluate_rule_mc,
-    lambda_roots,
-    quit_candidate,
-    quit_payoff,
-    quit_smooth_fit_residuals,
-    quit_threshold,
-    quit_value,
-    sell_candidate,
-    sell_payoff,
-    sell_threshold,
-    sell_value,
     threshold_sweep,
 )
 
@@ -62,11 +49,6 @@ class ConfigError(ValueError):
 # config loading and validation
 
 _TOP_KEYS = {"experiment", "model", "numerics", "seed", "output", "checks"}
-_MODEL_KEYS = {
-    "sell": {"family", "alpha0", "sigma1", "sigma2", "rho", "a", "m0",
-             "jump_intensity", "jump_mark", "initial"},
-    "quit": {"family", "sigma1", "sigma2", "gamma0", "intensity", "rho", "x0", "initial"},
-}
 _NUMERICS_KEYS = {
     "closed_form_report": set(),
     "evaluate_rule": {"dt", "replications", "t_max", "mode", "n", "workers",
@@ -115,35 +97,14 @@ def _optional(block: dict, key: str, default, where: str, errors: list):
 
 def _validate_model(model: dict, errors: list) -> None:
     family = model.get("family")
-    if family not in _MODEL_KEYS:
-        errors.append("model.family must be 'sell' or 'quit'")
+    fam = FAMILIES.get(family) if isinstance(family, str) else None
+    if fam is None:
+        errors.append(f"model.family must be one of {tuple(FAMILIES)}")
         return
-    _check_keys(model, _MODEL_KEYS[family], "model", errors)
-    if family == "sell":
-        sigma1 = _require(model, "sigma1", "model", errors)
-        rho = _require(model, "rho", "model", errors)
-        alpha0 = _require(model, "alpha0", "model", errors)
-        a = _require(model, "a", "model", errors)
-        if sigma1 is not None and sigma1 <= 0:
-            errors.append("sell model violates precondition 'sigma1 > 0'")
-        if rho is not None and rho <= 0:
-            errors.append("sell model violates precondition 'rho > 0'")
-        if None not in (alpha0, rho) and alpha0 >= rho:
-            errors.append("sell model violates precondition 'alpha0 < rho'")
-        if a is not None and a <= 0:
-            errors.append("sell model violates precondition 'a > 0'")
-        intensity = _optional(model, "jump_intensity", 0, "model", errors)
-        if intensity is not None and intensity > 0:
-            mark = _require(model, "jump_mark", "model", errors)
-            if mark is not None and not (-1.0 < mark <= 0.0):
-                errors.append("sell model violates precondition 'jump marks in (-1, 0]'")
-    else:
-        sigma1 = _require(model, "sigma1", "model", errors)
-        rho = _require(model, "rho", "model", errors)
-        if sigma1 == 0:
-            errors.append("quit model violates precondition 'sigma1 != 0'")
-        if rho is not None and rho <= 0:
-            errors.append("quit model violates precondition 'rho > 0'")
+    _check_keys(model, {"family", "initial", *fam.required, *fam.defaults}, "model", errors)
+    for key in (*fam.required, *fam.defaults):
+        if key in fam.required or key in model:
+            _require(model, key, "model", errors)
     initial = model.get("initial")
     if initial is not None:
         if not isinstance(initial, dict) or initial.get("kind") not in INITIAL_KINDS:
@@ -156,7 +117,6 @@ def _validate_numerics(kind: str, numerics: dict, errors: list) -> None:
     dt = _optional(numerics, "dt", 1e-3, "numerics", errors)
     spide_dt = _optional(numerics, "spide_dt", dt, "numerics", errors)
     horizon = _optional(numerics, "horizon", 0.5, "numerics", errors)
-    reps = _optional(numerics, "replications", 1, "numerics", errors)
     if (dt is not None and dt <= 0) or (spide_dt is not None and spide_dt <= 0):
         errors.append("numerics.dt and numerics.spide_dt must be > 0")
     elif kind == "fokker_planck_compare" and None not in (dt, spide_dt, horizon):
@@ -164,12 +124,17 @@ def _validate_numerics(kind: str, numerics: dict, errors: list) -> None:
         if (ratio < 1 or abs(dt / spide_dt - ratio) > 1e-9 * ratio
                 or round(horizon / spide_dt) % ratio):
             errors.append("numerics.dt must be a whole multiple of spide_dt and divide horizon")
-    if reps is not None and reps < 1:
-        errors.append("numerics.replications must be >= 1")
+    for key in ("replications", "n"):
+        count = _optional(numerics, key, 1, "numerics", errors)
+        if count is not None and count < 1:
+            errors.append(f"numerics.{key} must be >= 1")
     grid = numerics.get("thresholds")
     if kind == "threshold_sweep" and not (isinstance(grid, list) and grid
                                           and all(map(_is_number, grid))):
         errors.append("numerics.thresholds must be a nonempty list of numbers")
+    points = numerics.get("checkpoints", [])
+    if not (isinstance(points, list) and all(map(_is_number, points))):
+        errors.append("numerics.checkpoints must be a list of numbers")
 
 
 def load_config(path) -> dict:
@@ -196,15 +161,17 @@ def load_config(path) -> dict:
     else:
         errors.append("model block missing or not an object")
     numerics = raw.get("numerics", {})
-    if kind in _NUMERICS_KEYS and isinstance(numerics, dict):
+    if not isinstance(numerics, dict):
+        errors.append("numerics must be an object")
+    elif kind in _NUMERICS_KEYS:
         _check_keys(numerics, _NUMERICS_KEYS[kind], "numerics", errors)
         _validate_numerics(kind, numerics, errors)
-        if "rule" in numerics and isinstance(numerics["rule"], dict):
-            _check_keys(numerics["rule"], _RULE_KEYS, "numerics.rule", errors)
-        if "grid" in numerics and isinstance(numerics["grid"], dict):
-            _check_keys(numerics["grid"], _GRID_KEYS, "numerics.grid", errors)
-        if "probe" in numerics and isinstance(numerics["probe"], dict):
-            _check_keys(numerics["probe"], _PROBE_KEYS, "numerics.probe", errors)
+        for key, allowed in (("rule", _RULE_KEYS), ("grid", _GRID_KEYS),
+                             ("probe", _PROBE_KEYS)):
+            if not isinstance(numerics.get(key, {}), dict):
+                errors.append(f"numerics.{key} must be an object")
+            elif key in numerics:
+                _check_keys(numerics[key], allowed, f"numerics.{key}", errors)
     checks = raw.get("checks", {})
     if isinstance(checks, dict):
         _check_keys(checks, _CHECK_KEYS, "checks", errors)
@@ -235,25 +202,11 @@ def _initial_law(model: dict, default_loc: float) -> InitialLaw:
 
 def build_model(model: dict) -> tuple[ModelSpec, object, float]:
     """Returns (spec, params bundle, start value)."""
-    if model["family"] == "sell":
-        m0 = model.get("m0", 1.0)
-        intensity = model.get("jump_intensity", 0.0)
-        levy = constant_mark(intensity, model["jump_mark"]) if intensity > 0 else no_jumps()
-        spec = make_sell_model(
-            model["alpha0"], model["sigma1"], model["sigma2"], levy,
-            _initial_law(model, m0),
-        )
-        params = SellParams(model["alpha0"], model["sigma1"], model["sigma2"],
-                            model["rho"], model["a"], levy)
-        return spec, params, m0
-    x0 = model.get("x0", 0.0)
-    spec = make_quit_model(
-        model["sigma1"], model["sigma2"], model.get("gamma0", 0.0),
-        model.get("intensity", 0.0), _initial_law(model, x0),
-    )
-    params = QuitParams(model["sigma1"], model["sigma2"], model.get("gamma0", 0.0),
-                        model.get("intensity", 0.0), model["rho"])
-    return spec, params, x0
+    fam = FAMILIES[model["family"]]
+    block = {**fam.defaults, **model}
+    params = fam.params(block)
+    start = block[fam.start_key]
+    return params.spec(_initial_law(model, start)), params, start
 
 
 def _sim_config(numerics: dict, seed: int, start: float, workers: int | None) -> SimConfig:
@@ -281,24 +234,56 @@ def _rule(numerics: dict) -> StoppingRule:
     )
 
 
-def _sweep_rule_kind(numerics: dict, family: str) -> str:
-    return numerics.get("rule_kind", "threshold_up" if family == "sell" else "threshold_down")
+def _sweep_rule_kind(numerics: dict, fam: Family) -> str:
+    return numerics.get("rule_kind", f"threshold_{fam.direction}")
+
+
+def _checkpoints(numerics: dict) -> list[tuple[float, int]]:
+    """Each simulate_path checkpoint time with its grid step."""
+    dt, horizon = numerics.get("dt", 1e-3), numerics.get("horizon", 1.0)
+    points = [(t, int(round(t / dt))) for t in numerics.get("checkpoints", [horizon])]
+    if not all(0 <= k <= round(horizon / dt) for _, k in points):
+        raise ValueError("numerics.checkpoints must lie in [0, horizon]")
+    return points
+
+
+def _fp_grid(numerics: dict, spec: ModelSpec) -> np.ndarray:
+    """The density grid; the initial law must be a spread-out normal."""
+    if spec.initial_law.kind != "normal" or spec.initial_law.scale <= 0:
+        raise ValueError("fokker_planck_compare needs a spread-out normal initial law")
+    block = numerics.get("grid", {"x_min": -3.0, "x_max": 3.0, "n_points": 601})
+    return make_grid(block["x_min"], block["x_max"], int(block["n_points"]))
+
+
+def _probe_grid(numerics: dict, fam: Family, params) -> tuple[np.ndarray, np.ndarray]:
+    probe = {**fam.probe(fam.candidate(params).threshold), **numerics.get("probe", {})}
+    return default_probe_grid(
+        probe["z_min"], probe["z_max"], int(probe.get("n_z", 200)),
+        probe.get("s_max", 2.0), int(probe.get("n_s", 20)), probe["log_z"],
+    )
 
 
 def _build_run(config: dict) -> None:
-    """Build the model, settings and rules that ``run`` builds, raising what they raise."""
-    spec, _, start = build_model(config["model"])
+    """Build what ``run`` builds before it computes, raising what that raises."""
+    spec, params, start = build_model(config["model"])
+    fam = FAMILIES[spec.family]
     kind, numerics = config["experiment"], config["numerics"]
     if kind in ("evaluate_rule", "threshold_sweep", "dynkin_check"):
         cfg = _sim_config(numerics, config["seed"], start, None)
     if kind == "evaluate_rule":
         _rule(numerics)
     elif kind == "threshold_sweep":
-        rule_kind = _sweep_rule_kind(numerics, spec.family)
         for t in numerics["thresholds"]:
-            StoppingRule(rule_kind, threshold=float(t))
+            StoppingRule(_sweep_rule_kind(numerics, fam), threshold=float(t))
     elif kind == "dynkin_check":
         replace(cfg, t_max=numerics.get("delta", 0.5))
+    elif kind == "simulate_path":
+        _checkpoints(numerics)
+    elif kind == "fokker_planck_compare":
+        _fp_grid(numerics, spec)
+    elif kind == "var_ineq_check":
+        fam.candidate(params, numerics.get("threshold"))
+        _probe_grid(numerics, fam, params)
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +331,9 @@ class Summary:
 
 
 def _closed_form_report(config, out, mhash, summary):
-    model = config["model"]
+    spec, params, _ = build_model(config["model"])
     tol = config["checks"].get("residual_tol", 1e-12)
-    rows = []
-    if model["family"] == "sell":
-        alpha0, sigma1, rho = model["alpha0"], model["sigma1"], model["rho"]
-        lam2, lam1 = lambda_roots(alpha0, sigma1, rho)
-        xi = sell_threshold(lam1, model["a"])
-        res = [alpha0 * l + 0.5 * sigma1**2 * l * (l - 1) - rho for l in (lam1, lam2)]
-        rows = [("lambda1", lam1), ("lambda2", lam2), ("xi_star", xi),
-                ("root_residual_lambda1", res[0]), ("root_residual_lambda2", res[1])]
-        worst = max(abs(r) for r in res) / rho
-    else:
-        params = QuitParams(model["sigma1"], model["sigma2"], model.get("gamma0", 0.0),
-                            model.get("intensity", 0.0), model["rho"])
-        lam, eta, c1 = quit_threshold(params)
-        r_cont, r_fit = quit_smooth_fit_residuals(params, eta, c1)
-        rows = [("lambda", lam), ("eta_star", eta), ("C1", c1),
-                ("continuity_residual", r_cont), ("smooth_fit_residual", r_fit)]
-        worst = max(abs(r_cont), abs(r_fit))
+    rows, worst = FAMILIES[spec.family].report(params)
     write_csv(out / "closed_form.csv", ("quantity", "value"), rows, mhash)
     summary.add("closed_form_residuals", worst, tol, worst < tol)
 
@@ -374,8 +343,8 @@ def _evaluate_rule(config, out, mhash, summary, workers):
     numerics = config["numerics"]
     cfg = _sim_config(numerics, config["seed"], start, workers)
     rule = _rule(numerics)
-    payoff = sell_payoff(params) if spec.family == "sell" else quit_payoff(params)
-    est = evaluate_rule_mc(spec, rule, payoff, cfg)
+    fam = FAMILIES[spec.family]
+    est = evaluate_rule_mc(spec, rule, fam.payoff(params), cfg)
     write_csv(
         out / "estimate.csv",
         ("model", "threshold", "mean", "std_error", "replications",
@@ -386,7 +355,7 @@ def _evaluate_rule(config, out, mhash, summary, workers):
     )
     tol = config["checks"].get("closed_form_tolerance")
     if tol is not None:
-        ref = (sell_value if spec.family == "sell" else quit_value)(0.0, start, params)
+        ref = fam.value(0.0, start, params)
         band = max(3 * est.std_error, tol * abs(ref))
         summary.add("value_vs_closed_form", abs(est.mean - ref), band,
                     abs(est.mean - ref) <= band)
@@ -396,10 +365,10 @@ def _threshold_sweep(config, out, mhash, summary, workers):
     spec, params, start = build_model(config["model"])
     numerics = config["numerics"]
     cfg = _sim_config(numerics, config["seed"], start, workers)
-    kind = _sweep_rule_kind(numerics, spec.family)
+    fam = FAMILIES[spec.family]
     thresholds = numerics["thresholds"]
-    payoff = sell_payoff(params) if spec.family == "sell" else quit_payoff(params)
-    sweep = threshold_sweep(spec, thresholds, payoff, cfg, kind=kind)
+    sweep = threshold_sweep(spec, thresholds, fam.payoff(params), cfg,
+                            kind=_sweep_rule_kind(numerics, fam))
     rows = [
         (spec.family, t, e.mean, e.std_error, e.replications, e.truncation_fraction,
          cfg.dt, cfg.n_particles, cfg.seed, int(t == sweep.argmax_threshold))
@@ -412,11 +381,7 @@ def _threshold_sweep(config, out, mhash, summary, workers):
         rows, mhash,
     )
     if config["checks"].get("argmax_within_cell"):
-        if spec.family == "sell":
-            _, lam1 = lambda_roots(params.alpha0, params.sigma1, params.rho)
-            star = sell_threshold(lam1, params.a)
-        else:
-            star = quit_threshold(params)[1]
+        star = fam.candidate(params).threshold
         grid = sorted(thresholds)
         pos = int(np.argmin([abs(t - star) for t in grid]))
         neighbors = {grid[max(0, pos - 1)], grid[pos], grid[min(len(grid) - 1, pos + 1)]}
@@ -431,20 +396,17 @@ def _simulate_path(config, out, mhash, summary):
     horizon = numerics.get("horizon", 1.0)
     n = int(numerics.get("n", 1000))
     n_paths = int(numerics.get("n_paths", 10))
-    checkpoints = numerics.get("checkpoints", [horizon])
+    checkpoints = _checkpoints(numerics)
     rows = []
     worst = 0.0
     for rep in range(n_paths):
         ss = np.random.SeedSequence(config["seed"], spawn_key=(rep,))
         rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
         common = CommonNoisePath.sample(horizon, dt, rng_common)
-        result = simulate_path(
-            spec, horizon, dt, n, common, rng_cloud,
-            floor=SELL_FLOOR if spec.family == "sell" else None,
-        )
+        result = simulate_path(spec, horizon, dt, n, common, rng_cloud,
+                               floor=FAMILIES[spec.family].floor)
         oracle = conditional_mean_oracle(spec, start, common)
-        for t_check in checkpoints:
-            k = int(round(t_check / dt))
+        for t_check, k in checkpoints:
             ref = oracle[k]
             err = abs(result.m_bar[k] - ref) / max(abs(ref), 1e-12)
             worst = max(worst, err)
@@ -459,17 +421,14 @@ def _simulate_path(config, out, mhash, summary):
 
 
 def _fokker_planck_compare(config, out, mhash, summary):
-    spec, _, start = build_model(config["model"])
+    spec, _, _ = build_model(config["model"])
     numerics = config["numerics"]
     dt = numerics.get("dt", 1e-3)            # particle step
     spide_dt = numerics.get("spide_dt", dt)  # density step, may be finer
     horizon = numerics.get("horizon", 0.5)
     n = int(numerics.get("n", 10000))
-    gblock = numerics.get("grid", {"x_min": -3.0, "x_max": 3.0, "n_points": 601})
-    x = make_grid(gblock["x_min"], gblock["x_max"], int(gblock["n_points"]))
+    x = _fp_grid(numerics, spec)
     law = spec.initial_law
-    if law.kind != "normal" or law.scale <= 0:
-        raise ConfigError(["fokker_planck_compare needs a spread-out normal initial law"])
     ss = np.random.SeedSequence(config["seed"], spawn_key=(0,))
     rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
     common = CommonNoisePath.sample(horizon, spide_dt, rng_common)
@@ -496,20 +455,10 @@ def _fokker_planck_compare(config, out, mhash, summary):
 
 def _var_ineq_check(config, out, mhash, summary):
     spec, params, _ = build_model(config["model"])
+    fam = FAMILIES[spec.family]
     numerics = config["numerics"]
-    override = numerics.get("threshold")
-    if spec.family == "sell":
-        candidate = sell_candidate(params, xi=override)
-        probe_defaults = {"z_min": 0.01, "z_max": 20.0, "log_z": True}
-    else:
-        candidate = quit_candidate(params, eta=override)
-        eta = quit_threshold(params)[1]
-        probe_defaults = {"z_min": eta - 2.0, "z_max": eta + 6.0, "log_z": False}
-    probe = {**probe_defaults, **numerics.get("probe", {})}
-    probe_s, probe_z = default_probe_grid(
-        probe["z_min"], probe["z_max"], int(probe.get("n_z", 200)),
-        probe.get("s_max", 2.0), int(probe.get("n_s", 20)), probe["log_z"],
-    )
+    candidate = fam.candidate(params, numerics.get("threshold"))
+    probe_s, probe_z = _probe_grid(numerics, fam, params)
     report = check_variational_inequalities(
         candidate, spec, probe_s, probe_z,
         tol=numerics.get("tolerance", 1e-10),
@@ -527,8 +476,7 @@ def _dynkin_check(config, out, mhash, summary, workers):
     spec, params, start = build_model(config["model"])
     numerics = config["numerics"]
     cfg = _sim_config(numerics, config["seed"], start, workers)
-    candidate = (sell_candidate(params) if spec.family == "sell"
-                 else quit_candidate(params))
+    candidate = FAMILIES[spec.family].candidate(params)
     delta = numerics.get("delta", 0.5)
     result = dynkin_residual(spec, candidate, cfg, delta)
     write_csv(out / "dynkin.csv",

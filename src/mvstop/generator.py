@@ -4,10 +4,10 @@ Candidate value functions have the form ``phi(s, x, mu) = psi(s) F(<mu, q>)``.
 For such functions the measure derivatives collapse to ordinary calculus:
 the gradient pairs as ``F'(z) <h, q>`` and the Hessian as
 ``F''(z) <h, q> <k, q>``, and the generator applied along the conditional
-law reduces to ``psi' F + psi (F' a(z) + 1/2 F'' b(z)^2)`` with model-family
-coefficients ``a, b`` (sell: ``a = alpha0 z``, ``b = sigma1 z``;
-quit: ``a = 0``, ``b = sigma1``).  Pure cylinder functions kill the x- and
-jump-terms, which is what makes the closed forms exact.
+law reduces to ``psi' F + psi (F' a(z) + 1/2 F'' b(z)^2)`` with the model's
+drift ``a`` and common diffusion ``b`` at ``m_bar = z`` (sell: ``a = alpha0 z``,
+``b = sigma1 z``; quit: ``a = 0``, ``b = sigma1``).  Pure cylinder functions
+kill the x- and jump-terms, which is what makes the closed forms exact.
 """
 
 from __future__ import annotations
@@ -66,12 +66,11 @@ def frechet_hessian_cylinder(
 
 
 def measure_flow_coefficients(spec: ModelSpec, z: float) -> tuple[float, float]:
-    """Closed-form ``(a(z), b(z))`` of the conditional-mean flow per family."""
-    if spec.family == "sell":
-        return spec.params["alpha0"] * z, spec.params["sigma1"] * z
-    if spec.family == "quit":
-        return 0.0, spec.params["sigma1"]
-    raise ValueError(f"generator supports shipped model families only, got {spec.family!r}")
+    """``(a(z), b(z))`` of the conditional-mean flow: the spec's drift and common
+    diffusion at ``m_bar = z``, exact for the shipped families (no ``x`` terms)."""
+    if spec.family == "custom":
+        raise ValueError("generator supports shipped model families only, got 'custom'")
+    return spec.drift(0.0, z, z), spec.diffusion_common(0.0, z, z)
 
 
 def apply_generator_cylinder(

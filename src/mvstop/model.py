@@ -164,7 +164,6 @@ class ModelSpec:
     jump_amp: Callable
     levy: LevyMeasureSpec
     initial_law: InitialLaw
-    label: str = "custom"
     family: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -181,7 +180,7 @@ class ModelSpec:
         return total
 
     def to_dict(self) -> dict:
-        if self.family not in ("sell", "quit"):
+        if self.family not in _MAKERS:
             raise ModelError("only shipped model families are serializable")
         return {
             "family": self.family,
@@ -192,18 +191,9 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        law = InitialLaw.from_dict(d["initial_law"])
-        p = d["params"]
-        if d["family"] == "sell":
-            return make_sell_model(
-                p["alpha0"], p["sigma1"], p["sigma2"],
-                LevyMeasureSpec.from_dict(d["levy"]), law,
-            )
-        if d["family"] == "quit":
-            return make_quit_model(
-                p["sigma1"], p["sigma2"], p["gamma0"], p["intensity"], law,
-            )
-        raise ModelError(f"unknown family {d['family']!r}")
+        if d["family"] not in _MAKERS:
+            raise ModelError(f"unknown family {d['family']!r}")
+        return _MAKERS[d["family"]](d, InitialLaw.from_dict(d["initial_law"]))
 
 
 def _check_sell_marks(levy: LevyMeasureSpec) -> None:
@@ -217,9 +207,6 @@ def _check_sell_marks(levy: LevyMeasureSpec) -> None:
     probe = levy.sample_marks(np.random.default_rng(0), 1000)
     if np.any(probe <= -1.0) or np.any(probe > 0.0):
         raise ModelError("sell-model marks must lie in (-1, 0]")
-
-
-SELL_FLOOR = 1e-12  # sell-family particle clouds are clamped here to stay positive
 
 
 def make_sell_model(
@@ -244,7 +231,6 @@ def make_sell_model(
         jump_amp=lambda t, x, m, z: z * m,
         levy=levy,
         initial_law=initial_law,
-        label="sell",
         family="sell",
         params={"alpha0": alpha0, "sigma1": sigma1, "sigma2": sigma2},
     )
@@ -269,7 +255,6 @@ def make_quit_model(
         jump_amp=lambda t, x, m, z: z,
         levy=levy,
         initial_law=initial_law,
-        label="quit",
         family="quit",
         params={
             "sigma1": sigma1,
@@ -278,3 +263,11 @@ def make_quit_model(
             "intensity": intensity,
         },
     )
+
+
+# family -> maker of a spec from its serialized form; quit rebuilds its jumps from params
+_MAKERS = {
+    "sell": lambda d, law: make_sell_model(
+        **d["params"], levy=LevyMeasureSpec.from_dict(d["levy"]), initial_law=law),
+    "quit": lambda d, law: make_quit_model(**d["params"], initial_law=law),
+}

@@ -19,13 +19,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import particle
 from .generator import CylinderFunction, StoppingCandidate
-from .model import SELL_FLOOR, LevyMeasureSpec, ModelSpec, no_jumps
+from .model import (
+    InitialLaw, LevyMeasureSpec, ModelSpec, constant_mark, make_quit_model, make_sell_model,
+    no_jumps,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +55,9 @@ class SellParams:
         if self.alpha0 >= self.rho:
             raise ValueError("sell model requires alpha0 < rho")
 
+    def spec(self, initial_law: InitialLaw | None = None) -> ModelSpec:
+        return make_sell_model(self.alpha0, self.sigma1, self.sigma2, self.levy, initial_law)
+
 
 @dataclass(frozen=True)
 class QuitParams:
@@ -65,6 +72,10 @@ class QuitParams:
             raise ValueError("quit model requires sigma1 != 0")
         if self.rho <= 0:
             raise ValueError("discount rate rho must be > 0")
+
+    def spec(self, initial_law: InitialLaw | None = None) -> ModelSpec:
+        return make_quit_model(self.sigma1, self.sigma2, self.gamma0, self.intensity,
+                               initial_law)
 
 
 @dataclass(frozen=True)
@@ -124,41 +135,39 @@ class SimConfig:
             raise ValueError(f"unknown cap_payoff {self.cap_payoff!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.n_particles < 1:
+            raise ValueError("n_particles must be >= 1")
 
 
 @dataclass(frozen=True)
 class Payoff:
-    """Profit rate and bequest; shipped kinds are picklable for worker pools.
+    """Profit rate ``f`` and bequest ``g``, callables ``(t_abs, m) -> value`` or None.
 
-    ``kind="sell"``: no running profit, bequest ``e^{-rho t}(m - a)``.
-    ``kind="quit"``: running profit ``e^{-rho t} m``, no bequest.
-    ``kind="custom"``: explicit callables ``(t_abs, m) -> value``.
+    Shipped kinds are partials of module functions, so they pickle for worker
+    pools; ``kind="custom"`` may hold any callable and runs in one process.
     """
 
     kind: str
-    rho: float = 0.0
-    a: float = 0.0
     f: Callable | None = None
     g: Callable | None = None
 
-    def build(self) -> tuple[Callable | None, Callable | None]:
-        if self.kind == "sell":
-            rho, a = self.rho, self.a
-            return None, lambda t, m: np.exp(-rho * t) * (m - a)
-        if self.kind == "quit":
-            rho = self.rho
-            return (lambda t, m: np.exp(-rho * t) * m), None
-        if self.kind == "custom":
-            return self.f, self.g
-        raise ValueError(f"unknown payoff kind {self.kind!r}")
+
+def _discounted_net(rho: float, a: float, t, m):
+    return np.exp(-rho * t) * (m - a)
+
+
+def _discounted_mean(rho: float, t, m):
+    return np.exp(-rho * t) * m
 
 
 def sell_payoff(params: SellParams) -> Payoff:
-    return Payoff("sell", rho=params.rho, a=params.a)
+    """No running profit, bequest ``e^{-rho t}(m - a)``."""
+    return Payoff("sell", g=partial(_discounted_net, params.rho, params.a))
 
 
 def quit_payoff(params: QuitParams) -> Payoff:
-    return Payoff("quit", rho=params.rho)
+    """Running profit ``e^{-rho t} m``, no bequest."""
+    return Payoff("quit", f=partial(_discounted_mean, params.rho))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +311,108 @@ def quit_candidate(params: QuitParams, eta: float | None = None) -> StoppingCand
 
 
 # ---------------------------------------------------------------------------
+# family registry: everything one shipped model family is, in one entry
+
+
+@dataclass(frozen=True)
+class Family:
+    """One shipped model family, from its config keys to its closed forms.
+
+    ``params`` builds the one parameter bundle from a model config block with
+    ``defaults`` filled in, checking every precondition; the spec and every
+    closed form derive from it.  The exact conditional mean is
+    ``mean_path(start, y)``, ``y = path_drift(spec.params) t + sigma1 B1``.
+    """
+
+    required: tuple[str, ...]   # model config keys besides family and initial
+    defaults: dict
+    start_key: str
+    params: Callable[[dict], object]
+    payoff: Callable
+    value: Callable
+    candidate: Callable         # (params, threshold or None) -> StoppingCandidate
+    report: Callable            # params -> (closed_form.csv rows, worst residual)
+    probe: Callable             # optimal threshold -> default VI probe window
+    direction: str              # optimal rule: threshold_{direction}
+    floor: float | None         # particle clouds are clamped here
+    path_drift: Callable
+    mean_path: Callable
+    to_y: Callable              # state value -> y, for thresholds and the start
+    to_m: Callable              # ufunc y -> state value
+
+
+def _sell_params(c: dict) -> SellParams:
+    if c["m0"] <= 0:
+        raise ValueError("sell model requires m0 > 0")
+    intensity = c["jump_intensity"]
+    if intensity > 0 and c["jump_mark"] is None:
+        raise ValueError("sell model with jump_intensity > 0 needs jump_mark")
+    levy = constant_mark(intensity, c["jump_mark"]) if intensity > 0 else no_jumps()
+    return SellParams(c["alpha0"], c["sigma1"], c["sigma2"], c["rho"], c["a"], levy)
+
+
+def _sell_report(p: SellParams) -> tuple[list, float]:
+    lam2, lam1 = lambda_roots(p.alpha0, p.sigma1, p.rho)
+    res = [p.alpha0 * l + 0.5 * p.sigma1**2 * l * (l - 1) - p.rho for l in (lam1, lam2)]
+    rows = [("lambda1", lam1), ("lambda2", lam2), ("xi_star", sell_threshold(lam1, p.a)),
+            ("root_residual_lambda1", res[0]), ("root_residual_lambda2", res[1])]
+    return rows, max(abs(r) for r in res) / p.rho
+
+
+def _quit_report(p: QuitParams) -> tuple[list, float]:
+    lam, eta, c1 = quit_threshold(p)
+    r_cont, r_fit = quit_smooth_fit_residuals(p, eta, c1)
+    rows = [("lambda", lam), ("eta_star", eta), ("C1", c1),
+            ("continuity_residual", r_cont), ("smooth_fit_residual", r_fit)]
+    return rows, max(abs(r_cont), abs(r_fit))
+
+
+FAMILIES = {
+    "sell": Family(
+        required=("alpha0", "sigma1", "sigma2", "rho", "a"),
+        defaults={"m0": 1.0, "jump_intensity": 0.0, "jump_mark": None},
+        start_key="m0",
+        params=_sell_params,
+        payoff=sell_payoff,
+        value=sell_value,
+        candidate=sell_candidate,
+        report=_sell_report,
+        probe=lambda xi: {"z_min": 0.01, "z_max": 20.0, "log_z": True},
+        direction="up",
+        floor=1e-12,  # keeps the clouds positive
+        path_drift=lambda sp: sp["alpha0"] - 0.5 * sp["sigma1"] ** 2,
+        mean_path=lambda start, y: start * np.exp(y),  # y is log m
+        to_y=lambda m: math.log(m) if m > 0 else -math.inf,
+        to_m=np.exp,
+    ),
+    "quit": Family(
+        required=("sigma1", "sigma2", "rho"),
+        defaults={"gamma0": 0.0, "intensity": 0.0, "x0": 0.0},
+        start_key="x0",
+        params=lambda c: QuitParams(c["sigma1"], c["sigma2"], c["gamma0"], c["intensity"],
+                                    c["rho"]),
+        payoff=quit_payoff,
+        value=quit_value,
+        candidate=quit_candidate,
+        report=_quit_report,
+        probe=lambda eta: {"z_min": eta - 2.0, "z_max": eta + 6.0, "log_z": False},
+        direction="down",
+        floor=None,
+        path_drift=lambda sp: 0.0,
+        mean_path=lambda start, y: start + y,  # y is m - start
+        to_y=float,
+        to_m=np.positive,  # identity that takes out=
+    ),
+}
+
+
+def _family(spec: ModelSpec, what: str) -> Family:
+    if spec.family not in FAMILIES:
+        raise ValueError(f"{what} supports shipped model families only")
+    return FAMILIES[spec.family]
+
+
+# ---------------------------------------------------------------------------
 # conditional-mean reduction oracle
 
 
@@ -314,16 +425,11 @@ def conditional_mean_oracle(
     idiosyncratic Brownian and compensated-jump terms, leaving a scalar SDE
     in the conditional mean driven by B1 alone.
     """
+    fam = _family(spec, "conditional-mean oracle")
     b1 = common.brownian()
     t = common.times()
-    if spec.family == "sell":
-        p = spec.params
-        return start * np.exp(
-            (p["alpha0"] - 0.5 * p["sigma1"] ** 2) * t + p["sigma1"] * b1
-        )
-    if spec.family == "quit":
-        return start + spec.params["sigma1"] * b1
-    raise ValueError("conditional-mean oracle supports shipped families only")
+    p = spec.params
+    return fam.mean_path(start, fam.path_drift(p) * t + p["sigma1"] * b1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +453,7 @@ def _start_value(spec: ModelSpec, cfg: SimConfig) -> float:
 
 
 class _FastSource:
-    """Exact conditional-mean path in ``y`` (``log m`` for sell); rules compare in ``y``.
+    """Exact conditional-mean path in the family's ``y``; rules compare in ``y``.
 
     Each block is drawn and integrated in place in one buffer owned by the
     source, so the path returned by ``advance`` is valid only until the next
@@ -358,19 +464,13 @@ class _FastSource:
     block = _BLOCK
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
+        fam = _family(spec, "fast mode")
         start = _start_value(spec, cfg)
-        if spec.family == "sell":
-            if start <= 0:
-                raise ValueError("sell fast mode needs a positive start value")
-            y0 = math.log(start)
-            self.mu_dt = (spec.params["alpha0"] - 0.5 * spec.params["sigma1"] ** 2) * cfg.dt
-            self.to_m = np.exp
-            self.to_y = lambda threshold: math.log(threshold) if threshold > 0 else -math.inf
-        elif spec.family == "quit":
-            y0, self.mu_dt = start, 0.0
-            self.to_m, self.to_y = np.positive, float  # identities on paths and thresholds
-        else:
-            raise ValueError("fast mode supports shipped model families only")
+        y0 = fam.to_y(start)
+        if not math.isfinite(y0):
+            raise ValueError(f"{spec.family} fast mode needs a start value in its state space")
+        self.mu_dt = fam.path_drift(spec.params) * cfg.dt
+        self.to_m, self.to_y = fam.to_m, fam.to_y
         self.vol = spec.params["sigma1"] * math.sqrt(cfg.dt)
         self.gens, self.dt = gens, cfg.dt
         self.m0 = np.full(len(gens), start, dtype=float)
@@ -399,7 +499,7 @@ class _ParticleSource:
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
         self.spec, self.gens, self.dt = spec, gens, cfg.dt
-        self.floor = SELL_FLOOR if spec.family == "sell" else None
+        self.floor = FAMILIES[spec.family].floor if spec.family in FAMILIES else None
         states = np.empty((len(gens), cfg.n_particles))
         for j, rng in enumerate(gens):
             states[j] = spec.initial_law.sample(rng, cfg.n_particles)
@@ -484,7 +584,7 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
     nb, dt, s0 = hi - lo, cfg.dt, cfg.start_time
     gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
     src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
-    f, g = payoff.build()
+    f, g = payoff.f, payoff.g
     n_steps = int(round(cfg.t_max / dt))
     states = [_RuleState(r, nb, n_steps, dt) for r in rules]
     everyone, at_start = np.arange(nb), {}

@@ -112,6 +112,24 @@ RUN_ABORTS = {
         "unknown rule kind"),
     "zero_batch_size": (
         "evaluate_rule", SELL_MODEL, {"batch_size": 0, "rule": RULE}, "batch_size"),
+    "sell_nonpositive_start": ("evaluate_rule", dict(SELL_MODEL, m0=-1.0), {"rule": RULE}, "m0"),
+    "numerics_not_object": ("var_ineq_check", SELL_MODEL, [], "numerics must be an object"),
+    "rule_not_object": ("evaluate_rule", SELL_MODEL, {"rule": 3}, "numerics.rule"),
+    "grid_not_object": ("fokker_planck_compare", FP_MODEL, {"grid": [-3, 3, 61]}, "numerics.grid"),
+    "probe_not_object": ("var_ineq_check", SELL_MODEL, {"probe": 3}, "numerics.probe"),
+    "particle_mode_without_particles": (
+        "evaluate_rule", SELL_MODEL, {"mode": "particle", "n": 0, "rule": RULE}, "numerics.n"),
+    "checkpoint_past_horizon": (
+        "simulate_path", SELL_MODEL, {"dt": 0.01, "horizon": 0.1, "checkpoints": [0.5]},
+        "checkpoints"),
+    "non_numeric_checkpoint": (
+        "simulate_path", SELL_MODEL, {"checkpoints": ["end"]}, "checkpoints"),
+    "grid_without_x_max": (
+        "fokker_planck_compare", FP_MODEL, {"grid": {"x_min": -3.0, "n_points": 61}}, "'x_max'"),
+    "non_numeric_probe_size": ("var_ineq_check", SELL_MODEL, {"probe": {"n_z": "many"}}, "many"),
+    "fokker_planck_point_law": (
+        "fokker_planck_compare", QUIT_MODEL, {"dt": 1e-3, "horizon": 0.01, "n": 100},
+        "normal initial law"),
 }
 
 
@@ -195,7 +213,7 @@ class TestRunExperiment:
         body = base_config(
             tmp_path,
             experiment="fokker_planck_compare",
-            model=dict(QUIT_MODEL),   # point-mass initial law: not evolvable
+            model=dict(FP_MODEL, sigma1=0.4),   # dt breaks the CFL bound of the default grid
             numerics={"dt": 1e-3, "horizon": 0.01, "n": 100},
         )
         config = load_config(write_config(tmp_path, body))
