@@ -124,7 +124,7 @@ def _validate_numerics(kind: str, numerics: dict, errors: list) -> None:
         if (ratio < 1 or abs(dt / spide_dt - ratio) > 1e-9 * ratio
                 or round(horizon / spide_dt) % ratio):
             errors.append("numerics.dt must be a whole multiple of spide_dt and divide horizon")
-    for key in ("replications", "n"):
+    for key in ("replications", "n", "n_paths"):
         count = _optional(numerics, key, 1, "numerics", errors)
         if count is not None and count < 1:
             errors.append(f"numerics.{key} must be >= 1")

@@ -321,7 +321,8 @@ class Family:
     ``params`` builds the one parameter bundle from a model config block with
     ``defaults`` filled in, checking every precondition; the spec and every
     closed form derive from it.  The exact conditional mean is
-    ``mean_path(start, y)``, ``y = path_drift(spec.params) t + sigma1 B1``.
+    ``mean_path(start, path_drift(spec.params) t + sigma1 B1)``; fast mode
+    integrates that drifted Brownian motion from ``to_y(start)`` instead.
     """
 
     required: tuple[str, ...]   # model config keys besides family and initial
@@ -381,7 +382,7 @@ FAMILIES = {
         direction="up",
         floor=1e-12,  # keeps the clouds positive
         path_drift=lambda sp: sp["alpha0"] - 0.5 * sp["sigma1"] ** 2,
-        mean_path=lambda start, y: start * np.exp(y),  # y is log m
+        mean_path=lambda start, y: start * np.exp(y),  # y is log(m / start)
         to_y=lambda m: math.log(m) if m > 0 else -math.inf,
         to_m=np.exp,
     ),

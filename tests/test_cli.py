@@ -119,6 +119,7 @@ RUN_ABORTS = {
     "probe_not_object": ("var_ineq_check", SELL_MODEL, {"probe": 3}, "numerics.probe"),
     "particle_mode_without_particles": (
         "evaluate_rule", SELL_MODEL, {"mode": "particle", "n": 0, "rule": RULE}, "numerics.n"),
+    "non_numeric_path_count": ("simulate_path", SELL_MODEL, {"n_paths": "few"}, "'n_paths'"),
     "checkpoint_past_horizon": (
         "simulate_path", SELL_MODEL, {"dt": 0.01, "horizon": 0.1, "checkpoints": [0.5]},
         "checkpoints"),
