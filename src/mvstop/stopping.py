@@ -108,10 +108,10 @@ class McEstimate:
 class SimConfig:
     """Numerical settings for rule evaluation.
 
-    ``start`` is the initial conditional mean (sell) or state (quit);
-    ``start_time`` shifts the discounting clock.  ``cap_payoff`` selects how
-    horizon-capped paths contribute: ``"stop"`` pays the bequest at the cap,
-    ``"zero"`` drops it (diagnostic bound on the truncation bias).
+    ``start`` is the initial conditional mean (sell) or state (quit).
+    ``cap_payoff`` selects how horizon-capped paths contribute: ``"stop"``
+    pays the bequest at the cap, ``"zero"`` drops it (diagnostic bound on
+    the truncation bias).
     """
 
     dt: float
@@ -121,7 +121,6 @@ class SimConfig:
     mode: str = "fast"              # fast | particle
     n_particles: int = 1000
     start: float | None = None
-    start_time: float = 0.0
     cap_payoff: str = "stop"
     workers: int = 1
     batch_size: int = 16384
@@ -582,7 +581,7 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
     """Per rule, ``(payoff sum, mean, M2, count, truncated)`` over replications
     ``lo:hi``, all on the same paths."""
     spec = ModelSpec.from_dict(spec) if isinstance(spec, dict) else spec
-    nb, dt, s0 = hi - lo, cfg.dt, cfg.start_time
+    nb, dt = hi - lo, cfg.dt
     gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
     src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
     f, g = payoff.f, payoff.g
@@ -592,7 +591,7 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
     for st in states:  # time 0: a start in the stopping region or a zero cap ends the row
         hit, _ = _first_stop(st.rule, src.m0[:, None], everyone, float, 0, dt, at_start)
         rows = np.flatnonzero(hit | (st.cap_step == 0))
-        st.settle(rows, hit[rows], np.full(rows.size, s0), src.m0[rows], g, cfg.cap_payoff)
+        st.settle(rows, hit[rows], np.zeros(rows.size), src.m0[rows], g, cfg.cap_payoff)
 
     fbuf = np.empty(cfg.batch_size * src.block) if f is not None else None
     steps_done = 0
@@ -608,7 +607,7 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
             fcum[:, 0] = y_left
             fcum[:, 1:] = ypath[:, :-1]
             src.to_m(fcum, out=fcum)
-            t_left = s0 + steps_done * dt + dt * np.arange(K)
+            t_left = steps_done * dt + dt * np.arange(K)
             for i in range(0, act.size, _ROWS):
                 part = fcum[i:i + _ROWS]
                 np.multiply(f(t_left[None, :], part), dt, out=part)
@@ -624,7 +623,7 @@ def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
             if f is not None:
                 st.fint[act[rows_local]] += fcum[rows_local, col]
             end = hit | (steps_done + klim >= st.cap_step)
-            t_end = np.where(hit, s0 + t_right[col], s0 + st.cap_step * dt)
+            t_end = np.where(hit, t_right[col], st.cap_step * dt)
             ended, col = rows_local[end], col[end]
             st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g,
                       cfg.cap_payoff)
@@ -742,5 +741,5 @@ def dynkin_residual(
     run_cfg = replace(cfg, t_max=delta, cap_payoff="stop", workers=1)
     est = evaluate_rule_mc(spec, rule, payoff, run_cfg)
     start = _start_value(spec, run_cfg)
-    residual = est.mean - candidate.value(run_cfg.start_time, start)
+    residual = est.mean - candidate.value(0.0, start)
     return DynkinResult(residual, est.std_error, residual / delta, est)

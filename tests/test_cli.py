@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -76,7 +77,9 @@ class TestConfigValidation:
 
 RULE = {"kind": "threshold_up", "threshold": 2.7}
 FP_MODEL = dict(QUIT_MODEL, sigma2=0.0, initial={"kind": "normal", "loc": 0.0, "scale": 0.3})
-# configs that `run` aborts on: (experiment, model, numerics, expected message)
+FP_SMALL = {"dt": 0.002, "spide_dt": 0.001, "horizon": 0.02, "n": 2000,
+            "grid": {"x_min": -2.0, "x_max": 2.0, "n_points": 121}}
+# configs that `run` aborts on: (experiment, model, numerics, expected message[, checks])
 RUN_ABORTS = {
     "non_numeric_jump_intensity": (
         "evaluate_rule", dict(SELL_MODEL, jump_intensity="high", jump_mark=-0.2),
@@ -131,16 +134,74 @@ RUN_ABORTS = {
     "fokker_planck_point_law": (
         "fokker_planck_compare", QUIT_MODEL, {"dt": 1e-3, "horizon": 0.01, "n": 100},
         "normal initial law"),
+    "non_numeric_vi_tolerance": ("var_ineq_check", SELL_MODEL, {"tolerance": "tight"}, "tight"),
+    "non_numeric_vi_gap_tolerance": (
+        "var_ineq_check", SELL_MODEL, {"gap_tolerance": "loose"}, "loose"),
+    "non_numeric_residual_tol": (
+        "closed_form_report", SELL_MODEL, {}, "'residual_tol'", {"residual_tol": "small"}),
+    "non_numeric_bandwidth": (
+        "fokker_planck_compare", FP_MODEL, dict(FP_SMALL, bandwidth="wide"), "wide"),
+    "non_numeric_max_l1": (
+        "fokker_planck_compare", FP_MODEL, FP_SMALL, "'max_l1'", {"max_l1": "x"}),
+    "non_numeric_delta": ("dynkin_check", SELL_MODEL, {"delta": "half"}, "half"),
+    "zero_delta": ("dynkin_check", SELL_MODEL, {"delta": 0}, "numerics.delta"),
+    "fokker_planck_zero_horizon": (
+        "fokker_planck_compare", FP_MODEL, dict(FP_SMALL, horizon=0), "numerics.horizon"),
+    "non_numeric_initial_scale": (
+        "evaluate_rule", dict(SELL_MODEL, initial={"kind": "normal", "scale": "wide"}),
+        {"rule": RULE}, "'scale' in model.initial"),
 }
 
 
 @pytest.mark.parametrize("case", list(RUN_ABORTS))
 def test_validate_rejects_what_run_aborts(tmp_path, capsys, case):
-    experiment, model, numerics, message = RUN_ABORTS[case]
-    body = base_config(tmp_path, experiment=experiment, model=dict(model), numerics=numerics)
+    experiment, model, numerics, message, *checks = RUN_ABORTS[case]
+    body = base_config(tmp_path, experiment=experiment, model=dict(model), numerics=numerics,
+                       checks=checks[0] if checks else {})
     assert main(["validate", write_config(tmp_path, body)]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# configs that `run` accepts but misreads or checks nothing with:
+# (experiment, model, numerics, checks, expected message)
+VALIDATE_REJECTS = {
+    "check_of_another_experiment": (
+        "evaluate_rule", SELL_MODEL, {"rule": RULE}, {"max_l1": 1e-4},
+        "unknown key 'max_l1' in checks"),
+    "no_checkpoints": ("simulate_path", SELL_MODEL, {"checkpoints": []}, {}, "'checkpoints'"),
+    "dynkin_shorter_than_a_step": (
+        "dynkin_check", SELL_MODEL, {"dt": 1.0, "delta": 0.4}, {}, "one step"),
+    "zero_path_horizon": ("simulate_path", SELL_MODEL, {"horizon": 0}, {}, "numerics.horizon"),
+    "numeric_argmax_flag": (
+        "threshold_sweep", SELL_MODEL, {"thresholds": [2.7]}, {"argmax_within_cell": 1},
+        "'argmax_within_cell'"),
+    "text_expect_pass": (
+        "var_ineq_check", SELL_MODEL, {}, {"expect_pass": "yes"}, "'expect_pass'"),
+    "numeric_log_z": ("var_ineq_check", SELL_MODEL, {"probe": {"log_z": 0}}, {}, "'log_z'"),
+    "zero_workers": (
+        "evaluate_rule", SELL_MODEL, {"workers": 0, "rule": RULE}, {},
+        "numerics.workers must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATE_REJECTS))
+def test_validate_rejects_misread_settings(tmp_path, case):
+    experiment, model, numerics, checks, message = VALIDATE_REJECTS[case]
+    body = base_config(tmp_path, experiment=experiment, model=dict(model), numerics=numerics,
+                       checks=checks)
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, body))
+    assert message in "\n".join(err.value.errors)
+
+
+def test_readme_config_example_loads(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    monkeypatch.chdir(tmp_path)
+    assert load_config(str(path))["experiment"] == "threshold_sweep"
 
 
 class TestRunExperiment:
@@ -207,6 +268,11 @@ class TestRunExperiment:
         assert main(["report", str(tmp_path / "missing")]) == 1
 
     def test_run_subcommand(self, tmp_path):
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["run", path]) == 0
+
+    def test_workers_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MVSTOP_WORKERS", "two")
         path = write_config(tmp_path, base_config(tmp_path))
         assert main(["run", path]) == 0
 
