@@ -97,19 +97,14 @@ def _check_boundary(density: GridDensity, tol: float) -> None:
 def apply_A0_star(density: GridDensity, spec: ModelSpec) -> np.ndarray:
     """Drift, diffusion and compensated jump parts of the adjoint generator."""
     x, rho, dx = density.x, density.values, density.dx
-    t, m_bar = density.time, density.first_moment()
-    alpha = np.broadcast_to(np.asarray(spec.drift(t, x, m_bar), float), x.shape)
-    b1 = np.asarray(spec.diffusion_common(t, x, m_bar), float)
-    b2 = np.asarray(spec.diffusion_idio(t, x, m_bar), float)
-    bb = np.broadcast_to(b1 * b1 + b2 * b2, x.shape)
-    rate = -_d1(alpha * rho, dx) + 0.5 * _d2(bb * rho, dx)
+    m_bar = density.first_moment()
+    alpha = spec.drift(m_bar)
+    b1 = spec.diffusion_common(m_bar)
+    b2 = spec.diffusion_idio(m_bar)
+    rate = -_d1(alpha * rho, dx) + 0.5 * _d2((b1 * b1 + b2 * b2) * rho, dx)
     if spec.levy.intensity > 0:
-        if spec.levy.atoms is None:
-            raise GridError("Fokker-Planck jump term needs atom-based marks")
         for value, prob in spec.levy.atoms:
-            gamma = np.broadcast_to(
-                np.asarray(spec.jump_amp(t, x, m_bar, value), float), x.shape
-            )
+            gamma = spec.jump_amp(m_bar, value)
             shifted = np.interp(x - gamma, x, rho, left=0.0, right=0.0)
             rate = rate + spec.levy.intensity * prob * (
                 shifted - rho + _d1(gamma * rho, dx)
@@ -119,12 +114,8 @@ def apply_A0_star(density: GridDensity, spec: ModelSpec) -> np.ndarray:
 
 def apply_A1_star(density: GridDensity, spec: ModelSpec) -> np.ndarray:
     """Common-noise transport term ``-D[beta1 rho]``."""
-    x, rho, dx = density.x, density.values, density.dx
-    t, m_bar = density.time, density.first_moment()
-    b1 = np.broadcast_to(
-        np.asarray(spec.diffusion_common(t, x, m_bar), float), x.shape
-    )
-    return -_d1(b1 * rho, dx)
+    b1 = spec.diffusion_common(density.first_moment())
+    return -_d1(b1 * density.values, density.dx)
 
 
 @dataclass
@@ -135,11 +126,10 @@ class StepDiagnostics:
 
 
 def cfl_bound(density: GridDensity, spec: ModelSpec, safety: float = 0.25) -> float:
-    x = density.x
-    t, m_bar = density.time, density.first_moment()
-    b1 = np.asarray(spec.diffusion_common(t, x, m_bar), float)
-    b2 = np.asarray(spec.diffusion_idio(t, x, m_bar), float)
-    peak = float(np.max(b1 * b1 + b2 * b2))
+    m_bar = density.first_moment()
+    b1 = spec.diffusion_common(m_bar)
+    b2 = spec.diffusion_idio(m_bar)
+    peak = b1 * b1 + b2 * b2
     if peak == 0:
         return np.inf
     return safety * density.dx**2 / peak

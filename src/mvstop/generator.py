@@ -67,10 +67,8 @@ def frechet_hessian_cylinder(
 
 def measure_flow_coefficients(spec: ModelSpec, z: float) -> tuple[float, float]:
     """``(a(z), b(z))`` of the conditional-mean flow: the spec's drift and common
-    diffusion at ``m_bar = z``, exact for the shipped families (no ``x`` terms)."""
-    if spec.family == "custom":
-        raise ValueError("generator supports shipped model families only, got 'custom'")
-    return spec.drift(0.0, z, z), spec.diffusion_common(0.0, z, z)
+    diffusion at ``m_bar = z``, exact because neither depends on ``x``."""
+    return spec.drift(z), spec.diffusion_common(z)
 
 
 def apply_generator_cylinder(

@@ -2,17 +2,18 @@
 
 The supported dynamics are one-dimensional with one common Brownian driver,
 one idiosyncratic Brownian driver and a finite-activity compound Poisson
-jump part.  Coefficients may depend on the conditional law only through its
-first moment ``m_bar``; the two shipped families ("sell" and "quit") cover
-everything the rest of the package needs, but custom coefficient callables
-are accepted as well.
+jump part with discrete marks.  Every coefficient is affine in the first
+moment ``m_bar`` of the conditional law and depends on neither ``t`` nor
+the state ``x``, so a model is eight numbers plus its jump and initial data.
+Only the two families of the worked examples are shipped: "sell" (every
+coefficient loads on ``m_bar``) and "quit" (constant coefficients).  A spec
+is a dataclass of plain data, so worker pools pickle it as it is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,13 +59,6 @@ class InitialLaw:
             return rng.normal(self.loc, self.scale, size)
         return rng.lognormal(self.loc, self.scale, size)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "loc": self.loc, "scale": self.scale}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InitialLaw":
-        return cls(**d)
-
 
 # ---------------------------------------------------------------------------
 # jump part
@@ -74,51 +68,28 @@ class InitialLaw:
 class LevyMeasureSpec:
     """Finite-activity compound Poisson description of the jump marks.
 
-    ``intensity`` is the event rate per unit time; ``sampler(rng, size)``
-    draws i.i.d. marks.  ``atoms`` lists ``(value, probability)`` pairs when
-    the mark distribution is discrete; the Fokker-Planck jump term and the
-    exact compensator both require it.
+    ``intensity`` is the event rate per unit time; ``atoms`` lists the
+    ``(value, probability)`` pairs of the discrete mark distribution, which
+    active jumps need.
     """
 
     intensity: float
-    mark_mean: float = 0.0
-    mark_second_moment: float = 0.0
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    atoms: tuple[tuple[float, float], ...] | None = None
+    atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.intensity < 0:
             raise ModelError("jump intensity must be >= 0")
-        if not math.isfinite(self.mark_second_moment):
-            raise ModelError("mark second moment must be finite")
-        if self.intensity > 0 and self.sampler is None and self.atoms is None:
-            raise ModelError("active jumps need a mark sampler or atoms")
+        if self.intensity > 0 and not self.atoms:
+            raise ModelError("active jumps need mark atoms")
+        if not all(math.isfinite(value) for value, _ in self.atoms):
+            raise ModelError("jump marks must be finite")
 
     def sample_marks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size == 0:
             return np.empty(0)
-        if self.sampler is not None:
-            return np.asarray(self.sampler(rng, size), dtype=float)
         values = np.array([v for v, _ in self.atoms])
         probs = np.array([p for _, p in self.atoms])
         return rng.choice(values, size=size, p=probs)
-
-    def to_dict(self) -> dict:
-        if self.intensity > 0 and self.atoms is None:
-            raise ModelError("only atom-based jump measures are serializable")
-        return {
-            "intensity": self.intensity,
-            "mark_mean": self.mark_mean,
-            "mark_second_moment": self.mark_second_moment,
-            "atoms": [list(a) for a in self.atoms] if self.atoms else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LevyMeasureSpec":
-        atoms = d.get("atoms")
-        if d["intensity"] == 0:
-            return no_jumps()
-        return discrete_marks(d["intensity"], [a[0] for a in atoms], [a[1] for a in atoms])
 
 
 def no_jumps() -> LevyMeasureSpec:
@@ -130,14 +101,7 @@ def discrete_marks(intensity: float, values, probs) -> LevyMeasureSpec:
     probs = [float(p) for p in probs]
     if abs(sum(probs) - 1.0) > 1e-12:
         raise ModelError("mark probabilities must sum to 1")
-    mean = sum(v * p for v, p in zip(values, probs))
-    second = sum(v * v * p for v, p in zip(values, probs))
-    return LevyMeasureSpec(
-        intensity=intensity,
-        mark_mean=mean,
-        mark_second_moment=second,
-        atoms=tuple(zip(values, probs)),
-    )
+    return LevyMeasureSpec(intensity=intensity, atoms=tuple(zip(values, probs)))
 
 
 def constant_mark(intensity: float, value: float) -> LevyMeasureSpec:
@@ -148,65 +112,58 @@ def constant_mark(intensity: float, value: float) -> LevyMeasureSpec:
 # model spec
 
 
+def _affine(c0: float, c1: float, m):
+    """``c0 + c1 m``, evaluating only the nonzero terms."""
+    if c1 == 0:
+        return c0
+    return c1 * m if c0 == 0 else c0 + c1 * m
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Coefficients of the state equation, plus jump and initial data.
 
-    Coefficient callables take ``(t, x, m_bar)`` with numpy broadcasting;
-    ``jump_amp`` takes ``(t, x, m_bar, mark)``.  ``family`` is ``"sell"``,
-    ``"quit"`` or ``"custom"``; the first two carry their scalar parameters
-    in ``params`` so simulation fast paths and serialization can use them.
+    At ``m = m_bar`` the drift is ``a0 + a1 m``, the common diffusion
+    ``b0 + b1 m``, the idiosyncratic diffusion ``s0 + s1 m`` and the jump
+    amplitude ``mark (j0 + j1 m)``.  Only nonzero terms are evaluated, so a
+    one-term coefficient is exactly that term (``alpha0 * m``, ``sigma1``).
+    ``family`` is ``"sell"`` or ``"quit"``.
     """
 
-    drift: Callable
-    diffusion_common: Callable
-    diffusion_idio: Callable
-    jump_amp: Callable
+    family: str
     levy: LevyMeasureSpec
     initial_law: InitialLaw
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
+    a0: float = 0.0
+    a1: float = 0.0
+    b0: float = 0.0
+    b1: float = 0.0
+    s0: float = 0.0
+    s1: float = 0.0
+    j0: float = 0.0
+    j1: float = 0.0
 
-    def expected_jump_amp(self, t, x, m_bar):
-        """Mark-expectation of ``jump_amp`` (needs atom-based marks)."""
-        if self.levy.intensity == 0:
-            return 0.0
-        if self.levy.atoms is None:
-            # affine-in-mark fallback, exact for both shipped families
-            return self.jump_amp(t, x, m_bar, self.levy.mark_mean)
+    def __post_init__(self) -> None:
+        if self.family not in ("sell", "quit"):
+            raise ModelError(f"model family must be 'sell' or 'quit', got {self.family!r}")
+
+    def drift(self, m):
+        return _affine(self.a0, self.a1, m)
+
+    def diffusion_common(self, m):
+        return _affine(self.b0, self.b1, m)
+
+    def diffusion_idio(self, m):
+        return _affine(self.s0, self.s1, m)
+
+    def jump_amp(self, m, mark):
+        return mark * _affine(self.j0, self.j1, m)
+
+    def expected_jump_amp(self, m):
+        """Mark expectation of ``jump_amp``."""
         total = 0.0
         for value, prob in self.levy.atoms:
-            total = total + prob * self.jump_amp(t, x, m_bar, value)
+            total = total + prob * self.jump_amp(m, value)
         return total
-
-    def to_dict(self) -> dict:
-        if self.family not in _MAKERS:
-            raise ModelError("only shipped model families are serializable")
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "levy": self.levy.to_dict(),
-            "initial_law": self.initial_law.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        if d["family"] not in _MAKERS:
-            raise ModelError(f"unknown family {d['family']!r}")
-        return _MAKERS[d["family"]](d, InitialLaw.from_dict(d["initial_law"]))
-
-
-def _check_sell_marks(levy: LevyMeasureSpec) -> None:
-    if levy.intensity == 0:
-        return
-    if levy.atoms is not None:
-        bad = [v for v, _ in levy.atoms if not (-1.0 < v <= 0.0)]
-        if bad:
-            raise ModelError(f"sell-model marks must lie in (-1, 0]; got {bad}")
-        return
-    probe = levy.sample_marks(np.random.default_rng(0), 1000)
-    if np.any(probe <= -1.0) or np.any(probe > 0.0):
-        raise ModelError("sell-model marks must lie in (-1, 0]")
 
 
 def make_sell_model(
@@ -222,18 +179,11 @@ def make_sell_model(
     if sigma2 < 0:
         raise ModelError("sell model requires sigma2 >= 0")
     levy = levy if levy is not None else no_jumps()
-    _check_sell_marks(levy)
+    bad = [v for v, _ in levy.atoms if not (-1.0 < v <= 0.0)]
+    if levy.intensity > 0 and bad:
+        raise ModelError(f"sell-model marks must lie in (-1, 0]; got {bad}")
     initial_law = initial_law if initial_law is not None else InitialLaw("point", 1.0)
-    return ModelSpec(
-        drift=lambda t, x, m: alpha0 * m,
-        diffusion_common=lambda t, x, m: sigma1 * m,
-        diffusion_idio=lambda t, x, m: sigma2 * m,
-        jump_amp=lambda t, x, m, z: z * m,
-        levy=levy,
-        initial_law=initial_law,
-        family="sell",
-        params={"alpha0": alpha0, "sigma1": sigma1, "sigma2": sigma2},
-    )
+    return ModelSpec("sell", levy, initial_law, a1=alpha0, b1=sigma1, s1=sigma2, j1=1.0)
 
 
 def make_quit_model(
@@ -248,26 +198,4 @@ def make_quit_model(
         raise ModelError("quit model requires sigma1 != 0")
     levy = constant_mark(intensity, gamma0) if intensity > 0 else no_jumps()
     initial_law = initial_law if initial_law is not None else InitialLaw("point", 0.0)
-    return ModelSpec(
-        drift=lambda t, x, m: 0.0,
-        diffusion_common=lambda t, x, m: sigma1,
-        diffusion_idio=lambda t, x, m: sigma2,
-        jump_amp=lambda t, x, m, z: z,
-        levy=levy,
-        initial_law=initial_law,
-        family="quit",
-        params={
-            "sigma1": sigma1,
-            "sigma2": sigma2,
-            "gamma0": gamma0,
-            "intensity": intensity,
-        },
-    )
-
-
-# family -> maker of a spec from its serialized form; quit rebuilds its jumps from params
-_MAKERS = {
-    "sell": lambda d, law: make_sell_model(
-        **d["params"], levy=LevyMeasureSpec.from_dict(d["levy"]), initial_law=law),
-    "quit": lambda d, law: make_quit_model(**d["params"], initial_law=law),
-}
+    return ModelSpec("quit", levy, initial_law, b0=sigma1, s0=sigma2, j0=1.0)

@@ -3,7 +3,9 @@
 All particles in one replication share a single common-noise path; each
 carries its own idiosyncratic Brownian increments and jumps.  The cloud's
 empirical measure stands in for the conditional law, and its mean is the
-``m_bar`` entering the coefficients (frozen at the step start).
+``m_bar`` entering the coefficients (frozen at the step start).  The
+coefficients depend on nothing else, so each step evaluates a few scalars
+per cloud and applies them to the whole state array.
 """
 
 from __future__ import annotations
@@ -85,8 +87,7 @@ def conditional_pairing(cloud: ParticleCloud, q=None) -> float:
 
 
 def _jump_increments(
-    states: np.ndarray, spec: ModelSpec, t: float, m_bar: float, dt: float,
-    rng: np.random.Generator,
+    states: np.ndarray, spec: ModelSpec, m_bar: float, dt: float, rng: np.random.Generator,
 ) -> np.ndarray:
     """Compensated compound-Poisson increment per particle."""
     levy = spec.levy
@@ -98,11 +99,9 @@ def _jump_increments(
     if total:
         marks = levy.sample_marks(rng, total)
         owner = np.repeat(np.arange(states.size), counts)
-        amps = np.asarray(spec.jump_amp(t, states[owner], m_bar, marks), float)
+        amps = spec.jump_amp(m_bar, marks)
         np.add.at(sums, owner, amps)
-    compensator = dt * levy.intensity * np.asarray(
-        spec.expected_jump_amp(t, states, m_bar), float
-    )
+    compensator = dt * levy.intensity * spec.expected_jump_amp(m_bar)
     return sums - compensator
 
 
@@ -118,11 +117,11 @@ def step(
     if dt <= 0:
         raise ValueError("dt must be > 0")
     x, t, m_bar = cloud.states, cloud.time, cloud.m_bar
-    drift = np.asarray(spec.drift(t, x, m_bar), float)
-    b1 = np.asarray(spec.diffusion_common(t, x, m_bar), float)
-    b2 = np.asarray(spec.diffusion_idio(t, x, m_bar), float)
+    drift = spec.drift(m_bar)
+    b1 = spec.diffusion_common(m_bar)
+    b2 = spec.diffusion_idio(m_bar)
     dB2 = rng.standard_normal(x.size) * math.sqrt(dt)
-    new = x + drift * dt + b1 * dB1 + b2 * dB2 + _jump_increments(x, spec, t, m_bar, dt, rng)
+    new = x + drift * dt + b1 * dB1 + b2 * dB2 + _jump_increments(x, spec, m_bar, dt, rng)
     floor_events = cloud.floor_events
     if floor is not None:
         below = new < floor

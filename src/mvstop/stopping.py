@@ -320,7 +320,7 @@ class Family:
     ``params`` builds the one parameter bundle from a model config block with
     ``defaults`` filled in, checking every precondition; the spec and every
     closed form derive from it.  The exact conditional mean is
-    ``mean_path(start, path_drift(spec.params) t + sigma1 B1)``; fast mode
+    ``mean_path(start, path_drift(spec) t + path_vol(spec) B1)``; fast mode
     integrates that drifted Brownian motion from ``to_y(start)`` instead.
     """
 
@@ -335,7 +335,8 @@ class Family:
     probe: Callable             # optimal threshold -> default VI probe window
     direction: str              # optimal rule: threshold_{direction}
     floor: float | None         # particle clouds are clamped here
-    path_drift: Callable
+    path_drift: Callable        # spec -> drift of y
+    path_vol: Callable          # spec -> volatility of y
     mean_path: Callable
     to_y: Callable              # state value -> y, for thresholds and the start
     to_m: Callable              # ufunc y -> state value
@@ -380,7 +381,8 @@ FAMILIES = {
         probe=lambda xi: {"z_min": 0.01, "z_max": 20.0, "log_z": True},
         direction="up",
         floor=1e-12,  # keeps the clouds positive
-        path_drift=lambda sp: sp["alpha0"] - 0.5 * sp["sigma1"] ** 2,
+        path_drift=lambda spec: spec.a1 - 0.5 * spec.b1 ** 2,
+        path_vol=lambda spec: spec.b1,
         mean_path=lambda start, y: start * np.exp(y),  # y is log(m / start)
         to_y=lambda m: math.log(m) if m > 0 else -math.inf,
         to_m=np.exp,
@@ -398,18 +400,13 @@ FAMILIES = {
         probe=lambda eta: {"z_min": eta - 2.0, "z_max": eta + 6.0, "log_z": False},
         direction="down",
         floor=None,
-        path_drift=lambda sp: 0.0,
+        path_drift=lambda spec: spec.a0,
+        path_vol=lambda spec: spec.b0,
         mean_path=lambda start, y: start + y,  # y is m - start
         to_y=float,
         to_m=np.positive,  # identity that takes out=
     ),
 }
-
-
-def _family(spec: ModelSpec, what: str) -> Family:
-    if spec.family not in FAMILIES:
-        raise ValueError(f"{what} supports shipped model families only")
-    return FAMILIES[spec.family]
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +422,10 @@ def conditional_mean_oracle(
     idiosyncratic Brownian and compensated-jump terms, leaving a scalar SDE
     in the conditional mean driven by B1 alone.
     """
-    fam = _family(spec, "conditional-mean oracle")
+    fam = FAMILIES[spec.family]
     b1 = common.brownian()
     t = common.times()
-    p = spec.params
-    return fam.mean_path(start, fam.path_drift(p) * t + p["sigma1"] * b1)
+    return fam.mean_path(start, fam.path_drift(spec) * t + fam.path_vol(spec) * b1)
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +460,14 @@ class _FastSource:
     block = _BLOCK
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
-        fam = _family(spec, "fast mode")
+        fam = FAMILIES[spec.family]
         start = _start_value(spec, cfg)
         y0 = fam.to_y(start)
         if not math.isfinite(y0):
             raise ValueError(f"{spec.family} fast mode needs a start value in its state space")
-        self.mu_dt = fam.path_drift(spec.params) * cfg.dt
+        self.mu_dt = fam.path_drift(spec) * cfg.dt
         self.to_m, self.to_y = fam.to_m, fam.to_y
-        self.vol = spec.params["sigma1"] * math.sqrt(cfg.dt)
+        self.vol = fam.path_vol(spec) * math.sqrt(cfg.dt)
         self.gens, self.dt = gens, cfg.dt
         self.m0 = np.full(len(gens), start, dtype=float)
         self.y = np.full(len(gens), y0, dtype=float)
@@ -499,7 +495,7 @@ class _ParticleSource:
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
         self.spec, self.gens, self.dt = spec, gens, cfg.dt
-        self.floor = FAMILIES[spec.family].floor if spec.family in FAMILIES else None
+        self.floor = FAMILIES[spec.family].floor
         states = np.empty((len(gens), cfg.n_particles))
         for j, rng in enumerate(gens):
             states[j] = spec.initial_law.sample(rng, cfg.n_particles)
@@ -577,10 +573,9 @@ def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
     return hit, col
 
 
-def _batch(spec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
+def _batch(spec: ModelSpec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
     """Per rule, ``(payoff sum, mean, M2, count, truncated)`` over replications
     ``lo:hi``, all on the same paths."""
-    spec = ModelSpec.from_dict(spec) if isinstance(spec, dict) else spec
     nb, dt = hi - lo, cfg.dt
     gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
     src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
@@ -653,10 +648,9 @@ def _run_rules(
     if cfg.workers > 1 and len(parts) > 1:
         if payoff.kind == "custom":
             raise ValueError("custom payoffs cannot run on worker pools")
-        spec_arg = spec.to_dict()
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [
-                pool.submit(_batch, spec_arg, tuple(rules), payoff, cfg, lo, hi)
+                pool.submit(_batch, spec, tuple(rules), payoff, cfg, lo, hi)
                 for lo, hi in parts
             ]
             results = [fut.result() for fut in futures]

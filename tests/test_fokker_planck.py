@@ -86,23 +86,6 @@ def test_jump_term_preserves_mass():
     assert max(dg.mass_defect for dg in diags) < 1e-9
 
 
-def test_jump_term_needs_atoms(quit_spec):
-    from mvstop.model import LevyMeasureSpec, ModelSpec
-
-    levy = LevyMeasureSpec(1.0, -0.2, 0.04, sampler=lambda rng, n: np.full(n, -0.2))
-    spec = ModelSpec(
-        drift=lambda t, x, m: 0.0,
-        diffusion_common=lambda t, x, m: 0.4,
-        diffusion_idio=lambda t, x, m: 0.0,
-        jump_amp=lambda t, x, m, z: z,
-        levy=levy,
-        initial_law=InitialLaw("normal", 0.0, 0.3),
-    )
-    d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
-    with pytest.raises(GridError):
-        apply_A0_star(d, spec)
-
-
 def test_cfl_violation_raises(quit_spec):
     d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
     bound = cfl_bound(d, quit_spec)

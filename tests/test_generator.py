@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +45,6 @@ def test_measure_flow_coefficients():
     assert measure_flow_coefficients(sell, 2.0) == (pytest.approx(0.2), pytest.approx(0.6))
     quit_ = make_quit_model(0.3, 0.1)
     assert measure_flow_coefficients(quit_, 2.0) == (0.0, 0.3)
-    with pytest.raises(ValueError, match="shipped"):
-        measure_flow_coefficients(replace(quit_, family="custom"), 2.0)
 
 
 def test_generator_on_power_function():

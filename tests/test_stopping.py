@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -328,18 +327,13 @@ def test_first_stop_matches_full_matrix_scan(seed):
                     np.testing.assert_array_equal(got[1], want[1])
 
 
-def test_fast_mode_needs_a_shipped_family_and_a_start_in_its_state_space():
+def test_fast_mode_needs_a_start_in_its_state_space():
     sell = make_sell_model(0.1, 0.3, 0.2)
     rule = StoppingRule("threshold_up", threshold=2.7)
     payoff = sell_payoff(SellParams(0.1, 0.3, 0.2, 0.2, 1.0))
     cfg = SimConfig(dt=0.01, replications=10, seed=1, t_max=1.0, start=-1.0)
     with pytest.raises(ValueError, match="start value"):
         evaluate_rule_mc(sell, rule, payoff, cfg)
-    custom = replace(sell, family="custom")
-    with pytest.raises(ValueError, match="shipped"):
-        evaluate_rule_mc(custom, rule, payoff, replace(cfg, start=1.0))
-    with pytest.raises(ValueError, match="shipped"):
-        conditional_mean_oracle(custom, 1.0, CommonNoisePath(0.1, np.zeros(3)))
 
 
 def test_custom_running_profit_may_broadcast():
