@@ -230,8 +230,8 @@ def manifest_hash(config: dict) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose repr is np.float64(...)
+        return repr(float(value))
     return str(value)
 
 

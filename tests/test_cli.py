@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -369,19 +370,19 @@ FROZEN_OUTPUTS = {
     },
     'simulate_path-sell': {
         'summary.json': 'cee13640b22d6d598b52ca2ce8c0fce6f1abaa8253dc3ca6ac8821be0c40563c',
-        'trajectory.csv': '7d1370b1435555f6b7791af267da518b3b0f231c5ffade05ba34251debdfacf6',
+        'trajectory.csv': 'd6783629c21ea0799db9c91067552fccef18a227e06feff6faf5efbc533698d2',
     },
     'simulate_path-quit': {
         'summary.json': 'ba0e7a72c5385c105d3d4bb9961f6ca26f4a3e051e48b480a6b6c4d472018a61',
-        'trajectory.csv': '027f64e4fc534b071ca61d3ba83361929c23f2f0ca2d463c88727e62292de765',
+        'trajectory.csv': '693e7c04eba568aa5db0c51cf1525266b83b2858d3a8b02831aa60aae0e90de3',
     },
     'fokker_planck_compare-sell': {
-        'densities.csv': '77a0c85a7b7b1ecff71b322e1ab210a3e983ffa5ad8f52f43cc8a6533f772837',
+        'densities.csv': '270b0d3f16593b02d4650bfa5c1d1b085aaf5f33e933d630308b2ed246fba7fa',
         'fp_summary.csv': '7c193253d0543e9e2b1bda6c19649c94326a73ddb489b7d9add060ddf855e18d',
         'summary.json': 'da480ee6d51e14a266c178991f923db3a7fa796d064f5c84a7fe653d4148a743',
     },
     'fokker_planck_compare-quit': {
-        'densities.csv': '7edaabeb420cf3001dfae86c795228951e2e628ae7dbd711380afbafcd3a35eb',
+        'densities.csv': 'd57e1f4a49f60e2e94ee06a8191be7faf80f608e4be1597a486ecf404762c6be',
         'fp_summary.csv': 'e8f8023930022dbc19e7c9b1462bbc401caf8036672a3ffda1ba9e0791243092',
         'summary.json': '6f655cbae29c4054e50e25584eec930a9e2841110d3a8247b68594dc891dda18',
     },
@@ -404,19 +405,39 @@ FROZEN_OUTPUTS = {
 }
 
 
-def _output_hashes(tmp_path, monkeypatch, experiment, family):
-    import hashlib
-
+def _run_frozen(tmp_path, monkeypatch, experiment, family) -> Path:
     model, numerics, checks = FROZEN_CONFIGS[experiment, family]
     monkeypatch.chdir(tmp_path)  # a relative output path keeps the manifest hash fixed
     body = {"experiment": experiment, "model": model, "numerics": numerics, "seed": 7,
             "output": "out", "checks": checks}
     run_experiment(load_config(write_config(tmp_path, body)))
+    return tmp_path / "out"
+
+
+def _output_hashes(tmp_path, monkeypatch, experiment, family):
+    import hashlib
+
+    out = _run_frozen(tmp_path, monkeypatch, experiment, family)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted((tmp_path / "out").iterdir()) if p.name != "manifest.json"}
+            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
 @pytest.mark.parametrize("experiment,family", list(FROZEN_CONFIGS))
 def test_cli_outputs_frozen(tmp_path, monkeypatch, experiment, family):
     hashes = _output_hashes(tmp_path, monkeypatch, experiment, family)
     assert hashes == FROZEN_OUTPUTS[f"{experiment}-{family}"]
+
+
+@pytest.mark.parametrize("experiment,family,name", [
+    ("simulate_path", "sell", "trajectory.csv"), ("simulate_path", "quit", "trajectory.csv"),
+    ("fokker_planck_compare", "sell", "densities.csv"),
+    ("fokker_planck_compare", "quit", "densities.csv"),
+])
+def test_csv_cells_are_plain_numbers(tmp_path, monkeypatch, experiment, family, name):
+    # numpy scalars must be written as numbers, not as np.float64(...)
+    out = _run_frozen(tmp_path, monkeypatch, experiment, family)
+    lines = (out / name).read_text().splitlines()
+    cells = [cell for row in csv.reader(lines[3:]) for cell in row]  # after the header
+    assert cells
+    for cell in cells:
+        float(cell)  # raises ValueError on a cell such as np.float64(0.5)
