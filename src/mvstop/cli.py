@@ -331,6 +331,10 @@ def _simulate_path(spec, params, start, numerics, checks, seed):
     checkpoints = [(t, int(round(t / dt))) for t in numerics["checkpoints"] or [horizon]]
     if not all(0 <= k <= round(horizon / dt) for _, k in checkpoints):
         raise ValueError("numerics.checkpoints must lie in [0, horizon]")
+    off_grid = [t for t, k in checkpoints if abs(t / dt - k) > 1e-9 * max(k, 1)]
+    if off_grid:  # each row is labelled with t but evaluated at step k
+        raise ValueError(f"numerics.checkpoints (the horizon by default) must be whole "
+                         f"multiples of dt; off the grid: {off_grid}")
     floor = FAMILIES[spec.family].floor
 
     def compute(out, mhash, summary):
@@ -533,6 +537,8 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="print the summary of a results directory")
     p_rep.add_argument("results_dir")
     args = parser.parse_args(argv)
+    if args.command == "run" and args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")  # exits with status 2
 
     if args.command == "validate":
         try:

@@ -183,6 +183,9 @@ VALIDATE_REJECTS = {
     "zero_workers": (
         "evaluate_rule", SELL_MODEL, {"workers": 0, "rule": RULE}, {},
         "numerics.workers must be >= 1"),
+    "off_grid_checkpoint": (
+        "simulate_path", SELL_MODEL, {"dt": 0.01, "checkpoints": [0.047, 0.1]}, {},
+        "whole multiples of dt; off the grid: [0.047]"),
 }
 
 
@@ -271,6 +274,15 @@ class TestRunExperiment:
     def test_run_subcommand(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path))
         assert main(["run", path]) == 0
+
+    def test_nonpositive_workers_flag_is_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path))
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", path, "--workers", "-3"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers must be >= 1, got -3" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_workers_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MVSTOP_WORKERS", "two")
