@@ -105,32 +105,70 @@ def _jump_increments(
     return sums - compensator
 
 
+class StepScratch:
+    """Work arrays for ``step`` on up to ``rows`` clouds of ``n`` particles.
+
+    The owner allocates them once and passes them to every step, so a run's
+    memory does not grow with its step count.  Pages a run never writes (the
+    normals of a model without idiosyncratic noise, the mask of a run without
+    a floor) are never touched.
+    """
+
+    def __init__(self, rows: int, n: int):
+        self.normals = np.empty((rows, n))
+        self.below = np.empty((rows, n), dtype=bool)
+
+
+def _column(value) -> np.ndarray:
+    """A per-row scalar or a scalar shared by all rows, as a column."""
+    return np.reshape(value, (-1, 1))
+
+
 def step(
-    cloud: ParticleCloud,
+    x: np.ndarray,
     spec: ModelSpec,
     dt: float,
-    dB1: float,
-    rng: np.random.Generator,
+    m_bar: np.ndarray,
+    dB1: np.ndarray,
+    gens: list,
     floor: float | None = None,
-) -> ParticleCloud:
-    """Euler-Maruyama step of the whole cloud under a shared B1 increment."""
+    scratch: StepScratch | None = None,
+) -> int:
+    """Euler-Maruyama step of ``rows`` clouds, in place; returns the floor events.
+
+    Row ``j`` of the ``(rows, n)`` array ``x`` is one cloud with mean
+    ``m_bar[j]``, common-noise increment ``dB1[j]`` and generator
+    ``gens[j]``, which draws that row's randomness and nothing else.  On
+    return ``x`` holds the new states and ``m_bar`` their row means.
+    """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    x, t, m_bar = cloud.states, cloud.time, cloud.m_bar
-    drift = spec.drift(m_bar)
-    b1 = spec.diffusion_common(m_bar)
-    b2 = spec.diffusion_idio(m_bar)
-    dB2 = rng.standard_normal(x.size) * math.sqrt(dt)
-    new = x + drift * dt + b1 * dB1 + b2 * dB2 + _jump_increments(x, spec, m_bar, dt, rng)
-    floor_events = cloud.floor_events
+    rows, n = x.shape
+    if scratch is None:
+        scratch = StepScratch(rows, n)
+    x += _column(spec.drift(m_bar) * dt)
+    x += _column(spec.diffusion_common(m_bar) * dB1)
+    dB2 = scratch.normals[:rows]
+    for j, rng in enumerate(gens):
+        rng.standard_normal(out=dB2[j])
+    dB2 *= math.sqrt(dt)
+    dB2 *= _column(spec.diffusion_idio(m_bar))
+    x += dB2
+    for j, rng in enumerate(gens):
+        x[j] += _jump_increments(x[j], spec, m_bar[j], dt, rng)
+    floor_events = 0
     if floor is not None:
-        below = new < floor
-        floor_events += int(np.count_nonzero(below))
-        new = np.where(below, floor, new)
-    if not np.all(np.isfinite(new)):
-        idx = int(np.flatnonzero(~np.isfinite(new))[0])
-        raise SimulationError(f"non-finite state at t={t + dt:.6f}, particle {idx}")
-    return ParticleCloud(t + dt, new, floor_events)
+        below = np.less(x, floor, out=scratch.below[:rows])
+        floor_events = int(np.count_nonzero(below))
+        np.copyto(x, floor, where=below)
+    np.mean(x, axis=1, out=m_bar)
+    # a non-finite particle makes its row mean non-finite
+    if not np.all(np.isfinite(m_bar)):
+        j = int(np.flatnonzero(~np.isfinite(m_bar))[0])
+        bad = np.flatnonzero(~np.isfinite(x[j]))
+        where = f"particle {int(bad[0])}" if bad.size else "mean overflow"
+        raise SimulationError(f"non-finite state in cloud {j}, {where}")
+    return floor_events
 
 
 @dataclass
@@ -163,13 +201,16 @@ def simulate_path(
     snapshots: dict[float, ParticleCloud] = {}
     if wanted and abs(wanted[0]) < dt / 2:
         snapshots[0.0] = cloud
+    x = cloud.states.reshape(1, n).copy()
+    m, scratch, floor_events = m_bar[:1].copy(), StepScratch(1, n), 0
     for k in range(n_steps):
-        cloud = step(cloud, spec, dt, float(common.increments[k]), rng, floor=floor)
-        m_bar[k + 1] = cloud.m_bar
+        floor_events += step(x, spec, dt, m, common.increments[k:k + 1], [rng], floor,
+                             scratch)
+        m_bar[k + 1] = m[0]
         for t_snap in wanted:
-            if abs(cloud.time - t_snap) < dt / 2 and t_snap not in snapshots:
-                snapshots[t_snap] = cloud
-    return PathResult(times, m_bar, snapshots, cloud.floor_events)
+            if abs(times[k + 1] - t_snap) < dt / 2 and t_snap not in snapshots:
+                snapshots[t_snap] = ParticleCloud(times[k + 1], x[0].copy(), floor_events)
+    return PathResult(times, m_bar, snapshots, floor_events)
 
 
 def silverman_bandwidth(states: np.ndarray) -> float:

@@ -489,33 +489,45 @@ class _FastSource:
 
 
 class _ParticleSource:
-    """One interacting cloud per row, advanced by ``particle.step``; ``y`` is ``m``."""
+    """One interacting cloud per row of one state matrix; ``y`` is ``m``.
+
+    ``x[:k]`` holds the clouds of the ``k`` rows still running, in batch
+    order, and ``particle.step`` advances them together.  When rows finish,
+    the survivors are moved up so the running clouds stay one contiguous
+    block; the matrix and the step's scratch arrays are allocated once.
+    """
 
     block = 1
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
         self.spec, self.gens, self.dt = spec, gens, cfg.dt
         self.floor = FAMILIES[spec.family].floor
-        states = np.empty((len(gens), cfg.n_particles))
+        self.x = np.empty((len(gens), cfg.n_particles))
         for j, rng in enumerate(gens):
-            states[j] = spec.initial_law.sample(rng, cfg.n_particles)
+            self.x[j] = spec.initial_law.sample(rng, cfg.n_particles)
         if cfg.start is not None:
             # pin the empirical mean exactly at the requested start value
-            states += cfg.start - states.mean(axis=1, keepdims=True)
-        self.clouds = [particle.ParticleCloud(0.0, x) for x in states]
-        self.m0 = np.array([cloud.m_bar for cloud in self.clouds])
-        self.m = self.m0.copy()
+            self.x += cfg.start - self.x.mean(axis=1, keepdims=True)
+        self.m0 = self.x.mean(axis=1)
+        self.m = self.m0.copy()             # row means, aligned with the rows of x
+        self.rows = np.arange(len(gens))    # batch index of each row of x
+        self.scratch = particle.StepScratch(*self.x.shape)
         self.to_m, self.to_y = np.positive, float  # identities on paths and thresholds
 
     def advance(self, act: np.ndarray, steps_done: int, K: int):
-        y_left = self.m[act]
-        sqdt = math.sqrt(self.dt)
-        for j in act:
-            rng = self.gens[j]
-            cloud = particle.step(self.clouds[j], self.spec, self.dt,
-                                  rng.standard_normal() * sqdt, rng, self.floor)
-            self.clouds[j], self.m[j] = cloud, cloud.m_bar
-        return y_left, self.m[act, None], np.array([(steps_done + 1) * self.dt])
+        if act.size < self.rows.size:  # rows finished: compact the survivors, in order
+            keep = np.searchsorted(self.rows, act)
+            for dst, src in enumerate(keep):
+                if dst != src:
+                    self.x[dst] = self.x[src]
+            self.m[:act.size] = self.m[keep]
+            self.rows = act
+        x, m = self.x[:act.size], self.m[:act.size]
+        gens = [self.gens[r] for r in act]
+        y_left = m.copy()
+        dB1 = np.array([rng.standard_normal() for rng in gens]) * math.sqrt(self.dt)
+        particle.step(x, self.spec, self.dt, m, dB1, gens, self.floor, self.scratch)
+        return y_left, m[:, None], np.array([(steps_done + 1) * self.dt])
 
 
 class _RuleState:

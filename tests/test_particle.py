@@ -40,12 +40,12 @@ def test_init_cloud_and_pairing():
 
 def test_step_moments_quit_model():
     spec = make_quit_model(0.4, 0.3)
-    cloud = ParticleCloud(0.0, np.zeros(200_000))
-    new = step(cloud, spec, 0.01, dB1=0.05, rng=np.random.default_rng(2))
+    x, m = np.zeros((1, 200_000)), np.zeros(1)
+    step(x, spec, 0.01, m, np.array([0.05]), [np.random.default_rng(2)])
     # every particle moves by b1 dB1 plus its own N(0, b2^2 dt)
-    assert new.time == pytest.approx(0.01)
-    assert new.states.mean() == pytest.approx(0.4 * 0.05, abs=1e-3)
-    assert new.states.std() == pytest.approx(0.3 * 0.1, rel=0.01)
+    assert m[0] == x.mean()
+    assert x.mean() == pytest.approx(0.4 * 0.05, abs=1e-3)
+    assert x.std() == pytest.approx(0.3 * 0.1, rel=0.01)
 
 
 def test_no_idiosyncratic_noise_is_rigid_translation():
@@ -53,11 +53,11 @@ def test_no_idiosyncratic_noise_is_rigid_translation():
     rng = np.random.default_rng(3)
     common = CommonNoisePath.sample(0.5, 0.01, rng)
     cloud0 = init_cloud(spec.initial_law, 1000, np.random.default_rng(4))
-    cloud = cloud0
-    for dB1 in common.increments:
-        cloud = step(cloud, spec, 0.01, float(dB1), np.random.default_rng(5))
+    x, m = cloud0.states.reshape(1, -1).copy(), np.array([cloud0.m_bar])
+    for k in range(common.increments.size):
+        step(x, spec, 0.01, m, common.increments[k:k + 1], [np.random.default_rng(5)])
     np.testing.assert_allclose(
-        cloud.states, cloud0.states + 0.4 * common.brownian()[-1], atol=1e-12
+        x[0], cloud0.states + 0.4 * common.brownian()[-1], atol=1e-12
     )
 
 
@@ -101,9 +101,9 @@ def test_snapshots_recorded():
 
 def test_non_finite_state_raises():
     spec = make_quit_model(0.4, 0.3)
-    cloud = ParticleCloud(0.0, np.array([0.0, np.inf, 1.0]))
+    x = np.array([[0.0, np.inf, 1.0]])
     with pytest.raises(SimulationError):
-        step(cloud, spec, 0.01, 0.0, np.random.default_rng(0))
+        step(x, spec, 0.01, x.mean(axis=1), np.zeros(1), [np.random.default_rng(0)])
 
 
 class TestKde:
