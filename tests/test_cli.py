@@ -186,6 +186,18 @@ VALIDATE_REJECTS = {
     "off_grid_checkpoint": (
         "simulate_path", SELL_MODEL, {"dt": 0.01, "checkpoints": [0.047, 0.1]}, {},
         "whole multiples of dt; off the grid: [0.047]"),
+    "off_grid_t_max": (
+        "evaluate_rule", SELL_MODEL, {"dt": 0.3, "t_max": 0.5, "rule": RULE}, {},
+        "numerics.t_max must be a whole multiple of dt; 0.5 is 1.66667 steps of 0.3"),
+    "off_grid_sweep_t_max": (
+        "threshold_sweep", SELL_MODEL, {"dt": 0.3, "thresholds": [2.7]}, {},
+        "numerics.t_max must be a whole multiple of dt; 100.0 is 333.333 steps of 0.3"),
+    "off_grid_horizon_cap": (
+        "evaluate_rule", SELL_MODEL, {"dt": 0.01, "rule": dict(RULE, horizon_cap=0.125)}, {},
+        "numerics.rule.horizon_cap must be a whole multiple of dt; 0.125 is 12.5 steps"),
+    "off_grid_delta": (
+        "dynkin_check", SELL_MODEL, {"dt": 0.3, "delta": 0.5}, {},
+        "numerics.delta must be a whole multiple of dt; 0.5 is 1.66667 steps of 0.3"),
 }
 
 
