@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,12 +85,18 @@ class LevyMeasureSpec:
         if not all(math.isfinite(value) for value, _ in self.atoms):
             raise ModelError("jump marks must be finite")
 
-    def sample_marks(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if size == 0:
-            return np.empty(0)
+    @cached_property
+    def _mark_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Atom values and the cdf at each cut between neighbouring atoms."""
         values = np.array([v for v, _ in self.atoms])
-        probs = np.array([p for _, p in self.atoms])
-        return rng.choice(values, size=size, p=probs)
+        return values, np.cumsum([p for _, p in self.atoms])[:-1]
+
+    def sample_marks(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` marks, one uniform each against the cdf; none for a single atom."""
+        values, cuts = self._mark_table
+        if values.size == 1:
+            return np.full(size, values[0])
+        return values[np.searchsorted(cuts, rng.random(size), side="right")]
 
 
 def no_jumps() -> LevyMeasureSpec:

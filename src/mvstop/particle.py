@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fokker_planck import GridDensity
-from .model import InitialLaw, ModelSpec
+from .model import InitialLaw, LevyMeasureSpec, ModelSpec
 
 
 class SimulationError(RuntimeError):
@@ -86,23 +86,33 @@ def conditional_pairing(cloud: ParticleCloud, q=None) -> float:
     return cloud.m_bar if q is None else float(np.mean(np.asarray(q(cloud.states), float)))
 
 
+def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, rng: np.random.Generator):
+    """Owners and marks of one step's jumps in a cloud of ``n`` particles.
+
+    One Poisson(``lam dt n``) total, then a uniform owner per jump: by
+    Poisson splitting the per-particle counts have the joint law of ``n``
+    independent Poisson(``lam dt``) counts.  A one-atom law draws no marks
+    and returns its value.
+    """
+    total = rng.poisson(levy.intensity * dt * n)
+    owners = rng.integers(0, n, total)
+    if len(levy.atoms) == 1:
+        return owners, levy.atoms[0][0]
+    return owners, levy.sample_marks(rng, total)
+
+
 def _jump_increments(
     states: np.ndarray, spec: ModelSpec, m_bar: float, dt: float, rng: np.random.Generator,
 ) -> np.ndarray:
-    """Compensated compound-Poisson increment per particle."""
+    """Compensated compound-Poisson increment per particle, drawn as ``step`` draws it."""
     levy = spec.levy
+    out = np.zeros_like(states)
     if levy.intensity == 0:
-        return np.zeros_like(states)
-    counts = rng.poisson(levy.intensity * dt, states.size)
-    total = int(counts.sum())
-    sums = np.zeros_like(states)
-    if total:
-        marks = levy.sample_marks(rng, total)
-        owner = np.repeat(np.arange(states.size), counts)
-        amps = spec.jump_amp(m_bar, marks)
-        np.add.at(sums, owner, amps)
-    compensator = dt * levy.intensity * spec.expected_jump_amp(m_bar)
-    return sums - compensator
+        return out
+    out -= dt * levy.intensity * spec.expected_jump_amp(m_bar)
+    owners, marks = _draw_jumps(levy, states.size, dt, rng)
+    np.add.at(out, owners, spec.jump_amp(m_bar, marks))
+    return out
 
 
 class StepScratch:
@@ -138,24 +148,33 @@ def step(
 
     Row ``j`` of the ``(rows, n)`` array ``x`` is one cloud with mean
     ``m_bar[j]``, common-noise increment ``dB1[j]`` and generator
-    ``gens[j]``, which draws that row's randomness and nothing else.  On
-    return ``x`` holds the new states and ``m_bar`` their row means.
+    ``gens[j]``, which draws that row's randomness and nothing else: the
+    idiosyncratic normals (none when ``s0 == s1 == 0``), then the jumps of
+    ``_draw_jumps`` (none without intensity).  On return ``x`` holds the new
+    states and ``m_bar`` their row means.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     rows, n = x.shape
     if scratch is None:
         scratch = StepScratch(rows, n)
-    x += _column(spec.drift(m_bar) * dt)
+    levy = spec.levy
+    shift = spec.drift(m_bar) * dt
+    if levy.intensity > 0:  # the jump compensator
+        shift = shift - dt * levy.intensity * spec.expected_jump_amp(m_bar)
+    x += _column(shift)
     x += _column(spec.diffusion_common(m_bar) * dB1)
-    dB2 = scratch.normals[:rows]
-    for j, rng in enumerate(gens):
-        rng.standard_normal(out=dB2[j])
-    dB2 *= math.sqrt(dt)
-    dB2 *= _column(spec.diffusion_idio(m_bar))
-    x += dB2
-    for j, rng in enumerate(gens):
-        x[j] += _jump_increments(x[j], spec, m_bar[j], dt, rng)
+    if spec.s0 or spec.s1:
+        dB2 = scratch.normals[:rows]
+        for j, rng in enumerate(gens):
+            rng.standard_normal(out=dB2[j])
+        dB2 *= math.sqrt(dt)
+        dB2 *= _column(spec.diffusion_idio(m_bar))
+        x += dB2
+    if levy.intensity > 0:
+        for j, rng in enumerate(gens):
+            owners, marks = _draw_jumps(levy, n, dt, rng)
+            np.add.at(x[j], owners, spec.jump_amp(m_bar[j], marks))
     floor_events = 0
     if floor is not None:
         below = np.less(x, floor, out=scratch.below[:rows])

@@ -377,8 +377,8 @@ FROZEN_OUTPUTS = {
         'summary.json': '3214eb83175d2f8c8daf840338459dc24d59a565f7a71fa8da1be7479a551ff9',
     },
     'evaluate_rule-sell': {
-        'estimate.csv': 'c7733e0e38ba8074497fa87b2629b8562f18e1e89b7cb315e6fb769780955fd9',
-        'summary.json': '4484946245a5754b25c8f970ad8161ccaef95254cbd0bc34ef380d273c227b06',
+        'estimate.csv': 'eae417d6d8c5a393f098561f1abc7f39dcdd87d7e6c16fef94a8c6449ebefd5e',
+        'summary.json': '5468a4078f210369312ece3fe2861cfe438c81f97f752346ab7cf8c21914aace',
     },
     'evaluate_rule-quit': {
         'estimate.csv': 'f550fd2696158ff42564274e0ac7dddfefc8ec2a19cb3f913867bad0ed105417',
@@ -393,12 +393,12 @@ FROZEN_OUTPUTS = {
         'sweep.csv': '0a987236fff4616d3c85b0a12fc9a68c55c70c869ae83f263897f67a10b56bdb',
     },
     'simulate_path-sell': {
-        'summary.json': 'cee13640b22d6d598b52ca2ce8c0fce6f1abaa8253dc3ca6ac8821be0c40563c',
-        'trajectory.csv': 'd6783629c21ea0799db9c91067552fccef18a227e06feff6faf5efbc533698d2',
+        'summary.json': '518bf68cdbf94ff3e33a46931358ad74856639fe27e61d1d6477f94e7322ac54',
+        'trajectory.csv': '5292106462d26d4af88aff61562b3dc121bbef7140cc2e9cc28536302f254360',
     },
     'simulate_path-quit': {
-        'summary.json': 'ba0e7a72c5385c105d3d4bb9961f6ca26f4a3e051e48b480a6b6c4d472018a61',
-        'trajectory.csv': '693e7c04eba568aa5db0c51cf1525266b83b2858d3a8b02831aa60aae0e90de3',
+        'summary.json': '69aa2d7a774871e814866c1143358233cf0b6f54332446b7223ef713733f991c',
+        'trajectory.csv': '96e97abfd2c58f399a2a44366f097557b07531ed4a170e72108118635af84754',
     },
     'fokker_planck_compare-sell': {
         'densities.csv': '270b0d3f16593b02d4650bfa5c1d1b085aaf5f33e933d630308b2ed246fba7fa',

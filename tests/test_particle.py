@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mvstop.model import InitialLaw, constant_mark, make_quit_model, make_sell_model
+from mvstop.model import (
+    InitialLaw, ModelSpec, constant_mark, discrete_marks, make_quit_model, make_sell_model,
+)
 from mvstop.particle import (
     CommonNoisePath,
     ParticleCloud,
     SimulationError,
+    _draw_jumps,
+    _jump_increments,
     conditional_pairing,
     init_cloud,
     kde_density,
@@ -67,6 +71,58 @@ def test_compensated_jumps_keep_conditional_mean():
     result = simulate_path(spec, 0.5, 0.01, 100_000, common, np.random.default_rng(6))
     # with B1 = 0 and alpha0 = 0 the conditional mean must stay at 1
     assert abs(result.m_bar[-1] - 1.0) < 0.01
+
+
+# the jump draw of one step: a Poisson total split over uniform owners, and
+# one uniform per mark of a multi-atom law; every band is at least 5 SE wide
+
+def test_jump_counts_are_poisson_per_particle():
+    n, lam_dt = 200_000, 0.5
+    owners, _ = _draw_jumps(constant_mark(5.0, -0.2), n, 0.1, np.random.default_rng(21))
+    counts = np.bincount(owners, minlength=n)
+    assert abs(counts.mean() - lam_dt) < 0.01            # SE 0.0016
+    assert abs(counts.var() - lam_dt) < 0.015            # SE 0.0022
+    assert abs((counts == 0).mean() - math.exp(-lam_dt)) < 0.006   # SE 0.0011
+
+
+def test_two_atom_mark_frequencies():
+    levy = discrete_marks(5.0, [-0.1, -0.3], [0.25, 0.75])
+    _, marks = _draw_jumps(levy, 200_000, 0.1, np.random.default_rng(22))
+    assert set(np.unique(marks)) == {-0.3, -0.1}
+    assert abs((marks == -0.1).mean() - 0.25) < 0.007     # SE 0.0014 over ~1e5 marks
+
+
+def test_compensated_two_atom_increment():
+    # E[mark^2] = 0.25 * 0.01 + 0.75 * 0.09 = 0.07, so the variance is 0.1 * 5 * 0.07
+    spec = ModelSpec("quit", discrete_marks(5.0, [-0.1, -0.3], [0.25, 0.75]),
+                     InitialLaw("point", 0.0), j0=1.0)
+    draws = _jump_increments(np.zeros(200_000), spec, 0.0, 0.1, np.random.default_rng(23))
+    assert abs(draws.mean()) < 0.0025                     # SE 0.0004
+    assert abs(draws.var() - 0.035) < 0.001               # SE 0.00017
+
+
+def test_rigid_model_without_jumps_draws_nothing():
+    # no idiosyncratic noise and no jumps: a step has nothing to draw
+    spec = make_quit_model(0.4, 0.0)
+    rng = np.random.default_rng(24)
+    before = rng.bit_generator.state
+    common = CommonNoisePath.sample(0.1, 0.01, np.random.default_rng(25))
+    simulate_path(spec, 0.1, 0.01, 100, common, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_batched_rows_match_single_rows():
+    # each generator fills only its own row, whatever the other rows are
+    spec = make_sell_model(0.1, 0.3, 0.2, discrete_marks(3.0, [-0.1, -0.3], [0.5, 0.5]))
+    x0 = np.random.default_rng(26).lognormal(0.0, 0.2, (3, 400))
+    x, m = x0.copy(), x0.mean(axis=1)
+    dB1 = np.array([0.05, -0.02, 0.1])
+    seeds = (27, 28, 29)
+    step(x, spec, 0.01, m, dB1, [np.random.default_rng(s) for s in seeds], floor=1e-12)
+    for j, seed in enumerate(seeds):
+        row, m_row = x0[j:j + 1].copy(), x0[j:j + 1].mean(axis=1)
+        step(row, spec, 0.01, m_row, dB1[j:j + 1], [np.random.default_rng(seed)], 1e-12)
+        assert np.array_equal(row[0], x[j]) and m_row[0] == m[j]
 
 
 def test_floor_counts_events():
