@@ -115,18 +115,13 @@ def _jump_increments(
     return out
 
 
-class StepScratch:
-    """Work arrays for ``step`` on up to ``rows`` clouds of ``n`` particles.
+_CHUNK = 1 << 14  # idiosyncratic normals drawn and added per pass of ``step``
 
-    The owner allocates them once and passes them to every step, so a run's
-    memory does not grow with its step count.  Pages a run never writes (the
-    normals of a model without idiosyncratic noise, the mask of a run without
-    a floor) are never touched.
-    """
 
-    def __init__(self, rows: int, n: int):
-        self.normals = np.empty((rows, n))
-        self.below = np.empty((rows, n), dtype=bool)
+def normals_buffer(rows: int, n: int) -> np.ndarray:
+    """Scratch for the normals of ``step`` on ``rows`` clouds of ``n``: whole
+    rows, about ``_CHUNK`` values, so its size does not grow with the batch."""
+    return np.empty((max(1, min(rows, _CHUNK // n)), n))
 
 
 def _column(value) -> np.ndarray:
@@ -142,7 +137,7 @@ def step(
     dB1: np.ndarray,
     gens: list,
     floor: float | None = None,
-    scratch: StepScratch | None = None,
+    normals: np.ndarray | None = None,
 ) -> int:
     """Euler-Maruyama step of ``rows`` clouds, in place; returns the floor events.
 
@@ -151,13 +146,12 @@ def step(
     ``gens[j]``, which draws that row's randomness and nothing else: the
     idiosyncratic normals (none when ``s0 == s1 == 0``), then the jumps of
     ``_draw_jumps`` (none without intensity).  On return ``x`` holds the new
-    states and ``m_bar`` their row means.
+    states and ``m_bar`` their row means.  ``normals`` is scratch from
+    ``normals_buffer``, which callers that step many times allocate once.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     rows, n = x.shape
-    if scratch is None:
-        scratch = StepScratch(rows, n)
     levy = spec.levy
     shift = spec.drift(m_bar) * dt
     if levy.intensity > 0:  # the jump compensator
@@ -165,19 +159,24 @@ def step(
     x += _column(shift)
     x += _column(spec.diffusion_common(m_bar) * dB1)
     if spec.s0 or spec.s1:
-        dB2 = scratch.normals[:rows]
-        for j, rng in enumerate(gens):
-            rng.standard_normal(out=dB2[j])
-        dB2 *= math.sqrt(dt)
-        dB2 *= _column(spec.diffusion_idio(m_bar))
-        x += dB2
+        if normals is None:
+            normals = normals_buffer(rows, n)
+        b2 = np.broadcast_to(_column(spec.diffusion_idio(m_bar)), (rows, 1))
+        for lo in range(0, rows, normals.shape[0]):
+            hi = min(rows, lo + normals.shape[0])
+            dB2 = normals[:hi - lo]
+            for j in range(lo, hi):
+                gens[j].standard_normal(out=dB2[j - lo])
+            dB2 *= math.sqrt(dt)
+            dB2 *= b2[lo:hi]
+            x[lo:hi] += dB2
     if levy.intensity > 0:
         for j, rng in enumerate(gens):
             owners, marks = _draw_jumps(levy, n, dt, rng)
             np.add.at(x[j], owners, spec.jump_amp(m_bar[j], marks))
     floor_events = 0
-    if floor is not None:
-        below = np.less(x, floor, out=scratch.below[:rows])
+    if floor is not None and x.min() < floor:  # one pass when nothing crosses
+        below = x < floor
         floor_events = int(np.count_nonzero(below))
         np.copyto(x, floor, where=below)
     np.mean(x, axis=1, out=m_bar)
@@ -221,10 +220,10 @@ def simulate_path(
     if wanted and abs(wanted[0]) < dt / 2:
         snapshots[0.0] = cloud
     x = cloud.states.reshape(1, n).copy()
-    m, scratch, floor_events = m_bar[:1].copy(), StepScratch(1, n), 0
+    m, normals, floor_events = m_bar[:1].copy(), normals_buffer(1, n), 0
     for k in range(n_steps):
         floor_events += step(x, spec, dt, m, common.increments[k:k + 1], [rng], floor,
-                             scratch)
+                             normals)
         m_bar[k + 1] = m[0]
         for t_snap in wanted:
             if abs(times[k + 1] - t_snap) < dt / 2 and t_snap not in snapshots:
