@@ -94,10 +94,15 @@ def _check_boundary(density: GridDensity, tol: float) -> None:
         raise GridError(f"density mass at grid boundary {bm:.3e} exceeds {tol:.1e}")
 
 
-def apply_A0_star(density: GridDensity, spec: ModelSpec) -> np.ndarray:
-    """Drift, diffusion and compensated jump parts of the adjoint generator."""
+def apply_A0_star(density: GridDensity, spec: ModelSpec, m_bar: float | None = None,
+                  ) -> np.ndarray:
+    """Drift, diffusion and compensated jump parts of the adjoint generator.
+
+    ``m_bar`` is the density's first moment, computed here when not given.
+    """
     x, rho, dx = density.x, density.values, density.dx
-    m_bar = density.first_moment()
+    if m_bar is None:
+        m_bar = density.first_moment()
     alpha = spec.drift(m_bar)
     b1 = spec.diffusion_common(m_bar)
     b2 = spec.diffusion_idio(m_bar)
@@ -112,9 +117,12 @@ def apply_A0_star(density: GridDensity, spec: ModelSpec) -> np.ndarray:
     return rate
 
 
-def apply_A1_star(density: GridDensity, spec: ModelSpec) -> np.ndarray:
-    """Common-noise transport term ``-D[beta1 rho]``."""
-    b1 = spec.diffusion_common(density.first_moment())
+def apply_A1_star(density: GridDensity, spec: ModelSpec, m_bar: float | None = None,
+                  ) -> np.ndarray:
+    """Common-noise transport term ``-D[beta1 rho]``; ``m_bar`` as in ``apply_A0_star``."""
+    if m_bar is None:
+        m_bar = density.first_moment()
+    b1 = spec.diffusion_common(m_bar)
     return -_d1(b1 * density.values, density.dx)
 
 
@@ -125,8 +133,10 @@ class StepDiagnostics:
     cfl_bound: float
 
 
-def cfl_bound(density: GridDensity, spec: ModelSpec, safety: float = 0.25) -> float:
-    m_bar = density.first_moment()
+def cfl_bound(density: GridDensity, spec: ModelSpec, safety: float = 0.25,
+              m_bar: float | None = None) -> float:
+    if m_bar is None:
+        m_bar = density.first_moment()
     b1 = spec.diffusion_common(m_bar)
     b2 = spec.diffusion_idio(m_bar)
     peak = b1 * b1 + b2 * b2
@@ -148,7 +158,8 @@ def step_spide(
     """One Euler-Maruyama step of the density, with clipping and renormalization."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    bound = cfl_bound(density, spec, cfl_safety)
+    x, m_bar = density.x, density.first_moment()
+    bound = cfl_bound(density, spec, cfl_safety, m_bar)
     if dt > bound * (1 + 1e-9):
         raise CFLError(
             f"dt={dt:.3e} exceeds stability bound {bound:.3e} "
@@ -156,17 +167,17 @@ def step_spide(
         )
     _check_boundary(density, boundary_tol)
     rho = density.values
-    new = rho + apply_A0_star(density, spec) * dt + apply_A1_star(density, spec) * dB1
+    new = (rho + apply_A0_star(density, spec, m_bar) * dt
+           + apply_A1_star(density, spec, m_bar) * dB1)
     if np.any(~np.isfinite(new)) or np.max(np.abs(new)) > value_cap:
         raise CFLError(
             f"density blow-up at t={density.time:.4f}; "
             f"CFL bound was {bound:.3e} for dt={dt:.3e}"
         )
-    raw = GridDensity(density.x, new, density.time + dt)
-    defect = abs(raw.mass() - 1.0)
+    defect = abs(float(np.trapezoid(new, x)) - 1.0)
     clipped = np.clip(new, 0.0, None)
-    clipped_mass = float(np.trapezoid(np.where(new < 0, -new, 0.0), density.x))
-    out = GridDensity(density.x, clipped, density.time + dt).normalized()
+    clipped_mass = float(np.trapezoid(np.where(new < 0, -new, 0.0), x))
+    out = GridDensity(x, clipped / float(np.trapezoid(clipped, x)), density.time + dt)
     return out, StepDiagnostics(defect, clipped_mass, bound)
 
 
