@@ -222,8 +222,8 @@ def _off_grid(t: float, dt: float) -> bool:
     return abs(t / dt - k) > 1e-9 * max(k, 1)
 
 
-def _check_on_grid(dt: float, **times) -> None:
-    """Reject a time the engine would round to the nearest step."""
+def _check_on_grid(dt: float, times: dict) -> None:
+    """Reject a time (numerics key -> value or None) the engine would round to a step."""
     for key, t in times.items():
         if t is not None and _off_grid(t, dt):
             raise ValueError(f"numerics.{key} must be a whole multiple of dt; "
@@ -288,7 +288,7 @@ def _evaluate_rule(spec, params, start, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     cfg = _sim_config(numerics, seed, start)
     rule = StoppingRule(**numerics["rule"])
-    _check_on_grid(cfg.dt, t_max=cfg.t_max, **{"rule.horizon_cap": rule.horizon_cap})
+    _check_on_grid(cfg.dt, {"t_max": cfg.t_max, "rule.horizon_cap": rule.horizon_cap})
 
     def compute(out, mhash, summary):
         est = evaluate_rule_mc(spec, rule, fam.payoff(params), cfg)
@@ -312,7 +312,7 @@ def _evaluate_rule(spec, params, start, numerics, checks, seed):
 def _threshold_sweep(spec, params, start, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     cfg = _sim_config(numerics, seed, start)
-    _check_on_grid(cfg.dt, t_max=cfg.t_max)
+    _check_on_grid(cfg.dt, {"t_max": cfg.t_max})
     thresholds = numerics["thresholds"]
     kind = numerics["rule_kind"]
     kind = f"threshold_{fam.direction}" if kind is None else kind
@@ -436,7 +436,7 @@ def _dynkin_check(spec, params, start, numerics, checks, seed):
     delta = numerics["delta"]
     if round(delta / numerics["dt"]) < 1:  # no step: every path ends where it starts
         raise ValueError("numerics.delta must be at least one step dt")
-    _check_on_grid(numerics["dt"], delta=delta)
+    _check_on_grid(numerics["dt"], {"delta": delta})
     cfg = _sim_config(numerics, seed, start, t_max=delta)
     candidate = FAMILIES[spec.family].candidate(params)
 

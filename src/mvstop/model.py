@@ -92,10 +92,8 @@ class LevyMeasureSpec:
         return values, np.cumsum([p for _, p in self.atoms])[:-1]
 
     def sample_marks(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` marks, one uniform each against the cdf; none for a single atom."""
+        """``size`` marks, one uniform each against the cached cdf."""
         values, cuts = self._mark_table
-        if values.size == 1:
-            return np.full(size, values[0])
         return values[np.searchsorted(cuts, rng.random(size), side="right")]
 
 

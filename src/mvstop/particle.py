@@ -104,7 +104,11 @@ def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, rng: np.random.Generat
 def _jump_increments(
     states: np.ndarray, spec: ModelSpec, m_bar: float, dt: float, rng: np.random.Generator,
 ) -> np.ndarray:
-    """Compensated compound-Poisson increment per particle, drawn as ``step`` draws it."""
+    """Compensated compound-Poisson increment per particle, drawn as ``step`` draws it.
+
+    ``step`` adds the same draws to its states in place; this dense form is
+    the one whose law the jump checks read.
+    """
     levy = spec.levy
     out = np.zeros_like(states)
     if levy.intensity == 0:
