@@ -288,7 +288,9 @@ def _evaluate_rule(spec, params, start, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     cfg = _sim_config(numerics, seed, start)
     rule = StoppingRule(**numerics["rule"])
-    _check_on_grid(cfg.dt, {"t_max": cfg.t_max, "rule.horizon_cap": rule.horizon_cap})
+    _check_on_grid(cfg.dt, {"t_max": cfg.t_max, "rule.horizon_cap": rule.horizon_cap,
+                            "rule.fixed_time": rule.fixed_time if rule.kind == "fixed_time"
+                            else None})
 
     def compute(out, mhash, summary):
         est = evaluate_rule_mc(spec, rule, fam.payoff(params), cfg)

@@ -195,6 +195,10 @@ VALIDATE_REJECTS = {
     "off_grid_horizon_cap": (
         "evaluate_rule", SELL_MODEL, {"dt": 0.01, "rule": dict(RULE, horizon_cap=0.125)}, {},
         "numerics.rule.horizon_cap must be a whole multiple of dt; 0.125 is 12.5 steps"),
+    "off_grid_fixed_time": (
+        "evaluate_rule", QUIT_MODEL,
+        {"dt": 0.1, "t_max": 1.0, "rule": {"kind": "fixed_time", "fixed_time": 0.25}}, {},
+        "numerics.rule.fixed_time must be a whole multiple of dt; 0.25 is 2.5 steps of 0.1"),
     "off_grid_delta": (
         "dynkin_check", SELL_MODEL, {"dt": 0.3, "delta": 0.5}, {},
         "numerics.delta must be a whole multiple of dt; 0.5 is 1.66667 steps of 0.3"),
