@@ -222,8 +222,8 @@ def simulate_path(
     wanted = sorted(snapshot_times)
     snapshots: dict[float, ParticleCloud] = {}
     if wanted and abs(wanted[0]) < dt / 2:
-        snapshots[0.0] = cloud
-    x = cloud.states.reshape(1, n).copy()
+        snapshots[0.0] = ParticleCloud(0.0, cloud.states.copy())
+    x = cloud.states.reshape(1, n)  # stepped in place
     m, normals, floor_events = m_bar[:1].copy(), normals_buffer(1, n), 0
     for k in range(n_steps):
         floor_events += step(x, spec, dt, m, common.increments[k:k + 1], [rng], floor,
@@ -231,7 +231,9 @@ def simulate_path(
         m_bar[k + 1] = m[0]
         for t_snap in wanted:
             if abs(times[k + 1] - t_snap) < dt / 2 and t_snap not in snapshots:
-                snapshots[t_snap] = ParticleCloud(times[k + 1], x[0].copy(), floor_events)
+                # the final states need no copy: nothing steps them again
+                states = x[0] if k + 1 == n_steps else x[0].copy()
+                snapshots[t_snap] = ParticleCloud(times[k + 1], states, floor_events)
     return PathResult(times, m_bar, snapshots, floor_events)
 
 

@@ -153,6 +153,9 @@ def test_snapshots_recorded():
     )
     assert set(result.snapshots) == {0.0, 0.25, 0.5}
     assert result.snapshots[0.5].time == pytest.approx(0.5)
+    # each snapshot keeps the states of its own time, not those of later steps
+    for t_snap, k in ((0.0, 0), (0.25, 25), (0.5, 50)):
+        assert result.snapshots[t_snap].states.mean() == result.m_bar[k]
 
 
 def test_non_finite_state_raises():
