@@ -5,7 +5,8 @@ carries its own idiosyncratic Brownian increments and jumps.  The cloud's
 empirical measure stands in for the conditional law, and its mean is the
 ``m_bar`` entering the coefficients (frozen at the step start).  The
 coefficients depend on nothing else, so each step evaluates a few scalars
-per cloud and applies them to the whole state array.
+per cloud and applies them to the whole state array.  ``step`` advances
+many clouds at once, one per row of a state array.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def _jump_increments(
 ) -> np.ndarray:
     """Compensated compound-Poisson increment per particle, drawn as ``step`` draws it.
 
-    ``step`` adds the same draws to its states in place; this dense form is
-    the one whose law the jump checks read.
+    ``step`` adds the same jumps to its states in place; this dense form
+    exists so their law can be checked.
     """
     levy = spec.levy
     out = np.zeros_like(states)
@@ -189,7 +190,7 @@ def step(
         j = int(np.flatnonzero(~np.isfinite(m_bar))[0])
         bad = np.flatnonzero(~np.isfinite(x[j]))
         where = f"particle {int(bad[0])}" if bad.size else "mean overflow"
-        raise SimulationError(f"non-finite state in cloud {j}, {where}")
+        raise SimulationError(f"non-finite state in row {j}, {where}")
     return floor_events
 
 
