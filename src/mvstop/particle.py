@@ -102,33 +102,6 @@ def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, rng: np.random.Generat
     return owners, levy.sample_marks(rng, total)
 
 
-def _jump_increments(
-    states: np.ndarray, spec: ModelSpec, m_bar: float, dt: float, rng: np.random.Generator,
-) -> np.ndarray:
-    """Compensated compound-Poisson increment per particle, drawn as ``step`` draws it.
-
-    ``step`` adds the same jumps to its states in place; this dense form
-    exists so their law can be checked.
-    """
-    levy = spec.levy
-    out = np.zeros_like(states)
-    if levy.intensity == 0:
-        return out
-    out -= dt * levy.intensity * spec.expected_jump_amp(m_bar)
-    owners, marks = _draw_jumps(levy, states.size, dt, rng)
-    np.add.at(out, owners, spec.jump_amp(m_bar, marks))
-    return out
-
-
-_CHUNK = 1 << 14  # idiosyncratic normals drawn and added per pass of ``step``
-
-
-def normals_buffer(rows: int, n: int) -> np.ndarray:
-    """Scratch for the normals of ``step`` on ``rows`` clouds of ``n``: whole
-    rows, about ``_CHUNK`` values, so its size does not grow with the batch."""
-    return np.empty((max(1, min(rows, _CHUNK // n)), n))
-
-
 def _column(value) -> np.ndarray:
     """A per-row scalar or a scalar shared by all rows, as a column."""
     return np.reshape(value, (-1, 1))
@@ -142,7 +115,6 @@ def step(
     dB1: np.ndarray,
     gens: list,
     floor: float | None = None,
-    normals: np.ndarray | None = None,
 ) -> int:
     """Euler-Maruyama step of ``rows`` clouds, in place; returns the floor events.
 
@@ -151,8 +123,7 @@ def step(
     ``gens[j]``, which draws that row's randomness and nothing else: the
     idiosyncratic normals (none when ``s0 == s1 == 0``), then the jumps of
     ``_draw_jumps`` (none without intensity).  On return ``x`` holds the new
-    states and ``m_bar`` their row means.  ``normals`` is scratch from
-    ``normals_buffer``, which callers that step many times allocate once.
+    states and ``m_bar`` their row means.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -164,17 +135,13 @@ def step(
     x += _column(shift)
     x += _column(spec.diffusion_common(m_bar) * dB1)
     if spec.s0 or spec.s1:
-        if normals is None:
-            normals = normals_buffer(rows, n)
-        b2 = np.broadcast_to(_column(spec.diffusion_idio(m_bar)), (rows, 1))
-        for lo in range(0, rows, normals.shape[0]):
-            hi = min(rows, lo + normals.shape[0])
-            dB2 = normals[:hi - lo]
-            for j in range(lo, hi):
-                gens[j].standard_normal(out=dB2[j - lo])
+        b2 = np.broadcast_to(spec.diffusion_idio(m_bar), rows)
+        dB2 = np.empty(n)  # one row of idiosyncratic increments at a time
+        for j, rng in enumerate(gens):
+            rng.standard_normal(out=dB2)
             dB2 *= math.sqrt(dt)
-            dB2 *= b2[lo:hi]
-            x[lo:hi] += dB2
+            dB2 *= b2[j]
+            x[j] += dB2
     if levy.intensity > 0:
         for j, rng in enumerate(gens):
             owners, marks = _draw_jumps(levy, n, dt, rng)
@@ -225,10 +192,9 @@ def simulate_path(
     if wanted and abs(wanted[0]) < dt / 2:
         snapshots[0.0] = ParticleCloud(0.0, cloud.states.copy())
     x = cloud.states.reshape(1, n)  # stepped in place
-    m, normals, floor_events = m_bar[:1].copy(), normals_buffer(1, n), 0
+    m, floor_events = m_bar[:1].copy(), 0
     for k in range(n_steps):
-        floor_events += step(x, spec, dt, m, common.increments[k:k + 1], [rng], floor,
-                             normals)
+        floor_events += step(x, spec, dt, m, common.increments[k:k + 1], [rng], floor)
         m_bar[k + 1] = m[0]
         for t_snap in wanted:
             if abs(times[k + 1] - t_snap) < dt / 2 and t_snap not in snapshots:

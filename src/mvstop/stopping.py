@@ -494,7 +494,7 @@ class _ParticleSource:
     ``x[:k]`` holds the clouds of the ``k`` rows still running, in batch
     order, and ``particle.step`` advances them together.  When rows finish,
     the survivors are moved up so the running clouds stay one contiguous
-    block; the matrix and the step's normals buffer are allocated once.
+    block; the matrix is allocated once.
     """
 
     block = 1
@@ -511,7 +511,6 @@ class _ParticleSource:
         self.m0 = self.x.mean(axis=1)
         self.m = self.m0.copy()             # row means, aligned with the rows of x
         self.rows = np.arange(len(gens))    # batch index of each row of x
-        self.normals = particle.normals_buffer(*self.x.shape)
         self.to_m, self.to_y = np.positive, float  # identities on paths and thresholds
 
     def advance(self, act: np.ndarray, steps_done: int, K: int):
@@ -526,7 +525,7 @@ class _ParticleSource:
         gens = [self.gens[r] for r in act]
         y_left = m.copy()
         dB1 = np.array([rng.standard_normal() for rng in gens]) * math.sqrt(self.dt)
-        particle.step(x, self.spec, self.dt, m, dB1, gens, self.floor, self.normals)
+        particle.step(x, self.spec, self.dt, m, dB1, gens, self.floor)
         return y_left, m[:, None], np.array([(steps_done + 1) * self.dt])
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,15 @@ from mvstop.model import (
     make_sell_model,
     no_jumps,
 )
-from mvstop.particle import _jump_increments
+from mvstop.particle import step
+
+
+def _jump_step(spec, n, rng):
+    """Each particle's increment over one ``step`` (dt 0.1) of a zero cloud,
+    with the diffusions switched off: the compensated jumps alone."""
+    x = np.zeros((1, n))
+    step(x, replace(spec, s0=0.0, s1=0.0), 0.1, np.zeros(1), np.zeros(1), [rng])
+    return x[0]
 
 
 class TestInitialLaw:
@@ -68,14 +77,14 @@ class TestLevyMeasure:
     def test_no_jumps_increment(self):
         spec = make_quit_model(0.3, 0.1)
         assert spec.levy == no_jumps()
-        draws = _jump_increments(np.zeros(5), spec, 0.0, 0.1, np.random.default_rng(0))
+        draws = _jump_step(spec, 5, np.random.default_rng(0))
         assert np.all(draws == 0.0)
 
     def test_compensated_increment_is_centred(self):
         # a zero cloud of the quit model: one compensated increment per particle
         spec = make_quit_model(0.3, 0.1, gamma0=-0.2, intensity=5.0)
         rng = np.random.default_rng(4)
-        draws = _jump_increments(np.zeros(50_000), spec, 0.0, 0.1, rng)
+        draws = _jump_step(spec, 50_000, rng)
         # mean 0, variance dt * intensity * E[mark^2] = 0.02
         assert abs(draws.mean()) < 0.005
         assert abs(draws.var() - 0.02) < 0.002

@@ -11,7 +11,6 @@ from mvstop.particle import (
     ParticleCloud,
     SimulationError,
     _draw_jumps,
-    _jump_increments,
     conditional_pairing,
     init_cloud,
     kde_density,
@@ -96,7 +95,10 @@ def test_compensated_two_atom_increment():
     # E[mark^2] = 0.25 * 0.01 + 0.75 * 0.09 = 0.07, so the variance is 0.1 * 5 * 0.07
     spec = ModelSpec("quit", discrete_marks(5.0, [-0.1, -0.3], [0.25, 0.75]),
                      InitialLaw("point", 0.0), j0=1.0)
-    draws = _jump_increments(np.zeros(200_000), spec, 0.0, 0.1, np.random.default_rng(23))
+    # one step of a zero cloud with no diffusion and no common noise
+    x = np.zeros((1, 200_000))
+    step(x, spec, 0.1, np.zeros(1), np.zeros(1), [np.random.default_rng(23)])
+    draws = x[0]
     assert abs(draws.mean()) < 0.0025                     # SE 0.0004
     assert abs(draws.var() - 0.035) < 0.001               # SE 0.00017
 
