@@ -5,8 +5,10 @@ from mvstop.fokker_planck import (
     CFLError,
     GridDensity,
     GridError,
+    StepDiagnostics,
     apply_A0_star,
     apply_A1_star,
+    boundary_mass,
     cfl_bound,
     compare_to_particles,
     evolve_spide,
@@ -14,7 +16,9 @@ from mvstop.fokker_planck import (
     make_grid,
     step_spide,
 )
-from mvstop.model import InitialLaw, constant_mark, make_quit_model, make_sell_model
+from mvstop.model import (
+    InitialLaw, constant_mark, discrete_marks, make_quit_model, make_sell_model,
+)
 
 
 @pytest.fixture
@@ -116,3 +120,81 @@ def test_compare_requires_same_grid():
     b = gaussian_density(make_grid(-2, 2, 601), 0.0, 0.3)
     with pytest.raises(GridError):
         compare_to_particles(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the step on a shared grid against the step that rebuilt and re-checked it
+
+def _reference_step(density, spec, dt, dB1, cfl_safety=0.25, boundary_tol=1e-6,
+                    value_cap=1e12):
+    x = density.x
+    m_bar = float(np.trapezoid(x * density.values, x))
+    bound = cfl_bound(density, spec, cfl_safety, m_bar)
+    if dt > bound * (1 + 1e-9):
+        raise CFLError("dt exceeds the stability bound")
+    if boundary_mass(density) > boundary_tol:
+        raise GridError("density mass at grid boundary")
+    rho = density.values
+    new = (rho + apply_A0_star(density, spec, m_bar) * dt
+           + apply_A1_star(density, spec, m_bar) * dB1)
+    if np.any(~np.isfinite(new)) or np.max(np.abs(new)) > value_cap:
+        raise CFLError("density blow-up")
+    defect = abs(float(np.trapezoid(new, x)) - 1.0)
+    clipped = np.clip(new, 0.0, None)
+    clipped_mass = float(np.trapezoid(np.where(new < 0, -new, 0.0), x))
+    out = GridDensity(x, clipped / float(np.trapezoid(clipped, x)), density.time + dt)
+    return out, StepDiagnostics(defect, clipped_mass, bound)
+
+
+def _two_atom_sell():
+    spec = make_sell_model(
+        0.1, 0.2, 0.1, discrete_marks(0.8, [-0.2, -0.05], [0.6, 0.4]),
+        InitialLaw("lognormal", 0.0, 0.15),
+    )
+    x = make_grid(-1.0, 3.0, 401)
+    safe = np.where(x > 0, x, 1.0)
+    values = np.where(
+        x > 0,
+        np.exp(-0.5 * (np.log(safe) / 0.15) ** 2) / (safe * 0.15 * np.sqrt(2 * np.pi)),
+        0.0,
+    )
+    return spec, GridDensity(x, values).normalized(), 5e-5
+
+
+def _quit_with_a_step_profile():
+    # the near-discontinuous profile undershoots, so clipping is exercised
+    spec = make_quit_model(0.4, 0.3, initial_law=InitialLaw("normal", 0.0, 0.3))
+    x = make_grid(-3, 3, 301)
+    return spec, GridDensity(x, np.where(np.abs(x) < 0.25, 2.0, 1e-9)).normalized(), 2e-4
+
+
+@pytest.mark.parametrize("case,clips", [(_quit_with_a_step_profile, True),
+                                        (_two_atom_sell, False)],
+                         ids=["quit", "sell_two_atoms"])
+def test_evolve_matches_reference_step(case, clips):
+    spec, density, dt = case()
+    incs = np.random.default_rng(17).normal(0.0, np.sqrt(dt), 320)
+    got, got_diags = evolve_spide(density, spec, dt, incs)
+    want, want_diags = density, []
+    for dB1 in incs:
+        want, diag = _reference_step(want, spec, dt, float(dB1))
+        want_diags.append(diag)
+    np.testing.assert_array_equal(got.values, want.values)
+    assert got.time == want.time
+    assert got_diags == want_diags
+    assert (sum(d.clipped_mass for d in got_diags) > 0) == clips
+
+
+@pytest.mark.parametrize("dB1", [np.nan, np.inf, 1e300])
+def test_non_finite_update_raises(quit_spec, dB1):
+    d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
+    with np.errstate(invalid="ignore"), pytest.raises(CFLError, match="blow-up"):
+        step_spide(d, quit_spec, 1e-5, dB1)
+    with np.errstate(invalid="ignore"), pytest.raises(CFLError, match="blow-up"):
+        evolve_spide(d, quit_spec, 1e-5, [0.0, 0.001, dB1, 0.0])
+
+
+def test_value_cap_raises(quit_spec):
+    d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
+    with pytest.raises(CFLError, match="blow-up"):
+        step_spide(d, quit_spec, 1e-5, 0.0, value_cap=1.0)
