@@ -20,6 +20,10 @@ from .fokker_planck import GridDensity
 from .model import InitialLaw, LevyMeasureSpec, ModelSpec
 
 
+_KDE_CHUNK = 2e6          # kernel-matrix elements per summed chunk of particles
+_KDE_TILE = 2**15         # elements per evaluated tile, about 256 KiB of float64
+
+
 class SimulationError(RuntimeError):
     """Non-finite state encountered while stepping."""
 
@@ -234,10 +238,30 @@ def kde_density(
         )
     norm = 1.0 / (h * math.sqrt(2 * math.pi))
     values = np.zeros_like(x)
-    # chunked over particles to bound the (chunk, grid) kernel matrix
-    chunk = max(1, int(2e6 / x.size))
+    # Particles are summed in chunks of _KDE_CHUNK kernel values, and each
+    # chunk is evaluated in tiles of one reused buffer whose row 0 carries
+    # the chunk's running sum: rows are added in the order of one
+    # ``sum(axis=0)`` over the chunk.  ``exp`` below -746 is exactly 0.0
+    # (and slow), so it is not called there.
+    chunk = max(1, int(_KDE_CHUNK / x.size))
+    tile = max(1, _KDE_TILE // x.size)
+    arg = np.empty((tile, x.size))
+    live = np.empty((tile, x.size), dtype=bool)
+    kernel = np.empty((tile + 1, x.size))
     for lo in range(0, states.size, chunk):
-        part = states[lo : lo + chunk, None]
-        values += norm * np.exp(-0.5 * ((x[None, :] - part) / h) ** 2).sum(axis=0)
+        hi = min(lo + chunk, states.size)
+        kernel[0] = 0.0
+        for t in range(lo, hi, tile):
+            rows = min(tile, hi - t)
+            a, m, k = arg[:rows], live[:rows], kernel[1:rows + 1]
+            np.subtract(x, states[t:t + rows, None], out=a)  # -0.5 * ((x - s) / h) ** 2
+            a /= h
+            np.square(a, out=a)
+            a *= -0.5
+            np.greater_equal(a, -746.0, out=m)
+            k[...] = 0.0
+            np.exp(a, out=k, where=m)
+            kernel[0] = kernel[:rows + 1].sum(axis=0)
+        values += norm * kernel[0]
     values /= states.size
     return GridDensity(x, values, cloud.time).normalized()

@@ -6,7 +6,10 @@ import pytest
 from mvstop.model import (
     InitialLaw, ModelSpec, constant_mark, discrete_marks, make_quit_model, make_sell_model,
 )
+from mvstop.fokker_planck import GridDensity
 from mvstop.particle import (
+    _KDE_CHUNK,
+    _KDE_TILE,
     CommonNoisePath,
     ParticleCloud,
     SimulationError,
@@ -190,3 +193,49 @@ class TestKde:
         cloud = ParticleCloud(0.0, np.random.default_rng(14).normal(0.0, 1.0, 10_000))
         with pytest.raises(ValueError, match="grid too narrow"):
             kde_density(cloud, 0.1, np.linspace(-0.5, 0.5, 101))
+
+
+# ---------------------------------------------------------------------------
+# the tiled kernel sum against the one-expression sum it replaced
+
+def _reference_kde(cloud, bandwidth, x):
+    states = cloud.states
+    h = silverman_bandwidth(states) if bandwidth is None else bandwidth
+    norm = 1.0 / (h * math.sqrt(2 * math.pi))
+    values = np.zeros_like(x)
+    chunk = max(1, int(2e6 / x.size))
+    for lo in range(0, states.size, chunk):
+        part = states[lo : lo + chunk, None]
+        values += norm * np.exp(-0.5 * ((x[None, :] - part) / h) ** 2).sum(axis=0)
+    values /= states.size
+    return GridDensity(x, values, cloud.time).normalized().values
+
+
+_KDE_GRID = np.linspace(-3.0, 3.0, 601)
+_CHUNK_ROWS = int(_KDE_CHUNK / _KDE_GRID.size)
+_TILE_ROWS = _KDE_TILE // _KDE_GRID.size
+
+
+@pytest.mark.parametrize("n,bandwidth", [
+    (1, 0.05),
+    (_CHUNK_ROWS - 1, None),
+    (_CHUNK_ROWS + 1, None),
+    (_CHUNK_ROWS + 1, 0.2),
+    (_TILE_ROWS + 1, None),
+    (100_000, None),
+    (5000, 0.002),   # most kernels underflow to exactly 0
+    (2000, 0.045),   # kernel values in the subnormal band at the grid ends
+], ids=["one", "chunk-1", "chunk+1", "chunk+1_explicit", "tile+1", "100k",
+        "underflow", "subnormal"])
+def test_kde_matches_reference_sum(n, bandwidth):
+    states = np.random.default_rng(n).normal(0.0, 0.4, n)
+    cloud = ParticleCloud(0.5, states)
+    got = kde_density(cloud, bandwidth, _KDE_GRID)
+    want = _reference_kde(cloud, bandwidth, _KDE_GRID)
+    np.testing.assert_array_equal(got.values, want)
+    assert got.time == 0.5
+    if bandwidth == 0.002:
+        arg = -0.5 * ((_KDE_GRID - states[:1000, None]) / bandwidth) ** 2
+        assert np.mean(arg < -746.0) > 0.9
+    if bandwidth == 0.045:
+        assert np.any((want > 0) & (want < np.finfo(float).tiny))
