@@ -36,9 +36,11 @@ from .stopping import (
     FAMILIES,
     SimConfig,
     StoppingRule,
+    check_on_grid,
     conditional_mean_oracle,
     dynkin_residual,
     evaluate_rule_mc,
+    off_grid,
     threshold_sweep,
 )
 
@@ -216,20 +218,6 @@ def _sim_config(numerics: dict, seed: int, start: float, **fixed) -> SimConfig:
     return SimConfig(seed=seed, start=start, **given, **fixed)
 
 
-def _off_grid(t: float, dt: float) -> bool:
-    """``t`` is not a whole number of steps ``dt``, to a relative 1e-9."""
-    k = round(t / dt)
-    return abs(t / dt - k) > 1e-9 * max(k, 1)
-
-
-def _check_on_grid(dt: float, times: dict) -> None:
-    """Reject a time (numerics key -> value or None) the engine would round to a step."""
-    for key, t in times.items():
-        if t is not None and _off_grid(t, dt):
-            raise ValueError(f"numerics.{key} must be a whole multiple of dt; "
-                             f"{t} is {t / dt:.6g} steps of {dt}")
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -286,11 +274,12 @@ def _closed_form_report(spec, params, start, numerics, checks, seed):
 
 def _evaluate_rule(spec, params, start, numerics, checks, seed):
     fam = FAMILIES[spec.family]
-    cfg = _sim_config(numerics, seed, start)
     rule = StoppingRule(**numerics["rule"])
-    _check_on_grid(cfg.dt, {"t_max": cfg.t_max, "rule.horizon_cap": rule.horizon_cap,
-                            "rule.fixed_time": rule.fixed_time if rule.kind == "fixed_time"
-                            else None})
+    check_on_grid(numerics["dt"], {
+        "t_max": numerics["t_max"], "rule.horizon_cap": rule.horizon_cap,
+        "rule.fixed_time": rule.fixed_time if rule.kind == "fixed_time" else None,
+    }, "numerics.")
+    cfg = _sim_config(numerics, seed, start)
 
     def compute(out, mhash, summary):
         est = evaluate_rule_mc(spec, rule, fam.payoff(params), cfg)
@@ -313,8 +302,8 @@ def _evaluate_rule(spec, params, start, numerics, checks, seed):
 
 def _threshold_sweep(spec, params, start, numerics, checks, seed):
     fam = FAMILIES[spec.family]
+    check_on_grid(numerics["dt"], {"t_max": numerics["t_max"]}, "numerics.")
     cfg = _sim_config(numerics, seed, start)
-    _check_on_grid(cfg.dt, {"t_max": cfg.t_max})
     thresholds = numerics["thresholds"]
     kind = numerics["rule_kind"]
     kind = f"threshold_{fam.direction}" if kind is None else kind
@@ -349,10 +338,10 @@ def _simulate_path(spec, params, start, numerics, checks, seed):
     checkpoints = [(t, int(round(t / dt))) for t in numerics["checkpoints"] or [horizon]]
     if not all(0 <= k <= round(horizon / dt) for _, k in checkpoints):
         raise ValueError("numerics.checkpoints must lie in [0, horizon]")
-    off_grid = [t for t, _ in checkpoints if _off_grid(t, dt)]
-    if off_grid:  # each row is labelled with t but evaluated at step k
+    stray = [t for t, _ in checkpoints if off_grid(t, dt)]
+    if stray:  # each row is labelled with t but evaluated at step k
         raise ValueError(f"numerics.checkpoints (the horizon by default) must be whole "
-                         f"multiples of dt; off the grid: {off_grid}")
+                         f"multiples of dt; off the grid: {stray}")
     floor = FAMILIES[spec.family].floor
 
     def compute(out, mhash, summary):
@@ -438,7 +427,7 @@ def _dynkin_check(spec, params, start, numerics, checks, seed):
     delta = numerics["delta"]
     if round(delta / numerics["dt"]) < 1:  # no step: every path ends where it starts
         raise ValueError("numerics.delta must be at least one step dt")
-    _check_on_grid(numerics["dt"], {"delta": delta})
+    check_on_grid(numerics["dt"], {"delta": delta}, "numerics.")
     cfg = _sim_config(numerics, seed, start, t_max=delta)
     candidate = FAMILIES[spec.family].candidate(params)
 

@@ -96,6 +96,20 @@ class StoppingRule:
             raise ValueError("horizon_cap must be > 0")
 
 
+def off_grid(t: float, dt: float) -> bool:
+    """``t`` is not a whole number of steps ``dt``, to a relative 1e-9."""
+    k = round(t / dt)
+    return abs(t / dt - k) > 1e-9 * max(k, 1)
+
+
+def check_on_grid(dt: float, times: dict, prefix: str = "") -> None:
+    """Reject a time (name -> value or None) that would be rounded to a step ``dt``."""
+    for key, t in times.items():
+        if t is not None and off_grid(t, dt):
+            raise ValueError(f"{prefix}{key} must be a whole multiple of dt; "
+                             f"{t} is {t / dt:.6g} steps of {dt}")
+
+
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
@@ -128,6 +142,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.dt <= 0 or self.t_max < 0 or self.replications < 1:
             raise ValueError("need dt > 0, t_max >= 0, replications >= 1")
+        check_on_grid(self.dt, {"t_max": self.t_max})
         if self.mode not in ("fast", "particle"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.cap_payoff not in ("stop", "zero"):
@@ -533,6 +548,8 @@ class _RuleState:
     """Per-rule bookkeeping over one batch of replications."""
 
     def __init__(self, rule: StoppingRule, nb: int, n_steps: int, dt: float):
+        check_on_grid(dt, {"horizon_cap": rule.horizon_cap,
+                           "fixed_time": rule.fixed_time if rule.kind == "fixed_time" else None})
         self.rule = rule
         cap = n_steps if rule.horizon_cap is None else int(round(rule.horizon_cap / dt))
         self.cap_step = min(n_steps, cap)

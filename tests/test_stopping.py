@@ -148,6 +148,44 @@ class TestRuleValidation:
                       n_particles=0)
 
 
+class TestOffGridTimes:
+    """A time the engine would round to the nearest step ``dt`` is rejected."""
+
+    def test_fixed_time(self):
+        spec = make_quit_model(0.3, 0.1)
+        unit = Payoff("custom", f=lambda t, m: np.ones_like(m), g=None)
+        cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=1.0, start=0.0)
+        with pytest.raises(ValueError, match="fixed_time must be a whole multiple of dt; "
+                                             "0.25 is 2.5 steps of 0.1"):
+            evaluate_rule_mc(spec, StoppingRule("fixed_time", fixed_time=0.25), unit, cfg)
+
+    def test_horizon_cap(self):
+        spec = make_quit_model(0.3, 0.1)
+        rule = StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=0.125)
+        cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0, start=0.0)
+        with pytest.raises(ValueError, match="horizon_cap must be a whole multiple of dt"):
+            evaluate_rule_mc(spec, rule, quit_payoff(QuitParams(0.3, 0.1, rho=0.2)), cfg)
+
+    def test_t_max(self):
+        with pytest.raises(ValueError, match="t_max must be a whole multiple of dt; "
+                                             "0.5 is 1.66667 steps of 0.3"):
+            SimConfig(dt=0.3, replications=10, seed=0, t_max=0.5)
+
+    def test_dynkin_delta(self):
+        params = QuitParams(0.3, 0.1, rho=0.2)
+        cfg = SimConfig(dt=0.3, replications=10, seed=0, t_max=0.6, start=0.3)
+        with pytest.raises(ValueError, match="t_max must be a whole multiple of dt"):
+            dynkin_residual(make_quit_model(0.3, 0.1), quit_candidate(params), cfg, delta=0.5)
+
+    def test_on_grid_up_to_rounding(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
+        cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=0.3, start=0.0)
+        unit = Payoff("custom", f=lambda t, m: np.ones_like(m), g=None)
+        est = evaluate_rule_mc(make_quit_model(0.3, 0.1),
+                               StoppingRule("fixed_time", fixed_time=0.3), unit, cfg)
+        assert est.mean == pytest.approx(0.3)
+
+
 class TestMonteCarlo:
     def test_fixed_time_sell_matches_expectation(self):
         # exact log-normal scheme: E[m_t] = m0 e^{alpha0 t} at any dt
