@@ -216,7 +216,6 @@ def test_criterion_08_particle_reduction():
            f"{part.mean:.4f} (band {combined:.4f})")
 
 
-@pytest.mark.slow
 def test_criterion_09_fokker_planck_cross_check():
     spec = make_quit_model(0.4, 0.0, initial_law=InitialLaw("normal", 0.0, 0.3))
     x = make_grid(-3.0, 3.0, 601)
