@@ -34,7 +34,6 @@ from .generator import (
     default_probe_grid,
     frechet_gradient_cylinder,
     frechet_hessian_cylinder,
-    measure_flow_coefficients,
 )
 from .model import (
     InitialLaw,

@@ -293,7 +293,7 @@ def _evaluate_rule(spec, params, start, numerics, checks, seed):
         )
         tol = checks["closed_form_tolerance"]
         if tol is not None:
-            ref = fam.value(0.0, start, params)
+            ref = fam.candidate(params).value(0.0, start)
             band = max(3 * est.std_error, tol * abs(ref))
             summary.add("value_vs_closed_form", abs(est.mean - ref), band,
                         abs(est.mean - ref) <= band)
@@ -306,7 +306,7 @@ def _threshold_sweep(spec, params, start, numerics, checks, seed):
     cfg = _sim_config(numerics, seed, start)
     thresholds = numerics["thresholds"]
     kind = numerics["rule_kind"]
-    kind = f"threshold_{fam.direction}" if kind is None else kind
+    kind = f"threshold_{fam.candidate(params).direction}" if kind is None else kind
     for t in thresholds:  # the rules threshold_sweep builds
         StoppingRule(kind, threshold=float(t))
 
@@ -335,13 +335,14 @@ def _threshold_sweep(spec, params, start, numerics, checks, seed):
 
 def _simulate_path(spec, params, start, numerics, checks, seed):
     dt, horizon, n = numerics["dt"], numerics["horizon"], numerics["n"]
+    check_on_grid(dt, {"horizon": horizon}, "numerics.")
     checkpoints = [(t, int(round(t / dt))) for t in numerics["checkpoints"] or [horizon]]
     if not all(0 <= k <= round(horizon / dt) for _, k in checkpoints):
         raise ValueError("numerics.checkpoints must lie in [0, horizon]")
     stray = [t for t, _ in checkpoints if off_grid(t, dt)]
     if stray:  # each row is labelled with t but evaluated at step k
-        raise ValueError(f"numerics.checkpoints (the horizon by default) must be whole "
-                         f"multiples of dt; off the grid: {stray}")
+        raise ValueError(f"numerics.checkpoints must be whole multiples of dt; "
+                         f"off the grid: {stray}")
     floor = FAMILIES[spec.family].floor
 
     def compute(out, mhash, summary):
@@ -377,7 +378,7 @@ def _fokker_planck_compare(spec, params, start, numerics, checks, seed):
     spide_dt = numerics["spide_dt"] or dt     # density step, may be finer
     horizon = numerics["horizon"]
     ratio = round(dt / spide_dt)
-    if ratio < 1 or abs(dt / spide_dt - ratio) > 1e-9 * ratio or round(horizon / spide_dt) % ratio:
+    if ratio < 1 or off_grid(dt, spide_dt) or off_grid(horizon, dt):
         raise ValueError("numerics.dt must be a whole multiple of spide_dt and divide horizon")
 
     def compute(out, mhash, summary):

@@ -12,8 +12,9 @@ kill the x- and jump-terms, which is what makes the closed forms exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -65,16 +66,11 @@ def frechet_hessian_cylinder(
     return F_double_prime(z) * h_pairing * k_pairing
 
 
-def measure_flow_coefficients(spec: ModelSpec, z: float) -> tuple[float, float]:
-    """``(a(z), b(z))`` of the conditional-mean flow: the spec's drift and common
-    diffusion at ``m_bar = z``, exact because neither depends on ``x``."""
-    return spec.drift(z), spec.diffusion_common(z)
-
-
-def apply_generator_cylinder(
-    phi: CylinderFunction, s: float, z: float, spec: ModelSpec
-) -> float:
-    a, b = measure_flow_coefficients(spec, z)
+def apply_generator_cylinder(phi: CylinderFunction, s, z, spec: ModelSpec):
+    """The generator of ``phi`` at ``(s, z)``, elementwise on arrays.  The flow's
+    ``(a(z), b(z))`` are the spec's drift and common diffusion at ``m_bar = z``,
+    exact because neither depends on ``x``."""
+    a, b = spec.drift(z), spec.diffusion_common(z)
     return phi.psi_prime(s) * phi.F(z) + phi.psi(s) * (
         phi.F_prime(z) * a + 0.5 * phi.F_double_prime(z) * b * b
     )
@@ -82,6 +78,8 @@ def apply_generator_cylinder(
 
 # ---------------------------------------------------------------------------
 # candidates and variational-inequality checking
+
+OBSTACLE_TOL = 1e-9  # how far a candidate may sit below the obstacle
 
 
 @dataclass(frozen=True)
@@ -96,37 +94,24 @@ class StoppingCandidate:
     f: Callable[[float, float], float] | None = None
     z_floor: float | None = None         # open lower edge of the state domain
 
-    def in_continuation(self, z: float) -> bool:
-        if self.direction == "up":
-            return z < self.threshold
-        return z > self.threshold
-
-    def branch(self, z: float) -> CylinderFunction:
-        return self.continuation if self.in_continuation(z) else self.stopping
+    def in_continuation(self, z):
+        return z < self.threshold if self.direction == "up" else z > self.threshold
 
     def value(self, s, z):
+        """The continuation branch inside its region, the stopping branch elsewhere."""
         s = np.asarray(s, float)
         z = np.asarray(z, float)
-        cont = self.continuation.psi(s) * self.continuation.F(z)
-        stop = self.stopping.psi(s) * self.stopping.F(z)
-        mask = z < self.threshold if self.direction == "up" else z > self.threshold
-        out = np.where(mask, cont, stop)
+        out = np.where(self.in_continuation(z), self.continuation.value(s, z),
+                       self.stopping.value(s, z))
         return float(out) if out.ndim == 0 else out
 
 
 @dataclass
 class RegionCheck:
     region: str
-    n_probes: int = 0
-    max_residual: float = -np.inf
-    max_abs_residual: float = 0.0
-    min_residual: float = np.inf
-
-    def record(self, residual: float) -> None:
-        self.n_probes += 1
-        self.max_residual = max(self.max_residual, residual)
-        self.min_residual = min(self.min_residual, residual)
-        self.max_abs_residual = max(self.max_abs_residual, abs(residual))
+    n_probes: int
+    max_residual: float       # -inf without probes
+    max_abs_residual: float   # 0 without probes
 
 
 @dataclass
@@ -150,7 +135,9 @@ class VarIneqReport:
         )
 
     def to_dict(self) -> dict:
-        return {
+        """The report as strict JSON: a non-finite number, such as the maximum
+        over a region without probes, is null."""
+        fields = {
             "passed": self.passed(),
             "continuation_max_abs_residual": float(self.continuation.max_abs_residual),
             "stopping_max_residual": float(self.stopping.max_residual),
@@ -163,6 +150,8 @@ class VarIneqReport:
             "n_stopping_probes": self.stopping.n_probes,
             "worst_probes": self.worst_probes,
         }
+        return {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                for key, value in fields.items()}
 
 
 def default_probe_grid(
@@ -182,7 +171,6 @@ def check_variational_inequalities(
     probe_s: np.ndarray,
     probe_z: np.ndarray,
     tol: float = 1e-10,
-    obstacle_tol: float = 1e-9,
     gap_tol: float = 1e-8,
 ) -> VarIneqReport:
     """Probe the candidate against the optimal-stopping variational system.
@@ -190,48 +178,39 @@ def check_variational_inequalities(
     On the continuation region the generator residual (plus running profit)
     must vanish; outside it must be nonpositive; the candidate must dominate
     the obstacle everywhere and paste continuously and differentiably at the
-    free boundary.  Findings are data, never exceptions.
+    free boundary.  The probes are every ``(s, z)`` pair, ``s``-major, each
+    region evaluated as one array; a NaN residual or gap fails.  Findings are
+    data, never exceptions.
     """
-    cont = RegionCheck("continuation")
-    stop = RegionCheck("stopping")
-    violations = 0
-    worst: list[tuple[float, float, float]] = []
-    for s in np.atleast_1d(probe_s):
-        s = float(s)
-        for z in np.atleast_1d(probe_z):
-            z = float(z)
-            if candidate.z_floor is not None and z <= candidate.z_floor:
-                continue
-            branch = candidate.branch(z)
-            res = apply_generator_cylinder(branch, s, z, spec)
-            if candidate.f is not None:
-                res += candidate.f(s, z)
-            (cont if candidate.in_continuation(z) else stop).record(res)
-            if candidate.value(s, z) < candidate.g(s, z) - obstacle_tol:
-                violations += 1
-                if len(worst) < 10:
-                    worst.append(
-                        (s, z, float(candidate.value(s, z) - candidate.g(s, z)))
-                    )
-    th = candidate.threshold
-    continuity_gap = 0.0
-    smooth_gap = 0.0
-    for s in np.atleast_1d(probe_s):
-        s = float(s)
-        continuity_gap = max(
-            continuity_gap,
-            abs(candidate.continuation.value(s, th) - candidate.stopping.value(s, th)),
-        )
-        smooth_gap = max(
-            smooth_gap,
-            abs(candidate.continuation.dz(s, th) - candidate.stopping.dz(s, th)),
-        )
+    s, z = (grid.ravel() for grid in np.meshgrid(probe_s, probe_z, indexing="ij"))
+    if candidate.z_floor is not None:
+        keep = z > candidate.z_floor
+        s, z = s[keep], z[keep]
+    inside = candidate.in_continuation(z)
+    regions = []
+    for region, mask, branch in (("continuation", inside, candidate.continuation),
+                                 ("stopping", ~inside, candidate.stopping)):
+        s_in, z_in = s[mask], z[mask]
+        res = apply_generator_cylinder(branch, s_in, z_in, spec)
+        if candidate.f is not None:
+            res = res + candidate.f(s_in, z_in)
+        res = np.broadcast_to(res, z_in.shape)  # a branch may be constant
+        regions.append(RegionCheck(region, res.size, float(np.max(res, initial=-np.inf)),
+                                   float(np.max(np.abs(res), initial=0.0))))
+    value, g = candidate.value(s, z), candidate.g(s, z)
+    below = np.flatnonzero(value < g - OBSTACLE_TOL)
+    worst = [(float(s[i]), float(z[i]), float(value[i] - g[i])) for i in below[:10]]
+    s_axis, th = np.asarray(probe_s, float), candidate.threshold
+    cont, stop = candidate.continuation, candidate.stopping
+    continuity_gap = np.max(np.abs(cont.value(s_axis, th) - stop.value(s_axis, th)),
+                            initial=0.0)
+    smooth_gap = np.max(np.abs(cont.dz(s_axis, th) - stop.dz(s_axis, th)), initial=0.0)
     return VarIneqReport(
-        continuation=cont,
-        stopping=stop,
-        obstacle_violations=violations,
-        continuity_gap=continuity_gap,
-        smooth_fit_gap=smooth_gap,
+        continuation=regions[0],
+        stopping=regions[1],
+        obstacle_violations=below.size,
+        continuity_gap=float(continuity_gap),
+        smooth_fit_gap=float(smooth_gap),
         tol=tol,
         gap_tol=gap_tol,
         worst_probes=worst,

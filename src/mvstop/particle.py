@@ -28,6 +28,20 @@ class SimulationError(RuntimeError):
     """Non-finite state encountered while stepping."""
 
 
+def off_grid(t: float, dt: float) -> bool:
+    """``t`` is not a whole number of steps ``dt``, to a relative 1e-9."""
+    k = round(t / dt)
+    return abs(t / dt - k) > 1e-9 * max(k, 1)
+
+
+def check_on_grid(dt: float, times: dict, prefix: str = "") -> None:
+    """Reject a time (name -> value or None) that would be rounded to a step ``dt``."""
+    for key, t in times.items():
+        if t is not None and off_grid(t, dt):
+            raise ValueError(f"{prefix}{key} must be a whole multiple of dt; "
+                             f"{t} is {t / dt:.6g} steps of {dt}")
+
+
 @dataclass
 class CommonNoisePath:
     """Shared B1 increments on a fixed time grid."""
@@ -42,6 +56,7 @@ class CommonNoisePath:
 
     @classmethod
     def sample(cls, horizon: float, dt: float, rng: np.random.Generator) -> "CommonNoisePath":
+        check_on_grid(dt, {"horizon": horizon})
         n_steps = int(round(horizon / dt))
         return cls(dt, rng.normal(0.0, math.sqrt(dt), n_steps))
 
@@ -184,6 +199,8 @@ def simulate_path(
     floor: float | None = None,
 ) -> PathResult:
     """Advance a cloud along one common-noise path, recording ``m_bar``."""
+    check_on_grid(dt, {"horizon": horizon,
+                       **{f"snapshot_times[{i}]": t for i, t in enumerate(snapshot_times)}})
     n_steps = int(round(horizon / dt))
     if abs(common.dt - dt) > 1e-12 * dt or common.increments.size < n_steps:
         raise ValueError("common-noise path does not cover (horizon, dt)")

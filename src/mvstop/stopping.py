@@ -30,6 +30,7 @@ from .model import (
     InitialLaw, LevyMeasureSpec, ModelSpec, constant_mark, make_quit_model, make_sell_model,
     no_jumps,
 )
+from .particle import check_on_grid, off_grid  # off_grid re-exported
 
 
 # ---------------------------------------------------------------------------
@@ -94,20 +95,6 @@ class StoppingRule:
             raise ValueError("fixed_time rules need a nonnegative time")
         if self.horizon_cap is not None and self.horizon_cap <= 0:
             raise ValueError("horizon_cap must be > 0")
-
-
-def off_grid(t: float, dt: float) -> bool:
-    """``t`` is not a whole number of steps ``dt``, to a relative 1e-9."""
-    k = round(t / dt)
-    return abs(t / dt - k) > 1e-9 * max(k, 1)
-
-
-def check_on_grid(dt: float, times: dict, prefix: str = "") -> None:
-    """Reject a time (name -> value or None) that would be rounded to a step ``dt``."""
-    for key, t in times.items():
-        if t is not None and off_grid(t, dt):
-            raise ValueError(f"{prefix}{key} must be a whole multiple of dt; "
-                             f"{t} is {t / dt:.6g} steps of {dt}")
 
 
 @dataclass(frozen=True)
@@ -211,21 +198,13 @@ def sell_threshold(lambda1: float, a: float) -> float:
 
 def sell_value(s, z, params: SellParams, xi: float | None = None):
     """Discounted value of selling optimally (or at threshold ``xi``)."""
-    _, lam1 = lambda_roots(params.alpha0, params.sigma1, params.rho)
-    if xi is None:
-        xi = sell_threshold(lam1, params.a)
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
+    if np.any(np.asarray(z, float) <= 0):
         raise ValueError("conditional mean must be positive for the sell model")
-    psi0 = (xi - params.a) / xi**lam1
-    out = np.exp(-params.rho * np.asarray(s, float)) * np.where(
-        z <= xi, psi0 * z**lam1, z - params.a
-    )
-    return float(out) if out.ndim == 0 else out
+    return sell_candidate(params, xi).value(s, z)
 
 
 def sell_candidate(params: SellParams, xi: float | None = None) -> StoppingCandidate:
-    """Piecewise candidate for the variational-inequality checker."""
+    """The value of selling at ``xi`` (optimal by default), as a piecewise candidate."""
     _, lam1 = lambda_roots(params.alpha0, params.sigma1, params.rho)
     if xi is None:
         xi = sell_threshold(lam1, params.a)
@@ -284,17 +263,12 @@ def quit_smooth_fit_residuals(
 
 
 def quit_value(s, z, params: QuitParams, eta: float | None = None):
-    lam, eta_star, _ = quit_threshold(params)
-    if eta is None:
-        eta = eta_star
-    c1 = -(eta / params.rho) * math.exp(lam * eta)
-    z = np.asarray(z, dtype=float)
-    cont = z / params.rho + c1 * np.exp(-lam * z)
-    out = np.exp(-params.rho * np.asarray(s, float)) * np.where(z >= eta, cont, 0.0)
-    return float(out) if out.ndim == 0 else out
+    """Discounted value of running the project optimally (or until ``eta``)."""
+    return quit_candidate(params, eta).value(s, z)
 
 
 def quit_candidate(params: QuitParams, eta: float | None = None) -> StoppingCandidate:
+    """The value of quitting at ``eta`` (optimal by default), as a piecewise candidate."""
     lam, eta_star, _ = quit_threshold(params)
     if eta is None:
         eta = eta_star
@@ -344,11 +318,9 @@ class Family:
     start_key: str
     params: Callable[[dict], object]
     payoff: Callable
-    value: Callable
     candidate: Callable         # (params, threshold or None) -> StoppingCandidate
     report: Callable            # params -> (closed_form.csv rows, worst residual)
     probe: Callable             # optimal threshold -> default VI probe window
-    direction: str              # optimal rule: threshold_{direction}
     floor: float | None         # particle clouds are clamped here
     path_drift: Callable        # spec -> drift of y
     path_vol: Callable          # spec -> volatility of y
@@ -390,11 +362,9 @@ FAMILIES = {
         start_key="m0",
         params=_sell_params,
         payoff=sell_payoff,
-        value=sell_value,
         candidate=sell_candidate,
         report=_sell_report,
         probe=lambda xi: {"z_min": 0.01, "z_max": 20.0, "log_z": True},
-        direction="up",
         floor=1e-12,  # keeps the clouds positive
         path_drift=lambda spec: spec.a1 - 0.5 * spec.b1 ** 2,
         path_vol=lambda spec: spec.b1,
@@ -409,11 +379,9 @@ FAMILIES = {
         params=lambda c: QuitParams(c["sigma1"], c["sigma2"], c["gamma0"], c["intensity"],
                                     c["rho"]),
         payoff=quit_payoff,
-        value=quit_value,
         candidate=quit_candidate,
         report=_quit_report,
         probe=lambda eta: {"z_min": eta - 2.0, "z_max": eta + 6.0, "log_z": False},
-        direction="down",
         floor=None,
         path_drift=lambda spec: spec.a0,
         path_vol=lambda spec: spec.b0,
@@ -753,13 +721,8 @@ def dynkin_residual(
     region.  If the candidate solves the continuation-region equation the
     residual is zero in expectation.
     """
-    exit_kind = "threshold_up" if candidate.direction == "up" else "threshold_down"
-    rule = StoppingRule(exit_kind, threshold=candidate.threshold)
-    payoff = Payoff(
-        "custom",
-        f=(lambda t, m: candidate.f(t, m)) if candidate.f is not None else None,
-        g=lambda t, m: candidate.value(t, m),
-    )
+    rule = StoppingRule(f"threshold_{candidate.direction}", threshold=candidate.threshold)
+    payoff = Payoff("custom", f=candidate.f, g=candidate.value)
     run_cfg = replace(cfg, t_max=delta, cap_payoff="stop", workers=1)
     est = evaluate_rule_mc(spec, rule, payoff, run_cfg)
     start = _start_value(spec, run_cfg)

@@ -202,6 +202,12 @@ VALIDATE_REJECTS = {
     "off_grid_delta": (
         "dynkin_check", SELL_MODEL, {"dt": 0.3, "delta": 0.5}, {},
         "numerics.delta must be a whole multiple of dt; 0.5 is 1.66667 steps of 0.3"),
+    "off_grid_density_horizon": (
+        "fokker_planck_compare", FP_MODEL, dict(FP_SMALL, horizon=0.0204), {},
+        "numerics.dt must be a whole multiple of spide_dt and divide horizon"),
+    "off_grid_path_horizon": (
+        "simulate_path", SELL_MODEL, {"dt": 0.01, "horizon": 0.2049, "checkpoints": [0.1]}, {},
+        "numerics.horizon must be a whole multiple of dt; 0.2049 is 20.49 steps of 0.01"),
 }
 
 

@@ -1,19 +1,23 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mvstop.generator import (
+    OBSTACLE_TOL,
     CylinderFunction,
+    RegionCheck,
+    VarIneqReport,
     apply_generator_cylinder,
     check_variational_inequalities,
     default_probe_grid,
     frechet_gradient_cylinder,
     frechet_hessian_cylinder,
-    measure_flow_coefficients,
 )
 from mvstop.model import make_quit_model, make_sell_model
-from mvstop.stopping import QuitParams, SellParams, quit_candidate, sell_candidate
+from mvstop.stopping import FAMILIES, QuitParams, SellParams, quit_candidate, sell_candidate
 
 
 def _exp_decay(rho):
@@ -41,10 +45,12 @@ class TestFrechetCalculus:
 
 
 def test_measure_flow_coefficients():
+    # the generator reads the flow's (a(z), b(z)) from the spec's drift and common diffusion
     sell = make_sell_model(0.1, 0.3, 0.2)
-    assert measure_flow_coefficients(sell, 2.0) == (pytest.approx(0.2), pytest.approx(0.6))
+    assert (sell.drift(2.0), sell.diffusion_common(2.0)) == (
+        pytest.approx(0.2), pytest.approx(0.6))
     quit_ = make_quit_model(0.3, 0.1)
-    assert measure_flow_coefficients(quit_, 2.0) == (0.0, 0.3)
+    assert (quit_.drift(2.0), quit_.diffusion_common(2.0)) == (0.0, 0.3)
 
 
 def test_generator_on_power_function():
@@ -125,12 +131,129 @@ class TestVariationalInequalities:
         assert not report.passed()
 
     def test_report_is_json_safe(self):
-        import json
+        quit_params = QuitParams(0.3, 0.1, rho=0.2)
+        sell_params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        quit_report = check_variational_inequalities(
+            quit_candidate(quit_params), quit_params.spec(),
+            *default_probe_grid(-2.0, 4.0, 50, 2.0, 5, log_z=False))
+        # below the sell threshold: no stopping probes, so no stopping maximum
+        sell_report = check_variational_inequalities(
+            sell_candidate(sell_params), sell_params.spec(), *default_probe_grid(0.5, 2.0))
+        for report in (quit_report, sell_report):
+            json.dumps(report.to_dict(), allow_nan=False)
+        assert sell_report.stopping.n_probes == 0 and sell_report.passed()
+        assert sell_report.to_dict()["stopping_max_residual"] is None
 
+    def test_nan_residual_fails(self):
         params = QuitParams(0.3, 0.1, rho=0.2)
-        spec = make_quit_model(0.3, 0.1)
-        probe_s, probe_z = default_probe_grid(-2.0, 4.0, 50, 2.0, 5, log_z=False)
-        report = check_variational_inequalities(
-            quit_candidate(params), spec, probe_s, probe_z
-        )
-        json.dumps(report.to_dict())
+        good = quit_candidate(params)
+        broken = replace(good, continuation=replace(
+            good.continuation, F_double_prime=lambda z: np.nan * z))
+        probe_s, probe_z = default_probe_grid(**FAMILIES["quit"].probe(good.threshold))
+        report = check_variational_inequalities(broken, params.spec(), probe_s, probe_z)
+        assert report.continuation.n_probes > 0
+        assert math.isnan(report.continuation.max_abs_residual)
+        assert not report.passed()
+        assert report.to_dict()["continuation_max_abs_residual"] is None
+
+
+# ---------------------------------------------------------------------------
+# the array checker against the per-probe loop it replaced
+
+
+def _per_probe_report(candidate, spec, probe_s, probe_z, tol=1e-10, gap_tol=1e-8):
+    """The variational-inequality check one probe at a time, in Python scalars."""
+    regions = {"continuation": [0, -np.inf, 0.0], "stopping": [0, -np.inf, 0.0]}
+    violations, worst = 0, []
+    for s in np.atleast_1d(probe_s):
+        s = float(s)
+        for z in np.atleast_1d(probe_z):
+            z = float(z)
+            if candidate.z_floor is not None and z <= candidate.z_floor:
+                continue
+            inside = candidate.in_continuation(z)
+            phi = candidate.continuation if inside else candidate.stopping
+            a, b = spec.drift(z), spec.diffusion_common(z)
+            res = phi.psi_prime(s) * phi.F(z) + phi.psi(s) * (
+                phi.F_prime(z) * a + 0.5 * phi.F_double_prime(z) * b * b)
+            if candidate.f is not None:
+                res += candidate.f(s, z)
+            region = regions["continuation" if inside else "stopping"]
+            region[0] += 1
+            region[1] = max(region[1], res)
+            region[2] = max(region[2], abs(res))
+            if candidate.value(s, z) < candidate.g(s, z) - OBSTACLE_TOL:
+                violations += 1
+                if len(worst) < 10:
+                    worst.append((s, z, float(candidate.value(s, z) - candidate.g(s, z))))
+    th = candidate.threshold
+    continuity_gap = smooth_gap = 0.0
+    for s in np.atleast_1d(probe_s):
+        s = float(s)
+        cont, stop = candidate.continuation, candidate.stopping
+        continuity_gap = max(continuity_gap, abs(cont.value(s, th) - stop.value(s, th)))
+        smooth_gap = max(smooth_gap, abs(cont.dz(s, th) - stop.dz(s, th)))
+    return VarIneqReport(
+        RegionCheck("continuation", *regions["continuation"]),
+        RegionCheck("stopping", *regions["stopping"]),
+        violations, continuity_gap, smooth_gap, tol, gap_tol, worst,
+    )
+
+
+_RESIDUAL_MAXIMA = ("continuation.max_residual", "continuation.max_abs_residual",
+                    "stopping.max_residual", "stopping.max_abs_residual")
+
+
+def _report_fields(report: VarIneqReport) -> dict:
+    return {
+        **{f"{r.region}.{key}": getattr(r, key)
+           for r in (report.continuation, report.stopping)
+           for key in ("n_probes", "max_residual", "max_abs_residual")},
+        "obstacle_violations": report.obstacle_violations,
+        "continuity_gap": report.continuity_gap,
+        "smooth_fit_gap": report.smooth_fit_gap,
+        "worst_probes": report.worst_probes,
+        "dict": report.to_dict(),
+    }
+
+
+_SELL = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+_QUIT = QuitParams(0.3, 0.1, rho=0.2)
+_XI = sell_candidate(_SELL).threshold
+_ETA = quit_candidate(_QUIT).threshold
+# (family params, candidate threshold or None, probe window): the families'
+# default windows, the frozen CLI windows and perturbed thresholds
+_WINDOWS = {
+    "sell_default": (_SELL, None, FAMILIES["sell"].probe(_XI)),
+    "quit_default": (_QUIT, None, FAMILIES["quit"].probe(_ETA)),
+    "sell_frozen": (_SELL, None, {**FAMILIES["sell"].probe(_XI), "n_z": 30, "n_s": 3}),
+    "quit_frozen": (_QUIT, -0.5, {**FAMILIES["quit"].probe(_ETA), "n_z": 30, "n_s": 3}),
+    "sell_perturbed": (_SELL, _XI + 0.5, FAMILIES["sell"].probe(_XI)),
+    "quit_perturbed": (_QUIT, -0.9, FAMILIES["quit"].probe(_ETA)),
+}
+
+
+def _both_reports(params, threshold, window):
+    family = "sell" if isinstance(params, SellParams) else "quit"
+    candidate = FAMILIES[family].candidate(params, threshold)
+    probe_s, probe_z = default_probe_grid(**window)
+    spec = params.spec()
+    return (_report_fields(check_variational_inequalities(candidate, spec, probe_s, probe_z)),
+            _report_fields(_per_probe_report(candidate, spec, probe_s, probe_z)))
+
+
+@pytest.mark.parametrize("window", list(_WINDOWS))
+def test_array_check_equals_per_probe_loop(window):
+    array, loop = _both_reports(*_WINDOWS[window])
+    assert array == loop
+
+
+def test_array_check_round_off_on_a_linear_sell_window():
+    # numpy's array ** may round one ulp away from Python's scalar **
+    window = {"z_min": 0.01, "z_max": 20.0, "log_z": False}
+    array, loop = _both_reports(_SELL, None, window)
+    for key in _RESIDUAL_MAXIMA:
+        assert abs(array.pop(key) - loop.pop(key)) <= 1e-15
+    for key in ("continuation_max_abs_residual", "stopping_max_residual"):
+        assert abs(array["dict"].pop(key) - loop["dict"].pop(key)) <= 1e-15
+    assert array == loop

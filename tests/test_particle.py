@@ -149,6 +149,18 @@ def test_path_requires_matching_grid():
         simulate_path(spec, 0.5, 0.01, 10, common, np.random.default_rng(0))
 
 
+def test_off_grid_horizon_and_snapshot_rejected():
+    spec = make_quit_model(0.4, 0.3)
+    with pytest.raises(ValueError, match="horizon must be a whole multiple of dt"):
+        CommonNoisePath.sample(0.2049, 0.01, np.random.default_rng(12))
+    common = CommonNoisePath.sample(0.3, 0.01, np.random.default_rng(12))
+    with pytest.raises(ValueError, match="horizon must be a whole multiple of dt"):
+        simulate_path(spec, 0.2049, 0.01, 10, common, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"snapshot_times\[1\] must be a whole multiple"):
+        simulate_path(spec, 0.2, 0.01, 10, common, np.random.default_rng(0),
+                      snapshot_times=(0.1, 0.047))
+
+
 def test_snapshots_recorded():
     spec = make_quit_model(0.4, 0.3)
     common = CommonNoisePath.sample(0.5, 0.01, np.random.default_rng(10))
