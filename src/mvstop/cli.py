@@ -31,16 +31,14 @@ from . import __version__
 from .fokker_planck import compare_to_particles, evolve_spide, gaussian_density, make_grid
 from .generator import check_variational_inequalities, default_probe_grid
 from .model import InitialLaw, ModelError, ModelSpec
-from .particle import CommonNoisePath, kde_density, simulate_path
+from .particle import CommonNoisePath, check_on_grid, kde_density, off_grid, simulate_path
 from .stopping import (
     FAMILIES,
     SimConfig,
     StoppingRule,
-    check_on_grid,
     conditional_mean_oracle,
     dynkin_residual,
     evaluate_rule_mc,
-    off_grid,
     threshold_sweep,
 )
 
@@ -159,8 +157,11 @@ def load_config(path) -> dict:
         errors.append(f"experiment must be one of {tuple(EXPERIMENTS)}")
     if not isinstance(raw.get("seed"), int) or isinstance(raw.get("seed"), bool):
         errors.append("seed must be an integer")
-    if not isinstance(raw.get("output"), str):
+    output = raw.get("output")
+    if not isinstance(output, str):
         errors.append("output must be a directory path string")
+    elif not next(p for p in (Path(output), *Path(output).parents) if p.exists()).is_dir():
+        errors.append(f"output {output!r} cannot be a directory: a file is on its path")
     model = raw.get("model")
     if isinstance(model, dict):
         _validate_model(model, errors)
@@ -212,9 +213,9 @@ def build_model(model: dict) -> tuple[ModelSpec, object, float]:
 
 
 def _sim_config(numerics: dict, seed: int, start: float, **fixed) -> SimConfig:
-    """The SimConfig of resolved numerics; a ``_SIM`` key they lack keeps SimConfig's default."""
+    """The SimConfig of resolved numerics; a ``_SIM`` key absent or None keeps its default."""
     given = {("n_particles" if key == "n" else key): value
-             for key, value in numerics.items() if key in _SIM}
+             for key, value in numerics.items() if key in _SIM and value is not None}
     return SimConfig(seed=seed, start=start, **given, **fixed)
 
 
@@ -353,7 +354,7 @@ def _simulate_path(spec, params, start, numerics, checks, seed):
             rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
             common = CommonNoisePath.sample(horizon, dt, rng_common)
             result = simulate_path(spec, horizon, dt, n, common, rng_cloud, floor=floor)
-            oracle = conditional_mean_oracle(spec, start, common)
+            oracle = conditional_mean_oracle(spec, spec.initial_law.mean, common)
             for t_check, k in checkpoints:
                 ref = oracle[k]
                 err = abs(result.m_bar[k] - ref) / max(abs(ref), 1e-12)
@@ -455,18 +456,18 @@ class Experiment(NamedTuple):
     prepare: Callable   # (spec, params, start, numerics, checks, seed) -> computation
 
 
-_SIM = {  # SimConfig settings; "n" is its n_particles
+_SIM = {  # SimConfig settings; "n" is its n_particles, and None keeps SimConfig's default
     "dt": (POSITIVE, 1e-3), "replications": (COUNT, 10000), "t_max": (NUMBER, 100.0),
-    "mode": (TEXT, "fast"), "n": (COUNT, 1000), "cap_payoff": (TEXT, "stop"),
-    "workers": (COUNT, 1), "batch_size": (COUNT, 16384),
+    "mode": (TEXT, None), "n": (COUNT, None), "cap_payoff": (TEXT, None),
+    "workers": (COUNT, None), "batch_size": (COUNT, None),
 }
 _RULE = {"kind": (TEXT, "threshold_up"), "threshold": (NUMBER, math.nan),
          "fixed_time": (NUMBER, math.nan), "horizon_cap": (NUMBER, None)}
 _GRID = {"x_min": (NUMBER, REQUIRED), "x_max": (NUMBER, REQUIRED),
          "n_points": (COUNT, REQUIRED)}
-_PROBE = {  # z_min, z_max and log_z default to the family's probe window
-    "z_min": (NUMBER, None), "z_max": (NUMBER, None), "n_z": (COUNT, 200),
-    "s_max": (NUMBER, 2.0), "n_s": (COUNT, 20), "log_z": (FLAG, None),
+_PROBE = {  # None keeps the family's probe window and default_probe_grid's sizes
+    "z_min": (NUMBER, None), "z_max": (NUMBER, None), "n_z": (COUNT, None),
+    "s_max": (NUMBER, None), "n_s": (COUNT, None), "log_z": (FLAG, None),
 }
 
 EXPERIMENTS = {
@@ -562,11 +563,15 @@ def main(argv=None) -> int:
         if not path.exists():
             print(f"no summary at {path}", file=sys.stderr)
             return 1
-        summary = json.loads(path.read_text())
-        print(f"experiment: {summary['experiment']}  passed: {summary['passed']}")
-        for name, check in summary["checks"].items():
-            flag = "PASS" if check["passed"] else "FAIL"
-            print(f"  [{flag}] {name}: value={check['value']} limit={check['limit']}")
+        try:
+            summary = json.loads(path.read_text())
+            print(f"experiment: {summary['experiment']}  passed: {summary['passed']}")
+            for name, check in summary["checks"].items():
+                flag = "PASS" if check["passed"] else "FAIL"
+                print(f"  [{flag}] {name}: value={check['value']} limit={check['limit']}")
+        except (ValueError, KeyError, TypeError, AttributeError):
+            print(f"malformed summary at {path}", file=sys.stderr)
+            return 1
         return 0 if summary["passed"] else 1
     try:
         config = load_config(args.config)

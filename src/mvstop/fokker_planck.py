@@ -15,6 +15,10 @@ import numpy as np
 
 from .model import ModelSpec
 
+CFL_SAFETY = 0.25      # fraction of the explicit diffusion limit dx^2 / (b1^2 + b2^2)
+BOUNDARY_TOL = 1e-6    # density mass allowed on the two end nodes before a step
+VALUE_CAP = 1e12       # largest density value a step may produce
+
 
 class GridError(ValueError):
     """Density support incompatible with the grid."""
@@ -103,21 +107,9 @@ def boundary_mass(density: GridDensity) -> float:
     return float((abs(rho[0]) + abs(rho[-1])) * dx)
 
 
-def _check_boundary(density: GridDensity, tol: float) -> None:
-    bm = boundary_mass(density)
-    if bm > tol:
-        raise GridError(f"density mass at grid boundary {bm:.3e} exceeds {tol:.1e}")
-
-
-def apply_A0_star(density: GridDensity, spec: ModelSpec, m_bar: float | None = None,
-                  ) -> np.ndarray:
-    """Drift, diffusion and compensated jump parts of the adjoint generator.
-
-    ``m_bar`` is the density's first moment, computed here when not given.
-    """
+def apply_A0_star(density: GridDensity, spec: ModelSpec, m_bar: float) -> np.ndarray:
+    """Drift, diffusion and compensated jump parts of the adjoint generator at mean ``m_bar``."""
     x, rho, dx = density.x, density.values, density.dx
-    if m_bar is None:
-        m_bar = density.first_moment()
     alpha = spec.drift(m_bar)
     b1 = spec.diffusion_common(m_bar)
     b2 = spec.diffusion_idio(m_bar)
@@ -132,11 +124,8 @@ def apply_A0_star(density: GridDensity, spec: ModelSpec, m_bar: float | None = N
     return rate
 
 
-def apply_A1_star(density: GridDensity, spec: ModelSpec, m_bar: float | None = None,
-                  ) -> np.ndarray:
+def apply_A1_star(density: GridDensity, spec: ModelSpec, m_bar: float) -> np.ndarray:
     """Common-noise transport term ``-D[beta1 rho]``; ``m_bar`` as in ``apply_A0_star``."""
-    if m_bar is None:
-        m_bar = density.first_moment()
     b1 = spec.diffusion_common(m_bar)
     return -_d1(b1 * density.values, density.dx)
 
@@ -148,16 +137,13 @@ class StepDiagnostics:
     cfl_bound: float
 
 
-def cfl_bound(density: GridDensity, spec: ModelSpec, safety: float = 0.25,
-              m_bar: float | None = None) -> float:
-    if m_bar is None:
-        m_bar = density.first_moment()
+def cfl_bound(density: GridDensity, spec: ModelSpec, m_bar: float) -> float:
     b1 = spec.diffusion_common(m_bar)
     b2 = spec.diffusion_idio(m_bar)
     peak = b1 * b1 + b2 * b2
     if peak == 0:
         return np.inf
-    return safety * density.dx**2 / peak
+    return CFL_SAFETY * density.dx**2 / peak
 
 
 def step_spide(
@@ -165,26 +151,24 @@ def step_spide(
     spec: ModelSpec,
     dt: float,
     dB1: float,
-    *,
-    cfl_safety: float = 0.25,
-    boundary_tol: float = 1e-6,
-    value_cap: float = 1e12,
 ) -> tuple[GridDensity, StepDiagnostics]:
     """One Euler-Maruyama step of the density, with clipping and renormalization."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     m_bar = density.first_moment()
-    bound = cfl_bound(density, spec, cfl_safety, m_bar)
+    bound = cfl_bound(density, spec, m_bar)
     if dt > bound * (1 + 1e-9):
         raise CFLError(
             f"dt={dt:.3e} exceeds stability bound {bound:.3e} "
             f"(dx={density.dx:.3e}, t={density.time:.4f})"
         )
-    _check_boundary(density, boundary_tol)
+    edge = boundary_mass(density)
+    if edge > BOUNDARY_TOL:
+        raise GridError(f"density mass at grid boundary {edge:.3e} exceeds {BOUNDARY_TOL:.1e}")
     rho = density.values
     new = (rho + apply_A0_star(density, spec, m_bar) * dt
            + apply_A1_star(density, spec, m_bar) * dB1)
-    if not np.abs(new).max() <= value_cap:  # NaN and inf fail the comparison too
+    if not np.abs(new).max() <= VALUE_CAP:  # NaN and inf fail the comparison too
         raise CFLError(
             f"density blow-up at t={density.time:.4f}; "
             f"CFL bound was {bound:.3e} for dt={dt:.3e}"
@@ -202,11 +186,10 @@ def evolve_spide(
     spec: ModelSpec,
     dt: float,
     dB1_increments: np.ndarray,
-    **step_kwargs,
 ) -> tuple[GridDensity, list[StepDiagnostics]]:
     diags = []
     for dB1 in np.asarray(dB1_increments, float):
-        density, d = step_spide(density, spec, dt, float(dB1), **step_kwargs)
+        density, d = step_spide(density, spec, dt, float(dB1))
         diags.append(d)
     return density, diags
 

@@ -22,6 +22,7 @@ from .model import InitialLaw, LevyMeasureSpec, ModelSpec
 
 _KDE_CHUNK = 2e6          # kernel-matrix elements per summed chunk of particles
 _KDE_TILE = 2**15         # elements per evaluated tile, about 256 KiB of float64
+_KDE_OUTSIDE = 0.01       # largest share of the cloud allowed off the grid
 
 
 class SimulationError(RuntimeError):
@@ -240,7 +241,6 @@ def kde_density(
     cloud: ParticleCloud,
     bandwidth: float | None,
     grid: np.ndarray,
-    overflow_tol: float = 0.01,
 ) -> GridDensity:
     """Gaussian-kernel estimate on the grid, renormalized to unit mass."""
     x = np.asarray(grid, float)
@@ -249,7 +249,7 @@ def kde_density(
     if h <= 0:
         raise ValueError("bandwidth must be > 0")
     outside = np.count_nonzero((states < x[0]) | (states > x[-1])) / states.size
-    if outside > overflow_tol:
+    if outside > _KDE_OUTSIDE:
         raise ValueError(
             f"grid too narrow: {outside:.2%} of cloud mass outside [{x[0]}, {x[-1]}]"
         )

@@ -30,7 +30,7 @@ from .model import (
     InitialLaw, LevyMeasureSpec, ModelSpec, constant_mark, make_quit_model, make_sell_model,
     no_jumps,
 )
-from .particle import check_on_grid, off_grid  # off_grid re-exported
+from .particle import check_on_grid
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,16 @@ class TestConfigValidation:
         bad = write_config(tmp_path, {"experiment": "nope"}, "bad.json")
         assert main(["validate", bad]) == 1
 
+    @pytest.mark.parametrize("output", ["taken", "taken/out"])
+    def test_output_through_a_file_is_rejected(self, tmp_path, capsys, output):
+        (tmp_path / "taken").write_text("")
+        path = write_config(tmp_path, base_config(tmp_path, output=str(tmp_path / output)))
+        assert main(["validate", path]) == 1
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert f"output {str(tmp_path / output)!r} cannot be a directory" in err
+        assert "Traceback" not in err
+
 
 RULE = {"kind": "threshold_up", "threshold": 2.7}
 FP_MODEL = dict(QUIT_MODEL, sigma2=0.0, initial={"kind": "normal", "loc": 0.0, "scale": 0.3})
@@ -292,6 +302,14 @@ class TestRunExperiment:
         assert main(["report", str(tmp_path / "out")]) == 0
         assert "PASS" in capsys.readouterr().out
         assert main(["report", str(tmp_path / "missing")]) == 1
+        capsys.readouterr()
+        for name, text in [("not_json", "{nope"), ("no_passed", '{"experiment": "x"}')]:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text(text)
+            assert main(["report", str(tmp_path / name)]) == 1
+            out, err = capsys.readouterr()
+            assert err == f"malformed summary at {tmp_path / name / 'summary.json'}\n"
+            assert out == ""
 
     def test_run_subcommand(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path))
@@ -310,6 +328,32 @@ class TestRunExperiment:
         monkeypatch.setenv("MVSTOP_WORKERS", "two")
         path = write_config(tmp_path, base_config(tmp_path))
         assert main(["run", path]) == 0
+
+    def test_path_oracle_starts_at_the_initial_mean(self, tmp_path):
+        body = base_config(
+            tmp_path, experiment="simulate_path",
+            model=dict(QUIT_MODEL, x0=1.0, initial={"kind": "normal", "loc": 2.0, "scale": 0.1}),
+            numerics={"dt": 0.01, "horizon": 0.1, "n": 2000, "n_paths": 1}, seed=3)
+        assert run_experiment(load_config(write_config(tmp_path, body))) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["checks"]["max_rel_error_vs_oracle"]["value"] < 0.01
+
+    def test_probe_grid_defaults_apply(self, tmp_path):
+        body = base_config(tmp_path, experiment="var_ineq_check", numerics={"probe": {}})
+        assert run_experiment(load_config(write_config(tmp_path, body))) == 0
+        report = json.loads((tmp_path / "out" / "var_ineq_report.json").read_text())
+        assert report["n_continuation_probes"] + report["n_stopping_probes"] == 200 * 20
+
+    @pytest.mark.parametrize("given", [{}, {"mode": None}], ids=["absent", "null"])
+    def test_simulation_defaults_apply(self, tmp_path, given):
+        numerics = {"dt": 0.01, "replications": 20, "t_max": 1.0,
+                    "rule": {"kind": "threshold_down", "threshold": -0.47}, **given}
+        body = base_config(tmp_path, experiment="evaluate_rule", model=dict(QUIT_MODEL),
+                           numerics=numerics)
+        assert run_experiment(load_config(write_config(tmp_path, body))) == 0
+        with open(tmp_path / "out" / "estimate.csv") as fh:
+            row = next(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert row["n"] == "1000"
 
     def test_aborting_experiment_reports_failure(self, tmp_path):
         body = base_config(

@@ -41,13 +41,13 @@ def test_gaussian_density_mass_and_moment():
 
 def test_a1_star_integrates_to_zero(quit_spec):
     d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
-    rate = apply_A1_star(d, quit_spec)
+    rate = apply_A1_star(d, quit_spec, d.first_moment())
     assert abs(np.trapezoid(rate, d.x)) < 1e-12
 
 
 def test_a0_star_integrates_to_zero(quit_spec):
     d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
-    rate = apply_A0_star(d, quit_spec)
+    rate = apply_A0_star(d, quit_spec, d.first_moment())
     assert abs(np.trapezoid(rate, d.x)) < 1e-12
 
 
@@ -92,7 +92,7 @@ def test_jump_term_preserves_mass():
 
 def test_cfl_violation_raises(quit_spec):
     d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
-    bound = cfl_bound(d, quit_spec)
+    bound = cfl_bound(d, quit_spec, d.first_moment())
     assert bound == pytest.approx(0.25 * d.dx**2 / 0.25)
     with pytest.raises(CFLError):
         step_spide(d, quit_spec, 2 * bound, 0.0)
@@ -125,11 +125,10 @@ def test_compare_requires_same_grid():
 # ---------------------------------------------------------------------------
 # the step on a shared grid against the step that rebuilt and re-checked it
 
-def _reference_step(density, spec, dt, dB1, cfl_safety=0.25, boundary_tol=1e-6,
-                    value_cap=1e12):
+def _reference_step(density, spec, dt, dB1, boundary_tol=1e-6, value_cap=1e12):
     x = density.x
     m_bar = float(np.trapezoid(x * density.values, x))
-    bound = cfl_bound(density, spec, cfl_safety, m_bar)
+    bound = cfl_bound(density, spec, m_bar)
     if dt > bound * (1 + 1e-9):
         raise CFLError("dt exceeds the stability bound")
     if boundary_mass(density) > boundary_tol:
@@ -197,4 +196,4 @@ def test_non_finite_update_raises(quit_spec, dB1):
 def test_value_cap_raises(quit_spec):
     d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
     with pytest.raises(CFLError, match="blow-up"):
-        step_spide(d, quit_spec, 1e-5, 0.0, value_cap=1.0)
+        step_spide(d, quit_spec, 1e-5, 1e13)
