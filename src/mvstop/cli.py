@@ -135,6 +135,10 @@ def _validate_model(model: dict, errors: list) -> None:
             errors.append(f"model.initial: {exc}")
 
 
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path) -> dict:
     """Parse and validate a config file; raises ConfigError listing all issues.
 
@@ -145,8 +149,8 @@ def load_config(path) -> dict:
     errors: list[str] = []
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_constant=_not_a_number)
+    except (OSError, ValueError) as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top-level document must be an object"])
@@ -172,7 +176,7 @@ def load_config(path) -> dict:
     if known:
         try:
             _prepare(raw, errors)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             errors.append(f"cannot build the run: {exc}")
     if errors:
         raise ConfigError(errors)
@@ -193,30 +197,37 @@ def _prepare(config: dict, errors: list, workers: int | None = None):
         return None
     if workers is not None:
         numerics["workers"] = workers
-    spec, params, start = build_model(config["model"])
-    return experiment.prepare(spec, params, start, numerics, checks, config["seed"])
+    spec, params = build_model(config["model"])
+    return experiment.prepare(spec, params, numerics, checks, config["seed"])
 
 
 # ---------------------------------------------------------------------------
 # model construction from config
 
 
-def build_model(model: dict) -> tuple[ModelSpec, object, float]:
-    """Returns (spec, params bundle, start value); no initial law means a point at the start."""
+def build_model(model: dict) -> tuple[ModelSpec, object]:
+    """Returns (spec, params bundle).  No initial law means a point at the
+    family's start key (``m0`` or ``x0``); every run starts at the law's mean."""
     fam = FAMILIES[model["family"]]
+    key = fam.start_key
     block = {**fam.defaults, **model}
     params = fam.params(block)
-    start = block[fam.start_key]
     initial = model.get("initial")
-    law = InitialLaw("point", start) if initial is None else InitialLaw(**initial)
-    return params.spec(law), params, start
+    law = InitialLaw("point", block[key]) if initial is None else InitialLaw(**initial)
+    if initial is not None and key in model and model[key] != law.mean:
+        raise ValueError(f"model.{key} = {model[key]!r} differs from the mean {law.mean!r} "
+                         f"of model.initial; give one of them")
+    if not math.isfinite(fam.to_y(law.mean)):
+        raise ValueError(f"the initial mean ({key}) must lie in the {model['family']} state "
+                         f"space, got {law.mean!r}")
+    return params.spec(law), params
 
 
-def _sim_config(numerics: dict, seed: int, start: float, **fixed) -> SimConfig:
+def _sim_config(numerics: dict, seed: int, **fixed) -> SimConfig:
     """The SimConfig of resolved numerics; a ``_SIM`` key absent or None keeps its default."""
     given = {("n_particles" if key == "n" else key): value
              for key, value in numerics.items() if key in _SIM and value is not None}
-    return SimConfig(seed=seed, start=start, **given, **fixed)
+    return SimConfig(seed=seed, **given, **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +271,11 @@ class Summary:
 
 
 # ---------------------------------------------------------------------------
-# experiments: prepare(spec, params, start, numerics, checks, seed) builds the
+# experiments: prepare(spec, params, numerics, checks, seed) builds the
 # run and returns the computation that writes its outputs
 
 
-def _closed_form_report(spec, params, start, numerics, checks, seed):
+def _closed_form_report(spec, params, numerics, checks, seed):
     def compute(out, mhash, summary):
         rows, worst = FAMILIES[spec.family].report(params)
         write_csv(out / "closed_form.csv", ("quantity", "value"), rows, mhash)
@@ -273,14 +284,14 @@ def _closed_form_report(spec, params, start, numerics, checks, seed):
     return compute
 
 
-def _evaluate_rule(spec, params, start, numerics, checks, seed):
+def _evaluate_rule(spec, params, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     rule = StoppingRule(**numerics["rule"])
     check_on_grid(numerics["dt"], {
         "t_max": numerics["t_max"], "rule.horizon_cap": rule.horizon_cap,
         "rule.fixed_time": rule.fixed_time if rule.kind == "fixed_time" else None,
     }, "numerics.")
-    cfg = _sim_config(numerics, seed, start)
+    cfg = _sim_config(numerics, seed)
 
     def compute(out, mhash, summary):
         est = evaluate_rule_mc(spec, rule, fam.payoff(params), cfg)
@@ -294,17 +305,17 @@ def _evaluate_rule(spec, params, start, numerics, checks, seed):
         )
         tol = checks["closed_form_tolerance"]
         if tol is not None:
-            ref = fam.candidate(params).value(0.0, start)
+            ref = fam.candidate(params).value(0.0, spec.initial_law.mean)
             band = max(3 * est.std_error, tol * abs(ref))
             summary.add("value_vs_closed_form", abs(est.mean - ref), band,
                         abs(est.mean - ref) <= band)
     return compute
 
 
-def _threshold_sweep(spec, params, start, numerics, checks, seed):
+def _threshold_sweep(spec, params, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     check_on_grid(numerics["dt"], {"t_max": numerics["t_max"]}, "numerics.")
-    cfg = _sim_config(numerics, seed, start)
+    cfg = _sim_config(numerics, seed)
     thresholds = numerics["thresholds"]
     kind = numerics["rule_kind"]
     kind = f"threshold_{fam.candidate(params).direction}" if kind is None else kind
@@ -334,7 +345,7 @@ def _threshold_sweep(spec, params, start, numerics, checks, seed):
     return compute
 
 
-def _simulate_path(spec, params, start, numerics, checks, seed):
+def _simulate_path(spec, params, numerics, checks, seed):
     dt, horizon, n = numerics["dt"], numerics["horizon"], numerics["n"]
     check_on_grid(dt, {"horizon": horizon}, "numerics.")
     checkpoints = [(t, int(round(t / dt))) for t in numerics["checkpoints"] or [horizon]]
@@ -354,7 +365,7 @@ def _simulate_path(spec, params, start, numerics, checks, seed):
             rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
             common = CommonNoisePath.sample(horizon, dt, rng_common)
             result = simulate_path(spec, horizon, dt, n, common, rng_cloud, floor=floor)
-            oracle = conditional_mean_oracle(spec, spec.initial_law.mean, common)
+            oracle = conditional_mean_oracle(spec, common)
             for t_check, k in checkpoints:
                 ref = oracle[k]
                 err = abs(result.m_bar[k] - ref) / max(abs(ref), 1e-12)
@@ -370,7 +381,7 @@ def _simulate_path(spec, params, start, numerics, checks, seed):
     return compute
 
 
-def _fokker_planck_compare(spec, params, start, numerics, checks, seed):
+def _fokker_planck_compare(spec, params, numerics, checks, seed):
     law = spec.initial_law
     if law.kind != "normal" or law.scale <= 0:
         raise ValueError("fokker_planck_compare needs a spread-out normal initial law")
@@ -405,7 +416,7 @@ def _fokker_planck_compare(spec, params, start, numerics, checks, seed):
     return compute
 
 
-def _var_ineq_check(spec, params, start, numerics, checks, seed):
+def _var_ineq_check(spec, params, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     candidate = fam.candidate(params, numerics["threshold"])
     given = {key: value for key, value in numerics["probe"].items() if value is not None}
@@ -425,12 +436,12 @@ def _var_ineq_check(spec, params, start, numerics, checks, seed):
     return compute
 
 
-def _dynkin_check(spec, params, start, numerics, checks, seed):
+def _dynkin_check(spec, params, numerics, checks, seed):
     delta = numerics["delta"]
     if round(delta / numerics["dt"]) < 1:  # no step: every path ends where it starts
         raise ValueError("numerics.delta must be at least one step dt")
     check_on_grid(numerics["dt"], {"delta": delta}, "numerics.")
-    cfg = _sim_config(numerics, seed, start, t_max=delta)
+    cfg = _sim_config(numerics, seed, t_max=delta)
     candidate = FAMILIES[spec.family].candidate(params)
 
     def compute(out, mhash, summary):
@@ -453,7 +464,7 @@ def _dynkin_check(spec, params, start, numerics, checks, seed):
 class Experiment(NamedTuple):
     numerics: dict      # key -> (type or sub-table, default or REQUIRED)
     checks: dict
-    prepare: Callable   # (spec, params, start, numerics, checks, seed) -> computation
+    prepare: Callable   # (spec, params, numerics, checks, seed) -> computation
 
 
 _SIM = {  # SimConfig settings; "n" is its n_particles, and None keeps SimConfig's default

@@ -69,10 +69,12 @@ def frechet_hessian_cylinder(
 def apply_generator_cylinder(phi: CylinderFunction, s, z, spec: ModelSpec):
     """The generator of ``phi`` at ``(s, z)``, elementwise on arrays.  The flow's
     ``(a(z), b(z))`` are the spec's drift and common diffusion at ``m_bar = z``,
-    exact because neither depends on ``x``."""
+    exact because neither depends on ``x``; they enter as the pairings of the
+    measure gradient and Hessian."""
     a, b = spec.drift(z), spec.diffusion_common(z)
     return phi.psi_prime(s) * phi.F(z) + phi.psi(s) * (
-        phi.F_prime(z) * a + 0.5 * phi.F_double_prime(z) * b * b
+        frechet_gradient_cylinder(phi.F_prime, z, a)
+        + 0.5 * frechet_hessian_cylinder(phi.F_double_prime, z, b, b)
     )
 
 

@@ -102,11 +102,6 @@ def init_cloud(initial_law: InitialLaw, n: int, rng: np.random.Generator) -> Par
     return ParticleCloud(0.0, initial_law.sample(rng, n))
 
 
-def conditional_pairing(cloud: ParticleCloud, q=None) -> float:
-    """Empirical pairing ``(1/n) sum q(X_i)``; ``q`` defaults to identity."""
-    return cloud.m_bar if q is None else float(np.mean(np.asarray(q(cloud.states), float)))
-
-
 def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, rng: np.random.Generator):
     """Owners and marks of one step's jumps in a cloud of ``n`` particles.
 

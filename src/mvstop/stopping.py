@@ -109,10 +109,10 @@ class McEstimate:
 class SimConfig:
     """Numerical settings for rule evaluation.
 
-    ``start`` is the initial conditional mean (sell) or state (quit).
-    ``cap_payoff`` selects how horizon-capped paths contribute: ``"stop"``
-    pays the bequest at the cap, ``"zero"`` drops it (diagnostic bound on
-    the truncation bias).
+    Every run starts at the mean of the spec's initial law.  ``cap_payoff``
+    selects how horizon-capped paths contribute: ``"stop"`` pays the bequest
+    at the cap, ``"zero"`` drops it (diagnostic bound on the truncation
+    bias).
     """
 
     dt: float
@@ -121,7 +121,6 @@ class SimConfig:
     t_max: float
     mode: str = "fast"              # fast | particle
     n_particles: int = 1000
-    start: float | None = None
     cap_payoff: str = "stop"
     workers: int = 1
     batch_size: int = 16384
@@ -309,13 +308,14 @@ class Family:
     ``params`` builds the one parameter bundle from a model config block with
     ``defaults`` filled in, checking every precondition; the spec and every
     closed form derive from it.  The exact conditional mean is
-    ``mean_path(start, path_drift(spec) t + path_vol(spec) B1)``; fast mode
-    integrates that drifted Brownian motion from ``to_y(start)`` instead.
+    ``mean_path(start, path_drift(spec) t + path_vol(spec) B1)``, where
+    ``start`` is the mean of the initial law; fast mode integrates that
+    drifted Brownian motion from ``to_y(start)`` instead.
     """
 
     required: tuple[str, ...]   # model config keys besides family and initial
     defaults: dict
-    start_key: str
+    start_key: str              # config key of the default point initial law
     params: Callable[[dict], object]
     payoff: Callable
     candidate: Callable         # (params, threshold or None) -> StoppingCandidate
@@ -330,8 +330,6 @@ class Family:
 
 
 def _sell_params(c: dict) -> SellParams:
-    if c["m0"] <= 0:
-        raise ValueError("sell model requires m0 > 0")
     intensity = c["jump_intensity"]
     if intensity > 0 and c["jump_mark"] is None:
         raise ValueError("sell model with jump_intensity > 0 needs jump_mark")
@@ -396,10 +394,9 @@ FAMILIES = {
 # conditional-mean reduction oracle
 
 
-def conditional_mean_oracle(
-    spec: ModelSpec, start: float, common: particle.CommonNoisePath
-) -> np.ndarray:
-    """Exact conditional-mean path along a realized common-noise path.
+def conditional_mean_oracle(spec: ModelSpec, common: particle.CommonNoisePath) -> np.ndarray:
+    """Exact conditional-mean path along a realized common-noise path, from
+    the mean of the initial law.
 
     Conditioning the state equation on the common-noise filtration kills the
     idiosyncratic Brownian and compensated-jump terms, leaving a scalar SDE
@@ -408,7 +405,8 @@ def conditional_mean_oracle(
     fam = FAMILIES[spec.family]
     b1 = common.brownian()
     t = common.times()
-    return fam.mean_path(start, fam.path_drift(spec) * t + fam.path_vol(spec) * b1)
+    return fam.mean_path(spec.initial_law.mean,
+                         fam.path_drift(spec) * t + fam.path_vol(spec) * b1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +425,6 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
-def _start_value(spec: ModelSpec, cfg: SimConfig) -> float:
-    return cfg.start if cfg.start is not None else spec.initial_law.mean
-
-
 class _FastSource:
     """Exact conditional-mean path in the family's ``y``; rules compare in ``y``.
 
@@ -444,7 +438,7 @@ class _FastSource:
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
         fam = FAMILIES[spec.family]
-        start = _start_value(spec, cfg)
+        start = spec.initial_law.mean
         y0 = fam.to_y(start)
         if not math.isfinite(y0):
             raise ValueError(f"{spec.family} fast mode needs a start value in its state space")
@@ -488,9 +482,6 @@ class _ParticleSource:
         self.x = np.empty((len(gens), cfg.n_particles))
         for j, rng in enumerate(gens):
             self.x[j] = spec.initial_law.sample(rng, cfg.n_particles)
-        if cfg.start is not None:
-            # pin the empirical mean exactly at the requested start value
-            self.x += cfg.start - self.x.mean(axis=1, keepdims=True)
         self.m0 = self.x.mean(axis=1)
         self.m = self.m0.copy()             # row means, aligned with the rows of x
         self.rows = np.arange(len(gens))    # batch index of each row of x
@@ -725,6 +716,5 @@ def dynkin_residual(
     payoff = Payoff("custom", f=candidate.f, g=candidate.value)
     run_cfg = replace(cfg, t_max=delta, cap_payoff="stop", workers=1)
     est = evaluate_rule_mc(spec, rule, payoff, run_cfg)
-    start = _start_value(spec, run_cfg)
-    residual = est.mean - candidate.value(0.0, start)
+    residual = est.mean - candidate.value(0.0, spec.initial_law.mean)
     return DynkinResult(residual, est.std_error, residual / delta, est)

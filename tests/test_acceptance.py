@@ -127,7 +127,7 @@ def test_criterion_05_sell_mc_matches_closed_form():
     spec = make_sell_model(SELL.alpha0, SELL.sigma1, SELL.sigma2)
     _, lam1 = lambda_roots(SELL.alpha0, SELL.sigma1, SELL.rho)
     xi = sell_threshold(lam1, SELL.a)
-    cfg = SimConfig(dt=1e-3, replications=100_000, seed=501, t_max=100.0, start=1.0)
+    cfg = SimConfig(dt=1e-3, replications=100_000, seed=501, t_max=100.0)
     est = evaluate_rule_mc(
         spec, StoppingRule("threshold_up", threshold=xi), sell_payoff(SELL), cfg
     )
@@ -142,7 +142,7 @@ def test_criterion_05_sell_mc_matches_closed_form():
 def test_criterion_06_quit_mc_matches_closed_form():
     spec = make_quit_model(QUIT.sigma1, QUIT.sigma2)
     _, eta, _ = quit_threshold(QUIT)
-    cfg = SimConfig(dt=1e-3, replications=100_000, seed=601, t_max=100.0, start=0.0)
+    cfg = SimConfig(dt=1e-3, replications=100_000, seed=601, t_max=100.0)
     est = evaluate_rule_mc(
         spec, StoppingRule("threshold_down", threshold=eta), quit_payoff(QUIT), cfg
     )
@@ -166,15 +166,13 @@ def test_criterion_07_threshold_optimality():
     for seed in (1, 2, 3, 4, 5):
         sw = threshold_sweep(
             sell_spec, sell_grid, sell_payoff(SELL),
-            SimConfig(dt=1e-3, replications=20_000, seed=700 + seed, t_max=100.0,
-                      start=1.0),
+            SimConfig(dt=1e-3, replications=20_000, seed=700 + seed, t_max=100.0),
         )
         if abs(sw.argmax_threshold - xi) > 0.25 + 1e-12:
             failures.append(("sell", seed, sw.argmax_threshold))
         sw = threshold_sweep(
             quit_spec, quit_grid, quit_payoff(QUIT),
-            SimConfig(dt=1e-3, replications=20_000, seed=750 + seed, t_max=60.0,
-                      start=0.0),
+            SimConfig(dt=1e-3, replications=20_000, seed=750 + seed, t_max=60.0),
             kind="threshold_down",
         )
         if abs(sw.argmax_threshold - eta) > 0.1 + 1e-12:
@@ -194,7 +192,7 @@ def test_criterion_08_particle_reduction():
         rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
         common = CommonNoisePath.sample(1.0, 1e-3, rng_common)
         result = simulate_path(spec, 1.0, 1e-3, 10_000, common, rng_cloud, floor=1e-12)
-        ref = conditional_mean_oracle(spec, 1.0, common)[-1]
+        ref = conditional_mean_oracle(spec, common)[-1]
         worst = max(worst, abs(result.m_bar[-1] - ref) / abs(ref))
     oracle_ok = worst < 0.05
 
@@ -202,12 +200,12 @@ def test_criterion_08_particle_reduction():
     rule = StoppingRule("threshold_up", threshold=sell_threshold(lam1, SELL.a))
     fast = evaluate_rule_mc(
         spec, rule, sell_payoff(SELL),
-        SimConfig(dt=1e-2, replications=20_000, seed=802, t_max=60.0, start=1.0),
+        SimConfig(dt=1e-2, replications=20_000, seed=802, t_max=60.0),
     )
     part = evaluate_rule_mc(
         spec, rule, sell_payoff(SELL),
-        SimConfig(dt=1e-2, replications=300, seed=803, t_max=60.0, start=1.0,
-                  mode="particle", n_particles=2000),
+        SimConfig(dt=1e-2, replications=300, seed=803, t_max=60.0, mode="particle",
+                  n_particles=2000),
     )
     combined = 3 * math.hypot(fast.std_error, part.std_error)
     values_ok = abs(fast.mean - part.mean) <= combined
@@ -267,16 +265,17 @@ def test_criterion_10_measure_calculus():
 
 
 def test_criterion_11_dynkin_diagnostic():
-    sell_spec = make_sell_model(SELL.alpha0, SELL.sigma1, SELL.sigma2)
+    sell_spec = make_sell_model(SELL.alpha0, SELL.sigma1, SELL.sigma2,
+                                initial_law=InitialLaw("point", 1.5))
     sell_run = dynkin_residual(
         sell_spec, sell_candidate(SELL),
-        SimConfig(dt=1e-3, replications=20_000, seed=1101, t_max=1.0, start=1.5),
+        SimConfig(dt=1e-3, replications=20_000, seed=1101, t_max=1.0),
         delta=0.5,
     )
-    quit_spec = make_quit_model(QUIT.sigma1, QUIT.sigma2)
+    quit_spec = make_quit_model(QUIT.sigma1, QUIT.sigma2, initial_law=InitialLaw("point", 0.3))
     quit_run = dynkin_residual(
         quit_spec, quit_candidate(QUIT),
-        SimConfig(dt=1e-3, replications=20_000, seed=1102, t_max=1.0, start=0.3),
+        SimConfig(dt=1e-3, replications=20_000, seed=1102, t_max=1.0),
         delta=0.5,
     )
     sell_ok = abs(sell_run.residual) <= 3 * sell_run.std_error

@@ -1,16 +1,20 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from mvstop.cli import ConfigError, load_config, main, manifest_hash, run_experiment
+from mvstop.stopping import QuitParams, quit_value
 
 SELL_MODEL = {
     "family": "sell", "alpha0": 0.1, "sigma1": 0.3, "sigma2": 0.2,
     "rho": 0.2, "a": 1.0, "m0": 1.0,
 }
 QUIT_MODEL = {"family": "quit", "sigma1": 0.3, "sigma2": 0.1, "rho": 0.2, "x0": 0.0}
+QUIT_AT_2 = {**{k: v for k, v in QUIT_MODEL.items() if k != "x0"},
+             "initial": {"kind": "normal", "loc": 2.0, "scale": 0.1}}
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -161,6 +165,24 @@ RUN_ABORTS = {
     "non_numeric_initial_scale": (
         "evaluate_rule", dict(SELL_MODEL, initial={"kind": "normal", "scale": "wide"}),
         {"rule": RULE}, "'scale' in model.initial"),
+    "infinite_delta": (
+        "dynkin_check", SELL_MODEL, {"delta": math.inf}, "Infinity is not a JSON number"),
+    "infinite_path_horizon": (
+        "simulate_path", SELL_MODEL, {"horizon": math.inf}, "Infinity is not a JSON number"),
+    "infinite_t_max": (
+        "evaluate_rule", SELL_MODEL, {"t_max": math.inf, "rule": RULE},
+        "Infinity is not a JSON number"),
+    "nan_rho": (
+        "evaluate_rule", dict(QUIT_MODEL, rho=math.nan),
+        {"rule": {"kind": "threshold_down", "threshold": -0.47}}, "NaN is not a JSON number"),
+    "nan_sigma1": (
+        "closed_form_report", dict(SELL_MODEL, sigma1=math.nan), {}, "NaN is not a JSON number"),
+    "t_max_overflows_the_step_count": (
+        "evaluate_rule", SELL_MODEL, {"t_max": 1e308, "rule": RULE}, "cannot build the run"),
+    "initial_mean_overflows": (
+        "simulate_path", {**{k: v for k, v in SELL_MODEL.items() if k != "m0"},
+                          "initial": {"kind": "lognormal", "loc": 800.0, "scale": 0.1}}, {},
+        "cannot build the run"),
 }
 
 
@@ -218,6 +240,14 @@ VALIDATE_REJECTS = {
     "off_grid_path_horizon": (
         "simulate_path", SELL_MODEL, {"dt": 0.01, "horizon": 0.2049, "checkpoints": [0.1]}, {},
         "numerics.horizon must be a whole multiple of dt; 0.2049 is 20.49 steps of 0.01"),
+    "start_beside_another_initial_mean": (
+        "evaluate_rule", dict(QUIT_AT_2, x0=1.0),
+        {"rule": {"kind": "threshold_down", "threshold": -0.47}}, {},
+        "model.x0 = 1.0 differs from the mean 2.0 of model.initial; give one of them"),
+    "sell_initial_mean_not_positive": (
+        "evaluate_rule", {**{k: v for k, v in SELL_MODEL.items() if k != "m0"},
+                          "initial": {"kind": "normal", "loc": -1.0, "scale": 0.1}},
+        {"rule": RULE}, {}, "the initial mean (m0) must lie in the sell state space, got -1.0"),
 }
 
 
@@ -331,12 +361,25 @@ class TestRunExperiment:
 
     def test_path_oracle_starts_at_the_initial_mean(self, tmp_path):
         body = base_config(
-            tmp_path, experiment="simulate_path",
-            model=dict(QUIT_MODEL, x0=1.0, initial={"kind": "normal", "loc": 2.0, "scale": 0.1}),
+            tmp_path, experiment="simulate_path", model=dict(QUIT_AT_2),
             numerics={"dt": 0.01, "horizon": 0.1, "n": 2000, "n_paths": 1}, seed=3)
         assert run_experiment(load_config(write_config(tmp_path, body))) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["checks"]["max_rel_error_vs_oracle"]["value"] < 0.01
+
+    @pytest.mark.parametrize("sim", [{"replications": 400},
+                                     {"replications": 40, "mode": "particle", "n": 200}],
+                             ids=["fast", "particle"])
+    def test_rule_value_starts_at_the_initial_mean(self, tmp_path, sim):
+        numerics = {"dt": 0.01, "t_max": 20.0, **sim,
+                    "rule": {"kind": "threshold_down", "threshold": -0.47}}
+        body = base_config(tmp_path, experiment="evaluate_rule", model=dict(QUIT_AT_2),
+                           numerics=numerics, seed=3)
+        run_experiment(load_config(write_config(tmp_path, body)))
+        with open(tmp_path / "out" / "estimate.csv") as fh:
+            row = next(csv.DictReader(line for line in fh if not line.startswith("#")))
+        ref = quit_value(0.0, 2.0, QuitParams(0.3, 0.1, rho=0.2))
+        assert abs(float(row["mean"]) - ref) <= max(3 * float(row["std_error"]), 0.02 * ref)
 
     def test_probe_grid_defaults_apply(self, tmp_path):
         body = base_config(tmp_path, experiment="var_ineq_check", numerics={"probe": {}})

@@ -14,7 +14,6 @@ from mvstop.particle import (
     ParticleCloud,
     SimulationError,
     _draw_jumps,
-    conditional_pairing,
     init_cloud,
     kde_density,
     silverman_bandwidth,
@@ -40,8 +39,7 @@ def test_common_noise_variance():
 def test_init_cloud_and_pairing():
     cloud = init_cloud(InitialLaw("point", 1.5), 100, np.random.default_rng(0))
     assert cloud.n == 100
-    assert conditional_pairing(cloud) == 1.5
-    assert conditional_pairing(cloud, q=lambda x: x**2) == pytest.approx(2.25)
+    assert cloud.m_bar == 1.5
 
 
 def test_step_moments_quit_model():

@@ -117,13 +117,13 @@ class TestQuitClosedForm:
 
 def test_conditional_mean_oracle_matches_formula():
     common = CommonNoisePath.sample(1.0, 0.01, np.random.default_rng(0))
-    sell = make_sell_model(0.1, 0.3, 0.2)
+    sell = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", 2.0))
     t = common.times()
     expect = 2.0 * np.exp((0.1 - 0.045) * t + 0.3 * common.brownian())
-    np.testing.assert_allclose(conditional_mean_oracle(sell, 2.0, common), expect)
-    quit_ = make_quit_model(0.3, 0.1)
+    np.testing.assert_allclose(conditional_mean_oracle(sell, common), expect)
+    quit_ = make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.5))
     np.testing.assert_allclose(
-        conditional_mean_oracle(quit_, 0.5, common), 0.5 + 0.3 * common.brownian()
+        conditional_mean_oracle(quit_, common), 0.5 + 0.3 * common.brownian()
     )
 
 
@@ -154,7 +154,7 @@ class TestOffGridTimes:
     def test_fixed_time(self):
         spec = make_quit_model(0.3, 0.1)
         unit = Payoff("custom", f=lambda t, m: np.ones_like(m), g=None)
-        cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=1.0, start=0.0)
+        cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=1.0)
         with pytest.raises(ValueError, match="fixed_time must be a whole multiple of dt; "
                                              "0.25 is 2.5 steps of 0.1"):
             evaluate_rule_mc(spec, StoppingRule("fixed_time", fixed_time=0.25), unit, cfg)
@@ -162,7 +162,7 @@ class TestOffGridTimes:
     def test_horizon_cap(self):
         spec = make_quit_model(0.3, 0.1)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=0.125)
-        cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0, start=0.0)
+        cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0)
         with pytest.raises(ValueError, match="horizon_cap must be a whole multiple of dt"):
             evaluate_rule_mc(spec, rule, quit_payoff(QuitParams(0.3, 0.1, rho=0.2)), cfg)
 
@@ -173,13 +173,14 @@ class TestOffGridTimes:
 
     def test_dynkin_delta(self):
         params = QuitParams(0.3, 0.1, rho=0.2)
-        cfg = SimConfig(dt=0.3, replications=10, seed=0, t_max=0.6, start=0.3)
+        spec = make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.3))
+        cfg = SimConfig(dt=0.3, replications=10, seed=0, t_max=0.6)
         with pytest.raises(ValueError, match="t_max must be a whole multiple of dt"):
-            dynkin_residual(make_quit_model(0.3, 0.1), quit_candidate(params), cfg, delta=0.5)
+            dynkin_residual(spec, quit_candidate(params), cfg, delta=0.5)
 
     def test_on_grid_up_to_rounding(self):
         # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
-        cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=0.3, start=0.0)
+        cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=0.3)
         unit = Payoff("custom", f=lambda t, m: np.ones_like(m), g=None)
         est = evaluate_rule_mc(make_quit_model(0.3, 0.1),
                                StoppingRule("fixed_time", fixed_time=0.3), unit, cfg)
@@ -191,7 +192,7 @@ class TestMonteCarlo:
         # exact log-normal scheme: E[m_t] = m0 e^{alpha0 t} at any dt
         spec = make_sell_model(0.1, 0.3, 0.2)
         params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
-        cfg = SimConfig(dt=0.01, replications=40_000, seed=21, t_max=1.0, start=1.0)
+        cfg = SimConfig(dt=0.01, replications=40_000, seed=21, t_max=1.0)
         est = evaluate_rule_mc(
             spec, StoppingRule("fixed_time", fixed_time=0.5), sell_payoff(params), cfg
         )
@@ -202,7 +203,7 @@ class TestMonteCarlo:
     def test_fixed_time_quit_running_profit_centred(self):
         spec = make_quit_model(0.3, 0.1)
         params = QuitParams(0.3, 0.1, rho=0.2)
-        cfg = SimConfig(dt=0.01, replications=40_000, seed=22, t_max=1.0, start=0.0)
+        cfg = SimConfig(dt=0.01, replications=40_000, seed=22, t_max=1.0)
         est = evaluate_rule_mc(
             spec, StoppingRule("fixed_time", fixed_time=1.0), quit_payoff(params), cfg
         )
@@ -210,9 +211,9 @@ class TestMonteCarlo:
         assert abs(est.mean) < 4 * est.std_error
 
     def test_immediate_trigger(self):
-        spec = make_sell_model(0.1, 0.3, 0.2)
+        spec = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", 3.0))
         params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
-        cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=1.0, start=3.0)
+        cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=1.0)
         est = evaluate_rule_mc(
             spec, StoppingRule("threshold_up", threshold=2.0), sell_payoff(params), cfg
         )
@@ -221,10 +222,9 @@ class TestMonteCarlo:
 
     def test_constant_payoff_over_uneven_batches(self):
         # g(0, 1.2) is not a short binary fraction; ten batches, the last of one row
-        spec = make_sell_model(0.1, 0.3, 0.2)
+        spec = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", 1.2))
         params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
-        cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=1.0, start=1.2,
-                        batch_size=7)
+        cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=1.0, batch_size=7)
         est = evaluate_rule_mc(
             spec, StoppingRule("threshold_up", threshold=1.1), sell_payoff(params), cfg
         )
@@ -235,10 +235,10 @@ class TestMonteCarlo:
                              ids=["capped", "cap_at_0"])
     @pytest.mark.parametrize("mode", ["fast", "particle"])
     def test_never_rule_with_zero_cap_payoff(self, mode, start, t_max):
-        spec = make_sell_model(0.1, 0.3, 0.2)
+        spec = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", start))
         params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
         cfg = SimConfig(
-            dt=0.01, replications=64, seed=0, t_max=t_max, start=start,
+            dt=0.01, replications=64, seed=0, t_max=t_max,
             cap_payoff="zero", mode=mode, n_particles=100,
         )
         est = evaluate_rule_mc(spec, StoppingRule("never"), sell_payoff(params), cfg)
@@ -254,13 +254,13 @@ class TestMonteCarlo:
             spec = make_quit_model(0.3, 0.1)
             payoff = quit_payoff(QuitParams(0.3, 0.1, rho=0.2))
             rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
-            cfg = SimConfig(dt=0.01, replications=400, seed=4, t_max=5.0, start=0.0)
+            cfg = SimConfig(dt=0.01, replications=400, seed=4, t_max=5.0)
         else:
             params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(0.5, -0.2))
             spec, payoff = params.spec(), sell_payoff(params)
             rule = StoppingRule("threshold_up", threshold=1.3)
-            cfg = SimConfig(dt=0.05, replications=40, seed=4, t_max=3.0, start=1.0,
-                            mode="particle", n_particles=50)
+            cfg = SimConfig(dt=0.05, replications=40, seed=4, t_max=3.0, mode="particle",
+                            n_particles=50)
         one, many = (
             evaluate_rule_mc(spec, rule, payoff, replace(cfg, batch_size=size))
             for size in (cfg.replications, 7)
@@ -273,7 +273,7 @@ class TestMonteCarlo:
     def test_same_seed_reproduces_exactly(self):
         spec = make_quit_model(0.3, 0.1)
         params = QuitParams(0.3, 0.1, rho=0.2)
-        cfg = SimConfig(dt=0.01, replications=2000, seed=5, t_max=5.0, start=0.0)
+        cfg = SimConfig(dt=0.01, replications=2000, seed=5, t_max=5.0)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
         a = evaluate_rule_mc(spec, rule, quit_payoff(params), cfg)
         b = evaluate_rule_mc(spec, rule, quit_payoff(params), cfg)
@@ -283,7 +283,7 @@ class TestMonteCarlo:
         # duplicated threshold in one sweep must give identical estimates
         spec = make_sell_model(0.1, 0.3, 0.2)
         params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
-        cfg = SimConfig(dt=0.01, replications=2000, seed=6, t_max=20.0, start=1.0)
+        cfg = SimConfig(dt=0.01, replications=2000, seed=6, t_max=20.0)
         sweep = threshold_sweep(spec, [2.5, 3.0, 2.5], sell_payoff(params), cfg)
         assert sweep.estimates[0] == sweep.estimates[2]
 
@@ -291,8 +291,7 @@ class TestMonteCarlo:
         spec = make_quit_model(0.3, 0.1)
         params = QuitParams(0.3, 0.1, rho=0.2)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
-        base = dict(dt=0.01, replications=3000, seed=7, t_max=5.0, start=0.0,
-                    batch_size=700)
+        base = dict(dt=0.01, replications=3000, seed=7, t_max=5.0, batch_size=700)
         serial = evaluate_rule_mc(
             spec, rule, quit_payoff(params), SimConfig(**base, workers=1)
         )
@@ -304,16 +303,16 @@ class TestMonteCarlo:
     def test_custom_payoff_rejected_on_pool(self):
         spec = make_quit_model(0.3, 0.1)
         payoff = Payoff("custom", f=None, g=lambda t, m: m)
-        cfg = SimConfig(dt=0.01, replications=3000, seed=8, t_max=1.0, start=0.0,
-                        batch_size=700, workers=2)
+        cfg = SimConfig(dt=0.01, replications=3000, seed=8, t_max=1.0, batch_size=700,
+                        workers=2)
         with pytest.raises(ValueError, match="custom payoffs"):
             evaluate_rule_mc(spec, StoppingRule("never"), payoff, cfg)
 
     def test_particle_mode_small_run(self):
         spec = make_sell_model(0.1, 0.3, 0.2)
         params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
-        cfg = SimConfig(dt=0.02, replications=50, seed=9, t_max=2.0, start=1.0,
-                        mode="particle", n_particles=200)
+        cfg = SimConfig(dt=0.02, replications=50, seed=9, t_max=2.0, mode="particle",
+                        n_particles=200)
         est = evaluate_rule_mc(
             spec, StoppingRule("fixed_time", fixed_time=1.0), sell_payoff(params), cfg
         )
@@ -323,8 +322,8 @@ class TestMonteCarlo:
 
 def test_dynkin_residual_small_run():
     params = QuitParams(0.3, 0.1, rho=0.2)
-    spec = make_quit_model(0.3, 0.1)
-    cfg = SimConfig(dt=0.005, replications=4000, seed=10, t_max=1.0, start=0.3)
+    spec = make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.3))
+    cfg = SimConfig(dt=0.005, replications=4000, seed=10, t_max=1.0)
     result = dynkin_residual(spec, quit_candidate(params), cfg, delta=0.3)
     assert abs(result.residual) < 4 * result.std_error + 1e-3
 
@@ -377,10 +376,10 @@ def test_first_stop_matches_full_matrix_scan(seed):
 
 
 def test_fast_mode_needs_a_start_in_its_state_space():
-    sell = make_sell_model(0.1, 0.3, 0.2)
+    sell = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", -1.0))
     rule = StoppingRule("threshold_up", threshold=2.7)
     payoff = sell_payoff(SellParams(0.1, 0.3, 0.2, 0.2, 1.0))
-    cfg = SimConfig(dt=0.01, replications=10, seed=1, t_max=1.0, start=-1.0)
+    cfg = SimConfig(dt=0.01, replications=10, seed=1, t_max=1.0)
     with pytest.raises(ValueError, match="start value"):
         evaluate_rule_mc(sell, rule, payoff, cfg)
 
@@ -388,7 +387,7 @@ def test_fast_mode_needs_a_start_in_its_state_space():
 def test_custom_running_profit_may_broadcast():
     # a profit rate of time only gives the same integral as its full-shape copy
     spec = make_quit_model(0.3, 0.1)
-    cfg = SimConfig(dt=0.01, replications=50, seed=3, t_max=6.0, start=0.0)
+    cfg = SimConfig(dt=0.01, replications=50, seed=3, t_max=6.0)
     rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
     narrow = Payoff("custom", f=lambda t, m: np.exp(-0.2 * t), g=None)
     full = Payoff("custom", f=lambda t, m: np.exp(-0.2 * t) + 0.0 * m, g=None)
@@ -403,18 +402,20 @@ def _frozen_runs():
     sell = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
     quit_ = QuitParams(0.3, 0.1, rho=0.2)
     sell_spec = make_sell_model(0.1, 0.3, 0.2)
+    sell_12 = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", 1.2))
     quit_spec = make_quit_model(0.3, 0.1)
-    jump_sell = make_sell_model(0.1, 0.3, 0.2, constant_mark(0.5, -0.2))
+    jump_sell = make_sell_model(0.1, 0.3, 0.2, constant_mark(0.5, -0.2),
+                                InitialLaw("point", 1.1))
     jump_quit = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5,
                                 initial_law=InitialLaw("normal", 0.0, 0.3))
-    fast = dict(dt=0.01, seed=11, start=1.0)
+    fast = dict(dt=0.01, seed=11)
     particle = dict(dt=0.05, replications=12, t_max=3.0, mode="particle",
                     n_particles=200, batch_size=5)
     runs = {}
     # 2000 steps: four blocks of at most 512, two batches, 1.1 stops at time 0
     runs["fast_sell_sweep"] = threshold_sweep(
-        sell_spec, [1.1, 1.5, 2.2, 2.7, 3.5], sell_payoff(sell),
-        SimConfig(replications=400, t_max=20.0, batch_size=300, **dict(fast, start=1.2)),
+        sell_12, [1.1, 1.5, 2.2, 2.7, 3.5], sell_payoff(sell),
+        SimConfig(replications=400, t_max=20.0, batch_size=300, **fast),
     ).estimates
     # running profit; caps inside a block, at a block edge and past the horizon
     runs["fast_quit_caps"] = _run_rules(
@@ -424,18 +425,16 @@ def _frozen_runs():
          StoppingRule("never", horizon_cap=5.12),
          StoppingRule("threshold_down", threshold=-0.2, horizon_cap=7.77),
          StoppingRule("threshold_up", threshold=0.5, horizon_cap=50.0)],
-        quit_payoff(quit_), SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0,
-                                      start=0.0),
+        quit_payoff(quit_), SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0),
     )
     runs["fixed_time"] = (
         evaluate_rule_mc(sell_spec, StoppingRule("fixed_time", fixed_time=0.5),
                          sell_payoff(sell), SimConfig(replications=300, t_max=1.0, **fast)),
-        evaluate_rule_mc(quit_spec, StoppingRule("fixed_time", fixed_time=7.0),
-                         quit_payoff(quit_), SimConfig(dt=0.01, replications=200, seed=13,
-                                                       t_max=10.0, start=0.1)),
-        evaluate_rule_mc(sell_spec, StoppingRule("fixed_time", fixed_time=0.0),
-                         sell_payoff(sell),
-                         SimConfig(replications=50, t_max=1.0, **dict(fast, start=1.2))),
+        evaluate_rule_mc(make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.1)),
+                         StoppingRule("fixed_time", fixed_time=7.0), quit_payoff(quit_),
+                         SimConfig(dt=0.01, replications=200, seed=13, t_max=10.0)),
+        evaluate_rule_mc(sell_12, StoppingRule("fixed_time", fixed_time=0.0),
+                         sell_payoff(sell), SimConfig(replications=50, t_max=1.0, **fast)),
     )
     runs["cap_zero"] = (
         evaluate_rule_mc(sell_spec, StoppingRule("threshold_up", threshold=2.7,
@@ -444,13 +443,14 @@ def _frozen_runs():
                          SimConfig(replications=300, t_max=20.0, cap_payoff="zero", **fast)),
     )
     runs["fast_dynkin_custom"] = (
-        dynkin_residual(quit_spec, quit_candidate(quit_),
-                        SimConfig(dt=0.005, replications=300, seed=14, t_max=1.0,
-                                  start=0.3), delta=3.0).estimate,
+        dynkin_residual(make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.3)),
+                        quit_candidate(quit_),
+                        SimConfig(dt=0.005, replications=300, seed=14, t_max=1.0),
+                        delta=3.0).estimate,
     )
     runs["particle_sell_jumps"] = threshold_sweep(
         jump_sell, [1.05, 1.3, 1.6], sell_payoff(sell),
-        SimConfig(seed=15, start=1.1, **particle),
+        SimConfig(seed=15, **particle),
     ).estimates
     runs["particle_quit"] = _run_rules(
         jump_quit,
