@@ -8,7 +8,7 @@ variational-inequality checking (`generator`), and closed-form solutions
 plus Monte Carlo rule evaluation (`stopping`).  The `cli` module runs
 reproducible batch experiments from JSON configs.
 
-Names are imported from their modules: ``from mvstop.stopping import SellParams``.
+Names are imported from their modules: ``from mvstop.model import make_sell_model``.
 """
 
 __version__ = "1.0.0"

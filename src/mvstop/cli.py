@@ -197,30 +197,29 @@ def _prepare(config: dict, errors: list, workers: int | None = None):
         return None
     if workers is not None:
         numerics["workers"] = workers
-    spec, params = build_model(config["model"])
-    return experiment.prepare(spec, params, numerics, checks, config["seed"])
+    return experiment.prepare(build_model(config["model"]), numerics, checks, config["seed"])
 
 
 # ---------------------------------------------------------------------------
 # model construction from config
 
 
-def build_model(model: dict) -> tuple[ModelSpec, object]:
-    """Returns (spec, params bundle).  No initial law means a point at the
+def build_model(model: dict) -> ModelSpec:
+    """The spec of a model config block.  No initial law means a point at the
     family's start key (``m0`` or ``x0``); every run starts at the law's mean."""
     fam = FAMILIES[model["family"]]
     key = fam.start_key
     block = {**fam.defaults, **model}
-    params = fam.params(block)
     initial = model.get("initial")
     law = InitialLaw("point", block[key]) if initial is None else InitialLaw(**initial)
+    spec = fam.build(block, law)
     if initial is not None and key in model and model[key] != law.mean:
         raise ValueError(f"model.{key} = {model[key]!r} differs from the mean {law.mean!r} "
                          f"of model.initial; give one of them")
     if not math.isfinite(fam.to_y(law.mean)):
         raise ValueError(f"the initial mean ({key}) must lie in the {model['family']} state "
                          f"space, got {law.mean!r}")
-    return params.spec(law), params
+    return spec
 
 
 def _sim_config(numerics: dict, seed: int, **fixed) -> SimConfig:
@@ -271,20 +270,20 @@ class Summary:
 
 
 # ---------------------------------------------------------------------------
-# experiments: prepare(spec, params, numerics, checks, seed) builds the
+# experiments: prepare(spec, numerics, checks, seed) builds the
 # run and returns the computation that writes its outputs
 
 
-def _closed_form_report(spec, params, numerics, checks, seed):
+def _closed_form_report(spec, numerics, checks, seed):
     def compute(out, mhash, summary):
-        rows, worst = FAMILIES[spec.family].report(params)
+        rows, worst = FAMILIES[spec.family].report(spec)
         write_csv(out / "closed_form.csv", ("quantity", "value"), rows, mhash)
         tol = checks["residual_tol"]
         summary.add("closed_form_residuals", worst, tol, worst < tol)
     return compute
 
 
-def _evaluate_rule(spec, params, numerics, checks, seed):
+def _evaluate_rule(spec, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     rule = StoppingRule(**numerics["rule"])
     check_on_grid(numerics["dt"], {
@@ -292,9 +291,16 @@ def _evaluate_rule(spec, params, numerics, checks, seed):
         "rule.fixed_time": rule.fixed_time if rule.kind == "fixed_time" else None,
     }, "numerics.")
     cfg = _sim_config(numerics, seed)
+    tol = checks["closed_form_tolerance"]
+    if tol is not None:  # the rule's own closed-form value, so only the optimal rule's kind
+        kind = f"threshold_{fam.candidate(spec).direction}"
+        if rule.kind != kind:
+            raise ValueError(f"checks.closed_form_tolerance needs a {kind} rule, the kind "
+                             f"of the {spec.family} closed form; got {rule.kind}")
+        ref = fam.candidate(spec, rule.threshold).value(0.0, spec.initial_law.mean)
 
     def compute(out, mhash, summary):
-        est = evaluate_rule_mc(spec, rule, fam.payoff(params), cfg)
+        est = evaluate_rule_mc(spec, rule, fam.payoff(spec), cfg)
         write_csv(
             out / "estimate.csv",
             ("model", "threshold", "mean", "std_error", "replications",
@@ -303,27 +309,25 @@ def _evaluate_rule(spec, params, numerics, checks, seed):
               est.truncation_fraction, cfg.dt, cfg.n_particles, cfg.seed)],
             mhash,
         )
-        tol = checks["closed_form_tolerance"]
         if tol is not None:
-            ref = fam.candidate(params).value(0.0, spec.initial_law.mean)
             band = max(3 * est.std_error, tol * abs(ref))
             summary.add("value_vs_closed_form", abs(est.mean - ref), band,
                         abs(est.mean - ref) <= band)
     return compute
 
 
-def _threshold_sweep(spec, params, numerics, checks, seed):
+def _threshold_sweep(spec, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     check_on_grid(numerics["dt"], {"t_max": numerics["t_max"]}, "numerics.")
     cfg = _sim_config(numerics, seed)
     thresholds = numerics["thresholds"]
     kind = numerics["rule_kind"]
-    kind = f"threshold_{fam.candidate(params).direction}" if kind is None else kind
+    kind = f"threshold_{fam.candidate(spec).direction}" if kind is None else kind
     for t in thresholds:  # the rules threshold_sweep builds
         StoppingRule(kind, threshold=float(t))
 
     def compute(out, mhash, summary):
-        sweep = threshold_sweep(spec, thresholds, fam.payoff(params), cfg, kind=kind)
+        sweep = threshold_sweep(spec, thresholds, fam.payoff(spec), cfg, kind=kind)
         rows = [
             (spec.family, t, e.mean, e.std_error, e.replications, e.truncation_fraction,
              cfg.dt, cfg.n_particles, cfg.seed, int(t == sweep.argmax_threshold))
@@ -336,7 +340,7 @@ def _threshold_sweep(spec, params, numerics, checks, seed):
             rows, mhash,
         )
         if checks["argmax_within_cell"]:
-            star = fam.candidate(params).threshold
+            star = fam.candidate(spec).threshold
             grid = sorted(thresholds)
             pos = int(np.argmin([abs(t - star) for t in grid]))
             neighbors = {grid[max(0, pos - 1)], grid[pos], grid[min(len(grid) - 1, pos + 1)]}
@@ -345,7 +349,7 @@ def _threshold_sweep(spec, params, numerics, checks, seed):
     return compute
 
 
-def _simulate_path(spec, params, numerics, checks, seed):
+def _simulate_path(spec, numerics, checks, seed):
     dt, horizon, n = numerics["dt"], numerics["horizon"], numerics["n"]
     check_on_grid(dt, {"horizon": horizon}, "numerics.")
     checkpoints = [(t, int(round(t / dt))) for t in numerics["checkpoints"] or [horizon]]
@@ -381,7 +385,7 @@ def _simulate_path(spec, params, numerics, checks, seed):
     return compute
 
 
-def _fokker_planck_compare(spec, params, numerics, checks, seed):
+def _fokker_planck_compare(spec, numerics, checks, seed):
     law = spec.initial_law
     if law.kind != "normal" or law.scale <= 0:
         raise ValueError("fokker_planck_compare needs a spread-out normal initial law")
@@ -416,11 +420,11 @@ def _fokker_planck_compare(spec, params, numerics, checks, seed):
     return compute
 
 
-def _var_ineq_check(spec, params, numerics, checks, seed):
+def _var_ineq_check(spec, numerics, checks, seed):
     fam = FAMILIES[spec.family]
-    candidate = fam.candidate(params, numerics["threshold"])
+    candidate = fam.candidate(spec, numerics["threshold"])
     given = {key: value for key, value in numerics["probe"].items() if value is not None}
-    probe_s, probe_z = default_probe_grid(**{**fam.probe(fam.candidate(params).threshold),
+    probe_s, probe_z = default_probe_grid(**{**fam.probe(fam.candidate(spec).threshold),
                                              **given})
 
     def compute(out, mhash, summary):
@@ -436,13 +440,17 @@ def _var_ineq_check(spec, params, numerics, checks, seed):
     return compute
 
 
-def _dynkin_check(spec, params, numerics, checks, seed):
+def _dynkin_check(spec, numerics, checks, seed):
     delta = numerics["delta"]
     if round(delta / numerics["dt"]) < 1:  # no step: every path ends where it starts
         raise ValueError("numerics.delta must be at least one step dt")
     check_on_grid(numerics["dt"], {"delta": delta}, "numerics.")
     cfg = _sim_config(numerics, seed, t_max=delta)
-    candidate = FAMILIES[spec.family].candidate(params)
+    fam = FAMILIES[spec.family]
+    candidate = fam.candidate(spec)
+    if not candidate.in_continuation(spec.initial_law.mean):  # every path would stop at 0
+        raise ValueError(f"dynkin_check needs an initial mean ({fam.start_key}) inside the "
+                         f"continuation region, not past the threshold {candidate.threshold!r}")
 
     def compute(out, mhash, summary):
         result = dynkin_residual(spec, candidate, cfg, delta)
@@ -464,7 +472,7 @@ def _dynkin_check(spec, params, numerics, checks, seed):
 class Experiment(NamedTuple):
     numerics: dict      # key -> (type or sub-table, default or REQUIRED)
     checks: dict
-    prepare: Callable   # (spec, params, numerics, checks, seed) -> computation
+    prepare: Callable   # (spec, numerics, checks, seed) -> computation
 
 
 _SIM = {  # SimConfig settings; "n" is its n_particles, and None keeps SimConfig's default

@@ -7,7 +7,8 @@ moment ``m_bar`` of the conditional law and depends on neither ``t`` nor
 the state ``x``, so a model is eight numbers plus its jump and initial data.
 Only the two families of the worked examples are shipped: "sell" (every
 coefficient loads on ``m_bar``) and "quit" (constant coefficients).  A spec
-is a dataclass of plain data, so worker pools pickle it as it is.
+is the whole stopping problem, discount rate and sell cost included, and
+plain data, so worker pools pickle it as it is.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class LevyMeasureSpec:
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.intensity < 0:
+        if not self.intensity >= 0:
             raise ModelError("jump intensity must be >= 0")
         if self.intensity > 0 and not self.atoms:
             raise ModelError("active jumps need mark atoms")
@@ -126,13 +127,15 @@ def _affine(c0: float, c1: float, m):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Coefficients of the state equation, plus jump and initial data.
+    """One optimal stopping problem: the state equation and its discounting.
 
     At ``m = m_bar`` the drift is ``a0 + a1 m``, the common diffusion
     ``b0 + b1 m``, the idiosyncratic diffusion ``s0 + s1 m`` and the jump
     amplitude ``mark (j0 + j1 m)``.  Only nonzero terms are evaluated, so a
     one-term coefficient is exactly that term (``alpha0 * m``, ``sigma1``).
-    ``family`` is ``"sell"`` or ``"quit"``.
+    ``family`` is ``"sell"`` or ``"quit"``; it names the performance
+    functional, discounted at ``rho``, and ``cost`` is the sell family's
+    transaction cost (0 for quit).
     """
 
     family: str
@@ -146,6 +149,8 @@ class ModelSpec:
     s1: float = 0.0
     j0: float = 0.0
     j1: float = 0.0
+    rho: float = 1.0
+    cost: float = 0.0
 
     def __post_init__(self) -> None:
         if self.family not in ("sell", "quit"):
@@ -175,12 +180,20 @@ def make_sell_model(
     alpha0: float,
     sigma1: float,
     sigma2: float,
+    rho: float,
+    a: float,
     levy: LevyMeasureSpec | None = None,
     initial_law: InitialLaw | None = None,
 ) -> ModelSpec:
-    """Geometric conditional-mean dynamics: every coefficient loads on m_bar."""
+    """Geometric conditional-mean dynamics, selling at the mean less the cost ``a``."""
     if sigma1 <= 0:
         raise ModelError("sell model requires sigma1 > 0")
+    if not rho > 0:
+        raise ModelError("discount rate rho must be > 0")
+    if a <= 0:
+        raise ModelError("transaction cost a must be > 0")
+    if alpha0 >= rho:
+        raise ModelError("sell model requires alpha0 < rho")
     if sigma2 < 0:
         raise ModelError("sell model requires sigma2 >= 0")
     levy = levy if levy is not None else no_jumps()
@@ -188,7 +201,8 @@ def make_sell_model(
     if levy.intensity > 0 and bad:
         raise ModelError(f"sell-model marks must lie in (-1, 0]; got {bad}")
     initial_law = initial_law if initial_law is not None else InitialLaw("point", 1.0)
-    return ModelSpec("sell", levy, initial_law, a1=alpha0, b1=sigma1, s1=sigma2, j1=1.0)
+    return ModelSpec("sell", levy, initial_law, a1=alpha0, b1=sigma1, s1=sigma2, j1=1.0,
+                     rho=rho, cost=a)
 
 
 def make_quit_model(
@@ -196,11 +210,14 @@ def make_quit_model(
     sigma2: float,
     gamma0: float = 0.0,
     intensity: float = 0.0,
+    rho: float = 1.0,
     initial_law: InitialLaw | None = None,
 ) -> ModelSpec:
-    """Constant-coefficient, zero-drift dynamics."""
+    """Constant-coefficient, zero-drift dynamics, earning the mean until quitting."""
     if sigma1 == 0:
         raise ModelError("quit model requires sigma1 != 0")
-    levy = constant_mark(intensity, gamma0) if intensity > 0 else no_jumps()
+    if not rho > 0:
+        raise ModelError("discount rate rho must be > 0")
+    levy = constant_mark(intensity, gamma0) if intensity > 0 else LevyMeasureSpec(intensity)
     initial_law = initial_law if initial_law is not None else InitialLaw("point", 0.0)
-    return ModelSpec("quit", levy, initial_law, b0=sigma1, s0=sigma2, j0=1.0)
+    return ModelSpec("quit", levy, initial_law, b0=sigma1, s0=sigma2, j0=1.0, rho=rho)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -28,55 +28,12 @@ from . import particle
 from .generator import CylinderFunction, StoppingCandidate
 from .model import (
     InitialLaw, LevyMeasureSpec, ModelSpec, constant_mark, make_quit_model, make_sell_model,
-    no_jumps,
 )
 from .particle import check_on_grid
 
 
 # ---------------------------------------------------------------------------
-# parameter bundles
-
-
-@dataclass(frozen=True)
-class SellParams:
-    alpha0: float
-    sigma1: float
-    sigma2: float
-    rho: float
-    a: float
-    levy: LevyMeasureSpec = field(default_factory=no_jumps)
-
-    def __post_init__(self) -> None:
-        if self.sigma1 <= 0:
-            raise ValueError("sell model requires sigma1 > 0")
-        if self.rho <= 0:
-            raise ValueError("discount rate rho must be > 0")
-        if self.a <= 0:
-            raise ValueError("transaction cost a must be > 0")
-        if self.alpha0 >= self.rho:
-            raise ValueError("sell model requires alpha0 < rho")
-
-    def spec(self, initial_law: InitialLaw | None = None) -> ModelSpec:
-        return make_sell_model(self.alpha0, self.sigma1, self.sigma2, self.levy, initial_law)
-
-
-@dataclass(frozen=True)
-class QuitParams:
-    sigma1: float
-    sigma2: float
-    gamma0: float = 0.0
-    intensity: float = 0.0
-    rho: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.sigma1 == 0:
-            raise ValueError("quit model requires sigma1 != 0")
-        if self.rho <= 0:
-            raise ValueError("discount rate rho must be > 0")
-
-    def spec(self, initial_law: InitialLaw | None = None) -> ModelSpec:
-        return make_quit_model(self.sigma1, self.sigma2, self.gamma0, self.intensity,
-                               initial_law)
+# rules, settings and payoffs
 
 
 @dataclass(frozen=True)
@@ -160,14 +117,21 @@ def _discounted_mean(rho: float, t, m):
     return np.exp(-rho * t) * m
 
 
-def sell_payoff(params: SellParams) -> Payoff:
+def _check_family(spec: ModelSpec, family: str) -> None:
+    if spec.family != family:
+        raise ValueError(f"the {family} problem needs a {family} spec, got {spec.family!r}")
+
+
+def sell_payoff(spec: ModelSpec) -> Payoff:
     """No running profit, bequest ``e^{-rho t}(m - a)``."""
-    return Payoff("sell", g=partial(_discounted_net, params.rho, params.a))
+    _check_family(spec, "sell")
+    return Payoff("sell", g=partial(_discounted_net, spec.rho, spec.cost))
 
 
-def quit_payoff(params: QuitParams) -> Payoff:
+def quit_payoff(spec: ModelSpec) -> Payoff:
     """Running profit ``e^{-rho t} m``, no bequest."""
-    return Payoff("quit", f=partial(_discounted_mean, params.rho))
+    _check_family(spec, "quit")
+    return Payoff("quit", f=partial(_discounted_mean, spec.rho))
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +159,22 @@ def sell_threshold(lambda1: float, a: float) -> float:
     return lambda1 * a / (lambda1 - 1)
 
 
-def sell_value(s, z, params: SellParams, xi: float | None = None):
+def sell_value(s, z, spec: ModelSpec, xi: float | None = None):
     """Discounted value of selling optimally (or at threshold ``xi``)."""
     if np.any(np.asarray(z, float) <= 0):
         raise ValueError("conditional mean must be positive for the sell model")
-    return sell_candidate(params, xi).value(s, z)
+    return sell_candidate(spec, xi).value(s, z)
 
 
-def sell_candidate(params: SellParams, xi: float | None = None) -> StoppingCandidate:
+def sell_candidate(spec: ModelSpec, xi: float | None = None) -> StoppingCandidate:
     """The value of selling at ``xi`` (optimal by default), as a piecewise candidate."""
-    _, lam1 = lambda_roots(params.alpha0, params.sigma1, params.rho)
+    payoff = sell_payoff(spec)
+    _, lam1 = lambda_roots(spec.a1, spec.b1, spec.rho)
     if xi is None:
-        xi = sell_threshold(lam1, params.a)
-    rho, a = params.rho, params.a
+        xi = sell_threshold(lam1, spec.cost)
+    if not xi > 0:
+        raise ValueError(f"sell threshold must be > 0, got {xi!r}")
+    rho, a = spec.rho, spec.cost
     psi0 = (xi - a) / xi**lam1
     continuation = CylinderFunction(
         psi=lambda s: psi0 * np.exp(-rho * s),
@@ -228,7 +195,7 @@ def sell_candidate(params: SellParams, xi: float | None = None) -> StoppingCandi
         stopping=stopping,
         threshold=xi,
         direction="up",
-        g=lambda s, z: np.exp(-rho * s) * (z - a),
+        g=payoff.g,
         f=None,
         z_floor=0.0,
     )
@@ -238,40 +205,41 @@ def sell_candidate(params: SellParams, xi: float | None = None) -> StoppingCandi
 # closed forms: quitting a project
 
 
-def quit_threshold(params: QuitParams) -> tuple[float, float, float]:
+def quit_threshold(spec: ModelSpec) -> tuple[float, float, float]:
     """Decay rate, quit threshold and exponential coefficient.
 
     ``lam = sqrt(2 rho / sigma1^2)``; the continuity / smooth-pasting system
     at the boundary has the joint solution ``eta* = -1/lam`` with
     ``C1 = -(eta*/rho) e^{lam eta*}``.
     """
-    lam = math.sqrt(2 * params.rho / params.sigma1**2)
+    _check_family(spec, "quit")
+    lam = math.sqrt(2 * spec.rho / spec.b0**2)
     eta_star = -1.0 / lam
-    c1 = -(eta_star / params.rho) * math.exp(lam * eta_star)
+    c1 = -(eta_star / spec.rho) * math.exp(lam * eta_star)
     return lam, eta_star, c1
 
 
 def quit_smooth_fit_residuals(
-    params: QuitParams, eta: float, c1: float
+    spec: ModelSpec, eta: float, c1: float
 ) -> tuple[float, float]:
     """Continuity and C1 pasting residuals at the candidate boundary."""
-    lam, _, _ = quit_threshold(params)
-    cont = eta / params.rho + c1 * math.exp(-lam * eta)
-    slope = 1.0 / params.rho - lam * c1 * math.exp(-lam * eta)
+    lam, _, _ = quit_threshold(spec)
+    cont = eta / spec.rho + c1 * math.exp(-lam * eta)
+    slope = 1.0 / spec.rho - lam * c1 * math.exp(-lam * eta)
     return cont, slope
 
 
-def quit_value(s, z, params: QuitParams, eta: float | None = None):
+def quit_value(s, z, spec: ModelSpec, eta: float | None = None):
     """Discounted value of running the project optimally (or until ``eta``)."""
-    return quit_candidate(params, eta).value(s, z)
+    return quit_candidate(spec, eta).value(s, z)
 
 
-def quit_candidate(params: QuitParams, eta: float | None = None) -> StoppingCandidate:
+def quit_candidate(spec: ModelSpec, eta: float | None = None) -> StoppingCandidate:
     """The value of quitting at ``eta`` (optimal by default), as a piecewise candidate."""
-    lam, eta_star, _ = quit_threshold(params)
+    lam, eta_star, _ = quit_threshold(spec)
     if eta is None:
         eta = eta_star
-    rho = params.rho
+    rho = spec.rho
     c1 = -(eta / rho) * math.exp(lam * eta)
     continuation = CylinderFunction(
         psi=lambda s: np.exp(-rho * s),
@@ -293,7 +261,7 @@ def quit_candidate(params: QuitParams, eta: float | None = None) -> StoppingCand
         threshold=eta,
         direction="down",
         g=lambda s, z: np.zeros_like(np.asarray(z, float)) + 0.0,
-        f=lambda s, z: np.exp(-rho * s) * z,
+        f=quit_payoff(spec).f,
     )
 
 
@@ -305,10 +273,10 @@ def quit_candidate(params: QuitParams, eta: float | None = None) -> StoppingCand
 class Family:
     """One shipped model family, from its config keys to its closed forms.
 
-    ``params`` builds the one parameter bundle from a model config block with
-    ``defaults`` filled in, checking every precondition; the spec and every
-    closed form derive from it.  The exact conditional mean is
-    ``mean_path(start, path_drift(spec) t + path_vol(spec) B1)``, where
+    ``build`` makes the spec, the one problem object, from a model config
+    block with ``defaults`` filled in and the initial law, checking every
+    precondition; every closed form reads the spec.  The exact conditional
+    mean is ``mean_path(start, path_drift(spec) t + path_vol(spec) B1)``, where
     ``start`` is the mean of the initial law; fast mode integrates that
     drifted Brownian motion from ``to_y(start)`` instead.
     """
@@ -316,10 +284,10 @@ class Family:
     required: tuple[str, ...]   # model config keys besides family and initial
     defaults: dict
     start_key: str              # config key of the default point initial law
-    params: Callable[[dict], object]
+    build: Callable[[dict, InitialLaw], ModelSpec]
     payoff: Callable
-    candidate: Callable         # (params, threshold or None) -> StoppingCandidate
-    report: Callable            # params -> (closed_form.csv rows, worst residual)
+    candidate: Callable         # (spec, threshold or None) -> StoppingCandidate
+    report: Callable            # spec -> (closed_form.csv rows, worst residual)
     probe: Callable             # optimal threshold -> default VI probe window
     floor: float | None         # particle clouds are clamped here
     path_drift: Callable        # spec -> drift of y
@@ -329,25 +297,25 @@ class Family:
     to_m: Callable              # ufunc y -> state value
 
 
-def _sell_params(c: dict) -> SellParams:
-    intensity = c["jump_intensity"]
-    if intensity > 0 and c["jump_mark"] is None:
+def _sell_spec(c: dict, law: InitialLaw) -> ModelSpec:
+    intensity, mark = c["jump_intensity"], c["jump_mark"]
+    if intensity > 0 and mark is None:
         raise ValueError("sell model with jump_intensity > 0 needs jump_mark")
-    levy = constant_mark(intensity, c["jump_mark"]) if intensity > 0 else no_jumps()
-    return SellParams(c["alpha0"], c["sigma1"], c["sigma2"], c["rho"], c["a"], levy)
+    levy = constant_mark(intensity, mark) if intensity > 0 else LevyMeasureSpec(intensity)
+    return make_sell_model(c["alpha0"], c["sigma1"], c["sigma2"], c["rho"], c["a"], levy, law)
 
 
-def _sell_report(p: SellParams) -> tuple[list, float]:
-    lam2, lam1 = lambda_roots(p.alpha0, p.sigma1, p.rho)
-    res = [p.alpha0 * l + 0.5 * p.sigma1**2 * l * (l - 1) - p.rho for l in (lam1, lam2)]
-    rows = [("lambda1", lam1), ("lambda2", lam2), ("xi_star", sell_threshold(lam1, p.a)),
+def _sell_report(spec: ModelSpec) -> tuple[list, float]:
+    lam2, lam1 = lambda_roots(spec.a1, spec.b1, spec.rho)
+    res = [spec.a1 * l + 0.5 * spec.b1**2 * l * (l - 1) - spec.rho for l in (lam1, lam2)]
+    rows = [("lambda1", lam1), ("lambda2", lam2), ("xi_star", sell_threshold(lam1, spec.cost)),
             ("root_residual_lambda1", res[0]), ("root_residual_lambda2", res[1])]
-    return rows, max(abs(r) for r in res) / p.rho
+    return rows, max(abs(r) for r in res) / spec.rho
 
 
-def _quit_report(p: QuitParams) -> tuple[list, float]:
-    lam, eta, c1 = quit_threshold(p)
-    r_cont, r_fit = quit_smooth_fit_residuals(p, eta, c1)
+def _quit_report(spec: ModelSpec) -> tuple[list, float]:
+    lam, eta, c1 = quit_threshold(spec)
+    r_cont, r_fit = quit_smooth_fit_residuals(spec, eta, c1)
     rows = [("lambda", lam), ("eta_star", eta), ("C1", c1),
             ("continuity_residual", r_cont), ("smooth_fit_residual", r_fit)]
     return rows, max(abs(r_cont), abs(r_fit))
@@ -358,7 +326,7 @@ FAMILIES = {
         required=("alpha0", "sigma1", "sigma2", "rho", "a"),
         defaults={"m0": 1.0, "jump_intensity": 0.0, "jump_mark": None},
         start_key="m0",
-        params=_sell_params,
+        build=_sell_spec,
         payoff=sell_payoff,
         candidate=sell_candidate,
         report=_sell_report,
@@ -374,8 +342,8 @@ FAMILIES = {
         required=("sigma1", "sigma2", "rho"),
         defaults={"gamma0": 0.0, "intensity": 0.0, "x0": 0.0},
         start_key="x0",
-        params=lambda c: QuitParams(c["sigma1"], c["sigma2"], c["gamma0"], c["intensity"],
-                                    c["rho"]),
+        build=lambda c, law: make_quit_model(c["sigma1"], c["sigma2"], c["gamma0"],
+                                             c["intensity"], c["rho"], law),
         payoff=quit_payoff,
         candidate=quit_candidate,
         report=_quit_report,
@@ -710,11 +678,16 @@ def dynkin_residual(
     Paths start inside the candidate's continuation region and run for a
     short horizon ``delta``, stopped at the first grid time outside the
     region.  If the candidate solves the continuation-region equation the
-    residual is zero in expectation.
+    residual is zero in expectation.  A start in the stopping region would
+    stop every path at time 0 and check nothing, so it is rejected.
     """
+    start = spec.initial_law.mean
+    if not candidate.in_continuation(start):
+        raise ValueError(f"the Dynkin check needs a start inside the continuation region; "
+                         f"{start!r} is on the stopping side of {candidate.threshold!r}")
     rule = StoppingRule(f"threshold_{candidate.direction}", threshold=candidate.threshold)
     payoff = Payoff("custom", f=candidate.f, g=candidate.value)
     run_cfg = replace(cfg, t_max=delta, cap_payoff="stop", workers=1)
     est = evaluate_rule_mc(spec, rule, payoff, run_cfg)
-    residual = est.mean - candidate.value(0.0, spec.initial_law.mean)
+    residual = est.mean - candidate.value(0.0, start)
     return DynkinResult(residual, est.std_error, residual / delta, est)

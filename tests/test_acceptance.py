@@ -21,8 +21,6 @@ from mvstop.generator import (
 from mvstop.model import InitialLaw, constant_mark, make_quit_model, make_sell_model
 from mvstop.particle import CommonNoisePath, kde_density, simulate_path
 from mvstop.stopping import (
-    QuitParams,
-    SellParams,
     SimConfig,
     StoppingRule,
     conditional_mean_oracle,
@@ -41,8 +39,8 @@ from mvstop.stopping import (
     threshold_sweep,
 )
 
-SELL = SellParams(alpha0=0.1, sigma1=0.3, sigma2=0.2, rho=0.2, a=1.0)
-QUIT = QuitParams(sigma1=0.3, sigma2=0.1, rho=0.2)
+SELL = make_sell_model(alpha0=0.1, sigma1=0.3, sigma2=0.2, rho=0.2, a=1.0)
+QUIT = make_quit_model(sigma1=0.3, sigma2=0.1, rho=0.2)
 
 
 def report(number, name, passed, detail):
@@ -69,25 +67,25 @@ def test_criterion_01_root_identity():
 
 
 def test_criterion_02_sell_smooth_fit():
-    _, lam1 = lambda_roots(SELL.alpha0, SELL.sigma1, SELL.rho)
-    xi = sell_threshold(lam1, SELL.a)
+    _, lam1 = lambda_roots(SELL.a1, SELL.b1, SELL.rho)
+    xi = sell_threshold(lam1, SELL.cost)
     cand = sell_candidate(SELL)
     cont_gap = abs(cand.continuation.value(0.3, xi) - cand.stopping.value(0.3, xi))
     slope_gap = abs(cand.continuation.dz(0.3, xi) - cand.stopping.dz(0.3, xi))
     z = np.geomspace(0.01, 20.0, 1000)
-    obstacle_ok = bool(np.all(sell_value(0.0, z, SELL) >= z - SELL.a - 1e-12))
+    obstacle_ok = bool(np.all(sell_value(0.0, z, SELL) >= z - SELL.cost - 1e-12))
     passed = cont_gap < 1e-8 and slope_gap < 1e-8 and obstacle_ok
     report(2, "sell smooth fit", passed,
            f"gaps ({cont_gap:.2e}, {slope_gap:.2e}), obstacle {obstacle_ok}")
 
 
 def test_criterion_03_sell_variational_inequalities():
-    spec = make_sell_model(SELL.alpha0, SELL.sigma1, SELL.sigma2)
+    spec = SELL
     probe_s, probe_z = default_probe_grid(0.01, 20.0, 400, 2.0, 15, log_z=True)
     good = check_variational_inequalities(sell_candidate(SELL), spec, probe_s, probe_z)
     d = good.to_dict()
-    _, lam1 = lambda_roots(SELL.alpha0, SELL.sigma1, SELL.rho)
-    xi = sell_threshold(lam1, SELL.a)
+    _, lam1 = lambda_roots(SELL.a1, SELL.b1, SELL.rho)
+    xi = sell_threshold(lam1, SELL.cost)
     bad = check_variational_inequalities(
         sell_candidate(SELL, xi=xi + 0.5), spec, probe_s, probe_z
     )
@@ -103,7 +101,7 @@ def test_criterion_03_sell_variational_inequalities():
 
 
 def test_criterion_04_quit_variational_inequalities():
-    spec = make_quit_model(QUIT.sigma1, QUIT.sigma2)
+    spec = QUIT
     lam, eta, c1 = quit_threshold(QUIT)
     assert eta == pytest.approx(-1.0 / lam, rel=1e-14)
     cont_res, slope_res = quit_smooth_fit_residuals(QUIT, eta, c1)
@@ -124,9 +122,9 @@ def test_criterion_04_quit_variational_inequalities():
 
 @pytest.mark.slow
 def test_criterion_05_sell_mc_matches_closed_form():
-    spec = make_sell_model(SELL.alpha0, SELL.sigma1, SELL.sigma2)
-    _, lam1 = lambda_roots(SELL.alpha0, SELL.sigma1, SELL.rho)
-    xi = sell_threshold(lam1, SELL.a)
+    spec = SELL
+    _, lam1 = lambda_roots(SELL.a1, SELL.b1, SELL.rho)
+    xi = sell_threshold(lam1, SELL.cost)
     cfg = SimConfig(dt=1e-3, replications=100_000, seed=501, t_max=100.0)
     est = evaluate_rule_mc(
         spec, StoppingRule("threshold_up", threshold=xi), sell_payoff(SELL), cfg
@@ -140,7 +138,7 @@ def test_criterion_05_sell_mc_matches_closed_form():
 
 @pytest.mark.slow
 def test_criterion_06_quit_mc_matches_closed_form():
-    spec = make_quit_model(QUIT.sigma1, QUIT.sigma2)
+    spec = QUIT
     _, eta, _ = quit_threshold(QUIT)
     cfg = SimConfig(dt=1e-3, replications=100_000, seed=601, t_max=100.0)
     est = evaluate_rule_mc(
@@ -155,10 +153,10 @@ def test_criterion_06_quit_mc_matches_closed_form():
 
 @pytest.mark.slow
 def test_criterion_07_threshold_optimality():
-    sell_spec = make_sell_model(SELL.alpha0, SELL.sigma1, SELL.sigma2)
-    _, lam1 = lambda_roots(SELL.alpha0, SELL.sigma1, SELL.rho)
-    xi = sell_threshold(lam1, SELL.a)
-    quit_spec = make_quit_model(QUIT.sigma1, QUIT.sigma2)
+    sell_spec = SELL
+    _, lam1 = lambda_roots(SELL.a1, SELL.b1, SELL.rho)
+    xi = sell_threshold(lam1, SELL.cost)
+    quit_spec = QUIT
     _, eta, _ = quit_threshold(QUIT)
     sell_grid = [xi + 0.25 * k for k in range(-3, 4)]
     quit_grid = [eta + 0.1 * k for k in range(-3, 4)]
@@ -184,7 +182,7 @@ def test_criterion_07_threshold_optimality():
 @pytest.mark.slow
 def test_criterion_08_particle_reduction():
     spec = make_sell_model(
-        SELL.alpha0, SELL.sigma1, SELL.sigma2, constant_mark(0.5, -0.2)
+        SELL.a1, SELL.b1, SELL.s1, SELL.rho, SELL.cost, constant_mark(0.5, -0.2)
     )
     worst = 0.0
     for rep in range(100):
@@ -196,8 +194,8 @@ def test_criterion_08_particle_reduction():
         worst = max(worst, abs(result.m_bar[-1] - ref) / abs(ref))
     oracle_ok = worst < 0.05
 
-    _, lam1 = lambda_roots(SELL.alpha0, SELL.sigma1, SELL.rho)
-    rule = StoppingRule("threshold_up", threshold=sell_threshold(lam1, SELL.a))
+    _, lam1 = lambda_roots(SELL.a1, SELL.b1, SELL.rho)
+    rule = StoppingRule("threshold_up", threshold=sell_threshold(lam1, SELL.cost))
     fast = evaluate_rule_mc(
         spec, rule, sell_payoff(SELL),
         SimConfig(dt=1e-2, replications=20_000, seed=802, t_max=60.0),
@@ -265,14 +263,15 @@ def test_criterion_10_measure_calculus():
 
 
 def test_criterion_11_dynkin_diagnostic():
-    sell_spec = make_sell_model(SELL.alpha0, SELL.sigma1, SELL.sigma2,
+    sell_spec = make_sell_model(SELL.a1, SELL.b1, SELL.s1, SELL.rho, SELL.cost,
                                 initial_law=InitialLaw("point", 1.5))
     sell_run = dynkin_residual(
         sell_spec, sell_candidate(SELL),
         SimConfig(dt=1e-3, replications=20_000, seed=1101, t_max=1.0),
         delta=0.5,
     )
-    quit_spec = make_quit_model(QUIT.sigma1, QUIT.sigma2, initial_law=InitialLaw("point", 0.3))
+    quit_spec = make_quit_model(QUIT.b0, QUIT.s0, rho=QUIT.rho,
+                                initial_law=InitialLaw("point", 0.3))
     quit_run = dynkin_residual(
         quit_spec, quit_candidate(QUIT),
         SimConfig(dt=1e-3, replications=20_000, seed=1102, t_max=1.0),

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from mvstop.cli import ConfigError, load_config, main, manifest_hash, run_experiment
-from mvstop.stopping import QuitParams, quit_value
+from mvstop.model import make_quit_model
+from mvstop.stopping import quit_value
 
 SELL_MODEL = {
     "family": "sell", "alpha0": 0.1, "sigma1": 0.3, "sigma2": 0.2,
@@ -183,6 +184,10 @@ RUN_ABORTS = {
         "simulate_path", {**{k: v for k, v in SELL_MODEL.items() if k != "m0"},
                           "initial": {"kind": "lognormal", "loc": 800.0, "scale": 0.1}}, {},
         "cannot build the run"),
+    "zero_sell_threshold": (
+        "var_ineq_check", SELL_MODEL, {"threshold": 0.0}, "sell threshold must be > 0, got 0.0"),
+    "negative_sell_threshold": (
+        "var_ineq_check", SELL_MODEL, {"threshold": -1.0}, "sell threshold must be > 0, got -1.0"),
 }
 
 
@@ -248,6 +253,31 @@ VALIDATE_REJECTS = {
         "evaluate_rule", {**{k: v for k, v in SELL_MODEL.items() if k != "m0"},
                           "initial": {"kind": "normal", "loc": -1.0, "scale": 0.1}},
         {"rule": RULE}, {}, "the initial mean (m0) must lie in the sell state space, got -1.0"),
+    "closed_form_check_of_a_fixed_time_rule": (
+        "evaluate_rule", QUIT_MODEL,
+        {"dt": 0.1, "t_max": 1.0, "rule": {"kind": "fixed_time", "fixed_time": 0.5}},
+        {"closed_form_tolerance": 0.1},
+        "checks.closed_form_tolerance needs a threshold_down rule, the kind of the quit "
+        "closed form; got fixed_time"),
+    "closed_form_check_of_a_never_rule": (
+        "evaluate_rule", SELL_MODEL, {"rule": {"kind": "never"}}, {"closed_form_tolerance": 0.1},
+        "checks.closed_form_tolerance needs a threshold_up rule"),
+    "closed_form_check_against_the_direction": (
+        "evaluate_rule", SELL_MODEL, {"rule": {"kind": "threshold_down", "threshold": 0.5}},
+        {"closed_form_tolerance": 0.1}, "needs a threshold_up rule, the kind of the sell"),
+    "dynkin_start_in_the_sell_stopping_region": (
+        "dynkin_check", dict(SELL_MODEL, m0=5.0), {}, {},
+        "dynkin_check needs an initial mean (m0) inside the continuation region"),
+    "dynkin_start_in_the_quit_stopping_region": (
+        "dynkin_check", dict(QUIT_MODEL, x0=-2.0), {}, {},
+        "dynkin_check needs an initial mean (x0) inside the continuation region"),
+    "negative_quit_intensity": (
+        "evaluate_rule", dict(QUIT_MODEL, intensity=-0.5),
+        {"rule": {"kind": "threshold_down", "threshold": -0.47}}, {},
+        "jump intensity must be >= 0"),
+    "negative_sell_jump_intensity": (
+        "evaluate_rule", dict(SELL_MODEL, jump_intensity=-0.5), {"rule": RULE}, {},
+        "jump intensity must be >= 0"),
 }
 
 
@@ -378,8 +408,18 @@ class TestRunExperiment:
         run_experiment(load_config(write_config(tmp_path, body)))
         with open(tmp_path / "out" / "estimate.csv") as fh:
             row = next(csv.DictReader(line for line in fh if not line.startswith("#")))
-        ref = quit_value(0.0, 2.0, QuitParams(0.3, 0.1, rho=0.2))
+        ref = quit_value(0.0, 2.0, make_quit_model(0.3, 0.1, rho=0.2))
         assert abs(float(row["mean"]) - ref) <= max(3 * float(row["std_error"]), 0.02 * ref)
+
+    def test_closed_form_check_uses_the_rules_own_value(self, tmp_path):
+        # a threshold below xi* is checked against its own value, not the optimal one
+        numerics = {"dt": 0.01, "replications": 4000, "rule": {"kind": "threshold_up",
+                                                                 "threshold": 1.5}}
+        body = base_config(tmp_path, experiment="evaluate_rule", numerics=numerics, seed=3,
+                           checks={"closed_form_tolerance": 0.05})
+        assert run_experiment(load_config(write_config(tmp_path, body))) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["checks"]["value_vs_closed_form"]["passed"]
 
     def test_probe_grid_defaults_apply(self, tmp_path):
         body = base_config(tmp_path, experiment="var_ineq_check", numerics={"probe": {}})
@@ -475,11 +515,11 @@ FROZEN_OUTPUTS = {
     },
     'evaluate_rule-sell': {
         'estimate.csv': 'eae417d6d8c5a393f098561f1abc7f39dcdd87d7e6c16fef94a8c6449ebefd5e',
-        'summary.json': '5468a4078f210369312ece3fe2861cfe438c81f97f752346ab7cf8c21914aace',
+        'summary.json': '8085e02de4c145d7e333be991af79317f850a733fd30c702014f13d24ba3417d',
     },
     'evaluate_rule-quit': {
         'estimate.csv': 'f550fd2696158ff42564274e0ac7dddfefc8ec2a19cb3f913867bad0ed105417',
-        'summary.json': '579c1230520a1f867d99b7582c5b3be64fba73752273c674cfc1a781c9a7a40d',
+        'summary.json': 'dcb6b239f4d9e93a9098002295ba53023f7070d411b8fd1bd00d0847ffc52462',
     },
     'threshold_sweep-sell': {
         'summary.json': '2a52b34f255cc9f2e75a5495e9d5076fed2ae1de7d8fb9381cfc7430eade54c2',

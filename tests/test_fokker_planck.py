@@ -75,7 +75,7 @@ def test_common_noise_translates_density(quit_spec):
 
 def test_jump_term_preserves_mass():
     spec = make_sell_model(
-        0.1, 0.2, 0.1, constant_mark(1.0, -0.2), InitialLaw("lognormal", 0.0, 0.15)
+        0.1, 0.2, 0.1, 0.2, 1.0, constant_mark(1.0, -0.2), InitialLaw("lognormal", 0.0, 0.15)
     )
     x = make_grid(-1.0, 3.0, 801)
     safe = np.where(x > 0, x, 1.0)
@@ -147,7 +147,7 @@ def _reference_step(density, spec, dt, dB1, boundary_tol=1e-6, value_cap=1e12):
 
 def _two_atom_sell():
     spec = make_sell_model(
-        0.1, 0.2, 0.1, discrete_marks(0.8, [-0.2, -0.05], [0.6, 0.4]),
+        0.1, 0.2, 0.1, 0.2, 1.0, discrete_marks(0.8, [-0.2, -0.05], [0.6, 0.4]),
         InitialLaw("lognormal", 0.0, 0.15),
     )
     x = make_grid(-1.0, 3.0, 401)

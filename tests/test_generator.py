@@ -17,7 +17,7 @@ from mvstop.generator import (
     frechet_hessian_cylinder,
 )
 from mvstop.model import make_quit_model, make_sell_model
-from mvstop.stopping import FAMILIES, QuitParams, SellParams, quit_candidate, sell_candidate
+from mvstop.stopping import FAMILIES, quit_candidate, sell_candidate
 
 
 def _exp_decay(rho):
@@ -46,7 +46,7 @@ class TestFrechetCalculus:
 
 def test_measure_flow_coefficients():
     # the generator reads the flow's (a(z), b(z)) from the spec's drift and common diffusion
-    sell = make_sell_model(0.1, 0.3, 0.2)
+    sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
     assert (sell.drift(2.0), sell.diffusion_common(2.0)) == (
         pytest.approx(0.2), pytest.approx(0.6))
     quit_ = make_quit_model(0.3, 0.1)
@@ -55,7 +55,7 @@ def test_measure_flow_coefficients():
 
 def test_generator_on_power_function():
     # psi = e^{-rho s}, F = z^lam: G phi = e^{-rho s} z^lam (-rho + a0 lam + s1^2 lam(lam-1)/2)
-    spec = make_sell_model(0.1, 0.3, 0.2)
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
     rho, lam = 0.2, 1.5
     psi, psi_p = _exp_decay(rho)
     phi = CylinderFunction(
@@ -102,11 +102,10 @@ def test_derivatives_of_random_cylinder_functions(n_seed):
 
 class TestVariationalInequalities:
     def test_sell_candidate_passes(self):
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
-        spec = make_sell_model(0.1, 0.3, 0.2)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         probe_s, probe_z = default_probe_grid(0.01, 20.0, 200, 2.0, 10, log_z=True)
         report = check_variational_inequalities(
-            sell_candidate(params), spec, probe_s, probe_z
+            sell_candidate(spec), spec, probe_s, probe_z
         )
         assert report.passed()
         d = report.to_dict()
@@ -114,43 +113,41 @@ class TestVariationalInequalities:
         assert d["obstacle_violations"] == 0
 
     def test_quit_candidate_passes(self):
-        params = QuitParams(0.3, 0.1, rho=0.2)
-        spec = make_quit_model(0.3, 0.1)
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
         probe_s, probe_z = default_probe_grid(-2.0, 4.0, 200, 2.0, 10, log_z=False)
         report = check_variational_inequalities(
-            quit_candidate(params), spec, probe_s, probe_z
+            quit_candidate(spec), spec, probe_s, probe_z
         )
         assert report.passed()
 
     def test_wrong_threshold_flagged(self):
-        params = QuitParams(0.3, 0.1, rho=0.2)
-        spec = make_quit_model(0.3, 0.1)
-        bad = quit_candidate(params, eta=-0.9)
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
+        bad = quit_candidate(spec, eta=-0.9)
         probe_s, probe_z = default_probe_grid(-2.0, 4.0, 200, 2.0, 10, log_z=False)
         report = check_variational_inequalities(bad, spec, probe_s, probe_z)
         assert not report.passed()
 
     def test_report_is_json_safe(self):
-        quit_params = QuitParams(0.3, 0.1, rho=0.2)
-        sell_params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        quit_spec = make_quit_model(0.3, 0.1, rho=0.2)
+        sell_spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         quit_report = check_variational_inequalities(
-            quit_candidate(quit_params), quit_params.spec(),
+            quit_candidate(quit_spec), quit_spec,
             *default_probe_grid(-2.0, 4.0, 50, 2.0, 5, log_z=False))
         # below the sell threshold: no stopping probes, so no stopping maximum
         sell_report = check_variational_inequalities(
-            sell_candidate(sell_params), sell_params.spec(), *default_probe_grid(0.5, 2.0))
+            sell_candidate(sell_spec), sell_spec, *default_probe_grid(0.5, 2.0))
         for report in (quit_report, sell_report):
             json.dumps(report.to_dict(), allow_nan=False)
         assert sell_report.stopping.n_probes == 0 and sell_report.passed()
         assert sell_report.to_dict()["stopping_max_residual"] is None
 
     def test_nan_residual_fails(self):
-        params = QuitParams(0.3, 0.1, rho=0.2)
-        good = quit_candidate(params)
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
+        good = quit_candidate(spec)
         broken = replace(good, continuation=replace(
             good.continuation, F_double_prime=lambda z: np.nan * z))
         probe_s, probe_z = default_probe_grid(**FAMILIES["quit"].probe(good.threshold))
-        report = check_variational_inequalities(broken, params.spec(), probe_s, probe_z)
+        report = check_variational_inequalities(broken, spec, probe_s, probe_z)
         assert report.continuation.n_probes > 0
         assert math.isnan(report.continuation.max_abs_residual)
         assert not report.passed()
@@ -217,11 +214,11 @@ def _report_fields(report: VarIneqReport) -> dict:
     }
 
 
-_SELL = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
-_QUIT = QuitParams(0.3, 0.1, rho=0.2)
+_SELL = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+_QUIT = make_quit_model(0.3, 0.1, rho=0.2)
 _XI = sell_candidate(_SELL).threshold
 _ETA = quit_candidate(_QUIT).threshold
-# (family params, candidate threshold or None, probe window): the families'
+# (family spec, candidate threshold or None, probe window): the families'
 # default windows, the frozen CLI windows and perturbed thresholds
 _WINDOWS = {
     "sell_default": (_SELL, None, FAMILIES["sell"].probe(_XI)),
@@ -233,11 +230,9 @@ _WINDOWS = {
 }
 
 
-def _both_reports(params, threshold, window):
-    family = "sell" if isinstance(params, SellParams) else "quit"
-    candidate = FAMILIES[family].candidate(params, threshold)
+def _both_reports(spec, threshold, window):
+    candidate = FAMILIES[spec.family].candidate(spec, threshold)
     probe_s, probe_z = default_probe_grid(**window)
-    spec = params.spec()
     return (_report_fields(check_variational_inequalities(candidate, spec, probe_s, probe_z)),
             _report_fields(_per_probe_report(candidate, spec, probe_s, probe_z)))
 

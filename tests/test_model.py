@@ -92,7 +92,7 @@ class TestLevyMeasure:
 
 class TestModelFamilies:
     def test_sell_coefficients_load_on_conditional_mean(self):
-        spec = make_sell_model(0.1, 0.3, 0.2)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         assert spec.drift(2.0) == pytest.approx(0.2)
         assert spec.diffusion_common(2.0) == pytest.approx(0.6)
         assert spec.diffusion_idio(2.0) == pytest.approx(0.4)
@@ -100,17 +100,17 @@ class TestModelFamilies:
 
     def test_sell_rejects_bad_params(self):
         with pytest.raises(ModelError):
-            make_sell_model(0.1, 0.0, 0.2)
+            make_sell_model(0.1, 0.0, 0.2, 0.2, 1.0)
         with pytest.raises(ModelError):
-            make_sell_model(0.1, 0.3, -0.1)
+            make_sell_model(0.1, 0.3, -0.1, 0.2, 1.0)
 
     def test_sell_rejects_marks_outside_range(self):
         with pytest.raises(ModelError):
-            make_sell_model(0.1, 0.3, 0.2, constant_mark(1.0, 0.5))
+            make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(1.0, 0.5))
         with pytest.raises(ModelError):
-            make_sell_model(0.1, 0.3, 0.2, constant_mark(1.0, -1.0))
+            make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(1.0, -1.0))
         # boundary value 0 is allowed, -1 is not
-        make_sell_model(0.1, 0.3, 0.2, constant_mark(1.0, 0.0))
+        make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(1.0, 0.0))
 
     def test_quit_coefficients_constant(self):
         spec = make_quit_model(0.3, 0.1)
@@ -121,16 +121,35 @@ class TestModelFamilies:
         with pytest.raises(ModelError):
             make_quit_model(0.0, 0.1)
 
+    def test_makers_check_the_problem(self):
+        # the discount rate and the transaction cost live on the spec
+        sell, quit_ = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0), make_quit_model(0.3, 0.1)
+        assert (sell.rho, sell.cost, quit_.rho, quit_.cost) == (0.2, 1.0, 1.0, 0.0)
+        for args, message in [((0.1, 0.3, 0.2, 0.0, 1.0), "rho must be > 0"),
+                              ((0.1, 0.3, 0.2, 0.2, 0.0), "cost a must be > 0"),
+                              ((0.2, 0.3, 0.2, 0.2, 1.0), "alpha0 < rho")]:
+            with pytest.raises(ModelError, match=message):
+                make_sell_model(*args)
+        with pytest.raises(ModelError, match="rho must be > 0"):
+            make_quit_model(0.3, 0.1, rho=-0.2)
+
+    def test_negative_intensity_is_rejected(self):
+        # it used to mean "no jumps"
+        with pytest.raises(ModelError, match="jump intensity must be >= 0"):
+            make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=-0.5)
+        with pytest.raises(ModelError, match="jump intensity must be >= 0"):
+            LevyMeasureSpec(intensity=math.nan)
+
     def test_expected_jump_amp_uses_atoms(self):
         levy = discrete_marks(1.0, [-0.1, -0.3], [0.5, 0.5])
-        spec = make_sell_model(0.1, 0.3, 0.2, levy)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, levy)
         assert spec.expected_jump_amp(3.0) == pytest.approx(-0.6)
 
     @pytest.mark.parametrize("family", ["sell", "quit"])
     def test_spec_roundtrip(self, family):
         # worker pools send the spec to their processes by pickling it
         if family == "sell":
-            spec = make_sell_model(0.1, 0.3, 0.2, constant_mark(0.5, -0.2))
+            spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(0.5, -0.2))
         else:
             spec = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5)
         back = pickle.loads(pickle.dumps(spec))

@@ -66,7 +66,7 @@ def test_no_idiosyncratic_noise_is_rigid_translation():
 
 
 def test_compensated_jumps_keep_conditional_mean():
-    spec = make_sell_model(0.0, 0.2, 0.0, constant_mark(2.0, -0.3))
+    spec = make_sell_model(0.0, 0.2, 0.0, 0.2, 1.0, constant_mark(2.0, -0.3))
     common = CommonNoisePath(0.01, np.zeros(50))   # freeze the common noise
     result = simulate_path(spec, 0.5, 0.01, 100_000, common, np.random.default_rng(6))
     # with B1 = 0 and alpha0 = 0 the conditional mean must stay at 1
@@ -116,7 +116,8 @@ def test_rigid_model_without_jumps_draws_nothing():
 
 def test_batched_rows_match_single_rows():
     # each generator fills only its own row, whatever the other rows are
-    spec = make_sell_model(0.1, 0.3, 0.2, discrete_marks(3.0, [-0.1, -0.3], [0.5, 0.5]))
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0,
+                           discrete_marks(3.0, [-0.1, -0.3], [0.5, 0.5]))
     x0 = np.random.default_rng(26).lognormal(0.0, 0.2, (3, 400))
     x, m = x0.copy(), x0.mean(axis=1)
     dB1 = np.array([0.05, -0.02, 0.1])

@@ -8,8 +8,6 @@ from mvstop.model import InitialLaw, constant_mark, make_quit_model, make_sell_m
 from mvstop.particle import CommonNoisePath
 from mvstop.stopping import (
     Payoff,
-    QuitParams,
-    SellParams,
     SimConfig,
     StoppingRule,
     _ROWS,
@@ -63,61 +61,81 @@ class TestSellClosedForm:
             sell_threshold(0.9, 1.0)
 
     def test_value_frozen(self):
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
-        assert sell_value(0.0, 1.0, params) == pytest.approx(SELL_VALUE_0_1, rel=1e-12)
-        assert sell_value(0.5, 2.0, params) == pytest.approx(SELL_VALUE_HALF_2, rel=1e-12)
-        assert sell_value(0.0, 5.0, params) == pytest.approx(4.0, rel=1e-12)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+        assert sell_value(0.0, 1.0, spec) == pytest.approx(SELL_VALUE_0_1, rel=1e-12)
+        assert sell_value(0.5, 2.0, spec) == pytest.approx(SELL_VALUE_HALF_2, rel=1e-12)
+        assert sell_value(0.0, 5.0, spec) == pytest.approx(4.0, rel=1e-12)
 
     def test_value_continuous_at_threshold(self):
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         eps = 1e-9
-        below = sell_value(0.3, XI_STAR - eps, params)
-        above = sell_value(0.3, XI_STAR + eps, params)
+        below = sell_value(0.3, XI_STAR - eps, spec)
+        above = sell_value(0.3, XI_STAR + eps, spec)
         assert abs(below - above) < 1e-8
 
     def test_value_needs_positive_mean(self):
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         with pytest.raises(ValueError):
-            sell_value(0.0, -1.0, params)
+            sell_value(0.0, -1.0, spec)
 
     def test_params_preconditions(self):
         with pytest.raises(ValueError):
-            SellParams(0.3, 0.3, 0.2, 0.2, 1.0)   # alpha0 >= rho
+            make_sell_model(0.3, 0.3, 0.2, 0.2, 1.0)   # alpha0 >= rho
         with pytest.raises(ValueError):
-            SellParams(0.1, 0.3, 0.2, 0.2, -1.0)
+            make_sell_model(0.1, 0.3, 0.2, 0.2, -1.0)
+
+    @pytest.mark.parametrize("xi", [0.0, -1.0])
+    def test_threshold_must_be_positive(self, xi):
+        # 0 divided by zero in the candidate and -1 made its power complex
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+        with pytest.raises(ValueError, match="sell threshold must be > 0"):
+            sell_candidate(spec, xi)
 
 
 class TestQuitClosedForm:
     def test_threshold_frozen(self):
-        lam, eta, c1 = quit_threshold(QuitParams(0.3, 0.1, rho=0.2))
+        lam, eta, c1 = quit_threshold(make_quit_model(0.3, 0.1, rho=0.2))
         assert lam == pytest.approx(QUIT_LAM, rel=1e-12)
         assert eta == pytest.approx(QUIT_ETA, rel=1e-12)
         assert c1 == pytest.approx(QUIT_C1, rel=1e-12)
 
     def test_unit_decay_case(self):
         # sigma1 = sqrt(2), rho = 1 gives lam = 1, eta = -1, C1 = 1/e
-        lam, eta, c1 = quit_threshold(QuitParams(math.sqrt(2.0), 0.0, rho=1.0))
+        lam, eta, c1 = quit_threshold(make_quit_model(math.sqrt(2.0), 0.0, rho=1.0))
         assert lam == pytest.approx(1.0, rel=1e-12)
         assert eta == pytest.approx(-1.0, rel=1e-12)
         assert c1 == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_smooth_fit_residuals_vanish(self):
-        params = QuitParams(0.3, 0.1, rho=0.2)
-        _, eta, c1 = quit_threshold(params)
-        cont, slope = quit_smooth_fit_residuals(params, eta, c1)
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
+        _, eta, c1 = quit_threshold(spec)
+        cont, slope = quit_smooth_fit_residuals(spec, eta, c1)
         assert abs(cont) < 1e-14
         assert abs(slope) < 1e-14
 
     def test_value_frozen(self):
-        params = QuitParams(0.3, 0.1, rho=0.2)
-        assert quit_value(0.0, 0.0, params) == pytest.approx(QUIT_C1, rel=1e-12)
-        assert quit_value(1.0, 0.5, params) == pytest.approx(QUIT_VALUE_1_HALF, rel=1e-12)
-        assert quit_value(0.0, QUIT_ETA - 0.5, params) == 0.0
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
+        assert quit_value(0.0, 0.0, spec) == pytest.approx(QUIT_C1, rel=1e-12)
+        assert quit_value(1.0, 0.5, spec) == pytest.approx(QUIT_VALUE_1_HALF, rel=1e-12)
+        assert quit_value(0.0, QUIT_ETA - 0.5, spec) == 0.0
+
+
+@pytest.mark.parametrize("family", ["sell", "quit"])
+def test_closed_forms_need_their_own_family(family):
+    other = (make_quit_model(0.3, 0.1, rho=0.2) if family == "sell"
+             else make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0))
+    forms = ([sell_payoff, sell_candidate, lambda spec: sell_value(0.0, 1.0, spec)]
+             if family == "sell" else
+             [quit_payoff, quit_candidate, quit_threshold, lambda spec: quit_value(0.0, 0.0, spec),
+              lambda spec: quit_smooth_fit_residuals(spec, QUIT_ETA, QUIT_C1)])
+    for form in forms:
+        with pytest.raises(ValueError, match=f"the {family} problem needs a {family} spec"):
+            form(other)
 
 
 def test_conditional_mean_oracle_matches_formula():
     common = CommonNoisePath.sample(1.0, 0.01, np.random.default_rng(0))
-    sell = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", 2.0))
+    sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 2.0))
     t = common.times()
     expect = 2.0 * np.exp((0.1 - 0.045) * t + 0.3 * common.brownian())
     np.testing.assert_allclose(conditional_mean_oracle(sell, common), expect)
@@ -160,11 +178,11 @@ class TestOffGridTimes:
             evaluate_rule_mc(spec, StoppingRule("fixed_time", fixed_time=0.25), unit, cfg)
 
     def test_horizon_cap(self):
-        spec = make_quit_model(0.3, 0.1)
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=0.125)
         cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0)
         with pytest.raises(ValueError, match="horizon_cap must be a whole multiple of dt"):
-            evaluate_rule_mc(spec, rule, quit_payoff(QuitParams(0.3, 0.1, rho=0.2)), cfg)
+            evaluate_rule_mc(spec, rule, quit_payoff(spec), cfg)
 
     def test_t_max(self):
         with pytest.raises(ValueError, match="t_max must be a whole multiple of dt; "
@@ -172,11 +190,10 @@ class TestOffGridTimes:
             SimConfig(dt=0.3, replications=10, seed=0, t_max=0.5)
 
     def test_dynkin_delta(self):
-        params = QuitParams(0.3, 0.1, rho=0.2)
-        spec = make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.3))
+        spec = make_quit_model(0.3, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
         cfg = SimConfig(dt=0.3, replications=10, seed=0, t_max=0.6)
         with pytest.raises(ValueError, match="t_max must be a whole multiple of dt"):
-            dynkin_residual(spec, quit_candidate(params), cfg, delta=0.5)
+            dynkin_residual(spec, quit_candidate(spec), cfg, delta=0.5)
 
     def test_on_grid_up_to_rounding(self):
         # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
@@ -190,43 +207,39 @@ class TestOffGridTimes:
 class TestMonteCarlo:
     def test_fixed_time_sell_matches_expectation(self):
         # exact log-normal scheme: E[m_t] = m0 e^{alpha0 t} at any dt
-        spec = make_sell_model(0.1, 0.3, 0.2)
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         cfg = SimConfig(dt=0.01, replications=40_000, seed=21, t_max=1.0)
         est = evaluate_rule_mc(
-            spec, StoppingRule("fixed_time", fixed_time=0.5), sell_payoff(params), cfg
+            spec, StoppingRule("fixed_time", fixed_time=0.5), sell_payoff(spec), cfg
         )
         expect = math.exp(-0.2 * 0.5) * (math.exp(0.1 * 0.5) - 1.0)
         assert abs(est.mean - expect) < 4 * est.std_error
         assert est.truncation_fraction == 0.0
 
     def test_fixed_time_quit_running_profit_centred(self):
-        spec = make_quit_model(0.3, 0.1)
-        params = QuitParams(0.3, 0.1, rho=0.2)
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
         cfg = SimConfig(dt=0.01, replications=40_000, seed=22, t_max=1.0)
         est = evaluate_rule_mc(
-            spec, StoppingRule("fixed_time", fixed_time=1.0), quit_payoff(params), cfg
+            spec, StoppingRule("fixed_time", fixed_time=1.0), quit_payoff(spec), cfg
         )
         # running profit has conditional mean 0 along every path
         assert abs(est.mean) < 4 * est.std_error
 
     def test_immediate_trigger(self):
-        spec = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", 3.0))
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 3.0))
         cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=1.0)
         est = evaluate_rule_mc(
-            spec, StoppingRule("threshold_up", threshold=2.0), sell_payoff(params), cfg
+            spec, StoppingRule("threshold_up", threshold=2.0), sell_payoff(spec), cfg
         )
         assert est.mean == pytest.approx(2.0)   # g(0, 3.0) = 3 - 1 = 2
         assert est.std_error == 0.0
 
     def test_constant_payoff_over_uneven_batches(self):
         # g(0, 1.2) is not a short binary fraction; ten batches, the last of one row
-        spec = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", 1.2))
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 1.2))
         cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=1.0, batch_size=7)
         est = evaluate_rule_mc(
-            spec, StoppingRule("threshold_up", threshold=1.1), sell_payoff(params), cfg
+            spec, StoppingRule("threshold_up", threshold=1.1), sell_payoff(spec), cfg
         )
         assert est.mean == pytest.approx(0.2)
         assert est.std_error == 0.0
@@ -235,13 +248,12 @@ class TestMonteCarlo:
                              ids=["capped", "cap_at_0"])
     @pytest.mark.parametrize("mode", ["fast", "particle"])
     def test_never_rule_with_zero_cap_payoff(self, mode, start, t_max):
-        spec = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", start))
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", start))
         cfg = SimConfig(
             dt=0.01, replications=64, seed=0, t_max=t_max,
             cap_payoff="zero", mode=mode, n_particles=100,
         )
-        est = evaluate_rule_mc(spec, StoppingRule("never"), sell_payoff(params), cfg)
+        est = evaluate_rule_mc(spec, StoppingRule("never"), sell_payoff(spec), cfg)
         assert est.mean == 0.0
         assert est.truncation_fraction == 1.0
 
@@ -251,13 +263,13 @@ class TestMonteCarlo:
         # in particle mode rows stop at different steps, so the source compacts
         # its state matrix at different times in each batching
         if mode == "fast":
-            spec = make_quit_model(0.3, 0.1)
-            payoff = quit_payoff(QuitParams(0.3, 0.1, rho=0.2))
+            spec = make_quit_model(0.3, 0.1, rho=0.2)
+            payoff = quit_payoff(spec)
             rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
             cfg = SimConfig(dt=0.01, replications=400, seed=4, t_max=5.0)
         else:
-            params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(0.5, -0.2))
-            spec, payoff = params.spec(), sell_payoff(params)
+            spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(0.5, -0.2))
+            payoff = sell_payoff(spec)
             rule = StoppingRule("threshold_up", threshold=1.3)
             cfg = SimConfig(dt=0.05, replications=40, seed=4, t_max=3.0, mode="particle",
                             n_particles=50)
@@ -271,32 +283,29 @@ class TestMonteCarlo:
             (one.mean, one.truncation_fraction), rel=1e-12)
 
     def test_same_seed_reproduces_exactly(self):
-        spec = make_quit_model(0.3, 0.1)
-        params = QuitParams(0.3, 0.1, rho=0.2)
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
         cfg = SimConfig(dt=0.01, replications=2000, seed=5, t_max=5.0)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
-        a = evaluate_rule_mc(spec, rule, quit_payoff(params), cfg)
-        b = evaluate_rule_mc(spec, rule, quit_payoff(params), cfg)
+        a = evaluate_rule_mc(spec, rule, quit_payoff(spec), cfg)
+        b = evaluate_rule_mc(spec, rule, quit_payoff(spec), cfg)
         assert a == b
 
     def test_common_random_numbers_across_thresholds(self):
         # duplicated threshold in one sweep must give identical estimates
-        spec = make_sell_model(0.1, 0.3, 0.2)
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         cfg = SimConfig(dt=0.01, replications=2000, seed=6, t_max=20.0)
-        sweep = threshold_sweep(spec, [2.5, 3.0, 2.5], sell_payoff(params), cfg)
+        sweep = threshold_sweep(spec, [2.5, 3.0, 2.5], sell_payoff(spec), cfg)
         assert sweep.estimates[0] == sweep.estimates[2]
 
     def test_worker_pool_matches_serial(self):
-        spec = make_quit_model(0.3, 0.1)
-        params = QuitParams(0.3, 0.1, rho=0.2)
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
         base = dict(dt=0.01, replications=3000, seed=7, t_max=5.0, batch_size=700)
         serial = evaluate_rule_mc(
-            spec, rule, quit_payoff(params), SimConfig(**base, workers=1)
+            spec, rule, quit_payoff(spec), SimConfig(**base, workers=1)
         )
         pooled = evaluate_rule_mc(
-            spec, rule, quit_payoff(params), SimConfig(**base, workers=3)
+            spec, rule, quit_payoff(spec), SimConfig(**base, workers=3)
         )
         assert serial == pooled
 
@@ -309,22 +318,31 @@ class TestMonteCarlo:
             evaluate_rule_mc(spec, StoppingRule("never"), payoff, cfg)
 
     def test_particle_mode_small_run(self):
-        spec = make_sell_model(0.1, 0.3, 0.2)
-        params = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         cfg = SimConfig(dt=0.02, replications=50, seed=9, t_max=2.0, mode="particle",
                         n_particles=200)
         est = evaluate_rule_mc(
-            spec, StoppingRule("fixed_time", fixed_time=1.0), sell_payoff(params), cfg
+            spec, StoppingRule("fixed_time", fixed_time=1.0), sell_payoff(spec), cfg
         )
         expect = math.exp(-0.2) * (math.exp(0.1) - 1.0)
         assert abs(est.mean - expect) < max(4 * est.std_error, 0.02)
 
 
+def test_dynkin_residual_needs_a_continuation_start():
+    # a start on or past the threshold stops every path at time 0: residual 0, nothing checked
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    candidate = sell_candidate(spec)
+    cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=0.5)
+    for start in (candidate.threshold, 5.0):
+        at = replace(spec, initial_law=InitialLaw("point", start))
+        with pytest.raises(ValueError, match="start inside the continuation region"):
+            dynkin_residual(at, candidate, cfg, delta=0.5)
+
+
 def test_dynkin_residual_small_run():
-    params = QuitParams(0.3, 0.1, rho=0.2)
-    spec = make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.3))
+    spec = make_quit_model(0.3, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
     cfg = SimConfig(dt=0.005, replications=4000, seed=10, t_max=1.0)
-    result = dynkin_residual(spec, quit_candidate(params), cfg, delta=0.3)
+    result = dynkin_residual(spec, quit_candidate(spec), cfg, delta=0.3)
     assert abs(result.residual) < 4 * result.std_error + 1e-3
 
 
@@ -376,9 +394,9 @@ def test_first_stop_matches_full_matrix_scan(seed):
 
 
 def test_fast_mode_needs_a_start_in_its_state_space():
-    sell = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", -1.0))
+    sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", -1.0))
     rule = StoppingRule("threshold_up", threshold=2.7)
-    payoff = sell_payoff(SellParams(0.1, 0.3, 0.2, 0.2, 1.0))
+    payoff = sell_payoff(sell)
     cfg = SimConfig(dt=0.01, replications=10, seed=1, t_max=1.0)
     with pytest.raises(ValueError, match="start value"):
         evaluate_rule_mc(sell, rule, payoff, cfg)
@@ -399,12 +417,10 @@ def test_custom_running_profit_may_broadcast():
 # branch of the rule accumulator and both path sources
 
 def _frozen_runs():
-    sell = SellParams(0.1, 0.3, 0.2, 0.2, 1.0)
-    quit_ = QuitParams(0.3, 0.1, rho=0.2)
-    sell_spec = make_sell_model(0.1, 0.3, 0.2)
-    sell_12 = make_sell_model(0.1, 0.3, 0.2, initial_law=InitialLaw("point", 1.2))
-    quit_spec = make_quit_model(0.3, 0.1)
-    jump_sell = make_sell_model(0.1, 0.3, 0.2, constant_mark(0.5, -0.2),
+    sell_spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    sell_12 = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 1.2))
+    quit_spec = make_quit_model(0.3, 0.1, rho=0.2)
+    jump_sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(0.5, -0.2),
                                 InitialLaw("point", 1.1))
     jump_quit = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5,
                                 initial_law=InitialLaw("normal", 0.0, 0.3))
@@ -414,7 +430,7 @@ def _frozen_runs():
     runs = {}
     # 2000 steps: four blocks of at most 512, two batches, 1.1 stops at time 0
     runs["fast_sell_sweep"] = threshold_sweep(
-        sell_12, [1.1, 1.5, 2.2, 2.7, 3.5], sell_payoff(sell),
+        sell_12, [1.1, 1.5, 2.2, 2.7, 3.5], sell_payoff(sell_12),
         SimConfig(replications=400, t_max=20.0, batch_size=300, **fast),
     ).estimates
     # running profit; caps inside a block, at a block edge and past the horizon
@@ -425,31 +441,31 @@ def _frozen_runs():
          StoppingRule("never", horizon_cap=5.12),
          StoppingRule("threshold_down", threshold=-0.2, horizon_cap=7.77),
          StoppingRule("threshold_up", threshold=0.5, horizon_cap=50.0)],
-        quit_payoff(quit_), SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0),
+        quit_payoff(quit_spec), SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0),
     )
     runs["fixed_time"] = (
         evaluate_rule_mc(sell_spec, StoppingRule("fixed_time", fixed_time=0.5),
-                         sell_payoff(sell), SimConfig(replications=300, t_max=1.0, **fast)),
+                         sell_payoff(sell_spec), SimConfig(replications=300, t_max=1.0, **fast)),
         evaluate_rule_mc(make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.1)),
-                         StoppingRule("fixed_time", fixed_time=7.0), quit_payoff(quit_),
+                         StoppingRule("fixed_time", fixed_time=7.0), quit_payoff(quit_spec),
                          SimConfig(dt=0.01, replications=200, seed=13, t_max=10.0)),
         evaluate_rule_mc(sell_12, StoppingRule("fixed_time", fixed_time=0.0),
-                         sell_payoff(sell), SimConfig(replications=50, t_max=1.0, **fast)),
+                         sell_payoff(sell_12), SimConfig(replications=50, t_max=1.0, **fast)),
     )
     runs["cap_zero"] = (
         evaluate_rule_mc(sell_spec, StoppingRule("threshold_up", threshold=2.7,
                                                  horizon_cap=4.0),
-                         sell_payoff(sell),
+                         sell_payoff(sell_spec),
                          SimConfig(replications=300, t_max=20.0, cap_payoff="zero", **fast)),
     )
     runs["fast_dynkin_custom"] = (
         dynkin_residual(make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.3)),
-                        quit_candidate(quit_),
+                        quit_candidate(quit_spec),
                         SimConfig(dt=0.005, replications=300, seed=14, t_max=1.0),
                         delta=3.0).estimate,
     )
     runs["particle_sell_jumps"] = threshold_sweep(
-        jump_sell, [1.05, 1.3, 1.6], sell_payoff(sell),
+        jump_sell, [1.05, 1.3, 1.6], sell_payoff(jump_sell),
         SimConfig(seed=15, **particle),
     ).estimates
     runs["particle_quit"] = _run_rules(
@@ -457,7 +473,7 @@ def _frozen_runs():
         [StoppingRule("threshold_down", threshold=QUIT_ETA),
          StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=1.0),
          StoppingRule("fixed_time", fixed_time=0.5)],
-        quit_payoff(quit_), SimConfig(seed=16, **particle),
+        quit_payoff(quit_spec), SimConfig(seed=16, **particle),
     )
     return {name: tuple(tuple(vars(e).values()) for e in ests)
             for name, ests in runs.items()}
