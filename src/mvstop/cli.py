@@ -139,6 +139,15 @@ def _not_a_number(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _in_float_range(parse):
+    """A json number hook: ``parse``, after rejecting a literal no float can hold."""
+    def hook(text: str):
+        if not math.isfinite(float(text)):  # 1e999 and a 400-digit integer read as inf
+            raise ValueError(f"{text} does not fit in a float")
+        return parse(text)
+    return hook
+
+
 def load_config(path) -> dict:
     """Parse and validate a config file; raises ConfigError listing all issues.
 
@@ -149,7 +158,8 @@ def load_config(path) -> dict:
     errors: list[str] = []
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_constant=_not_a_number)
+            raw = json.load(fh, parse_constant=_not_a_number,
+                            parse_float=_in_float_range(float), parse_int=_in_float_range(int))
     except (OSError, ValueError) as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from exc
     if not isinstance(raw, dict):
@@ -359,7 +369,6 @@ def _simulate_path(spec, numerics, checks, seed):
     if stray:  # each row is labelled with t but evaluated at step k
         raise ValueError(f"numerics.checkpoints must be whole multiples of dt; "
                          f"off the grid: {stray}")
-    floor = FAMILIES[spec.family].floor
 
     def compute(out, mhash, summary):
         rows = []
@@ -368,16 +377,16 @@ def _simulate_path(spec, numerics, checks, seed):
             ss = np.random.SeedSequence(seed, spawn_key=(rep,))
             rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
             common = CommonNoisePath.sample(horizon, dt, rng_common)
-            result = simulate_path(spec, horizon, dt, n, common, rng_cloud, floor=floor)
+            result = simulate_path(spec, horizon, dt, n, common, rng_cloud)
             oracle = conditional_mean_oracle(spec, common)
             for t_check, k in checkpoints:
                 ref = oracle[k]
                 err = abs(result.m_bar[k] - ref) / max(abs(ref), 1e-12)
                 worst = max(worst, err)
-                rows.append((rep, t_check, result.m_bar[k], ref, err, n, result.floor_events))
+                rows.append((rep, t_check, result.m_bar[k], ref, err, n))
         write_csv(
             out / "trajectory.csv",
-            ("replication", "t", "m_bar", "oracle", "rel_error", "n", "floor_events"),
+            ("replication", "t", "m_bar", "oracle", "rel_error", "n"),
             rows, mhash,
         )
         tol = checks["max_rel_error"]

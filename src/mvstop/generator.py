@@ -161,6 +161,8 @@ def default_probe_grid(
     log_z: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     if log_z:
+        if not (z_min > 0 and z_max > 0):
+            raise ValueError(f"a log probe window needs z_min, z_max > 0, got {z_min}, {z_max}")
         z = np.geomspace(z_min, z_max, n_z)
     else:
         z = np.linspace(z_min, z_max, n_z)

@@ -82,7 +82,6 @@ class ParticleCloud:
 
     time: float
     states: np.ndarray
-    floor_events: int = 0
     m_bar: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -129,9 +128,8 @@ def step(
     m_bar: np.ndarray,
     dB1: np.ndarray,
     gens: list,
-    floor: float | None = None,
-) -> int:
-    """Euler-Maruyama step of ``rows`` clouds, in place; returns the floor events.
+) -> None:
+    """Euler-Maruyama step of ``rows`` clouds, in place and unclamped.
 
     Row ``j`` of the ``(rows, n)`` array ``x`` is one cloud with mean
     ``m_bar[j]``, common-noise increment ``dB1[j]`` and generator
@@ -161,11 +159,6 @@ def step(
         for j, rng in enumerate(gens):
             owners, marks = _draw_jumps(levy, n, dt, rng)
             np.add.at(x[j], owners, spec.jump_amp(m_bar[j], marks))
-    floor_events = 0
-    if floor is not None and x.min() < floor:  # one pass when nothing crosses
-        below = x < floor
-        floor_events = int(np.count_nonzero(below))
-        np.copyto(x, floor, where=below)
     np.mean(x, axis=1, out=m_bar)
     # a non-finite particle makes its row mean non-finite
     if not np.all(np.isfinite(m_bar)):
@@ -173,7 +166,6 @@ def step(
         bad = np.flatnonzero(~np.isfinite(x[j]))
         where = f"particle {int(bad[0])}" if bad.size else "mean overflow"
         raise SimulationError(f"non-finite state in row {j}, {where}")
-    return floor_events
 
 
 @dataclass
@@ -181,7 +173,7 @@ class PathResult:
     times: np.ndarray
     m_bar: np.ndarray
     snapshots: dict = field(default_factory=dict)   # time -> ParticleCloud
-    floor_events: int = 0
+    floor_events: int = 0   # always 0, clouds are not clamped; perfbench's tracer reads it
 
 
 def simulate_path(
@@ -192,9 +184,8 @@ def simulate_path(
     common: CommonNoisePath,
     rng: np.random.Generator,
     snapshot_times: tuple[float, ...] = (),
-    floor: float | None = None,
 ) -> PathResult:
-    """Advance a cloud along one common-noise path, recording ``m_bar``."""
+    """Advance an unclamped cloud along one common-noise path, recording ``m_bar``."""
     check_on_grid(dt, {"horizon": horizon,
                        **{f"snapshot_times[{i}]": t for i, t in enumerate(snapshot_times)}})
     n_steps = int(round(horizon / dt))
@@ -209,16 +200,16 @@ def simulate_path(
     if wanted and abs(wanted[0]) < dt / 2:
         snapshots[0.0] = ParticleCloud(0.0, cloud.states.copy())
     x = cloud.states.reshape(1, n)  # stepped in place
-    m, floor_events = m_bar[:1].copy(), 0
+    m = m_bar[:1].copy()
     for k in range(n_steps):
-        floor_events += step(x, spec, dt, m, common.increments[k:k + 1], [rng], floor)
+        step(x, spec, dt, m, common.increments[k:k + 1], [rng])
         m_bar[k + 1] = m[0]
         for t_snap in wanted:
             if abs(times[k + 1] - t_snap) < dt / 2 and t_snap not in snapshots:
                 # the final states need no copy: nothing steps them again
                 states = x[0] if k + 1 == n_steps else x[0].copy()
-                snapshots[t_snap] = ParticleCloud(times[k + 1], states, floor_events)
-    return PathResult(times, m_bar, snapshots, floor_events)
+                snapshots[t_snap] = ParticleCloud(times[k + 1], states)
+    return PathResult(times, m_bar, snapshots)
 
 
 def silverman_bandwidth(states: np.ndarray) -> float:

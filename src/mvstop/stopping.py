@@ -276,9 +276,9 @@ class Family:
     ``build`` makes the spec, the one problem object, from a model config
     block with ``defaults`` filled in and the initial law, checking every
     precondition; every closed form reads the spec.  The exact conditional
-    mean is ``mean_path(start, path_drift(spec) t + path_vol(spec) B1)``, where
-    ``start`` is the mean of the initial law; fast mode integrates that
-    drifted Brownian motion from ``to_y(start)`` instead.
+    mean is ``to_m(to_y(start) + path_drift(spec) t + path_vol(spec) B1)``,
+    where ``start`` is the mean of the initial law: the oracle evaluates it
+    and fast mode integrates it.
     """
 
     required: tuple[str, ...]   # model config keys besides family and initial
@@ -289,10 +289,8 @@ class Family:
     candidate: Callable         # (spec, threshold or None) -> StoppingCandidate
     report: Callable            # spec -> (closed_form.csv rows, worst residual)
     probe: Callable             # optimal threshold -> default VI probe window
-    floor: float | None         # particle clouds are clamped here
     path_drift: Callable        # spec -> drift of y
     path_vol: Callable          # spec -> volatility of y
-    mean_path: Callable
     to_y: Callable              # state value -> y, for thresholds and the start
     to_m: Callable              # ufunc y -> state value
 
@@ -331,10 +329,8 @@ FAMILIES = {
         candidate=sell_candidate,
         report=_sell_report,
         probe=lambda xi: {"z_min": 0.01, "z_max": 20.0, "log_z": True},
-        floor=1e-12,  # keeps the clouds positive
         path_drift=lambda spec: spec.a1 - 0.5 * spec.b1 ** 2,
         path_vol=lambda spec: spec.b1,
-        mean_path=lambda start, y: start * np.exp(y),  # y is log(m / start)
         to_y=lambda m: math.log(m) if m > 0 else -math.inf,
         to_m=np.exp,
     ),
@@ -348,10 +344,8 @@ FAMILIES = {
         candidate=quit_candidate,
         report=_quit_report,
         probe=lambda eta: {"z_min": eta - 2.0, "z_max": eta + 6.0, "log_z": False},
-        floor=None,
         path_drift=lambda spec: spec.a0,
         path_vol=lambda spec: spec.b0,
-        mean_path=lambda start, y: start + y,  # y is m - start
         to_y=float,
         to_m=np.positive,  # identity that takes out=
     ),
@@ -373,8 +367,8 @@ def conditional_mean_oracle(spec: ModelSpec, common: particle.CommonNoisePath) -
     fam = FAMILIES[spec.family]
     b1 = common.brownian()
     t = common.times()
-    return fam.mean_path(spec.initial_law.mean,
-                         fam.path_drift(spec) * t + fam.path_vol(spec) * b1)
+    return fam.to_m(fam.to_y(spec.initial_law.mean)
+                    + (fam.path_drift(spec) * t + fam.path_vol(spec) * b1))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +440,6 @@ class _ParticleSource:
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
         self.spec, self.gens, self.dt = spec, gens, cfg.dt
-        self.floor = FAMILIES[spec.family].floor
         self.x = np.empty((len(gens), cfg.n_particles))
         for j, rng in enumerate(gens):
             self.x[j] = spec.initial_law.sample(rng, cfg.n_particles)
@@ -467,7 +460,7 @@ class _ParticleSource:
         gens = [self.gens[r] for r in act]
         y_left = m.copy()
         dB1 = np.array([rng.standard_normal() for rng in gens]) * math.sqrt(self.dt)
-        particle.step(x, self.spec, self.dt, m, dB1, gens, self.floor)
+        particle.step(x, self.spec, self.dt, m, dB1, gens)
         return y_left, m[:, None], np.array([(steps_done + 1) * self.dt])
 
 

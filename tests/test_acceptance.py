@@ -189,7 +189,7 @@ def test_criterion_08_particle_reduction():
         ss = np.random.SeedSequence(801, spawn_key=(rep,))
         rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
         common = CommonNoisePath.sample(1.0, 1e-3, rng_common)
-        result = simulate_path(spec, 1.0, 1e-3, 10_000, common, rng_cloud, floor=1e-12)
+        result = simulate_path(spec, 1.0, 1e-3, 10_000, common, rng_cloud)
         ref = conditional_mean_oracle(spec, common)[-1]
         worst = max(worst, abs(result.m_bar[-1] - ref) / abs(ref))
     oracle_ok = worst < 0.05

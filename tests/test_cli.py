@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,17 @@ QUIT_AT_2 = {**{k: v for k, v in QUIT_MODEL.items() if k != "x0"},
              "initial": {"kind": "normal", "loc": 2.0, "scale": 0.1}}
 
 
+class Raw:
+    """A number written into the config file as given: json.dumps writes 1e999 as Infinity."""
+
+    def __init__(self, text):
+        self.text = text
+
+
 def write_config(tmp_path, body, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(body))
+    text = json.dumps(body, default=lambda raw: f"<raw {raw.text}>")
+    path.write_text(re.sub(r'"<raw ([^>"]*)>"', r"\1", text))
     return str(path)
 
 
@@ -184,6 +193,21 @@ RUN_ABORTS = {
         "simulate_path", {**{k: v for k, v in SELL_MODEL.items() if k != "m0"},
                           "initial": {"kind": "lognormal", "loc": 800.0, "scale": 0.1}}, {},
         "cannot build the run"),
+    "overflowing_quit_sigma1": (
+        "threshold_sweep", dict(QUIT_MODEL, sigma1=Raw("1e999")), {"thresholds": [-0.5]},
+        "1e999 does not fit in a float"),
+    "overflowing_quit_intensity": (
+        "threshold_sweep", dict(QUIT_MODEL, intensity=Raw("1e999")), {"thresholds": [-0.5]},
+        "1e999 does not fit in a float"),
+    "overflowing_integer_quit_sigma1": (
+        "threshold_sweep", dict(QUIT_MODEL, sigma1=Raw("1" + "0" * 400)),
+        {"thresholds": [-0.5]}, "1" + "0" * 400 + " does not fit in a float"),
+    "overflowing_integer_sell_rho": (
+        "evaluate_rule", dict(SELL_MODEL, rho=Raw("1" + "0" * 400)), {"rule": RULE},
+        "1" + "0" * 400 + " does not fit in a float"),
+    "overflowing_horizon_cap": (
+        "evaluate_rule", SELL_MODEL, {"rule": dict(RULE, horizon_cap=Raw("1e999"))},
+        "1e999 does not fit in a float"),
     "zero_sell_threshold": (
         "var_ineq_check", SELL_MODEL, {"threshold": 0.0}, "sell threshold must be > 0, got 0.0"),
     "negative_sell_threshold": (
@@ -217,6 +241,9 @@ VALIDATE_REJECTS = {
     "text_expect_pass": (
         "var_ineq_check", SELL_MODEL, {}, {"expect_pass": "yes"}, "'expect_pass'"),
     "numeric_log_z": ("var_ineq_check", SELL_MODEL, {"probe": {"log_z": 0}}, {}, "'log_z'"),
+    "negative_log_probe_start": (
+        "var_ineq_check", SELL_MODEL, {"probe": {"z_min": -1.0}}, {},
+        "a log probe window needs z_min, z_max > 0, got -1.0, 20.0"),
     "zero_workers": (
         "evaluate_rule", SELL_MODEL, {"workers": 0, "rule": RULE}, {},
         "numerics.workers must be >= 1"),
@@ -397,6 +424,18 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["checks"]["max_rel_error_vs_oracle"]["value"] < 0.01
 
+    def test_unclamped_sell_clouds_follow_the_oracle(self, tmp_path):
+        # by t = 10 some sell particles are negative; clamping them biased m_bar upward
+        body = base_config(
+            tmp_path, experiment="simulate_path",
+            model=dict(SELL_MODEL, jump_intensity=0.5, jump_mark=-0.2),
+            numerics={"dt": 0.01, "horizon": 10.0, "n": 10000, "n_paths": 5,
+                      "checkpoints": [10.0]},
+            checks={"max_rel_error": 0.1})
+        run_experiment(load_config(write_config(tmp_path, body)))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["checks"]["max_rel_error_vs_oracle"]["value"] < 0.1
+
     @pytest.mark.parametrize("sim", [{"replications": 400},
                                      {"replications": 40, "mode": "particle", "n": 200}],
                              ids=["fast", "particle"])
@@ -514,8 +553,8 @@ FROZEN_OUTPUTS = {
         'summary.json': '3214eb83175d2f8c8daf840338459dc24d59a565f7a71fa8da1be7479a551ff9',
     },
     'evaluate_rule-sell': {
-        'estimate.csv': 'eae417d6d8c5a393f098561f1abc7f39dcdd87d7e6c16fef94a8c6449ebefd5e',
-        'summary.json': '8085e02de4c145d7e333be991af79317f850a733fd30c702014f13d24ba3417d',
+        'estimate.csv': '083985e55e2409ffbcc5ff5b6476d8306f7ebecab74ed95bcffd8e783bff12a0',
+        'summary.json': 'effbcbf6c1b526b646c9e137eda50d1b659ed28c95aaa8bc994d336cd1e8aaf1',
     },
     'evaluate_rule-quit': {
         'estimate.csv': 'f550fd2696158ff42564274e0ac7dddfefc8ec2a19cb3f913867bad0ed105417',
@@ -531,11 +570,11 @@ FROZEN_OUTPUTS = {
     },
     'simulate_path-sell': {
         'summary.json': '518bf68cdbf94ff3e33a46931358ad74856639fe27e61d1d6477f94e7322ac54',
-        'trajectory.csv': '5292106462d26d4af88aff61562b3dc121bbef7140cc2e9cc28536302f254360',
+        'trajectory.csv': '5966670bf82dfc04c4bf30634397e2b88ef2cc9f32b30b10a5e0f540ee0f4065',
     },
     'simulate_path-quit': {
         'summary.json': '69aa2d7a774871e814866c1143358233cf0b6f54332446b7223ef713733f991c',
-        'trajectory.csv': '96e97abfd2c58f399a2a44366f097557b07531ed4a170e72108118635af84754',
+        'trajectory.csv': '97e065ad6caaee071bd4d862457c3d84f2989a2d0154d8d99de005b4f417c1b8',
     },
     'fokker_planck_compare-sell': {
         'densities.csv': '270b0d3f16593b02d4650bfa5c1d1b085aaf5f33e933d630308b2ed246fba7fa',

@@ -141,6 +141,12 @@ class TestVariationalInequalities:
         assert sell_report.stopping.n_probes == 0 and sell_report.passed()
         assert sell_report.to_dict()["stopping_max_residual"] is None
 
+    @pytest.mark.parametrize("window", [(-1.0, 20.0), (0.0, 20.0), (0.01, -2.0)])
+    def test_log_probe_window_needs_positive_ends(self, window):
+        # a non-positive end would probe NaNs and pass with no continuation probes
+        with pytest.raises(ValueError, match="log probe window needs z_min, z_max > 0"):
+            default_probe_grid(*window, log_z=True)
+
     def test_nan_residual_fails(self):
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         good = quit_candidate(spec)

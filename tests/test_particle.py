@@ -122,21 +122,11 @@ def test_batched_rows_match_single_rows():
     x, m = x0.copy(), x0.mean(axis=1)
     dB1 = np.array([0.05, -0.02, 0.1])
     seeds = (27, 28, 29)
-    step(x, spec, 0.01, m, dB1, [np.random.default_rng(s) for s in seeds], floor=1e-12)
+    step(x, spec, 0.01, m, dB1, [np.random.default_rng(s) for s in seeds])
     for j, seed in enumerate(seeds):
         row, m_row = x0[j:j + 1].copy(), x0[j:j + 1].mean(axis=1)
-        step(row, spec, 0.01, m_row, dB1[j:j + 1], [np.random.default_rng(seed)], 1e-12)
+        step(row, spec, 0.01, m_row, dB1[j:j + 1], [np.random.default_rng(seed)])
         assert np.array_equal(row[0], x[j]) and m_row[0] == m[j]
-
-
-def test_floor_counts_events():
-    spec = make_quit_model(0.4, 2.0, initial_law=InitialLaw("normal", 0.0, 0.1))
-    common = CommonNoisePath.sample(0.2, 0.01, np.random.default_rng(7))
-    result = simulate_path(
-        spec, 0.2, 0.01, 500, common, np.random.default_rng(8), floor=0.0
-    )
-    assert result.floor_events > 0
-    assert np.all(result.m_bar >= 0)
 
 
 def test_path_requires_matching_grid():

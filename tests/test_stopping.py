@@ -507,8 +507,8 @@ FROZEN = {
     ),
     'particle_sell_jumps': (
         (0.09999999999999964, 0.0, 12, 0.0),
-        (0.13072348349855856, 0.06893822517530838, 12, 0.4166666666666667),
-        (0.18878844476476997, 0.09672141573733205, 12, 0.5),
+        (0.1285549318157374, 0.06997211638115293, 12, 0.4166666666666667),
+        (0.1853432803290742, 0.09769369251577227, 12, 0.5),
     ),
     'particle_quit': (
         (0.25583358011103413, 0.1563914870182123, 12, 0.6666666666666666),
