@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,42 +95,27 @@ class SimConfig:
             raise ValueError("n_particles must be >= 1")
 
 
-@dataclass(frozen=True)
-class Payoff:
-    """Profit rate ``f`` and bequest ``g``, callables ``(t_abs, m) -> value`` or None.
-
-    Shipped kinds are partials of module functions, so they pickle for worker
-    pools; ``kind="custom"`` may hold any callable and runs in one process.
-    """
-
-    kind: str
-    f: Callable | None = None
-    g: Callable | None = None
-
-
-def _discounted_net(rho: float, a: float, t, m):
-    return np.exp(-rho * t) * (m - a)
-
-
-def _discounted_mean(rho: float, t, m):
-    return np.exp(-rho * t) * m
-
-
 def _check_family(spec: ModelSpec, family: str) -> None:
     if spec.family != family:
         raise ValueError(f"the {family} problem needs a {family} spec, got {spec.family!r}")
 
 
-def sell_payoff(spec: ModelSpec) -> Payoff:
-    """No running profit, bequest ``e^{-rho t}(m - a)``."""
+def sell_payoff(spec: ModelSpec) -> tuple[Callable | None, Callable | None]:
+    """``(f, g)``: no running profit, bequest ``e^{-rho t}(m - a)``.
+
+    A payoff is the profit rate ``f`` and the bequest ``g``, each a callable
+    ``(t_abs, m) -> value`` or None.
+    """
     _check_family(spec, "sell")
-    return Payoff("sell", g=partial(_discounted_net, spec.rho, spec.cost))
+    rho, a = spec.rho, spec.cost
+    return None, lambda t, m: np.exp(-rho * t) * (m - a)
 
 
-def quit_payoff(spec: ModelSpec) -> Payoff:
-    """Running profit ``e^{-rho t} m``, no bequest."""
+def quit_payoff(spec: ModelSpec) -> tuple[Callable | None, Callable | None]:
+    """``(f, g)``: running profit ``e^{-rho t} m``, no bequest."""
     _check_family(spec, "quit")
-    return Payoff("quit", f=partial(_discounted_mean, spec.rho))
+    rho = spec.rho
+    return (lambda t, m: np.exp(-rho * t) * m), None
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +152,7 @@ def sell_value(s, z, spec: ModelSpec, xi: float | None = None):
 
 def sell_candidate(spec: ModelSpec, xi: float | None = None) -> StoppingCandidate:
     """The value of selling at ``xi`` (optimal by default), as a piecewise candidate."""
-    payoff = sell_payoff(spec)
+    _, g = sell_payoff(spec)
     _, lam1 = lambda_roots(spec.a1, spec.b1, spec.rho)
     if xi is None:
         xi = sell_threshold(lam1, spec.cost)
@@ -195,7 +179,7 @@ def sell_candidate(spec: ModelSpec, xi: float | None = None) -> StoppingCandidat
         stopping=stopping,
         threshold=xi,
         direction="up",
-        g=payoff.g,
+        g=g,
         f=None,
         z_floor=0.0,
     )
@@ -261,7 +245,7 @@ def quit_candidate(spec: ModelSpec, eta: float | None = None) -> StoppingCandida
         threshold=eta,
         direction="down",
         g=lambda s, z: np.zeros_like(np.asarray(z, float)) + 0.0,
-        f=quit_payoff(spec).f,
+        f=quit_payoff(spec)[0],
     )
 
 
@@ -285,7 +269,7 @@ class Family:
     defaults: dict
     start_key: str              # config key of the default point initial law
     build: Callable[[dict, InitialLaw], ModelSpec]
-    payoff: Callable
+    payoff: Callable            # spec -> (f, g), the performance functional
     candidate: Callable         # (spec, threshold or None) -> StoppingCandidate
     report: Callable            # spec -> (closed_form.csv rows, worst residual)
     probe: Callable             # optimal threshold -> default VI probe window
@@ -293,6 +277,15 @@ class Family:
     path_vol: Callable          # spec -> volatility of y
     to_y: Callable              # state value -> y, for thresholds and the start
     to_m: Callable              # ufunc y -> state value
+
+    def start_y(self, spec: ModelSpec) -> float:
+        """``y`` of the initial mean, where every run starts; it must lie in the state space."""
+        mean = spec.initial_law.mean
+        y0 = self.to_y(mean)
+        if not math.isfinite(y0):
+            raise ValueError(f"the initial mean ({self.start_key}) must lie in the {spec.family} "
+                             f"state space, got {mean!r}: it is every run's start value")
+        return y0
 
 
 def _sell_spec(c: dict, law: InitialLaw) -> ModelSpec:
@@ -367,8 +360,7 @@ def conditional_mean_oracle(spec: ModelSpec, common: particle.CommonNoisePath) -
     fam = FAMILIES[spec.family]
     b1 = common.brownian()
     t = common.times()
-    return fam.to_m(fam.to_y(spec.initial_law.mean)
-                    + (fam.path_drift(spec) * t + fam.path_vol(spec) * b1))
+    return fam.to_m(fam.start_y(spec) + (fam.path_drift(spec) * t + fam.path_vol(spec) * b1))
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +392,12 @@ class _FastSource:
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
         fam = FAMILIES[spec.family]
-        start = spec.initial_law.mean
-        y0 = fam.to_y(start)
-        if not math.isfinite(y0):
-            raise ValueError(f"{spec.family} fast mode needs a start value in its state space")
+        y0 = fam.start_y(spec)
         self.mu_dt = fam.path_drift(spec) * cfg.dt
         self.to_m, self.to_y = fam.to_m, fam.to_y
         self.vol = fam.path_vol(spec) * math.sqrt(cfg.dt)
         self.gens, self.dt = gens, cfg.dt
-        self.m0 = np.full(len(gens), start, dtype=float)
+        self.m0 = np.full(len(gens), spec.initial_law.mean, dtype=float)
         self.y = np.full(len(gens), y0, dtype=float)
         self.buf = np.empty(cfg.batch_size * self.block)
 
@@ -521,13 +510,14 @@ def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
     return hit, col
 
 
-def _batch(spec: ModelSpec, rules, payoff: Payoff, cfg: SimConfig, lo: int, hi: int):
+def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None):
     """Per rule, ``(payoff sum, mean, M2, count, truncated)`` over replications
-    ``lo:hi``, all on the same paths."""
+    ``lo:hi``, all on the same paths.  The ``(f, g)`` paid is the spec's
+    family payoff unless ``payoff`` gives another."""
     nb, dt = hi - lo, cfg.dt
     gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
     src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
-    f, g = payoff.f, payoff.g
+    f, g = FAMILIES[spec.family].payoff(spec) if payoff is None else payoff
     n_steps = int(round(cfg.t_max / dt))
     states = [_RuleState(r, nb, n_steps, dt) for r in rules]
     everyone, at_start = np.arange(nb), {}
@@ -590,20 +580,18 @@ def _batches(reps: int, batch_size: int) -> list[tuple[int, int]]:
 
 
 def _run_rules(
-    spec: ModelSpec, rules: Sequence[StoppingRule], payoff: Payoff, cfg: SimConfig
+    spec: ModelSpec, rules: Sequence[StoppingRule], cfg: SimConfig, payoff=None
 ) -> list[McEstimate]:
     parts = _batches(cfg.replications, cfg.batch_size)
     if cfg.workers > 1 and len(parts) > 1:
-        if payoff.kind == "custom":
-            raise ValueError("custom payoffs cannot run on worker pools")
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [
-                pool.submit(_batch, spec, tuple(rules), payoff, cfg, lo, hi)
+                pool.submit(_batch, spec, tuple(rules), cfg, lo, hi, payoff)
                 for lo, hi in parts
             ]
             results = [fut.result() for fut in futures]
     else:
-        results = [_batch(spec, tuple(rules), payoff, cfg, lo, hi) for lo, hi in parts]
+        results = [_batch(spec, tuple(rules), cfg, lo, hi, payoff) for lo, hi in parts]
     out = []
     for i in range(len(rules)):
         total = count = trunc = 0
@@ -619,11 +607,9 @@ def _run_rules(
     return out
 
 
-def evaluate_rule_mc(
-    spec: ModelSpec, rule: StoppingRule, payoff: Payoff, cfg: SimConfig
-) -> McEstimate:
-    """Monte Carlo estimate of the performance of one stopping rule."""
-    return _run_rules(spec, [rule], payoff, cfg)[0]
+def evaluate_rule_mc(spec: ModelSpec, rule: StoppingRule, cfg: SimConfig) -> McEstimate:
+    """Monte Carlo estimate of the spec's performance functional under one stopping rule."""
+    return _run_rules(spec, [rule], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -639,13 +625,12 @@ class SweepResult:
 def threshold_sweep(
     spec: ModelSpec,
     thresholds: Sequence[float],
-    payoff: Payoff,
     cfg: SimConfig,
     kind: str = "threshold_up",
 ) -> SweepResult:
     """Evaluate one threshold rule per grid value on common random numbers."""
     rules = [StoppingRule(kind, threshold=float(t)) for t in thresholds]
-    estimates = _run_rules(spec, rules, payoff, cfg)
+    estimates = _run_rules(spec, rules, cfg)
     best = int(np.argmax([e.mean for e in estimates]))
     return SweepResult(
         tuple(float(t) for t in thresholds), tuple(estimates), float(thresholds[best])
@@ -670,17 +655,17 @@ def dynkin_residual(
 
     Paths start inside the candidate's continuation region and run for a
     short horizon ``delta``, stopped at the first grid time outside the
-    region.  If the candidate solves the continuation-region equation the
-    residual is zero in expectation.  A start in the stopping region would
-    stop every path at time 0 and check nothing, so it is rejected.
+    region, and pay the candidate's own running profit and value at the stop.
+    If the candidate solves the continuation-region equation the residual is
+    zero in expectation.  A start in the stopping region would stop every
+    path at time 0 and check nothing, so it is rejected.
     """
     start = spec.initial_law.mean
     if not candidate.in_continuation(start):
         raise ValueError(f"the Dynkin check needs a start inside the continuation region; "
                          f"{start!r} is on the stopping side of {candidate.threshold!r}")
     rule = StoppingRule(f"threshold_{candidate.direction}", threshold=candidate.threshold)
-    payoff = Payoff("custom", f=candidate.f, g=candidate.value)
     run_cfg = replace(cfg, t_max=delta, cap_payoff="stop", workers=1)
-    est = evaluate_rule_mc(spec, rule, payoff, run_cfg)
+    est = _run_rules(spec, [rule], run_cfg, payoff=(candidate.f, candidate.value))[0]
     residual = est.mean - candidate.value(0.0, start)
     return DynkinResult(residual, est.std_error, residual / delta, est)

@@ -28,12 +28,10 @@ from mvstop.stopping import (
     evaluate_rule_mc,
     lambda_roots,
     quit_candidate,
-    quit_payoff,
     quit_smooth_fit_residuals,
     quit_threshold,
     quit_value,
     sell_candidate,
-    sell_payoff,
     sell_threshold,
     sell_value,
     threshold_sweep,
@@ -126,9 +124,7 @@ def test_criterion_05_sell_mc_matches_closed_form():
     _, lam1 = lambda_roots(SELL.a1, SELL.b1, SELL.rho)
     xi = sell_threshold(lam1, SELL.cost)
     cfg = SimConfig(dt=1e-3, replications=100_000, seed=501, t_max=100.0)
-    est = evaluate_rule_mc(
-        spec, StoppingRule("threshold_up", threshold=xi), sell_payoff(SELL), cfg
-    )
+    est = evaluate_rule_mc(spec, StoppingRule("threshold_up", threshold=xi), cfg)
     ref = sell_value(0.0, 1.0, SELL)
     band = max(3 * est.std_error, 0.02 * abs(ref))
     report(5, "sell MC vs closed form", abs(est.mean - ref) <= band,
@@ -141,9 +137,7 @@ def test_criterion_06_quit_mc_matches_closed_form():
     spec = QUIT
     _, eta, _ = quit_threshold(QUIT)
     cfg = SimConfig(dt=1e-3, replications=100_000, seed=601, t_max=100.0)
-    est = evaluate_rule_mc(
-        spec, StoppingRule("threshold_down", threshold=eta), quit_payoff(QUIT), cfg
-    )
+    est = evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=eta), cfg)
     ref = quit_value(0.0, 0.0, QUIT)
     band = max(3 * est.std_error, 0.02 * abs(ref))
     report(6, "quit MC vs closed form", abs(est.mean - ref) <= band,
@@ -163,13 +157,13 @@ def test_criterion_07_threshold_optimality():
     failures = []
     for seed in (1, 2, 3, 4, 5):
         sw = threshold_sweep(
-            sell_spec, sell_grid, sell_payoff(SELL),
+            sell_spec, sell_grid,
             SimConfig(dt=1e-3, replications=20_000, seed=700 + seed, t_max=100.0),
         )
         if abs(sw.argmax_threshold - xi) > 0.25 + 1e-12:
             failures.append(("sell", seed, sw.argmax_threshold))
         sw = threshold_sweep(
-            quit_spec, quit_grid, quit_payoff(QUIT),
+            quit_spec, quit_grid,
             SimConfig(dt=1e-3, replications=20_000, seed=750 + seed, t_max=60.0),
             kind="threshold_down",
         )
@@ -197,11 +191,11 @@ def test_criterion_08_particle_reduction():
     _, lam1 = lambda_roots(SELL.a1, SELL.b1, SELL.rho)
     rule = StoppingRule("threshold_up", threshold=sell_threshold(lam1, SELL.cost))
     fast = evaluate_rule_mc(
-        spec, rule, sell_payoff(SELL),
+        spec, rule,
         SimConfig(dt=1e-2, replications=20_000, seed=802, t_max=60.0),
     )
     part = evaluate_rule_mc(
-        spec, rule, sell_payoff(SELL),
+        spec, rule,
         SimConfig(dt=1e-2, replications=300, seed=803, t_max=60.0, mode="particle",
                   n_particles=2000),
     )

@@ -232,6 +232,8 @@ VALIDATE_REJECTS = {
         "evaluate_rule", SELL_MODEL, {"rule": RULE}, {"max_l1": 1e-4},
         "unknown key 'max_l1' in checks"),
     "no_checkpoints": ("simulate_path", SELL_MODEL, {"checkpoints": []}, {}, "'checkpoints'"),
+    "dynkin_workers": (  # dynkin_residual runs in one process whatever the setting
+        "dynkin_check", SELL_MODEL, {"workers": 4}, {}, "unknown key 'workers' in numerics"),
     "dynkin_shorter_than_a_step": (
         "dynkin_check", SELL_MODEL, {"dt": 1.0, "delta": 0.4}, {}, "one step"),
     "zero_path_horizon": ("simulate_path", SELL_MODEL, {"horizon": 0}, {}, "numerics.horizon"),

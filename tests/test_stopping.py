@@ -7,7 +7,6 @@ import pytest
 from mvstop.model import InitialLaw, constant_mark, make_quit_model, make_sell_model
 from mvstop.particle import CommonNoisePath
 from mvstop.stopping import (
-    Payoff,
     SimConfig,
     StoppingRule,
     _ROWS,
@@ -145,6 +144,15 @@ def test_conditional_mean_oracle_matches_formula():
     )
 
 
+def test_conditional_mean_oracle_needs_a_start_in_its_state_space():
+    # the sell path is m0 e^{y}: a start m0 <= 0 has no y, and once read as an all-zero path
+    common = CommonNoisePath.sample(0.05, 0.01, np.random.default_rng(0))
+    sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", -1.0))
+    with pytest.raises(ValueError, match=r"the initial mean \(m0\) must lie in the sell state "
+                                         r"space, got -1.0"):
+        conditional_mean_oracle(sell, common)
+
+
 class TestRuleValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -171,18 +179,18 @@ class TestOffGridTimes:
 
     def test_fixed_time(self):
         spec = make_quit_model(0.3, 0.1)
-        unit = Payoff("custom", f=lambda t, m: np.ones_like(m), g=None)
+        unit = (lambda t, m: np.ones_like(m), None)
         cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=1.0)
         with pytest.raises(ValueError, match="fixed_time must be a whole multiple of dt; "
                                              "0.25 is 2.5 steps of 0.1"):
-            evaluate_rule_mc(spec, StoppingRule("fixed_time", fixed_time=0.25), unit, cfg)
+            _run_rules(spec, [StoppingRule("fixed_time", fixed_time=0.25)], cfg, payoff=unit)
 
     def test_horizon_cap(self):
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=0.125)
         cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0)
         with pytest.raises(ValueError, match="horizon_cap must be a whole multiple of dt"):
-            evaluate_rule_mc(spec, rule, quit_payoff(spec), cfg)
+            evaluate_rule_mc(spec, rule, cfg)
 
     def test_t_max(self):
         with pytest.raises(ValueError, match="t_max must be a whole multiple of dt; "
@@ -198,9 +206,9 @@ class TestOffGridTimes:
     def test_on_grid_up_to_rounding(self):
         # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
         cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=0.3)
-        unit = Payoff("custom", f=lambda t, m: np.ones_like(m), g=None)
-        est = evaluate_rule_mc(make_quit_model(0.3, 0.1),
-                               StoppingRule("fixed_time", fixed_time=0.3), unit, cfg)
+        unit = (lambda t, m: np.ones_like(m), None)
+        [est] = _run_rules(make_quit_model(0.3, 0.1),
+                           [StoppingRule("fixed_time", fixed_time=0.3)], cfg, payoff=unit)
         assert est.mean == pytest.approx(0.3)
 
 
@@ -209,9 +217,7 @@ class TestMonteCarlo:
         # exact log-normal scheme: E[m_t] = m0 e^{alpha0 t} at any dt
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         cfg = SimConfig(dt=0.01, replications=40_000, seed=21, t_max=1.0)
-        est = evaluate_rule_mc(
-            spec, StoppingRule("fixed_time", fixed_time=0.5), sell_payoff(spec), cfg
-        )
+        est = evaluate_rule_mc(spec, StoppingRule("fixed_time", fixed_time=0.5), cfg)
         expect = math.exp(-0.2 * 0.5) * (math.exp(0.1 * 0.5) - 1.0)
         assert abs(est.mean - expect) < 4 * est.std_error
         assert est.truncation_fraction == 0.0
@@ -219,18 +225,14 @@ class TestMonteCarlo:
     def test_fixed_time_quit_running_profit_centred(self):
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         cfg = SimConfig(dt=0.01, replications=40_000, seed=22, t_max=1.0)
-        est = evaluate_rule_mc(
-            spec, StoppingRule("fixed_time", fixed_time=1.0), quit_payoff(spec), cfg
-        )
+        est = evaluate_rule_mc(spec, StoppingRule("fixed_time", fixed_time=1.0), cfg)
         # running profit has conditional mean 0 along every path
         assert abs(est.mean) < 4 * est.std_error
 
     def test_immediate_trigger(self):
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 3.0))
         cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=1.0)
-        est = evaluate_rule_mc(
-            spec, StoppingRule("threshold_up", threshold=2.0), sell_payoff(spec), cfg
-        )
+        est = evaluate_rule_mc(spec, StoppingRule("threshold_up", threshold=2.0), cfg)
         assert est.mean == pytest.approx(2.0)   # g(0, 3.0) = 3 - 1 = 2
         assert est.std_error == 0.0
 
@@ -238,9 +240,7 @@ class TestMonteCarlo:
         # g(0, 1.2) is not a short binary fraction; ten batches, the last of one row
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 1.2))
         cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=1.0, batch_size=7)
-        est = evaluate_rule_mc(
-            spec, StoppingRule("threshold_up", threshold=1.1), sell_payoff(spec), cfg
-        )
+        est = evaluate_rule_mc(spec, StoppingRule("threshold_up", threshold=1.1), cfg)
         assert est.mean == pytest.approx(0.2)
         assert est.std_error == 0.0
 
@@ -253,7 +253,7 @@ class TestMonteCarlo:
             dt=0.01, replications=64, seed=0, t_max=t_max,
             cap_payoff="zero", mode=mode, n_particles=100,
         )
-        est = evaluate_rule_mc(spec, StoppingRule("never"), sell_payoff(spec), cfg)
+        est = evaluate_rule_mc(spec, StoppingRule("never"), cfg)
         assert est.mean == 0.0
         assert est.truncation_fraction == 1.0
 
@@ -264,17 +264,15 @@ class TestMonteCarlo:
         # its state matrix at different times in each batching
         if mode == "fast":
             spec = make_quit_model(0.3, 0.1, rho=0.2)
-            payoff = quit_payoff(spec)
             rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
             cfg = SimConfig(dt=0.01, replications=400, seed=4, t_max=5.0)
         else:
             spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(0.5, -0.2))
-            payoff = sell_payoff(spec)
             rule = StoppingRule("threshold_up", threshold=1.3)
             cfg = SimConfig(dt=0.05, replications=40, seed=4, t_max=3.0, mode="particle",
                             n_particles=50)
         one, many = (
-            evaluate_rule_mc(spec, rule, payoff, replace(cfg, batch_size=size))
+            evaluate_rule_mc(spec, rule, replace(cfg, batch_size=size))
             for size in (cfg.replications, 7)
         )
         assert 0 < one.truncation_fraction < 1
@@ -286,44 +284,30 @@ class TestMonteCarlo:
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         cfg = SimConfig(dt=0.01, replications=2000, seed=5, t_max=5.0)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
-        a = evaluate_rule_mc(spec, rule, quit_payoff(spec), cfg)
-        b = evaluate_rule_mc(spec, rule, quit_payoff(spec), cfg)
+        a = evaluate_rule_mc(spec, rule, cfg)
+        b = evaluate_rule_mc(spec, rule, cfg)
         assert a == b
 
     def test_common_random_numbers_across_thresholds(self):
         # duplicated threshold in one sweep must give identical estimates
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         cfg = SimConfig(dt=0.01, replications=2000, seed=6, t_max=20.0)
-        sweep = threshold_sweep(spec, [2.5, 3.0, 2.5], sell_payoff(spec), cfg)
+        sweep = threshold_sweep(spec, [2.5, 3.0, 2.5], cfg)
         assert sweep.estimates[0] == sweep.estimates[2]
 
     def test_worker_pool_matches_serial(self):
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
         base = dict(dt=0.01, replications=3000, seed=7, t_max=5.0, batch_size=700)
-        serial = evaluate_rule_mc(
-            spec, rule, quit_payoff(spec), SimConfig(**base, workers=1)
-        )
-        pooled = evaluate_rule_mc(
-            spec, rule, quit_payoff(spec), SimConfig(**base, workers=3)
-        )
+        serial = evaluate_rule_mc(spec, rule, SimConfig(**base, workers=1))
+        pooled = evaluate_rule_mc(spec, rule, SimConfig(**base, workers=3))
         assert serial == pooled
-
-    def test_custom_payoff_rejected_on_pool(self):
-        spec = make_quit_model(0.3, 0.1)
-        payoff = Payoff("custom", f=None, g=lambda t, m: m)
-        cfg = SimConfig(dt=0.01, replications=3000, seed=8, t_max=1.0, batch_size=700,
-                        workers=2)
-        with pytest.raises(ValueError, match="custom payoffs"):
-            evaluate_rule_mc(spec, StoppingRule("never"), payoff, cfg)
 
     def test_particle_mode_small_run(self):
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         cfg = SimConfig(dt=0.02, replications=50, seed=9, t_max=2.0, mode="particle",
                         n_particles=200)
-        est = evaluate_rule_mc(
-            spec, StoppingRule("fixed_time", fixed_time=1.0), sell_payoff(spec), cfg
-        )
+        est = evaluate_rule_mc(spec, StoppingRule("fixed_time", fixed_time=1.0), cfg)
         expect = math.exp(-0.2) * (math.exp(0.1) - 1.0)
         assert abs(est.mean - expect) < max(4 * est.std_error, 0.02)
 
@@ -396,10 +380,9 @@ def test_first_stop_matches_full_matrix_scan(seed):
 def test_fast_mode_needs_a_start_in_its_state_space():
     sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", -1.0))
     rule = StoppingRule("threshold_up", threshold=2.7)
-    payoff = sell_payoff(sell)
     cfg = SimConfig(dt=0.01, replications=10, seed=1, t_max=1.0)
     with pytest.raises(ValueError, match="start value"):
-        evaluate_rule_mc(sell, rule, payoff, cfg)
+        evaluate_rule_mc(sell, rule, cfg)
 
 
 def test_custom_running_profit_may_broadcast():
@@ -407,9 +390,10 @@ def test_custom_running_profit_may_broadcast():
     spec = make_quit_model(0.3, 0.1)
     cfg = SimConfig(dt=0.01, replications=50, seed=3, t_max=6.0)
     rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
-    narrow = Payoff("custom", f=lambda t, m: np.exp(-0.2 * t), g=None)
-    full = Payoff("custom", f=lambda t, m: np.exp(-0.2 * t) + 0.0 * m, g=None)
-    assert evaluate_rule_mc(spec, rule, narrow, cfg) == evaluate_rule_mc(spec, rule, full, cfg)
+    narrow = (lambda t, m: np.exp(-0.2 * t), None)
+    full = (lambda t, m: np.exp(-0.2 * t) + 0.0 * m, None)
+    assert (_run_rules(spec, [rule], cfg, payoff=narrow)
+            == _run_rules(spec, [rule], cfg, payoff=full))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +406,7 @@ def _frozen_runs():
     quit_spec = make_quit_model(0.3, 0.1, rho=0.2)
     jump_sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, constant_mark(0.5, -0.2),
                                 InitialLaw("point", 1.1))
-    jump_quit = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5,
+    jump_quit = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5, rho=0.2,
                                 initial_law=InitialLaw("normal", 0.0, 0.3))
     fast = dict(dt=0.01, seed=11)
     particle = dict(dt=0.05, replications=12, t_max=3.0, mode="particle",
@@ -430,7 +414,7 @@ def _frozen_runs():
     runs = {}
     # 2000 steps: four blocks of at most 512, two batches, 1.1 stops at time 0
     runs["fast_sell_sweep"] = threshold_sweep(
-        sell_12, [1.1, 1.5, 2.2, 2.7, 3.5], sell_payoff(sell_12),
+        sell_12, [1.1, 1.5, 2.2, 2.7, 3.5],
         SimConfig(replications=400, t_max=20.0, batch_size=300, **fast),
     ).estimates
     # running profit; caps inside a block, at a block edge and past the horizon
@@ -441,21 +425,21 @@ def _frozen_runs():
          StoppingRule("never", horizon_cap=5.12),
          StoppingRule("threshold_down", threshold=-0.2, horizon_cap=7.77),
          StoppingRule("threshold_up", threshold=0.5, horizon_cap=50.0)],
-        quit_payoff(quit_spec), SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0),
+        SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0),
     )
     runs["fixed_time"] = (
         evaluate_rule_mc(sell_spec, StoppingRule("fixed_time", fixed_time=0.5),
-                         sell_payoff(sell_spec), SimConfig(replications=300, t_max=1.0, **fast)),
-        evaluate_rule_mc(make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.1)),
-                         StoppingRule("fixed_time", fixed_time=7.0), quit_payoff(quit_spec),
+                         SimConfig(replications=300, t_max=1.0, **fast)),
+        evaluate_rule_mc(make_quit_model(0.3, 0.1, rho=0.2,
+                                         initial_law=InitialLaw("point", 0.1)),
+                         StoppingRule("fixed_time", fixed_time=7.0),
                          SimConfig(dt=0.01, replications=200, seed=13, t_max=10.0)),
         evaluate_rule_mc(sell_12, StoppingRule("fixed_time", fixed_time=0.0),
-                         sell_payoff(sell_12), SimConfig(replications=50, t_max=1.0, **fast)),
+                         SimConfig(replications=50, t_max=1.0, **fast)),
     )
     runs["cap_zero"] = (
         evaluate_rule_mc(sell_spec, StoppingRule("threshold_up", threshold=2.7,
                                                  horizon_cap=4.0),
-                         sell_payoff(sell_spec),
                          SimConfig(replications=300, t_max=20.0, cap_payoff="zero", **fast)),
     )
     runs["fast_dynkin_custom"] = (
@@ -465,15 +449,13 @@ def _frozen_runs():
                         delta=3.0).estimate,
     )
     runs["particle_sell_jumps"] = threshold_sweep(
-        jump_sell, [1.05, 1.3, 1.6], sell_payoff(jump_sell),
-        SimConfig(seed=15, **particle),
-    ).estimates
+        jump_sell, [1.05, 1.3, 1.6], SimConfig(seed=15, **particle)).estimates
     runs["particle_quit"] = _run_rules(
         jump_quit,
         [StoppingRule("threshold_down", threshold=QUIT_ETA),
          StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=1.0),
          StoppingRule("fixed_time", fixed_time=0.5)],
-        quit_payoff(quit_spec), SimConfig(seed=16, **particle),
+        SimConfig(seed=16, **particle),
     )
     return {name: tuple(tuple(vars(e).values()) for e in ests)
             for name, ests in runs.items()}
