@@ -294,10 +294,14 @@ def _closed_form_report(spec, numerics, checks, seed):
 def _evaluate_rule(spec, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     rule = StoppingRule(**numerics["rule"])
-    check_on_grid(numerics["dt"], {
-        "t_max": numerics["t_max"], "rule.horizon_cap": rule.horizon_cap,
+    dt, t_max = numerics["dt"], numerics["t_max"]
+    check_on_grid(dt, {
+        "t_max": t_max,
         "rule.fixed_time": rule.fixed_time if rule.kind == "fixed_time" else None,
     }, "numerics.")
+    if rule.kind == "fixed_time" and round(rule.fixed_time / dt) > round(t_max / dt):
+        raise ValueError(f"numerics.rule.fixed_time {rule.fixed_time} is past numerics.t_max "
+                         f"{t_max}: every path is capped before the rule can stop it")
     cfg = _sim_config(numerics, seed)
     tol = checks["closed_form_tolerance"]
     if tol is not None:  # the rule's own closed-form value, so only the optimal rule's kind
@@ -375,7 +379,7 @@ def _simulate_path(spec, numerics, checks, seed):
             ss = np.random.SeedSequence(seed, spawn_key=(rep,))
             rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
             common = CommonNoisePath.sample(horizon, dt, rng_common)
-            result = simulate_path(spec, horizon, dt, n, common, rng_cloud)
+            result = simulate_path(spec, common, n, rng_cloud)
             oracle = conditional_mean_oracle(spec, common)
             for t_check, k in checkpoints:
                 ref = oracle[k]
@@ -411,9 +415,8 @@ def _fokker_planck_compare(spec, numerics, checks, seed):
         density = gaussian_density(x, law.loc, law.scale)
         density, diags = evolve_spide(density, spec, spide_dt, common.increments)
         coarse = CommonNoisePath(dt, common.increments.reshape(-1, ratio).sum(axis=1))
-        result = simulate_path(spec, horizon, dt, numerics["n"], coarse, rng_cloud,
-                               snapshot_times=(horizon,))
-        kde = kde_density(result.snapshots[horizon], numerics["bandwidth"], x)
+        result = simulate_path(spec, coarse, numerics["n"], rng_cloud)
+        kde = kde_density(result.cloud, numerics["bandwidth"], x)
         l1 = compare_to_particles(density, kde)
         defect = max(d.mass_defect for d in diags)
         write_csv(out / "densities.csv", ("x", "spide", "kde"),
@@ -460,7 +463,7 @@ def _dynkin_check(spec, numerics, checks, seed):
                          f"continuation region, not past the threshold {candidate.threshold!r}")
 
     def compute(out, mhash, summary):
-        result = dynkin_residual(spec, candidate, cfg, delta)
+        result = dynkin_residual(spec, cfg)
         write_csv(out / "dynkin.csv",
                   ("model", "delta", "residual", "std_error", "per_unit_time",
                    "replications", "dt", "seed"),
@@ -488,7 +491,7 @@ _SIM = {  # SimConfig settings; "n" is its n_particles, and None keeps SimConfig
     "workers": (COUNT, None), "batch_size": (COUNT, None),
 }
 _RULE = {"kind": (TEXT, "threshold_up"), "threshold": (NUMBER, math.nan),
-         "fixed_time": (NUMBER, math.nan), "horizon_cap": (NUMBER, None)}
+         "fixed_time": (NUMBER, math.nan)}
 _GRID = {"x_min": (NUMBER, REQUIRED), "x_max": (NUMBER, REQUIRED),
          "n_points": (COUNT, REQUIRED)}
 _PROBE = {  # None keeps the family's probe window and default_probe_grid's sizes

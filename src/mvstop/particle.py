@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fokker_planck import GridDensity
-from .model import InitialLaw, LevyMeasureSpec, ModelSpec
+from .model import LevyMeasureSpec, ModelSpec
 
 
 _KDE_CHUNK = 2e6          # kernel-matrix elements per summed chunk of particles
@@ -61,10 +61,6 @@ class CommonNoisePath:
         n_steps = int(round(horizon / dt))
         return cls(dt, rng.normal(0.0, math.sqrt(dt), n_steps))
 
-    @property
-    def horizon(self) -> float:
-        return self.increments.size * self.dt
-
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.increments.size + 1)
 
@@ -89,16 +85,6 @@ class ParticleCloud:
         if self.states.ndim != 1 or self.states.size < 1:
             raise ValueError("states must be a nonempty 1-D array")
         self.m_bar = float(self.states.mean())
-
-    @property
-    def n(self) -> int:
-        return self.states.size
-
-
-def init_cloud(initial_law: InitialLaw, n: int, rng: np.random.Generator) -> ParticleCloud:
-    if n < 1:
-        raise ValueError("particle count must be >= 1")
-    return ParticleCloud(0.0, initial_law.sample(rng, n))
 
 
 def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, rng: np.random.Generator):
@@ -172,44 +158,30 @@ def step(
 class PathResult:
     times: np.ndarray
     m_bar: np.ndarray
-    snapshots: dict = field(default_factory=dict)   # time -> ParticleCloud
+    cloud: ParticleCloud    # the states at the last grid time
     floor_events: int = 0   # always 0, clouds are not clamped; perfbench's tracer reads it
 
 
 def simulate_path(
     spec: ModelSpec,
-    horizon: float,
-    dt: float,
-    n: int,
     common: CommonNoisePath,
+    n: int,
     rng: np.random.Generator,
-    snapshot_times: tuple[float, ...] = (),
 ) -> PathResult:
-    """Advance an unclamped cloud along one common-noise path, recording ``m_bar``."""
-    check_on_grid(dt, {"horizon": horizon,
-                       **{f"snapshot_times[{i}]": t for i, t in enumerate(snapshot_times)}})
-    n_steps = int(round(horizon / dt))
-    if abs(common.dt - dt) > 1e-12 * dt or common.increments.size < n_steps:
-        raise ValueError("common-noise path does not cover (horizon, dt)")
-    cloud = init_cloud(spec.initial_law, n, rng)
-    times = dt * np.arange(n_steps + 1)
-    m_bar = np.empty(n_steps + 1)
+    """Advance an unclamped cloud of ``n`` particles along the whole
+    common-noise path, recording ``m_bar`` at each of its grid times."""
+    if n < 1:
+        raise ValueError("particle count must be >= 1")
+    cloud = ParticleCloud(0.0, spec.initial_law.sample(rng, n))
+    times = common.times()
+    m_bar = np.empty(times.size)
     m_bar[0] = cloud.m_bar
-    wanted = sorted(snapshot_times)
-    snapshots: dict[float, ParticleCloud] = {}
-    if wanted and abs(wanted[0]) < dt / 2:
-        snapshots[0.0] = ParticleCloud(0.0, cloud.states.copy())
     x = cloud.states.reshape(1, n)  # stepped in place
     m = m_bar[:1].copy()
-    for k in range(n_steps):
-        step(x, spec, dt, m, common.increments[k:k + 1], [rng])
+    for k in range(times.size - 1):
+        step(x, spec, common.dt, m, common.increments[k:k + 1], [rng])
         m_bar[k + 1] = m[0]
-        for t_snap in wanted:
-            if abs(times[k + 1] - t_snap) < dt / 2 and t_snap not in snapshots:
-                # the final states need no copy: nothing steps them again
-                states = x[0] if k + 1 == n_steps else x[0].copy()
-                snapshots[t_snap] = ParticleCloud(times[k + 1], states)
-    return PathResult(times, m_bar, snapshots)
+    return PathResult(times, m_bar, ParticleCloud(times[-1], x[0]))
 
 
 def silverman_bandwidth(states: np.ndarray) -> float:

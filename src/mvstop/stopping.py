@@ -40,7 +40,6 @@ class StoppingRule:
     kind: str                       # threshold_up | threshold_down | fixed_time | never
     threshold: float = math.nan
     fixed_time: float = math.nan
-    horizon_cap: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("threshold_up", "threshold_down", "fixed_time", "never"):
@@ -49,8 +48,6 @@ class StoppingRule:
             raise ValueError("threshold rules need a finite threshold")
         if self.kind == "fixed_time" and not (self.fixed_time >= 0):
             raise ValueError("fixed_time rules need a nonnegative time")
-        if self.horizon_cap is not None and self.horizon_cap <= 0:
-            raise ValueError("horizon_cap must be > 0")
 
 
 @dataclass(frozen=True)
@@ -65,10 +62,10 @@ class McEstimate:
 class SimConfig:
     """Numerical settings for rule evaluation.
 
-    Every run starts at the mean of the spec's initial law.  ``cap_payoff``
-    selects how horizon-capped paths contribute: ``"stop"`` pays the bequest
-    at the cap, ``"zero"`` drops it (diagnostic bound on the truncation
-    bias).
+    Every run starts at the mean of the spec's initial law, and every rule
+    runs until it stops or until ``t_max``.  ``cap_payoff`` selects how paths
+    capped at ``t_max`` contribute: ``"stop"`` pays the bequest at the cap,
+    ``"zero"`` drops it (diagnostic bound on the truncation bias).
     """
 
     dt: float
@@ -456,12 +453,9 @@ class _ParticleSource:
 class _RuleState:
     """Per-rule bookkeeping over one batch of replications."""
 
-    def __init__(self, rule: StoppingRule, nb: int, n_steps: int, dt: float):
-        check_on_grid(dt, {"horizon_cap": rule.horizon_cap,
-                           "fixed_time": rule.fixed_time if rule.kind == "fixed_time" else None})
+    def __init__(self, rule: StoppingRule, nb: int, dt: float):
+        check_on_grid(dt, {"fixed_time": rule.fixed_time if rule.kind == "fixed_time" else None})
         self.rule = rule
-        cap = n_steps if rule.horizon_cap is None else int(round(rule.horizon_cap / dt))
-        self.cap_step = min(n_steps, cap)
         self.alive = np.ones(nb, dtype=bool)
         self.payoff = np.zeros(nb)
         self.fint = np.zeros(nb)
@@ -519,21 +513,20 @@ def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None
     src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
     f, g = FAMILIES[spec.family].payoff(spec) if payoff is None else payoff
     n_steps = int(round(cfg.t_max / dt))
-    states = [_RuleState(r, nb, n_steps, dt) for r in rules]
+    states = [_RuleState(r, nb, dt) for r in rules]
     everyone, at_start = np.arange(nb), {}
-    for st in states:  # time 0: a start in the stopping region or a zero cap ends the row
+    for st in states:  # time 0: a start in the stopping region or a zero t_max ends the row
         hit, _ = _first_stop(st.rule, src.m0[:, None], everyone, float, 0, dt, at_start)
-        rows = np.flatnonzero(hit | (st.cap_step == 0))
+        rows = np.flatnonzero(hit | (n_steps == 0))
         st.settle(rows, hit[rows], np.zeros(rows.size), src.m0[rows], g, cfg.cap_payoff)
 
     fbuf = np.empty(cfg.batch_size * src.block) if f is not None else None
     steps_done = 0
-    max_steps = max((st.cap_step for st in states), default=0)
-    while steps_done < max_steps:
+    while steps_done < n_steps:
         act = np.flatnonzero(np.logical_or.reduce([st.alive for st in states]))
         if act.size == 0:
             break
-        K = min(src.block, max_steps - steps_done)
+        K = min(src.block, n_steps - steps_done)
         y_left, ypath, t_right = src.advance(act, steps_done, K)
         if f is not None:  # running profit: m at left points, then f * dt, summed in place
             fcum = fbuf[: act.size * K].reshape(act.size, K)
@@ -550,13 +543,12 @@ def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None
             rows_local = np.flatnonzero(st.alive[act])
             if rows_local.size == 0:
                 continue
-            klim = min(K, st.cap_step - steps_done)
-            hit, col = _first_stop(st.rule, ypath[:, :klim], rows_local, src.to_y,
+            hit, col = _first_stop(st.rule, ypath, rows_local, src.to_y,
                                    steps_done + 1, dt, extremes)
             if f is not None:
                 st.fint[act[rows_local]] += fcum[rows_local, col]
-            end = hit | (steps_done + klim >= st.cap_step)
-            t_end = np.where(hit, t_right[col], st.cap_step * dt)
+            end = hit | (steps_done + K >= n_steps)
+            t_end = np.where(hit, t_right[col], n_steps * dt)
             ended, col = rows_local[end], col[end]
             st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g,
                       cfg.cap_payoff)
@@ -645,27 +637,24 @@ class DynkinResult:
     estimate: McEstimate
 
 
-def dynkin_residual(
-    spec: ModelSpec,
-    candidate: StoppingCandidate,
-    cfg: SimConfig,
-    delta: float,
-) -> DynkinResult:
-    """Martingale drift diagnostic for a candidate value along the flow.
+def dynkin_residual(spec: ModelSpec, cfg: SimConfig) -> DynkinResult:
+    """Martingale drift diagnostic for the spec's closed-form value along the flow.
 
-    Paths start inside the candidate's continuation region and run for a
-    short horizon ``delta``, stopped at the first grid time outside the
-    region, and pay the candidate's own running profit and value at the stop.
-    If the candidate solves the continuation-region equation the residual is
-    zero in expectation.  A start in the stopping region would stop every
-    path at time 0 and check nothing, so it is rejected.
+    The candidate is the family's optimal value for ``spec``.  Paths start
+    inside its continuation region and run for the short horizon
+    ``cfg.t_max``, stopped at the first grid time outside the region, and
+    pay the candidate's own running profit and value at the stop.  If the
+    candidate solves the continuation-region equation the residual is zero
+    in expectation.  A start in the stopping region would stop every path
+    at time 0 and check nothing, so it is rejected.
     """
+    candidate = FAMILIES[spec.family].candidate(spec)
     start = spec.initial_law.mean
     if not candidate.in_continuation(start):
         raise ValueError(f"the Dynkin check needs a start inside the continuation region; "
                          f"{start!r} is on the stopping side of {candidate.threshold!r}")
     rule = StoppingRule(f"threshold_{candidate.direction}", threshold=candidate.threshold)
-    run_cfg = replace(cfg, t_max=delta, cap_payoff="stop", workers=1)
+    run_cfg = replace(cfg, cap_payoff="stop", workers=1)
     est = _run_rules(spec, [rule], run_cfg, payoff=(candidate.f, candidate.value))[0]
     residual = est.mean - candidate.value(0.0, start)
-    return DynkinResult(residual, est.std_error, residual / delta, est)
+    return DynkinResult(residual, est.std_error, residual / cfg.t_max, est)

@@ -183,7 +183,7 @@ def test_criterion_08_particle_reduction():
         ss = np.random.SeedSequence(801, spawn_key=(rep,))
         rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
         common = CommonNoisePath.sample(1.0, 1e-3, rng_common)
-        result = simulate_path(spec, 1.0, 1e-3, 10_000, common, rng_cloud)
+        result = simulate_path(spec, common, 10_000, rng_cloud)
         ref = conditional_mean_oracle(spec, common)[-1]
         worst = max(worst, abs(result.m_bar[-1] - ref) / abs(ref))
     oracle_ok = worst < 0.05
@@ -216,10 +216,8 @@ def test_criterion_09_fokker_planck_cross_check():
         gaussian_density(x, 0.0, 0.3), spec, 1e-4, common.increments
     )
     coarse = CommonNoisePath(1e-3, common.increments.reshape(-1, 10).sum(axis=1))
-    result = simulate_path(
-        spec, 0.5, 1e-3, 100_000, coarse, rng_cloud, snapshot_times=(0.5,)
-    )
-    kde = kde_density(result.snapshots[0.5], None, x)
+    result = simulate_path(spec, coarse, 100_000, rng_cloud)
+    kde = kde_density(result.cloud, None, x)
     l1 = compare_to_particles(density, kde)
     defect = max(d.mass_defect for d in diags)
     report(9, "Fokker-Planck vs particle KDE", l1 < 0.1 and defect < 1e-6,
@@ -260,17 +258,11 @@ def test_criterion_11_dynkin_diagnostic():
     sell_spec = make_sell_model(SELL.a1, SELL.b1, SELL.s1, SELL.rho, SELL.cost,
                                 initial_law=InitialLaw("point", 1.5))
     sell_run = dynkin_residual(
-        sell_spec, sell_candidate(SELL),
-        SimConfig(dt=1e-3, replications=20_000, seed=1101, t_max=1.0),
-        delta=0.5,
-    )
+        sell_spec, SimConfig(dt=1e-3, replications=20_000, seed=1101, t_max=0.5))
     quit_spec = make_quit_model(QUIT.b0, QUIT.s0, rho=QUIT.rho,
                                 initial_law=InitialLaw("point", 0.3))
     quit_run = dynkin_residual(
-        quit_spec, quit_candidate(QUIT),
-        SimConfig(dt=1e-3, replications=20_000, seed=1102, t_max=1.0),
-        delta=0.5,
-    )
+        quit_spec, SimConfig(dt=1e-3, replications=20_000, seed=1102, t_max=0.5))
     sell_ok = abs(sell_run.residual) <= 3 * sell_run.std_error
     quit_ok = abs(quit_run.residual) <= 3 * quit_run.std_error
     report(11, "Dynkin martingale diagnostic", sell_ok and quit_ok,

@@ -133,8 +133,6 @@ RUN_ABORTS = {
     "unknown_cap_payoff": (
         "evaluate_rule", SELL_MODEL, {"cap_payoff": "half", "rule": RULE}, "cap_payoff"),
     "negative_t_max": ("evaluate_rule", SELL_MODEL, {"t_max": -1, "rule": RULE}, "t_max"),
-    "nonpositive_horizon_cap": (
-        "evaluate_rule", SELL_MODEL, {"rule": dict(RULE, horizon_cap=0)}, "horizon_cap"),
     "unknown_sweep_rule_kind": (
         "threshold_sweep", SELL_MODEL, {"thresholds": [2.7], "rule_kind": "sideways"},
         "unknown rule kind"),
@@ -205,9 +203,6 @@ RUN_ABORTS = {
     "overflowing_integer_sell_rho": (
         "evaluate_rule", dict(SELL_MODEL, rho=Raw("1" + "0" * 400)), {"rule": RULE},
         "1" + "0" * 400 + " does not fit in a float"),
-    "overflowing_horizon_cap": (
-        "evaluate_rule", SELL_MODEL, {"rule": dict(RULE, horizon_cap=Raw("1e999"))},
-        "1e999 does not fit in a float"),
     "zero_sell_threshold": (
         "var_ineq_check", SELL_MODEL, {"threshold": 0.0}, "sell threshold must be > 0, got 0.0"),
     "negative_sell_threshold": (
@@ -258,9 +253,13 @@ VALIDATE_REJECTS = {
     "off_grid_sweep_t_max": (
         "threshold_sweep", SELL_MODEL, {"dt": 0.3, "thresholds": [2.7]}, {},
         "numerics.t_max must be a whole multiple of dt; 100.0 is 333.333 steps of 0.3"),
-    "off_grid_horizon_cap": (
+    "retired_horizon_cap": (  # a rule runs to t_max; an old per-rule cap must not be ignored
         "evaluate_rule", SELL_MODEL, {"dt": 0.01, "rule": dict(RULE, horizon_cap=0.125)}, {},
-        "numerics.rule.horizon_cap must be a whole multiple of dt; 0.125 is 12.5 steps"),
+        "unknown key 'horizon_cap' in numerics.rule"),
+    "fixed_time_past_t_max": (  # every path is capped at t_max before the rule fires
+        "evaluate_rule", QUIT_MODEL,
+        {"dt": 0.01, "t_max": 2.0, "rule": {"kind": "fixed_time", "fixed_time": 5.0}}, {},
+        "numerics.rule.fixed_time 5.0 is past numerics.t_max 2.0"),
     "off_grid_fixed_time": (
         "evaluate_rule", QUIT_MODEL,
         {"dt": 0.1, "t_max": 1.0, "rule": {"kind": "fixed_time", "fixed_time": 0.25}}, {},
@@ -318,6 +317,13 @@ def test_validate_rejects_misread_settings(tmp_path, case):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, body))
     assert message in "\n".join(err.value.errors)
+
+
+def test_fixed_time_at_t_max_loads(tmp_path):
+    # the last grid step still stops every path, so the rule is not misread
+    body = base_config(tmp_path, experiment="evaluate_rule", model=dict(QUIT_MODEL), numerics={
+        "dt": 0.01, "t_max": 2.0, "rule": {"kind": "fixed_time", "fixed_time": 2.0}})
+    assert load_config(write_config(tmp_path, body))["numerics"]["rule"]["fixed_time"] == 2.0
 
 
 def test_readme_config_example_loads(tmp_path, monkeypatch):
@@ -507,8 +513,8 @@ FROZEN_CONFIGS = {
         {"closed_form_tolerance": 0.5}),
     ("evaluate_rule", "quit"): (
         QUIT_MODEL,
-        {"dt": 0.01, "replications": 300, "t_max": 10.0,
-         "rule": {"kind": "threshold_down", "threshold": -0.47, "horizon_cap": 8.0}},
+        {"dt": 0.01, "replications": 300, "t_max": 8.0,
+         "rule": {"kind": "threshold_down", "threshold": -0.47}},
         {"closed_form_tolerance": 0.2}),
     ("threshold_sweep", "sell"): (
         SELL_MODEL,
@@ -559,8 +565,8 @@ FROZEN_OUTPUTS = {
         'summary.json': 'effbcbf6c1b526b646c9e137eda50d1b659ed28c95aaa8bc994d336cd1e8aaf1',
     },
     'evaluate_rule-quit': {
-        'estimate.csv': 'f550fd2696158ff42564274e0ac7dddfefc8ec2a19cb3f913867bad0ed105417',
-        'summary.json': 'dcb6b239f4d9e93a9098002295ba53023f7070d411b8fd1bd00d0847ffc52462',
+        'estimate.csv': 'de75c2c48e49a2ba06717bb46ef562c9c888dd8826f6ee8f961f903d27517d96',
+        'summary.json': '26e0e41db02876c1f6b34932698ed075e61c5f18052724cd9d29a6b6ecf3c97e',
     },
     'threshold_sweep-sell': {
         'summary.json': '2a52b34f255cc9f2e75a5495e9d5076fed2ae1de7d8fb9381cfc7430eade54c2',

@@ -14,7 +14,6 @@ from mvstop.particle import (
     ParticleCloud,
     SimulationError,
     _draw_jumps,
-    init_cloud,
     kde_density,
     silverman_bandwidth,
     simulate_path,
@@ -37,8 +36,8 @@ def test_common_noise_variance():
 
 
 def test_init_cloud_and_pairing():
-    cloud = init_cloud(InitialLaw("point", 1.5), 100, np.random.default_rng(0))
-    assert cloud.n == 100
+    cloud = ParticleCloud(0.0, InitialLaw("point", 1.5).sample(np.random.default_rng(0), 100))
+    assert cloud.states.size == 100
     assert cloud.m_bar == 1.5
 
 
@@ -56,7 +55,7 @@ def test_no_idiosyncratic_noise_is_rigid_translation():
     spec = make_quit_model(0.4, 0.0, initial_law=InitialLaw("normal", 0.0, 0.3))
     rng = np.random.default_rng(3)
     common = CommonNoisePath.sample(0.5, 0.01, rng)
-    cloud0 = init_cloud(spec.initial_law, 1000, np.random.default_rng(4))
+    cloud0 = ParticleCloud(0.0, spec.initial_law.sample(np.random.default_rng(4), 1000))
     x, m = cloud0.states.reshape(1, -1).copy(), np.array([cloud0.m_bar])
     for k in range(common.increments.size):
         step(x, spec, 0.01, m, common.increments[k:k + 1], [np.random.default_rng(5)])
@@ -68,7 +67,7 @@ def test_no_idiosyncratic_noise_is_rigid_translation():
 def test_compensated_jumps_keep_conditional_mean():
     spec = make_sell_model(0.0, 0.2, 0.0, 0.2, 1.0, constant_mark(2.0, -0.3))
     common = CommonNoisePath(0.01, np.zeros(50))   # freeze the common noise
-    result = simulate_path(spec, 0.5, 0.01, 100_000, common, np.random.default_rng(6))
+    result = simulate_path(spec, common, 100_000, np.random.default_rng(6))
     # with B1 = 0 and alpha0 = 0 the conditional mean must stay at 1
     assert abs(result.m_bar[-1] - 1.0) < 0.01
 
@@ -110,7 +109,7 @@ def test_rigid_model_without_jumps_draws_nothing():
     rng = np.random.default_rng(24)
     before = rng.bit_generator.state
     common = CommonNoisePath.sample(0.1, 0.01, np.random.default_rng(25))
-    simulate_path(spec, 0.1, 0.01, 100, common, rng)
+    simulate_path(spec, common, 100, rng)
     assert rng.bit_generator.state == before
 
 
@@ -129,39 +128,25 @@ def test_batched_rows_match_single_rows():
         assert np.array_equal(row[0], x[j]) and m_row[0] == m[j]
 
 
-def test_path_requires_matching_grid():
-    spec = make_quit_model(0.4, 0.3)
-    common = CommonNoisePath.sample(0.5, 0.02, np.random.default_rng(9))
-    with pytest.raises(ValueError):
-        simulate_path(spec, 1.0, 0.02, 10, common, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        simulate_path(spec, 0.5, 0.01, 10, common, np.random.default_rng(0))
-
-
 def test_off_grid_horizon_and_snapshot_rejected():
-    spec = make_quit_model(0.4, 0.3)
     with pytest.raises(ValueError, match="horizon must be a whole multiple of dt"):
         CommonNoisePath.sample(0.2049, 0.01, np.random.default_rng(12))
-    common = CommonNoisePath.sample(0.3, 0.01, np.random.default_rng(12))
-    with pytest.raises(ValueError, match="horizon must be a whole multiple of dt"):
-        simulate_path(spec, 0.2049, 0.01, 10, common, np.random.default_rng(0))
-    with pytest.raises(ValueError, match=r"snapshot_times\[1\] must be a whole multiple"):
-        simulate_path(spec, 0.2, 0.01, 10, common, np.random.default_rng(0),
-                      snapshot_times=(0.1, 0.047))
 
 
-def test_snapshots_recorded():
+def test_final_cloud_recorded():
+    # the path runs over the whole common-noise grid and keeps its last cloud
     spec = make_quit_model(0.4, 0.3)
     common = CommonNoisePath.sample(0.5, 0.01, np.random.default_rng(10))
-    result = simulate_path(
-        spec, 0.5, 0.01, 50, common, np.random.default_rng(11),
-        snapshot_times=(0.0, 0.25, 0.5),
-    )
-    assert set(result.snapshots) == {0.0, 0.25, 0.5}
-    assert result.snapshots[0.5].time == pytest.approx(0.5)
-    # each snapshot keeps the states of its own time, not those of later steps
-    for t_snap, k in ((0.0, 0), (0.25, 25), (0.5, 50)):
-        assert result.snapshots[t_snap].states.mean() == result.m_bar[k]
+    result = simulate_path(spec, common, 50, np.random.default_rng(11))
+    np.testing.assert_array_equal(result.times, common.times())
+    assert result.cloud.time == common.times()[-1]
+    assert result.cloud.states.mean() == result.m_bar[-1]
+
+
+def test_particle_count_must_be_positive():
+    common = CommonNoisePath.sample(0.1, 0.01, np.random.default_rng(10))
+    with pytest.raises(ValueError, match="particle count must be >= 1"):
+        simulate_path(make_quit_model(0.4, 0.3), common, 0, np.random.default_rng(11))
 
 
 def test_non_finite_state_raises():

@@ -185,13 +185,6 @@ class TestOffGridTimes:
                                              "0.25 is 2.5 steps of 0.1"):
             _run_rules(spec, [StoppingRule("fixed_time", fixed_time=0.25)], cfg, payoff=unit)
 
-    def test_horizon_cap(self):
-        spec = make_quit_model(0.3, 0.1, rho=0.2)
-        rule = StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=0.125)
-        cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0)
-        with pytest.raises(ValueError, match="horizon_cap must be a whole multiple of dt"):
-            evaluate_rule_mc(spec, rule, cfg)
-
     def test_t_max(self):
         with pytest.raises(ValueError, match="t_max must be a whole multiple of dt; "
                                              "0.5 is 1.66667 steps of 0.3"):
@@ -201,7 +194,7 @@ class TestOffGridTimes:
         spec = make_quit_model(0.3, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
         cfg = SimConfig(dt=0.3, replications=10, seed=0, t_max=0.6)
         with pytest.raises(ValueError, match="t_max must be a whole multiple of dt"):
-            dynkin_residual(spec, quit_candidate(spec), cfg, delta=0.5)
+            dynkin_residual(spec, replace(cfg, t_max=0.5))
 
     def test_on_grid_up_to_rounding(self):
         # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
@@ -320,13 +313,13 @@ def test_dynkin_residual_needs_a_continuation_start():
     for start in (candidate.threshold, 5.0):
         at = replace(spec, initial_law=InitialLaw("point", start))
         with pytest.raises(ValueError, match="start inside the continuation region"):
-            dynkin_residual(at, candidate, cfg, delta=0.5)
+            dynkin_residual(at, replace(cfg, t_max=0.5))
 
 
 def test_dynkin_residual_small_run():
     spec = make_quit_model(0.3, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
     cfg = SimConfig(dt=0.005, replications=4000, seed=10, t_max=1.0)
-    result = dynkin_residual(spec, quit_candidate(spec), cfg, delta=0.3)
+    result = dynkin_residual(spec, replace(cfg, t_max=0.3))
     assert abs(result.residual) < 4 * result.std_error + 1e-3
 
 
@@ -417,16 +410,16 @@ def _frozen_runs():
         sell_12, [1.1, 1.5, 2.2, 2.7, 3.5],
         SimConfig(replications=400, t_max=20.0, batch_size=300, **fast),
     ).estimates
-    # running profit; caps inside a block, at a block edge and past the horizon
-    runs["fast_quit_caps"] = _run_rules(
-        quit_spec,
-        [StoppingRule("threshold_down", threshold=QUIT_ETA),
-         StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=3.0),
-         StoppingRule("never", horizon_cap=5.12),
-         StoppingRule("threshold_down", threshold=-0.2, horizon_cap=7.77),
-         StoppingRule("threshold_up", threshold=0.5, horizon_cap=50.0)],
-        SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0),
-    )
+    # running profit; caps inside a block, at a block edge and at the horizon
+    quit_caps = SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0)
+    runs["fast_quit_caps"] = [
+        evaluate_rule_mc(quit_spec, rule, replace(quit_caps, t_max=t_max))
+        for rule, t_max in [(StoppingRule("threshold_down", threshold=QUIT_ETA), 10.0),
+                            (StoppingRule("threshold_down", threshold=QUIT_ETA), 3.0),
+                            (StoppingRule("never"), 5.12),
+                            (StoppingRule("threshold_down", threshold=-0.2), 7.77),
+                            (StoppingRule("threshold_up", threshold=0.5), 10.0)]
+    ]
     runs["fixed_time"] = (
         evaluate_rule_mc(sell_spec, StoppingRule("fixed_time", fixed_time=0.5),
                          SimConfig(replications=300, t_max=1.0, **fast)),
@@ -438,25 +431,23 @@ def _frozen_runs():
                          SimConfig(replications=50, t_max=1.0, **fast)),
     )
     runs["cap_zero"] = (
-        evaluate_rule_mc(sell_spec, StoppingRule("threshold_up", threshold=2.7,
-                                                 horizon_cap=4.0),
-                         SimConfig(replications=300, t_max=20.0, cap_payoff="zero", **fast)),
+        evaluate_rule_mc(sell_spec, StoppingRule("threshold_up", threshold=2.7),
+                         SimConfig(replications=300, t_max=4.0, cap_payoff="zero", **fast)),
     )
     runs["fast_dynkin_custom"] = (
-        dynkin_residual(make_quit_model(0.3, 0.1, initial_law=InitialLaw("point", 0.3)),
-                        quit_candidate(quit_spec),
-                        SimConfig(dt=0.005, replications=300, seed=14, t_max=1.0),
-                        delta=3.0).estimate,
+        dynkin_residual(make_quit_model(0.3, 0.1, rho=0.2,
+                                        initial_law=InitialLaw("point", 0.3)),
+                        SimConfig(dt=0.005, replications=300, seed=14, t_max=3.0)).estimate,
     )
     runs["particle_sell_jumps"] = threshold_sweep(
         jump_sell, [1.05, 1.3, 1.6], SimConfig(seed=15, **particle)).estimates
-    runs["particle_quit"] = _run_rules(
-        jump_quit,
-        [StoppingRule("threshold_down", threshold=QUIT_ETA),
-         StoppingRule("threshold_down", threshold=QUIT_ETA, horizon_cap=1.0),
-         StoppingRule("fixed_time", fixed_time=0.5)],
-        SimConfig(seed=16, **particle),
-    )
+    quit_particle = SimConfig(seed=16, **particle)
+    runs["particle_quit"] = [
+        evaluate_rule_mc(jump_quit, rule, replace(quit_particle, t_max=t_max))
+        for rule, t_max in [(StoppingRule("threshold_down", threshold=QUIT_ETA), 3.0),
+                            (StoppingRule("threshold_down", threshold=QUIT_ETA), 1.0),
+                            (StoppingRule("fixed_time", fixed_time=0.5), 3.0)]
+    ]
     return {name: tuple(tuple(vars(e).values()) for e in ests)
             for name, ests in runs.items()}
 
