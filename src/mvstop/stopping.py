@@ -66,6 +66,11 @@ class SimConfig:
     runs until it stops or until ``t_max``.  ``cap_payoff`` selects how paths
     capped at ``t_max`` contribute: ``"stop"`` pays the bequest at the cap,
     ``"zero"`` drops it (diagnostic bound on the truncation bias).
+
+    ``batch_size`` replications are one unit of work for the worker pool,
+    and per-batch results merge in batch order.  It does not size fast
+    mode's path buffers, which hold one tile of at most 128 rows; a
+    particle-mode batch holds all its clouds at once.
     """
 
     dt: float
@@ -364,12 +369,7 @@ def conditional_mean_oracle(spec: ModelSpec, common: particle.CommonNoisePath) -
 # Monte Carlo engine: a path source per mode feeding one rule accumulator
 
 _BLOCK = 512  # fast-mode path steps drawn per row at a time
-# Rows per short-lived temporary in the rule scan and the running profit.  A
-# freed array of a few MB makes the C allocator keep later ones of that size
-# on its heap, where freed memory stays resident; with every temporary this
-# small and every block buffer sized for a full batch, peak memory does not
-# depend on how many rows cross or on which experiments ran before.
-_ROWS = 128
+_ROWS = 128    # fast-mode rows per tile: one tile's block of path, 512 KiB, stays in L2
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -379,10 +379,10 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
 class _FastSource:
     """Exact conditional-mean path in the family's ``y``; rules compare in ``y``.
 
-    Each block is drawn and integrated in place in one buffer owned by the
-    source, so the path returned by ``advance`` is valid only until the next
-    call.  The buffer has room for a full batch whatever this batch's size; a
-    short batch touches only the pages it uses.
+    Each block is drawn and integrated in place, one tile of at most
+    ``tile`` rows at a time, in one buffer owned by the source, so the path
+    returned by ``advance`` is valid only until the next call.  The buffer
+    holds one tile, whatever the batch size.
     """
 
     block = _BLOCK
@@ -396,7 +396,8 @@ class _FastSource:
         self.gens, self.dt = gens, cfg.dt
         self.m0 = np.full(len(gens), spec.initial_law.mean, dtype=float)
         self.y = np.full(len(gens), y0, dtype=float)
-        self.buf = np.empty(cfg.batch_size * self.block)
+        self.tile = min(cfg.batch_size, _ROWS)
+        self.buf = np.empty(self.tile * self.block)
 
     def advance(self, act: np.ndarray, steps_done: int, K: int):
         """Rows ``act`` for ``K`` steps: left values, a view of the path block, right times."""
@@ -419,12 +420,14 @@ class _ParticleSource:
     ``x[:k]`` holds the clouds of the ``k`` rows still running, in batch
     order, and ``particle.step`` advances them together.  When rows finish,
     the survivors are moved up so the running clouds stay one contiguous
-    block; the matrix is allocated once.
+    block; the matrix is allocated once.  The compaction must see every
+    running row, so one tile holds the whole batch.
     """
 
     block = 1
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
+        self.tile = len(gens)
         self.spec, self.gens, self.dt = spec, gens, cfg.dt
         self.x = np.empty((len(gens), cfg.n_particles))
         for j, rng in enumerate(gens):
@@ -477,8 +480,7 @@ def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
 
     Column 0 of ``y`` lies at grid step ``first_step``.  ``col`` is the first
     stopping column of a hit row and the last column otherwise.  A threshold
-    rule searches only rows whose block extreme crosses, ``_ROWS`` at a time;
-    the row extremes are
+    rule searches only rows whose block extreme crosses; the row extremes are
     cached in ``extremes`` per direction and width, so rules scanning the same
     block share them.  ``fmax``/``fmin`` skip NaN, which never crosses.
     """
@@ -493,10 +495,8 @@ def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
         thr, ext = to_y(rule.threshold), extremes[key][rows]
         hit = ext >= thr if up else ext <= thr
         found = np.flatnonzero(hit)
-        for i in range(0, found.size, _ROWS):
-            part = found[i:i + _ROWS]
-            cross = y[rows[part]]
-            col[part] = np.argmax(cross >= thr if up else cross <= thr, axis=1)
+        cross = y[rows[found]]
+        col[found] = np.argmax(cross >= thr if up else cross <= thr, axis=1)
     elif rule.kind == "fixed_time":
         k = int(round(rule.fixed_time / dt)) - first_step
         if 0 <= k < width:
@@ -520,38 +520,37 @@ def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None
         rows = np.flatnonzero(hit | (n_steps == 0))
         st.settle(rows, hit[rows], np.zeros(rows.size), src.m0[rows], g, cfg.cap_payoff)
 
-    fbuf = np.empty(cfg.batch_size * src.block) if f is not None else None
+    fbuf = np.empty(src.tile * src.block) if f is not None else None
     steps_done = 0
     while steps_done < n_steps:
-        act = np.flatnonzero(np.logical_or.reduce([st.alive for st in states]))
-        if act.size == 0:
+        running = np.flatnonzero(np.logical_or.reduce([st.alive for st in states]))
+        if running.size == 0:
             break
         K = min(src.block, n_steps - steps_done)
-        y_left, ypath, t_right = src.advance(act, steps_done, K)
-        if f is not None:  # running profit: m at left points, then f * dt, summed in place
-            fcum = fbuf[: act.size * K].reshape(act.size, K)
-            fcum[:, 0] = y_left
-            fcum[:, 1:] = ypath[:, :-1]
-            src.to_m(fcum, out=fcum)
-            t_left = steps_done * dt + dt * np.arange(K)
-            for i in range(0, act.size, _ROWS):
-                part = fcum[i:i + _ROWS]
-                np.multiply(f(t_left[None, :], part), dt, out=part)
-            np.cumsum(fcum, axis=1, out=fcum)
-        extremes = {}
-        for st in states:
-            rows_local = np.flatnonzero(st.alive[act])
-            if rows_local.size == 0:
-                continue
-            hit, col = _first_stop(st.rule, ypath, rows_local, src.to_y,
-                                   steps_done + 1, dt, extremes)
-            if f is not None:
-                st.fint[act[rows_local]] += fcum[rows_local, col]
-            end = hit | (steps_done + K >= n_steps)
-            t_end = np.where(hit, t_right[col], n_steps * dt)
-            ended, col = rows_local[end], col[end]
-            st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g,
-                      cfg.cap_payoff)
+        for i in range(0, running.size, src.tile):  # rows are independent: any tiling is exact
+            act = running[i:i + src.tile]
+            y_left, ypath, t_right = src.advance(act, steps_done, K)
+            if f is not None:  # running profit: m at left points, then f * dt, summed in place
+                fcum = fbuf[: act.size * K].reshape(act.size, K)
+                fcum[:, 0] = y_left
+                fcum[:, 1:] = ypath[:, :-1]
+                src.to_m(fcum, out=fcum)
+                np.multiply(f(steps_done * dt + dt * np.arange(K), fcum), dt, out=fcum)
+                np.cumsum(fcum, axis=1, out=fcum)
+            extremes = {}
+            for st in states:
+                rows_local = np.flatnonzero(st.alive[act])
+                if rows_local.size == 0:
+                    continue
+                hit, col = _first_stop(st.rule, ypath, rows_local, src.to_y,
+                                       steps_done + 1, dt, extremes)
+                if f is not None:
+                    st.fint[act[rows_local]] += fcum[rows_local, col]
+                end = hit | (steps_done + K >= n_steps)
+                t_end = np.where(hit, t_right[col], n_steps * dt)
+                ended, col = rows_local[end], col[end]
+                st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g,
+                          cfg.cap_payoff)
         steps_done += K
     return [(float(st.payoff.sum()), *_mean_m2(st.payoff), nb, int(st.trunc.sum()))
             for st in states]
