@@ -36,6 +36,7 @@ from .stopping import (
     FAMILIES,
     SimConfig,
     StoppingRule,
+    check_fixed_time,
     conditional_mean_oracle,
     dynkin_residual,
     evaluate_rule_mc,
@@ -295,13 +296,8 @@ def _evaluate_rule(spec, numerics, checks, seed):
     fam = FAMILIES[spec.family]
     rule = StoppingRule(**numerics["rule"])
     dt, t_max = numerics["dt"], numerics["t_max"]
-    check_on_grid(dt, {
-        "t_max": t_max,
-        "rule.fixed_time": rule.fixed_time if rule.kind == "fixed_time" else None,
-    }, "numerics.")
-    if rule.kind == "fixed_time" and round(rule.fixed_time / dt) > round(t_max / dt):
-        raise ValueError(f"numerics.rule.fixed_time {rule.fixed_time} is past numerics.t_max "
-                         f"{t_max}: every path is capped before the rule can stop it")
+    check_on_grid(dt, {"t_max": t_max}, "numerics.")
+    check_fixed_time(rule, dt, t_max, "numerics.")
     cfg = _sim_config(numerics, seed)
     tol = checks["closed_form_tolerance"]
     if tol is not None:  # the rule's own closed-form value, so only the optimal rule's kind

@@ -453,11 +453,20 @@ class _ParticleSource:
         return y_left, m[:, None], np.array([(steps_done + 1) * self.dt])
 
 
+def check_fixed_time(rule: StoppingRule, dt: float, t_max: float, prefix: str = "") -> None:
+    """Reject a ``fixed_time`` off the grid, or past ``t_max``, where every path is capped first."""
+    if rule.kind == "fixed_time":
+        check_on_grid(dt, {"rule.fixed_time": rule.fixed_time}, prefix)
+        if round(rule.fixed_time / dt) > round(t_max / dt):
+            raise ValueError(f"{prefix}rule.fixed_time {rule.fixed_time} is past {prefix}t_max "
+                             f"{t_max}: every path is capped before the rule can stop it")
+
+
 class _RuleState:
     """Per-rule bookkeeping over one batch of replications."""
 
-    def __init__(self, rule: StoppingRule, nb: int, dt: float):
-        check_on_grid(dt, {"fixed_time": rule.fixed_time if rule.kind == "fixed_time" else None})
+    def __init__(self, rule: StoppingRule, nb: int, cfg: SimConfig):
+        check_fixed_time(rule, cfg.dt, cfg.t_max)
         self.rule = rule
         self.alive = np.ones(nb, dtype=bool)
         self.payoff = np.zeros(nb)
@@ -513,7 +522,7 @@ def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None
     src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
     f, g = FAMILIES[spec.family].payoff(spec) if payoff is None else payoff
     n_steps = int(round(cfg.t_max / dt))
-    states = [_RuleState(r, nb, dt) for r in rules]
+    states = [_RuleState(r, nb, cfg) for r in rules]
     everyone, at_start = np.arange(nb), {}
     for st in states:  # time 0: a start in the stopping region or a zero t_max ends the row
         hit, _ = _first_stop(st.rule, src.m0[:, None], everyone, float, 0, dt, at_start)
@@ -644,14 +653,18 @@ def dynkin_residual(spec: ModelSpec, cfg: SimConfig) -> DynkinResult:
     ``cfg.t_max``, stopped at the first grid time outside the region, and
     pay the candidate's own running profit and value at the stop.  If the
     candidate solves the continuation-region equation the residual is zero
-    in expectation.  A start in the stopping region would stop every path
-    at time 0 and check nothing, so it is rejected.
+    in expectation.  A start in the stopping region, or a ``t_max`` under
+    one step, would stop every path at time 0 and check nothing, so both
+    are rejected.
     """
     candidate = FAMILIES[spec.family].candidate(spec)
     start = spec.initial_law.mean
     if not candidate.in_continuation(start):
         raise ValueError(f"the Dynkin check needs a start inside the continuation region; "
                          f"{start!r} is on the stopping side of {candidate.threshold!r}")
+    if round(cfg.t_max / cfg.dt) < 1:
+        raise ValueError("the Dynkin check needs a t_max of at least one step dt; with no "
+                         "step, every path ends where it starts")
     rule = StoppingRule(f"threshold_{candidate.direction}", threshold=candidate.threshold)
     run_cfg = replace(cfg, cap_payoff="stop", workers=1)
     est = _run_rules(spec, [rule], run_cfg, payoff=(candidate.f, candidate.value))[0]

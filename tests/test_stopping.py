@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mvstop import stopping
 from mvstop.model import InitialLaw, constant_mark, make_quit_model, make_sell_model
 from mvstop.particle import CommonNoisePath
 from mvstop.stopping import (
@@ -185,6 +187,13 @@ class TestOffGridTimes:
                                              "0.25 is 2.5 steps of 0.1"):
             _run_rules(spec, [StoppingRule("fixed_time", fixed_time=0.25)], cfg, payoff=unit)
 
+    def test_fixed_time_past_t_max(self):
+        # every path is capped at t_max before the rule could fire
+        spec = make_quit_model(0.3, 0.1)
+        cfg = SimConfig(dt=0.01, replications=50, seed=0, t_max=2.0)
+        with pytest.raises(ValueError, match="rule.fixed_time 5.0 is past t_max 2.0"):
+            evaluate_rule_mc(spec, StoppingRule("fixed_time", fixed_time=5.0), cfg)
+
     def test_t_max(self):
         with pytest.raises(ValueError, match="t_max must be a whole multiple of dt; "
                                              "0.5 is 1.66667 steps of 0.3"):
@@ -316,6 +325,15 @@ def test_dynkin_residual_needs_a_continuation_start():
             dynkin_residual(at, replace(cfg, t_max=0.5))
 
 
+def test_dynkin_residual_needs_a_step(monkeypatch):
+    # with no step every path ends where it starts, so nothing would be checked
+    monkeypatch.setattr(stopping, "_batch", lambda *a, **k: pytest.fail("a batch ran"))
+    spec = make_quit_model(0.3, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
+    for t_max, dt in [(0.0, 0.01), (1e-12, 1.0)]:  # 1e-12 is step 0 of dt 1, to 1e-9
+        with pytest.raises(ValueError, match="needs a t_max of at least one step dt"):
+            dynkin_residual(spec, SimConfig(dt=dt, replications=10, seed=0, t_max=t_max))
+
+
 def test_dynkin_residual_small_run():
     spec = make_quit_model(0.3, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
     cfg = SimConfig(dt=0.005, replications=4000, seed=10, t_max=1.0)
@@ -347,7 +365,7 @@ def _sell_to_y(threshold):
 @pytest.mark.parametrize("seed", range(4))
 def test_first_stop_matches_full_matrix_scan(seed):
     rng = np.random.default_rng(seed)
-    n = 3 * _ROWS + 7  # more crossing rows than one search chunk holds
+    n = 3 * _ROWS + 7  # more crossing rows than one tile holds, as in the time-0 check
     y = np.round(rng.standard_normal((n, 23)).cumsum(axis=1), 1)  # ties at thresholds
     y[3, 5] = y[7, :] = np.nan
     y[11, ::2] = np.nan
@@ -368,6 +386,46 @@ def test_first_stop_matches_full_matrix_scan(seed):
                     want = _reference_scan(rule, block, rows, to_y, 5, dt)
                     np.testing.assert_array_equal(got[0], want[0])
                     np.testing.assert_array_equal(got[1], want[1])
+
+
+def _tiling_runs():
+    sell_12 = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 1.2))
+    quit_spec = make_quit_model(0.3, 0.1, rho=0.2)
+    quit_rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
+    # 1.1 stops at time 0, higher thresholds cap rows at t_max; two batches
+    sweep = threshold_sweep(sell_12, [1.1, 1.5, 2.7, 3.5],
+                            SimConfig(dt=0.01, replications=300, seed=21, t_max=6.0,
+                                      batch_size=200)).estimates
+    # running profit capped inside a block (700 steps) and at a block edge (1024)
+    quit_caps = tuple(
+        evaluate_rule_mc(quit_spec, quit_rule,
+                         SimConfig(dt=0.01, replications=300, seed=22, t_max=t_max))
+        for t_max in (7.0, 10.24))
+    return sweep, quit_caps
+
+
+@pytest.mark.parametrize("rows", [1, 5, 4096])
+def test_tiling_only_reorders_rows(monkeypatch, rows):
+    default = _tiling_runs()
+    sweep, quit_caps = default
+    assert sweep[0].std_error == 0.0 and sweep[0].truncation_fraction == 0.0
+    assert all(0 < e.truncation_fraction < 1 for e in sweep[2:] + quit_caps)
+    monkeypatch.setattr(stopping, "_ROWS", rows)
+    assert _tiling_runs() == default
+
+
+def test_fast_mode_peak_memory_does_not_grow_with_the_batch():
+    # one 4096-row batch: a path block and a profit block of the whole batch
+    # would each be 16 MiB, and a batch-sized buffer 64 MiB each
+    spec = make_quit_model(0.3, 0.1, rho=0.2)
+    cfg = SimConfig(dt=0.01, replications=4096, seed=0, t_max=5.12)
+    tracemalloc.start()
+    try:
+        evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=QUIT_ETA), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_fast_mode_needs_a_start_in_its_state_space():
