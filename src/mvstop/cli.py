@@ -462,9 +462,10 @@ def _dynkin_check(spec, numerics, checks, seed):
         result = dynkin_residual(spec, cfg)
         write_csv(out / "dynkin.csv",
                   ("model", "delta", "residual", "std_error", "per_unit_time",
-                   "replications", "dt", "seed"),
+                   "truncation_fraction", "replications", "dt", "seed"),
                   [(spec.family, delta, result.residual, result.std_error,
-                    result.per_unit_time, cfg.replications, cfg.dt, cfg.seed)], mhash)
+                    result.per_unit_time, result.estimate.truncation_fraction,
+                    cfg.replications, cfg.dt, cfg.seed)], mhash)
         limit = 3 * result.std_error
         summary.add("dynkin_residual", abs(result.residual), limit,
                     abs(result.residual) <= limit)

@@ -5,8 +5,12 @@ conditional mean (geometric conditional-mean dynamics, discounted net
 proceeds at the stop) and quitting a project (additive dynamics, running
 discounted conditional-mean profit).  The Monte Carlo side evaluates
 arbitrary threshold rules on the conditional mean, either in *fast mode*
-(the scalar conditional-mean SDE integrated exactly along the common-noise
-path) or in *particle mode* (a full interacting cloud per replication).
+(the scalar conditional-mean SDE, exact in law on the time grid) or in
+*particle mode* (a full interacting cloud per replication).  Fast mode walks
+every step of the exact conditional-mean path when the payoff has a running
+profit to integrate; without one it draws each path's stops directly, from
+the first-passage law of the path's Brownian motion with drift
+(``_StopSearch``), with the same discrete-monitoring law.
 
 Replication ``r`` always draws from ``SeedSequence(master_seed,
 spawn_key=(r,))``, so adding replications extends the earlier streams
@@ -69,7 +73,7 @@ class SimConfig:
 
     ``batch_size`` replications are one unit of work for the worker pool,
     and per-batch results merge in batch order.  It does not size fast
-    mode's path buffers, which hold one tile of at most 128 rows; a
+    mode's buffers, which hold one tile of at most 128 rows; a
     particle-mode batch holds all its clouds at once.
     """
 
@@ -379,10 +383,11 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
 class _FastSource:
     """Exact conditional-mean path in the family's ``y``; rules compare in ``y``.
 
-    Each block is drawn and integrated in place, one tile of at most
-    ``tile`` rows at a time, in one buffer owned by the source, so the path
-    returned by ``advance`` is valid only until the next call.  The buffer
-    holds one tile, whatever the batch size.
+    Fast mode walks this path only when it pays a running profit.  Each
+    block is drawn and integrated in place, one tile of at most ``tile``
+    rows at a time, in one buffer owned by the source, so the path returned
+    by ``advance`` is valid only until the next call.  The buffer holds one
+    tile, whatever the batch size.
     """
 
     block = _BLOCK
@@ -513,22 +518,179 @@ def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
     return hit, col
 
 
+# |mu| a / sigma^2 below this is a zero drift: the zero-drift passage law is then
+# within about this of the inverse Gaussian in total variation, and ``wald``,
+# whose relative rounding error is about 1e-16 times its mean-to-shape ratio
+# sigma^2 / (|mu| a), is never handed a ratio above 1 / _DRIFT_TOL
+_DRIFT_TOL = 1e-7
+
+
+def _passage_time(rng: np.random.Generator, a: float, mu: float, var: float) -> float:
+    """First time a Brownian motion with variance ``var`` per unit time and drift
+    ``mu`` toward a barrier at distance ``a >= 0`` reaches it; ``inf`` if never."""
+    if abs(mu) * a < _DRIFT_TOL * var:
+        z = rng.standard_normal()
+        return (a / z) * (a / z) / var if z else math.inf
+    # drifting away, the path reaches the barrier with probability exp(-2 |mu| a / var),
+    # and then at a time with the law it has when drifting toward it
+    if mu < 0 and rng.random() >= math.exp(2 * mu * a / var):
+        return math.inf
+    return rng.wald(a / abs(mu), a * a / var)
+
+
+def _killed_end(rng: np.random.Generator, z: float, b: float, t: float, mu: float,
+                sigma: float) -> float:
+    """The value at time ``t`` of a path from ``z < b`` with drift ``mu`` and
+    volatility ``sigma`` that has not reached ``b`` by then, by rejection: a
+    free end short of ``b`` is kept unless the bridge to it crosses ``b``."""
+    mean, sd, var_t = z + mu * t, sigma * math.sqrt(t), sigma * sigma * t
+    while True:
+        end = mean + sd * rng.standard_normal()
+        if end < b and rng.random() >= math.exp(-2 * (b - z) * (b - end) / var_t):
+            return end
+
+
+class _StopSearch:
+    """Fast mode's stops drawn without the path, for a payoff with no running profit.
+
+    In ``y`` the conditional mean is a Brownian motion with drift, so a
+    threshold rule's first stopping grid step can be drawn exactly.  From
+    grid step ``k`` at ``y``, draw the first time ``tau`` the continuous path
+    reaches the barrier (``_passage_time``); the first grid step at or after
+    it is ``j = k + ceil(tau / dt)``, and ``y_j`` is drawn from the path
+    restarted at the barrier at ``tau``.  No grid point before ``tau`` lies
+    past a barrier the path has not reached, so this is the stop a walk over
+    every step finds.  If ``y_j`` is short of the barrier, the search goes on
+    from ``(j, y_j)``.  A ``j`` past step ``N`` caps the row, with ``y_N``
+    drawn from the law of a path that has not reached the barrier by then
+    (``_killed_end``).  The threshold rules of a run share one path and are
+    searched in order of distance from the start; ``fixed_time`` and
+    ``never`` rules read one forward normal each, in order of their steps.
+    A run that mixes threshold directions, or thresholds with other rules,
+    is rejected.
+
+    Replication ``r`` draws on its own stream, as in the walk, so a result
+    does not depend on how replications are batched or tiled.  A stop before
+    step ``N`` depends on nothing drawn after it, so a run with a smaller
+    ``t_max`` makes every stop before its own cap at the same step, with the
+    same value.
+    """
+
+    def __init__(self, spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int):
+        fam = FAMILIES[spec.family]
+        kinds = {r.kind for r in rules}
+        if not (kinds <= {"threshold_up"} or kinds <= {"threshold_down"}
+                or kinds <= {"fixed_time", "never"}):
+            raise ValueError("a fast-mode run without running profit takes threshold rules of "
+                             f"one direction or fixed_time and never rules, not {sorted(kinds)}")
+        # thresholds are searched in z = sign * y, where every barrier lies above the start
+        self.sign = -1.0 if "threshold_down" in kinds else 1.0
+        self.z0 = self.sign * fam.start_y(spec)
+        self.mu = self.sign * fam.path_drift(spec)
+        self.sigma = fam.path_vol(spec)
+        self.to_y, self.to_m = fam.to_y, fam.to_m
+        self.m0 = np.full(hi - lo, spec.initial_law.mean, dtype=float)
+        self.seed, self.lo, self.dt = cfg.seed, lo, cfg.dt
+        self.n_steps = int(round(cfg.t_max / cfg.dt))
+
+    def run(self, states, g, cap_payoff: str) -> None:
+        """Settle every row that time 0 left running, one tile of rows at a time."""
+        # every row starts at the initial mean, so time 0 settles a rule for all rows or none
+        live = [i for i, st in enumerate(states) if st.alive.any()]
+        if not live:
+            return
+        rules = [states[i].rule for i in live]
+        if rules[0].kind.startswith("threshold"):
+            key = [self.sign * self.to_y(r.threshold) for r in rules]
+            fill = self._thresholds
+        else:
+            key = [round(r.fixed_time / self.dt) if r.kind == "fixed_time" else self.n_steps
+                   for r in rules]
+            fill = self._forward
+        order = sorted(range(len(live)), key=key.__getitem__)
+        key, nb = sorted(key), self.m0.size
+        for first in range(0, nb, _ROWS):
+            rows = np.arange(first, min(first + _ROWS, nb))
+            step = np.empty((len(live), rows.size), dtype=np.int64)
+            z = np.empty((len(live), rows.size))
+            hit = np.zeros((len(live), rows.size), dtype=bool)
+            for j, r in enumerate(rows):
+                fill(_rep_rng(self.seed, self.lo + r), key, step[:, j], z[:, j], hit[:, j])
+            for c, i in enumerate(order):  # a fixed_time rule stops at its step, never is capped
+                st = states[live[i]]
+                st.settle(rows, hit[c] | (st.rule.kind == "fixed_time"), step[c] * self.dt,
+                          self.to_m(self.sign * z[c]), g, cap_payoff)
+
+    def _thresholds(self, rng, bars, step, z_out, hit) -> None:
+        """One row's stops for the ascending barriers ``bars``."""
+        mu, sigma, dt, n = self.mu, self.sigma, self.dt, self.n_steps
+        var = sigma * sigma
+        k, z, i = 0, self.z0, 0
+        while i < len(bars):
+            b = bars[i]
+            tau = math.inf if k == n or b == math.inf else _passage_time(rng, b - z, mu, var)
+            q = tau / dt
+            if q > n - k:  # no stop by step N: cap this rule and every farther one
+                if k < n:
+                    z = _killed_end(rng, z, b, (n - k) * dt, mu, sigma)
+                step[i:], z_out[i:] = n, z
+                return
+            steps = max(1, math.ceil(q))
+            k += steps
+            d = max(steps * dt - tau, 0.0)  # from the passage to the grid point
+            z = b + mu * d + sigma * math.sqrt(d) * rng.standard_normal()
+            while i < len(bars) and z >= bars[i]:
+                step[i], z_out[i], hit[i] = k, z, True
+                i += 1
+
+    def _forward(self, rng, steps, step, z_out, hit) -> None:
+        """One row's values at the ascending stopping steps ``steps``."""
+        mu, sigma, dt = self.mu, self.sigma, self.dt
+        k, z = 0, self.z0
+        for i, s in enumerate(steps):
+            h = (s - k) * dt
+            z += mu * h + sigma * math.sqrt(h) * rng.standard_normal()
+            k = step[i] = s
+            z_out[i] = z
+
+
 def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None):
     """Per rule, ``(payoff sum, mean, M2, count, truncated)`` over replications
     ``lo:hi``, all on the same paths.  The ``(f, g)`` paid is the spec's
-    family payoff unless ``payoff`` gives another."""
-    nb, dt = hi - lo, cfg.dt
-    gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
-    src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
+    family payoff unless ``payoff`` gives another.
+
+    A fast-mode run with no running profit ``f`` has no path integral to
+    pay, so ``_StopSearch`` draws each replication's stops without its path.
+    Every other run walks its paths step by step (``_walk``), fed by the
+    mode's path source.  Both settle their rows through ``_RuleState``,
+    after one shared check at time 0.
+    """
+    nb = hi - lo
     f, g = FAMILIES[spec.family].payoff(spec) if payoff is None else payoff
-    n_steps = int(round(cfg.t_max / dt))
+    n_steps = int(round(cfg.t_max / cfg.dt))
     states = [_RuleState(r, nb, cfg) for r in rules]
+    search = cfg.mode == "fast" and f is None
+    if search:
+        src = _StopSearch(spec, cfg, rules, lo, hi)
+    else:
+        gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
+        src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
     everyone, at_start = np.arange(nb), {}
     for st in states:  # time 0: a start in the stopping region or a zero t_max ends the row
-        hit, _ = _first_stop(st.rule, src.m0[:, None], everyone, float, 0, dt, at_start)
+        hit, _ = _first_stop(st.rule, src.m0[:, None], everyone, float, 0, cfg.dt, at_start)
         rows = np.flatnonzero(hit | (n_steps == 0))
         st.settle(rows, hit[rows], np.zeros(rows.size), src.m0[rows], g, cfg.cap_payoff)
+    if search:
+        src.run(states, g, cfg.cap_payoff)
+    else:
+        _walk(src, states, f, g, cfg, n_steps)
+    return [(float(st.payoff.sum()), *_mean_m2(st.payoff), nb, int(st.trunc.sum()))
+            for st in states]
 
+
+def _walk(src, states, f, g, cfg: SimConfig, n_steps: int) -> None:
+    """Settle the running rows by walking every step of their paths, paying ``f`` on the way."""
+    dt = cfg.dt
     fbuf = np.empty(src.tile * src.block) if f is not None else None
     steps_done = 0
     while steps_done < n_steps:
@@ -561,8 +723,6 @@ def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None
                 st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g,
                           cfg.cap_payoff)
         steps_done += K
-    return [(float(st.payoff.sum()), *_mean_m2(st.payoff), nb, int(st.trunc.sum()))
-            for st in states]
 
 
 def _mean_m2(x: np.ndarray) -> tuple[float, float]:

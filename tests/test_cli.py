@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from mvstop.cli import ConfigError, load_config, main, manifest_hash, run_experiment
+from mvstop.cli import (
+    ConfigError, build_model, load_config, main, manifest_hash, run_experiment,
+)
 from mvstop.model import make_quit_model
-from mvstop.stopping import quit_value
+from mvstop.stopping import SimConfig, dynkin_residual, quit_value
 
 SELL_MODEL = {
     "family": "sell", "alpha0": 0.1, "sigma1": 0.3, "sigma2": 0.2,
@@ -569,8 +571,8 @@ FROZEN_OUTPUTS = {
         'summary.json': '26e0e41db02876c1f6b34932698ed075e61c5f18052724cd9d29a6b6ecf3c97e',
     },
     'threshold_sweep-sell': {
-        'summary.json': '2a52b34f255cc9f2e75a5495e9d5076fed2ae1de7d8fb9381cfc7430eade54c2',
-        'sweep.csv': '97a709d165952ce77fff9d5a2cb461493665bd67b218e851d1486c58cd2b81ff',
+        'summary.json': 'd83cfd63002694da1ca5b8e190911b9d3355e6836ceed375a4bb1c63565e1d5b',
+        'sweep.csv': '05ce928f19dafa0bb0753197491f0cc6d530ecae26dc3b622f528f662238d4b4',
     },
     'threshold_sweep-quit': {
         'summary.json': '7817019b5332d0298182135ba901694b37055b7780eee647fde026ca205dda05',
@@ -603,11 +605,11 @@ FROZEN_OUTPUTS = {
         'var_ineq_report.json': '78b9a2d9e612c0bd6504b2e8098d1edc635b6e31b67da5ee2e532e939e54422e',
     },
     'dynkin_check-sell': {
-        'dynkin.csv': '8fad20c5114c003b511af7294a64adfb08cc497bbcf1799a3d0693e7d468ca12',
-        'summary.json': '5f26d247c298b85e1e69f3050266c8bf959f92ae20cd94071a3ecae690101d0b',
+        'dynkin.csv': 'c6ee9e63095b27125ef9b7f4114fcebd7397e20f3ed56e2f3ea1f6553cad5fcd',
+        'summary.json': 'd42919493f0c8d181c124465fd099fa3862158babbeb28c24557372a6cd78684',
     },
     'dynkin_check-quit': {
-        'dynkin.csv': '92ca8bb18ac38ef9ba908423a3a42076226cf84b599da30a11f3c4049005c28b',
+        'dynkin.csv': '35364c12e55e70c19dedfb50780bdbb62f577c78aaf4405d734902b9db25bf05',
         'summary.json': '18d3a1cdb7658a3b12636220f1167115349550ca68df676638e95345176fcb37',
     },
 }
@@ -649,3 +651,15 @@ def test_csv_cells_are_plain_numbers(tmp_path, monkeypatch, experiment, family, 
     assert cells
     for cell in cells:
         float(cell)  # raises ValueError on a cell such as np.float64(0.5)
+
+
+@pytest.mark.parametrize("family", ["sell", "quit"])
+def test_dynkin_csv_reports_its_truncation(tmp_path, monkeypatch, family):
+    model, numerics, _ = FROZEN_CONFIGS["dynkin_check", family]
+    out = _run_frozen(tmp_path, monkeypatch, "dynkin_check", family)
+    [row] = csv.DictReader((out / "dynkin.csv").read_text().splitlines()[2:])  # after the comments
+    cfg = SimConfig(dt=numerics["dt"], replications=numerics["replications"], seed=7,
+                    t_max=numerics["delta"])
+    result = dynkin_residual(build_model(model), cfg)
+    assert 0 < result.estimate.truncation_fraction < 1
+    assert float(row["truncation_fraction"]) == result.estimate.truncation_fraction

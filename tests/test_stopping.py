@@ -392,24 +392,29 @@ def _tiling_runs():
     sell_12 = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 1.2))
     quit_spec = make_quit_model(0.3, 0.1, rho=0.2)
     quit_rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
-    # 1.1 stops at time 0, higher thresholds cap rows at t_max; two batches
-    sweep = threshold_sweep(sell_12, [1.1, 1.5, 2.7, 3.5],
+    # the walk: 0.1 stops at time 0, lower thresholds cap rows at t_max; two batches
+    sweep = threshold_sweep(quit_spec, [0.1, QUIT_ETA, -0.7, -1.0],
                             SimConfig(dt=0.01, replications=300, seed=21, t_max=6.0,
-                                      batch_size=200)).estimates
+                                      batch_size=200), kind="threshold_down").estimates
     # running profit capped inside a block (700 steps) and at a block edge (1024)
     quit_caps = tuple(
         evaluate_rule_mc(quit_spec, quit_rule,
                          SimConfig(dt=0.01, replications=300, seed=22, t_max=t_max))
         for t_max in (7.0, 10.24))
-    return sweep, quit_caps
+    # the stop search settles its rows one tile at a time too
+    sell_sweep = threshold_sweep(sell_12, [1.1, 1.5, 2.7, 3.5],
+                                 SimConfig(dt=0.01, replications=300, seed=23, t_max=6.0,
+                                           batch_size=200)).estimates
+    return sweep, quit_caps, sell_sweep
 
 
 @pytest.mark.parametrize("rows", [1, 5, 4096])
 def test_tiling_only_reorders_rows(monkeypatch, rows):
     default = _tiling_runs()
-    sweep, quit_caps = default
-    assert sweep[0].std_error == 0.0 and sweep[0].truncation_fraction == 0.0
-    assert all(0 < e.truncation_fraction < 1 for e in sweep[2:] + quit_caps)
+    sweep, quit_caps, sell_sweep = default
+    for time_0 in (sweep[0], sell_sweep[0]):
+        assert time_0.std_error == 0.0 and time_0.truncation_fraction == 0.0
+    assert all(0 < e.truncation_fraction < 1 for e in sweep[1:] + quit_caps + sell_sweep[2:])
     monkeypatch.setattr(stopping, "_ROWS", rows)
     assert _tiling_runs() == default
 
@@ -448,6 +453,197 @@ def test_custom_running_profit_may_broadcast():
 
 
 # ---------------------------------------------------------------------------
+# the stop search of a fast run without running profit
+
+def _settled(monkeypatch, run, dt):
+    """Per rule, every row's ``(hit, step, log m)`` at its end, as ``run()`` settles them.
+
+    ``run`` must use one batch of steps ``dt``, so that batch rows are replications.
+    """
+    seen = {}
+    settle = stopping._RuleState.settle
+
+    def record(self, rows, hit, t, m, g, cap_payoff):
+        seen.setdefault(self.rule, []).append((rows, hit, t, m))
+        settle(self, rows, hit, t, m, g, cap_payoff)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stopping._RuleState, "settle", record)
+        run()
+    out = {}
+    for rule, parts in seen.items():
+        rows, hit, t, m = (np.concatenate(col) for col in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        assert np.array_equal(rows[order], np.arange(rows.size))  # each row settled once
+        out[rule] = hit[order], np.round(t[order] / dt).astype(int), np.log(m[order])
+    return out
+
+
+def _sell_run(spec, thresholds, monkeypatch, **cfg):
+    """Per threshold of a sell ``threshold_up`` sweep, ``(hit, step, log m)`` of every row."""
+    cfg = SimConfig(**cfg, batch_size=cfg["replications"])
+    got = _settled(monkeypatch, lambda: threshold_sweep(spec, thresholds, cfg), cfg.dt)
+    return [got[StoppingRule("threshold_up", threshold=t)] for t in thresholds]
+
+
+def _agree(a, b):
+    """The means of two independent samples differ by at most 4 standard errors."""
+    se = math.sqrt(a.var() / a.size + b.var() / b.size)
+    return abs(a.mean() - b.mean()) <= 4 * se
+
+
+def _normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2))
+
+
+@pytest.mark.parametrize("alpha0,seed", [(0.1, 31), (0.045, 32), (0.015, 33)],
+                         ids=["toward", "zero", "away"])
+def test_stop_search_has_the_law_of_a_discrete_walk(monkeypatch, alpha0, seed):
+    # log m drifts at alpha0 - sigma1^2 / 2: +0.055, 0 (to rounding) and -0.03;
+    # a coarse grid of 40 steps of 0.5 keeps discrete and continuous monitoring apart
+    n, dt, steps, sigma = 50_000, 0.5, 40, 0.3
+    levels = (0.3, 0.6, 1.0)
+    mu = alpha0 - 0.5 * sigma**2
+    spec = make_sell_model(alpha0, sigma, 0.2, 0.2, 1.0)
+    got = _sell_run(spec, [math.exp(b) for b in levels], monkeypatch,
+                    dt=dt, replications=n, seed=seed, t_max=dt * steps)
+    z = np.random.default_rng(seed).standard_normal((n, steps))
+    y = np.cumsum(mu * dt + sigma * math.sqrt(dt) * z, axis=1)
+    t = dt * steps
+    for b, (hit, step, end) in zip(levels, got):
+        cross = y >= b
+        ref_hit = cross.any(axis=1)
+        ref_step = cross.argmax(axis=1) + 1
+        ref_end = y[np.arange(n), np.where(ref_hit, ref_step - 1, steps - 1)]
+        assert _agree(1.0 * ~hit, 1.0 * ~ref_hit)                   # truncation
+        assert _agree(1.0 * step[hit], 1.0 * ref_step[ref_hit])     # hit step
+        assert _agree(end[hit] - b, ref_end[ref_hit] - b)           # overshoot
+        assert _agree(end[~hit], ref_end[~ref_hit])                 # capped value
+        assert np.all(step[~hit] == steps) and np.all(end[~hit] < b)
+        # a continuously monitored path misses the barrier less often
+        s = sigma * math.sqrt(t)
+        never = (_normal_cdf((b - mu * t) / s)
+                 - math.exp(2 * mu * b / sigma**2) * _normal_cdf((-b - mu * t) / s))
+        trunc = np.mean(~hit)
+        assert trunc - never > 10 * math.sqrt(trunc * (1 - trunc) / n)
+
+
+def test_a_shorter_t_max_keeps_every_earlier_stop(monkeypatch):
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    thresholds = [1.5, 2.2, 2.7]
+    runs = [_sell_run(spec, thresholds, monkeypatch, dt=0.01, replications=500, seed=41,
+                      t_max=t_max) for t_max in (5.0, 20.0)]
+    for (short_hit, short_step, short_end), (hit, step, end) in zip(*runs):
+        before = step <= 500
+        assert 0 < before.sum() < hit.sum()
+        np.testing.assert_array_equal(short_hit, hit & before)
+        np.testing.assert_array_equal(short_step[short_hit], step[short_hit])
+        np.testing.assert_array_equal(short_end[short_hit], end[short_hit])
+        assert np.all(short_step[~short_hit] == 500)
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_stops_at_the_last_step_are_hits(monkeypatch, steps):
+    # at step N a path past the threshold is stopped by the rule, not capped
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    n, dt, b = 20_000, 0.1, 0.1
+    [(hit, step, end)] = _sell_run(spec, [math.exp(b)], monkeypatch,
+                                   dt=dt, replications=n, seed=42, t_max=steps * dt)
+    assert np.all(end[hit] >= b) and np.all(end[~hit] < b)
+    assert np.all(step[~hit] == steps) and np.any(step[hit] == steps)
+    if steps == 1:  # one step: P(hit) = P(mu dt + sigma sqrt(dt) Z >= b)
+        p = 1 - _normal_cdf((b - 0.055 * dt) / (0.3 * math.sqrt(dt)))
+        assert abs(hit.mean() - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+
+class _WaldLog:
+    """A generator that logs the mean-to-shape ratio of every ``wald`` draw."""
+
+    def __init__(self, rng, ratios):
+        self.rng, self.ratios = rng, ratios
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def wald(self, mean, scale):
+        self.ratios.append(mean / scale)
+        return self.rng.wald(mean, scale)
+
+
+def test_a_drift_below_the_tolerance_is_zero(monkeypatch):
+    # wald's mean a / |mu| is unresolvable at |mu| = 1e-12; such a drift takes the
+    # zero-drift passage law, whose draws are the same as at a drift of exactly 0
+    ratios = []
+    rep_rng = stopping._rep_rng
+    monkeypatch.setattr(stopping, "_rep_rng", lambda seed, r: _WaldLog(rep_rng(seed, r), ratios))
+    base = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    runs = {}
+    for drift in (0.0, 1e-12, -1e-12, 0.055):
+        spec = replace(base, a1=0.5 * base.b1 ** 2 + drift)
+        runs[drift] = _sell_run(spec, [1.5, 2.7], monkeypatch, dt=0.01, replications=300,
+                                seed=43, t_max=20.0)
+        if drift != 0.055:
+            assert ratios == []
+    assert 0 < max(ratios) <= 1 / stopping._DRIFT_TOL
+    for drift in (1e-12, -1e-12):
+        for (hit, step, end), (hit0, step0, end0) in zip(runs[drift], runs[0.0]):
+            np.testing.assert_array_equal(hit, hit0)
+            np.testing.assert_array_equal(step, step0)
+            # a passage from just short of a barrier turns the drift's 2e-11 into more
+            np.testing.assert_allclose(end, end0, rtol=0, atol=1e-4)
+            assert 0 < hit.mean() < 1
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0])
+def test_an_unreachable_threshold_caps_every_row(threshold):
+    # sell's y is log m, so m <= 0 is -inf: a threshold_down there is never reached,
+    # and each row pays the bequest at the free end of its path
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    cfg = SimConfig(dt=0.01, replications=4000, seed=44, t_max=2.0)
+    est = evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=threshold), cfg)
+    assert est.truncation_fraction == 1.0
+    expect = math.exp(-0.2 * 2.0) * (math.exp(0.1 * 2.0) - 1.0)
+    assert abs(est.mean - expect) < 4 * est.std_error
+
+
+@pytest.mark.parametrize("kinds", [("threshold_up", "threshold_down"),
+                                   ("threshold_up", "fixed_time"), ("never", "threshold_down")])
+def test_the_stop_search_rejects_a_mixed_rule_list(kinds):
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    rules = [StoppingRule(k, threshold=2.0, fixed_time=0.5) for k in kinds]
+    with pytest.raises(ValueError, match="threshold rules of one direction or fixed_time and "
+                                         "never rules"):
+        _run_rules(spec, rules, SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0))
+
+
+def test_fixed_times_share_one_path():
+    # a fixed_time rule at t_max and a never rule end at the same value; only one is capped
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    cfg = SimConfig(dt=0.01, replications=200, seed=45, t_max=1.0)
+    at_end, early, never, again = _run_rules(
+        spec, [StoppingRule("fixed_time", fixed_time=1.0), StoppingRule("fixed_time",
+               fixed_time=0.5), StoppingRule("never"), StoppingRule("fixed_time", fixed_time=1.0)],
+        cfg)
+    assert (at_end.mean, at_end.std_error) == (never.mean, never.std_error)
+    assert at_end.truncation_fraction == 0.0 and never.truncation_fraction == 1.0
+    assert at_end == again and early != at_end
+
+
+def test_stop_search_peak_memory_does_not_grow_with_the_batch():
+    # one 16384-row batch: its arrays of one value per row (128 KiB each for floats)
+    # peak at about 1.8 MiB, and a Python tuple of results per row would add 2.5 MiB
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    cfg = SimConfig(dt=0.01, replications=16384, seed=0, t_max=0.5)
+    tracemalloc.start()
+    try:
+        evaluate_rule_mc(spec, StoppingRule("threshold_up", threshold=1.2), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # frozen engine outputs: exact estimates on small runs that cover every
 # branch of the rule accumulator and both path sources
 
@@ -463,7 +659,7 @@ def _frozen_runs():
     particle = dict(dt=0.05, replications=12, t_max=3.0, mode="particle",
                     n_particles=200, batch_size=5)
     runs = {}
-    # 2000 steps: four blocks of at most 512, two batches, 1.1 stops at time 0
+    # the stop search: two batches, 1.1 stops at time 0, higher thresholds cap rows
     runs["fast_sell_sweep"] = threshold_sweep(
         sell_12, [1.1, 1.5, 2.2, 2.7, 3.5],
         SimConfig(replications=400, t_max=20.0, batch_size=300, **fast),
@@ -513,10 +709,10 @@ def _frozen_runs():
 FROZEN = {
     'fast_sell_sweep': (
         (0.19999999999999993, 0.0, 400, 0.0),
-        (0.35988071592615095, 0.00772057168419561, 400, 0.055),
-        (0.4878301910067826, 0.017373262106417365, 400, 0.1375),
-        (0.5058461889691737, 0.022301950825116556, 400, 0.2175),
-        (0.48425119931997307, 0.026176037429346915, 400, 0.305),
+        (0.36264708939303714, 0.007683627994189764, 400, 0.0375),
+        (0.47968300146324677, 0.017849119336327858, 400, 0.1225),
+        (0.4687193791041216, 0.021263723147669063, 400, 0.195),
+        (0.432860608445247, 0.024376097599919846, 400, 0.3075),
     ),
     'fast_quit_caps': (
         (0.6536239330843308, 0.06478962250426433, 300, 0.4066666666666667),
@@ -526,12 +722,12 @@ FROZEN = {
         (-0.6397603248118506, 0.0678560554682407, 300, 0.38333333333333336),
     ),
     'fixed_time': (
-        (0.044883133917889, 0.012122437738601367, 300, 0.0),
+        (0.045078862912302536, 0.011459197035151995, 300, 0.0),
         (0.48094497919526974, 0.11471156908413808, 200, 0.0),
         (0.19999999999999993, 0.0, 50, 0.0),
     ),
     'cap_zero': (
-        (0.1717042348002486, 0.02281073845681103, 300, 0.8366666666666667),
+        (0.13830116569280682, 0.020656560024315148, 300, 0.8666666666666667),
     ),
     'fast_dynkin_custom': (
         (1.9883381994821439, 0.0909703644876413, 300, 0.8633333333333333),
