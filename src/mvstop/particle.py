@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fokker_planck import GridDensity
+from .fokker_planck import GridDensity, check_grid
 from .model import LevyMeasureSpec, ModelSpec
 
 
@@ -202,6 +202,7 @@ def kde_density(
 ) -> GridDensity:
     """Gaussian-kernel estimate on the grid, renormalized to unit mass."""
     x = np.asarray(grid, float)
+    check_grid(x)  # the tile windows need an increasing grid
     states = cloud.states
     h = silverman_bandwidth(states) if bandwidth is None else float(bandwidth)
     if h <= 0:
@@ -213,30 +214,49 @@ def kde_density(
         )
     norm = 1.0 / (h * math.sqrt(2 * math.pi))
     values = np.zeros_like(x)
-    # Particles are summed in chunks of _KDE_CHUNK kernel values, and each
-    # chunk is evaluated in tiles of one reused buffer whose row 0 carries
-    # the chunk's running sum: rows are added in the order of one
-    # ``sum(axis=0)`` over the chunk.  ``exp`` below -746 is exactly 0.0
-    # (and slow), so it is not called there.
+    # Particles are summed in chunks of _KDE_CHUNK kernel values, each
+    # evaluated in tiles of _KDE_TILE // x.size particles whose kernel rows
+    # are added to the chunk's running sum ``acc`` in the order of one
+    # ``sum(axis=0)`` over the chunk.  A tile works only on its window:
+    # the grid columns within ``reach`` plus two cells of its particles.
+    # Beyond ``reach`` every ``exp`` argument is below -746 and the kernel
+    # is exactly 0.0.  ``exp`` is slow there and in [-746, -708), where
+    # its results are below 2**-1021, less than half an ulp of any sum of
+    # at least 2**-968, which therefore absorbs them exactly: they are
+    # computed only in columns whose running sum is still below that.
+    reach = h * math.sqrt(1492.0)
     chunk = max(1, int(_KDE_CHUNK / x.size))
     tile = max(1, _KDE_TILE // x.size)
-    arg = np.empty((tile, x.size))
-    live = np.empty((tile, x.size), dtype=bool)
-    kernel = np.empty((tile + 1, x.size))
+    arg = np.empty(tile * x.size)
+    live = np.empty(tile * x.size, dtype=bool)
+    kernel = np.empty((tile + 1) * x.size)
+    acc = np.empty_like(x)
     for lo in range(0, states.size, chunk):
         hi = min(lo + chunk, states.size)
-        kernel[0] = 0.0
-        for t in range(lo, hi, tile):
-            rows = min(tile, hi - t)
-            a, m, k = arg[:rows], live[:rows], kernel[1:rows + 1]
-            np.subtract(x, states[t:t + rows, None], out=a)  # -0.5 * ((x - s) / h) ** 2
+        acc[:] = 0.0
+        part = states[lo:hi]
+        starts = np.arange(0, hi - lo, tile)
+        # fmin and fmax skip a NaN particle, whose kernel is 0.0 everywhere
+        first = np.searchsorted(x, np.fmin.reduceat(part, starts) - reach).tolist()
+        last = np.searchsorted(x, np.fmax.reduceat(part, starts) + reach).tolist()
+        for t, c0, c1 in zip(starts.tolist(), first, last):
+            if c0 == x.size or c1 == 0:  # the whole tile is out of reach
+                continue
+            # at least three columns: numpy sums one column pairwise, not row by row
+            c0, c1 = max(c0 - 2, 0), min(c1 + 2, x.size)
+            rows, width = min(tile, hi - lo - t), c1 - c0
+            a = arg[:rows * width].reshape(rows, width)
+            m = live[:rows * width].reshape(rows, width)
+            k = kernel[:(rows + 1) * width].reshape(rows + 1, width)
+            np.subtract(x[c0:c1], part[t:t + rows, None], out=a)  # -0.5 * ((x - s) / h) ** 2
             a /= h
             np.square(a, out=a)
             a *= -0.5
-            np.greater_equal(a, -746.0, out=m)
-            k[...] = 0.0
-            np.exp(a, out=k, where=m)
-            kernel[0] = kernel[:rows + 1].sum(axis=0)
-        values += norm * kernel[0]
+            np.greater_equal(a, np.where(acc[c0:c1] < 2.0**-968, -746.0, -708.0), out=m)
+            k[0] = acc[c0:c1]
+            k[1:] = 0.0
+            np.exp(a, out=k[1:], where=m)
+            np.add.reduce(k, axis=0, out=acc[c0:c1])
+        values += norm * acc
     values /= states.size
     return GridDensity(x, values, cloud.time).normalized()

@@ -33,6 +33,16 @@ def test_grid_density_validation():
         GridDensity(np.array([0.0, 1.0]), np.zeros(2))        # too short
 
 
+def test_decreasing_grid_rejected():
+    x = np.linspace(3.0, -3.0, 601)     # uniform, but dx < 0
+    with pytest.raises(GridError, match="increasing"):
+        GridDensity(x, np.ones_like(x))
+    with pytest.raises(GridError, match="increasing"):
+        gaussian_density(x, 0.0, 0.3)
+    with pytest.raises(GridError, match="increasing"):
+        GridDensity(np.zeros(5), np.ones(5))   # dx == 0
+
+
 def test_gaussian_density_mass_and_moment():
     d = gaussian_density(make_grid(-4, 4, 801), 0.5, 0.3)
     assert d.mass() == pytest.approx(1.0, abs=1e-12)
@@ -125,6 +135,42 @@ def test_compare_requires_same_grid():
 # ---------------------------------------------------------------------------
 # the step on a shared grid against the step that rebuilt and re-checked it
 
+def _reference_d1(f, dx):
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2 * dx)
+    out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dx)
+    out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dx)
+    return out
+
+
+def _reference_d2(f, dx):
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - 2 * f[1:-1] + f[:-2]) / dx**2
+    out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / dx**2
+    out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / dx**2
+    return out
+
+
+def _reference_A0_star(density, spec, m_bar):
+    x, rho, dx = density.x, density.values, density.dx
+    alpha = spec.drift(m_bar)
+    b1 = spec.diffusion_common(m_bar)
+    b2 = spec.diffusion_idio(m_bar)
+    rate = -_reference_d1(alpha * rho, dx) + 0.5 * _reference_d2((b1 * b1 + b2 * b2) * rho, dx)
+    if spec.levy.intensity > 0:
+        for value, prob in spec.levy.atoms:
+            gamma = spec.jump_amp(m_bar, value)
+            shifted = np.interp(x - gamma, x, rho, left=0.0, right=0.0)
+            rate = rate + spec.levy.intensity * prob * (
+                shifted - rho + _reference_d1(gamma * rho, dx)
+            )
+    return rate
+
+
+def _reference_A1_star(density, spec, m_bar):
+    return -_reference_d1(spec.diffusion_common(m_bar) * density.values, density.dx)
+
+
 def _reference_step(density, spec, dt, dB1, boundary_tol=1e-6, value_cap=1e12):
     x = density.x
     m_bar = float(np.trapezoid(x * density.values, x))
@@ -134,8 +180,8 @@ def _reference_step(density, spec, dt, dB1, boundary_tol=1e-6, value_cap=1e12):
     if boundary_mass(density) > boundary_tol:
         raise GridError("density mass at grid boundary")
     rho = density.values
-    new = (rho + apply_A0_star(density, spec, m_bar) * dt
-           + apply_A1_star(density, spec, m_bar) * dB1)
+    new = (rho + _reference_A0_star(density, spec, m_bar) * dt
+           + _reference_A1_star(density, spec, m_bar) * dB1)
     if np.any(~np.isfinite(new)) or np.max(np.abs(new)) > value_cap:
         raise CFLError("density blow-up")
     defect = abs(float(np.trapezoid(new, x)) - 1.0)
@@ -167,9 +213,17 @@ def _quit_with_a_step_profile():
     return spec, GridDensity(x, np.where(np.abs(x) < 0.25, 2.0, 1e-9)).normalized(), 2e-4
 
 
+def _quit_with_jumps():
+    # zero drift, so the kernel skips that term next to the jump's own D[gamma rho]
+    spec = make_quit_model(0.4, 0.3, gamma0=-0.1, intensity=0.5,
+                           initial_law=InitialLaw("normal", 0.0, 0.3))
+    return spec, gaussian_density(make_grid(-3, 3, 301), 0.0, 0.3), 2e-4
+
+
 @pytest.mark.parametrize("case,clips", [(_quit_with_a_step_profile, True),
-                                        (_two_atom_sell, False)],
-                         ids=["quit", "sell_two_atoms"])
+                                        (_two_atom_sell, False),
+                                        (_quit_with_jumps, True)],
+                         ids=["quit", "sell_two_atoms", "quit_jumps"])
 def test_evolve_matches_reference_step(case, clips):
     spec, density, dt = case()
     incs = np.random.default_rng(17).normal(0.0, np.sqrt(dt), 320)
@@ -197,3 +251,25 @@ def test_value_cap_raises(quit_spec):
     d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
     with pytest.raises(CFLError, match="blow-up"):
         step_spide(d, quit_spec, 1e-5, 1e13)
+
+
+def _signed_start():
+    # the start density carries -0.0 and small negative values, so the kernel
+    # cannot skip the zero drift term on its first step
+    spec = make_quit_model(0.4, 0.3)
+    d = gaussian_density(make_grid(-3, 3, 301), 0.0, 0.3)
+    values = d.values - 1e-7
+    values[::7] = -0.0
+    values[-4:] = [0.0, -0.0, 0.0, -0.0]  # the end of -D[0 rho] is +0.0, of 0.5 D^2[rho] -0.0
+    return spec, GridDensity(d.x, values)
+
+
+@pytest.mark.parametrize("case", [_quit_with_a_step_profile, _two_atom_sell, _quit_with_jumps,
+                                  _signed_start],
+                         ids=["quit", "sell_two_atoms", "quit_jumps", "signed_start"])
+def test_operators_match_reference_bytes(case):
+    spec, density = case()[:2]
+    m_bar = density.first_moment()
+    for got, want in [(apply_A0_star(density, spec, m_bar), _reference_A0_star(density, spec, m_bar)),
+                      (apply_A1_star(density, spec, m_bar), _reference_A1_star(density, spec, m_bar))]:
+        assert got.tobytes() == want.tobytes()   # signed zeros included

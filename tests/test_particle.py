@@ -6,7 +6,7 @@ import pytest
 from mvstop.model import (
     InitialLaw, ModelSpec, constant_mark, discrete_marks, make_quit_model, make_sell_model,
 )
-from mvstop.fokker_planck import GridDensity
+from mvstop.fokker_planck import GridDensity, GridError
 from mvstop.particle import (
     _KDE_CHUNK,
     _KDE_TILE,
@@ -200,28 +200,108 @@ def _reference_kde(cloud, bandwidth, x):
 _KDE_GRID = np.linspace(-3.0, 3.0, 601)
 _CHUNK_ROWS = int(_KDE_CHUNK / _KDE_GRID.size)
 _TILE_ROWS = _KDE_TILE // _KDE_GRID.size
+_REACH = math.sqrt(1492.0)  # in bandwidths: beyond it every kernel value is 0.0
+_TINY = np.finfo(float).tiny
 
 
-@pytest.mark.parametrize("n,bandwidth", [
-    (1, 0.05),
-    (_CHUNK_ROWS - 1, None),
-    (_CHUNK_ROWS + 1, None),
-    (_CHUNK_ROWS + 1, 0.2),
-    (_TILE_ROWS + 1, None),
-    (100_000, None),
-    (5000, 0.002),   # most kernels underflow to exactly 0
-    (2000, 0.045),   # kernel values in the subnormal band at the grid ends
+def _normal(n):
+    return np.random.default_rng(n).normal(0.0, 0.4, n)
+
+
+def _two_clusters():
+    # one cluster after the other, so each tile's window is narrow and the
+    # windows jump across the grid between tiles and chunks
+    rng = np.random.default_rng(21)
+    return np.concatenate([rng.normal(-1.5, 0.05, 4000), rng.normal(1.2, 0.05, 3000)])
+
+
+def _band_tail():
+    # the first tile sits out of reach of the right end, where every later
+    # kernel argument is in [-746, -708): those columns' running sums stay
+    # at 0 past the first tile, and their values come from band terms alone
+    rng = np.random.default_rng(22)
+    return np.concatenate([rng.normal(-2.0, 0.05, _TILE_ROWS),
+                           rng.uniform(1.085, 1.095, 300)])
+
+
+def _beyond_reach():
+    # the last tile holds one particle past the grid's end by more than the
+    # reach, so its window is empty; it is under 1% of the cloud
+    states = _normal(2 * _TILE_ROWS + 1)
+    states[-1] = 3.0 + 0.05 * _REACH + 0.5
+    return states
+
+
+def _one_column():
+    # each tile's particles are within reach of one grid point only, a
+    # window numpy would sum pairwise without the two-cell margin
+    rng = np.random.default_rng(1)
+    return np.concatenate([rng.uniform(0.0, 0.0004, _TILE_ROWS),
+                           rng.uniform(0.0098, 0.0102, _TILE_ROWS)])
+
+
+def _mostly_underflow(states, want):
+    arg = -0.5 * ((_KDE_GRID - states[:1000, None]) / 0.002) ** 2
+    return np.mean(arg < -746.0) > 0.9
+
+
+def _subnormal_ends(states, want):
+    return np.any((want > 0) & (want < _TINY))
+
+
+def _narrow_windows(states, want):
+    tiles = [states[t:min(t + _TILE_ROWS, lo + _CHUNK_ROWS, states.size)]
+             for lo in range(0, states.size, _CHUNK_ROWS)
+             for t in range(lo, min(lo + _CHUNK_ROWS, states.size), _TILE_ROWS)]
+    spans = [np.ptp(t) + 2 * 0.01 * _REACH for t in tiles]
+    centres = [np.median(t) for t in tiles]
+    return np.median(spans) < 0.25 * np.ptp(_KDE_GRID) and min(centres) < 0 < max(centres)
+
+
+def _band_only_end(states, want):
+    first_out = np.abs(_KDE_GRID[-1] - states[:_TILE_ROWS]).min() > 0.05 * _REACH
+    arg = -0.5 * ((_KDE_GRID[-1] - states[_TILE_ROWS:]) / 0.05) ** 2
+    return first_out and np.all((arg >= -746.0) & (arg < -708.0)) and 0 < want[-1] < _TINY
+
+
+def _single_columns(states, want):
+    dx = _KDE_GRID[1] - _KDE_GRID[0]
+    return 2e-4 * _REACH + 0.0004 < dx and np.count_nonzero(want) == 2
+
+
+def _empty_last_window(states, want):
+    outside = np.mean(states > _KDE_GRID[-1])
+    return states.size % _TILE_ROWS == 1 and states[-1] - _KDE_GRID[-1] > 0.05 * _REACH \
+        and 0 < outside <= 0.01
+
+
+@pytest.mark.parametrize("states,bandwidth,check", [
+    (_normal(1), 0.05, None),
+    (_normal(_CHUNK_ROWS - 1), None, None),
+    (_normal(_CHUNK_ROWS + 1), None, None),
+    (_normal(_CHUNK_ROWS + 1), 0.2, None),
+    (_normal(_TILE_ROWS + 1), None, None),
+    (_normal(100_000), None, None),
+    (_normal(5000), 0.002, _mostly_underflow),    # most kernels underflow to exactly 0
+    (_normal(2000), 0.045, _subnormal_ends),      # kernel values in the subnormal band at the grid ends
+    (_normal(300), 0.5, None),                    # the reach, 19.3, covers the whole grid
+    (_two_clusters(), 0.01, _narrow_windows),
+    (_band_tail(), 0.05, _band_only_end),
+    (_beyond_reach(), 0.05, _empty_last_window),
+    (_one_column(), 2e-4, _single_columns),
 ], ids=["one", "chunk-1", "chunk+1", "chunk+1_explicit", "tile+1", "100k",
-        "underflow", "subnormal"])
-def test_kde_matches_reference_sum(n, bandwidth):
-    states = np.random.default_rng(n).normal(0.0, 0.4, n)
+        "underflow", "subnormal", "whole_grid", "two_clusters", "band_tail",
+        "beyond_reach", "one_column"])
+def test_kde_matches_reference_sum(states, bandwidth, check):
     cloud = ParticleCloud(0.5, states)
     got = kde_density(cloud, bandwidth, _KDE_GRID)
     want = _reference_kde(cloud, bandwidth, _KDE_GRID)
     np.testing.assert_array_equal(got.values, want)
     assert got.time == 0.5
-    if bandwidth == 0.002:
-        arg = -0.5 * ((_KDE_GRID - states[:1000, None]) / bandwidth) ** 2
-        assert np.mean(arg < -746.0) > 0.9
-    if bandwidth == 0.045:
-        assert np.any((want > 0) & (want < np.finfo(float).tiny))
+    assert check is None or check(states, want)
+
+
+def test_kde_rejects_a_decreasing_grid():
+    cloud = ParticleCloud(0.0, _normal(1000))
+    with pytest.raises(GridError, match="increasing"):
+        kde_density(cloud, 0.05, _KDE_GRID[::-1])
