@@ -419,7 +419,9 @@ def _fokker_planck_compare(spec, numerics, checks, seed):
                   list(zip(x, density.values, kde.values)), mhash)
         write_csv(out / "fp_summary.csv", ("quantity", "value"),
                   [("l1_distance", l1), ("max_mass_defect", defect),
-                   ("clipped_mass_total", sum(d.clipped_mass for d in diags))], mhash)
+                   ("clipped_mass_total", sum(d.clipped_mass for d in diags)),
+                   ("cfl_margin_min", min(1.0 - spide_dt / d.cfl_bound for d in diags))],
+                  mhash)
         summary.add("l1_distance", l1, checks["max_l1"], l1 < checks["max_l1"])
         summary.add("max_mass_defect", defect, checks["max_mass_defect"],
                     defect < checks["max_mass_defect"])

@@ -588,12 +588,12 @@ FROZEN_OUTPUTS = {
     },
     'fokker_planck_compare-sell': {
         'densities.csv': '270b0d3f16593b02d4650bfa5c1d1b085aaf5f33e933d630308b2ed246fba7fa',
-        'fp_summary.csv': '7c193253d0543e9e2b1bda6c19649c94326a73ddb489b7d9add060ddf855e18d',
+        'fp_summary.csv': '01eb618607b24b96d6854ffacc3e5e5650a551a3342fc516fd79dece013ec32e',
         'summary.json': 'da480ee6d51e14a266c178991f923db3a7fa796d064f5c84a7fe653d4148a743',
     },
     'fokker_planck_compare-quit': {
         'densities.csv': 'd57e1f4a49f60e2e94ee06a8191be7faf80f608e4be1597a486ecf404762c6be',
-        'fp_summary.csv': 'e8f8023930022dbc19e7c9b1462bbc401caf8036672a3ffda1ba9e0791243092',
+        'fp_summary.csv': '1c107ab62afe036808abe718ba4e4c6540513f5a7ccdb10c81322d9b587659aa',
         'summary.json': '6f655cbae29c4054e50e25584eec930a9e2841110d3a8247b68594dc891dda18',
     },
     'var_ineq_check-sell': {
@@ -651,6 +651,17 @@ def test_csv_cells_are_plain_numbers(tmp_path, monkeypatch, experiment, family, 
     assert cells
     for cell in cells:
         float(cell)  # raises ValueError on a cell such as np.float64(0.5)
+
+
+@pytest.mark.parametrize("family", ["sell", "quit"])
+def test_fp_summary_reports_the_cfl_margin(tmp_path, monkeypatch, family):
+    out = _run_frozen(tmp_path, monkeypatch, "fokker_planck_compare", family)
+    rows = dict(csv.reader((out / "fp_summary.csv").read_text().splitlines()[3:]))
+    margin = float(rows["cfl_margin_min"])
+    if family == "quit":  # constant coefficients: every step has the bound 0.25 dx^2 / sigma1^2
+        assert margin == pytest.approx(1 - 0.001 / (0.25 * (4.0 / 120) ** 2 / 0.3**2), rel=1e-12)
+    else:
+        assert 0 < margin < 1
 
 
 @pytest.mark.parametrize("family", ["sell", "quit"])
