@@ -40,6 +40,7 @@ from .stopping import (
     conditional_mean_oracle,
     dynkin_residual,
     evaluate_rule_mc,
+    rule_value,
     threshold_sweep,
 )
 
@@ -293,19 +294,17 @@ def _closed_form_report(spec, numerics, checks, seed):
 
 
 def _evaluate_rule(spec, numerics, checks, seed):
-    fam = FAMILIES[spec.family]
     rule = StoppingRule(**numerics["rule"])
     dt, t_max = numerics["dt"], numerics["t_max"]
     check_on_grid(dt, {"t_max": t_max}, "numerics.")
     check_fixed_time(rule, dt, t_max, "numerics.")
     cfg = _sim_config(numerics, seed)
     tol = checks["closed_form_tolerance"]
-    if tol is not None:  # the rule's own closed-form value, so only the optimal rule's kind
-        kind = f"threshold_{fam.candidate(spec).direction}"
-        if rule.kind != kind:
-            raise ValueError(f"checks.closed_form_tolerance needs a {kind} rule, the kind "
-                             f"of the {spec.family} closed form; got {rule.kind}")
-        ref = fam.candidate(spec, rule.threshold).value(0.0, spec.initial_law.mean)
+    if tol is not None:
+        ref = rule_value(spec, rule, "checks.closed_form_tolerance").value(
+            0.0, spec.initial_law.mean)
+    if cfg.cap_payoff == "value":  # the run checks this too, but only once it runs
+        rule_value(spec, rule, 'numerics.cap_payoff "value"')
 
     def compute(out, mhash, summary):
         est = evaluate_rule_mc(spec, rule, cfg)

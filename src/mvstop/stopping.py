@@ -67,9 +67,10 @@ class SimConfig:
     """Numerical settings for rule evaluation.
 
     Every run starts at the mean of the spec's initial law, and every rule
-    runs until it stops or until ``t_max``.  ``cap_payoff`` selects how paths
-    capped at ``t_max`` contribute: ``"stop"`` pays the bequest at the cap,
-    ``"zero"`` drops it (diagnostic bound on the truncation bias).
+    runs until it stops or until ``t_max``.  A capped path pays the bequest
+    under ``cap_payoff="stop"``; under ``"value"``, for a threshold rule in
+    the family's direction only, it pays its rule's value (``rule_value``),
+    which by the strong Markov property leaves no bias at any ``t_max``.
 
     ``batch_size`` replications are one unit of work for the worker pool,
     and per-batch results merge in batch order.  It does not size fast
@@ -93,7 +94,7 @@ class SimConfig:
         check_on_grid(self.dt, {"t_max": self.t_max})
         if self.mode not in ("fast", "particle"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.cap_payoff not in ("stop", "zero"):
+        if self.cap_payoff not in ("stop", "value"):
             raise ValueError(f"unknown cap_payoff {self.cap_payoff!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -467,23 +468,35 @@ def check_fixed_time(rule: StoppingRule, dt: float, t_max: float, prefix: str = 
                              f"{t_max}: every path is capped before the rule can stop it")
 
 
+def rule_value(spec: ModelSpec, rule: StoppingRule, key: str) -> StoppingCandidate:
+    """The closed form of ``rule``, which must be a threshold rule in the family's direction."""
+    fam = FAMILIES[spec.family]
+    kind = f"threshold_{fam.candidate(spec).direction}"
+    if rule.kind != kind:
+        raise ValueError(f"{key} needs a {kind} rule, the kind of the {spec.family} closed "
+                         f"form; got {rule.kind}")
+    return fam.candidate(spec, rule.threshold)
+
+
 class _RuleState:
     """Per-rule bookkeeping over one batch of replications."""
 
-    def __init__(self, rule: StoppingRule, nb: int, cfg: SimConfig):
+    def __init__(self, spec: ModelSpec, rule: StoppingRule, nb: int, cfg: SimConfig):
         check_fixed_time(rule, cfg.dt, cfg.t_max)
         self.rule = rule
+        self.cap_value = (rule_value(spec, rule, 'cap_payoff "value"').value
+                          if cfg.cap_payoff == "value" else None)
         self.alive = np.ones(nb, dtype=bool)
         self.payoff = np.zeros(nb)
         self.fint = np.zeros(nb)
         self.trunc = np.zeros(nb, dtype=bool)
 
-    def settle(self, rows, hit, t, m, g, cap_payoff: str) -> None:
-        """End ``rows`` at times ``t``: a hit pays the bequest, a cap unless it pays zero."""
-        paid = hit | (cap_payoff == "stop")
+    def settle(self, rows, hit, t, m, g) -> None:
+        """End ``rows`` at times ``t``: a hit pays ``g``, a cap ``g`` or its rule's value."""
         self.payoff[rows] = self.fint[rows]
-        if g is not None and paid.any():
-            self.payoff[rows[paid]] += g(t[paid], m[paid])
+        for pay, ends in ((g, hit | (self.cap_value is None)), (self.cap_value, ~hit)):
+            if pay is not None and ends.any():
+                self.payoff[rows[ends]] += pay(t[ends], m[ends])
         self.trunc[rows[~hit]] = True
         self.alive[rows] = False
 
@@ -593,7 +606,7 @@ class _StopSearch:
         self.seed, self.lo, self.dt = cfg.seed, lo, cfg.dt
         self.n_steps = int(round(cfg.t_max / cfg.dt))
 
-    def run(self, states, g, cap_payoff: str) -> None:
+    def run(self, states, g) -> None:
         """Settle every row that time 0 left running, one tile of rows at a time."""
         # every row starts at the initial mean, so time 0 settles a rule for all rows or none
         live = [i for i, st in enumerate(states) if st.alive.any()]
@@ -619,7 +632,7 @@ class _StopSearch:
             for c, i in enumerate(order):  # a fixed_time rule stops at its step, never is capped
                 st = states[live[i]]
                 st.settle(rows, hit[c] | (st.rule.kind == "fixed_time"), step[c] * self.dt,
-                          self.to_m(self.sign * z[c]), g, cap_payoff)
+                          self.to_m(self.sign * z[c]), g)
 
     def _thresholds(self, rng, bars, step, z_out, hit) -> None:
         """One row's stops for the ascending barriers ``bars``."""
@@ -654,10 +667,10 @@ class _StopSearch:
             z_out[i] = z
 
 
-def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None):
+def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int):
     """Per rule, ``(payoff sum, mean, M2, count, truncated)`` over replications
-    ``lo:hi``, all on the same paths.  The ``(f, g)`` paid is the spec's
-    family payoff unless ``payoff`` gives another.
+    ``lo:hi``, all on the same paths.  Each path pays the spec's family payoff
+    ``(f, g)``, and a capped one under ``cap_payoff="value"`` its rule's value.
 
     A fast-mode run with no running profit ``f`` has no path integral to
     pay, so ``_StopSearch`` draws each replication's stops without its path.
@@ -666,9 +679,9 @@ def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None
     after one shared check at time 0.
     """
     nb = hi - lo
-    f, g = FAMILIES[spec.family].payoff(spec) if payoff is None else payoff
+    f, g = FAMILIES[spec.family].payoff(spec)
     n_steps = int(round(cfg.t_max / cfg.dt))
-    states = [_RuleState(r, nb, cfg) for r in rules]
+    states = [_RuleState(spec, r, nb, cfg) for r in rules]
     search = cfg.mode == "fast" and f is None
     if search:
         src = _StopSearch(spec, cfg, rules, lo, hi)
@@ -679,9 +692,9 @@ def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int, payoff=None
     for st in states:  # time 0: a start in the stopping region or a zero t_max ends the row
         hit, _ = _first_stop(st.rule, src.m0[:, None], everyone, float, 0, cfg.dt, at_start)
         rows = np.flatnonzero(hit | (n_steps == 0))
-        st.settle(rows, hit[rows], np.zeros(rows.size), src.m0[rows], g, cfg.cap_payoff)
+        st.settle(rows, hit[rows], np.zeros(rows.size), src.m0[rows], g)
     if search:
-        src.run(states, g, cfg.cap_payoff)
+        src.run(states, g)
     else:
         _walk(src, states, f, g, cfg, n_steps)
     return [(float(st.payoff.sum()), *_mean_m2(st.payoff), nb, int(st.trunc.sum()))
@@ -720,8 +733,7 @@ def _walk(src, states, f, g, cfg: SimConfig, n_steps: int) -> None:
                 end = hit | (steps_done + K >= n_steps)
                 t_end = np.where(hit, t_right[col], n_steps * dt)
                 ended, col = rows_local[end], col[end]
-                st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g,
-                          cfg.cap_payoff)
+                st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g)
         steps_done += K
 
 
@@ -739,19 +751,15 @@ def _batches(reps: int, batch_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + batch_size, reps)) for lo in range(0, reps, batch_size)]
 
 
-def _run_rules(
-    spec: ModelSpec, rules: Sequence[StoppingRule], cfg: SimConfig, payoff=None
-) -> list[McEstimate]:
+def _run_rules(spec: ModelSpec, rules: Sequence[StoppingRule],
+               cfg: SimConfig) -> list[McEstimate]:
     parts = _batches(cfg.replications, cfg.batch_size)
     if cfg.workers > 1 and len(parts) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(_batch, spec, tuple(rules), cfg, lo, hi, payoff)
-                for lo, hi in parts
-            ]
+            futures = [pool.submit(_batch, spec, tuple(rules), cfg, lo, hi) for lo, hi in parts]
             results = [fut.result() for fut in futures]
     else:
-        results = [_batch(spec, tuple(rules), cfg, lo, hi, payoff) for lo, hi in parts]
+        results = [_batch(spec, tuple(rules), cfg, lo, hi) for lo, hi in parts]
     out = []
     for i in range(len(rules)):
         total = count = trunc = 0
@@ -809,13 +817,12 @@ def dynkin_residual(spec: ModelSpec, cfg: SimConfig) -> DynkinResult:
     """Martingale drift diagnostic for the spec's closed-form value along the flow.
 
     The candidate is the family's optimal value for ``spec``.  Paths start
-    inside its continuation region and run for the short horizon
-    ``cfg.t_max``, stopped at the first grid time outside the region, and
-    pay the candidate's own running profit and value at the stop.  If the
-    candidate solves the continuation-region equation the residual is zero
-    in expectation.  A start in the stopping region, or a ``t_max`` under
-    one step, would stop every path at time 0 and check nothing, so both
-    are rejected.
+    inside its continuation region and run its threshold rule for the short
+    horizon ``cfg.t_max``, paying the candidate, which is the payoff at a stop,
+    at a cap too (``cap_payoff="value"``).  If the candidate solves the
+    continuation-region equation the residual is zero in expectation.  A
+    start in the stopping region, or a ``t_max`` under one step, would stop
+    every path at time 0 and check nothing, so both are rejected.
     """
     candidate = FAMILIES[spec.family].candidate(spec)
     start = spec.initial_law.mean
@@ -826,7 +833,6 @@ def dynkin_residual(spec: ModelSpec, cfg: SimConfig) -> DynkinResult:
         raise ValueError("the Dynkin check needs a t_max of at least one step dt; with no "
                          "step, every path ends where it starts")
     rule = StoppingRule(f"threshold_{candidate.direction}", threshold=candidate.threshold)
-    run_cfg = replace(cfg, cap_payoff="stop", workers=1)
-    est = _run_rules(spec, [rule], run_cfg, payoff=(candidate.f, candidate.value))[0]
+    est = _run_rules(spec, [rule], replace(cfg, cap_payoff="value"))[0]
     residual = est.mean - candidate.value(0.0, start)
     return DynkinResult(residual, est.std_error, residual / cfg.t_max, est)

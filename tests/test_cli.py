@@ -134,6 +134,24 @@ RUN_ABORTS = {
     "unknown_mode": ("evaluate_rule", SELL_MODEL, {"mode": "magic", "rule": RULE}, "mode"),
     "unknown_cap_payoff": (
         "evaluate_rule", SELL_MODEL, {"cap_payoff": "half", "rule": RULE}, "cap_payoff"),
+    "retired_zero_cap_payoff": (
+        "evaluate_rule", SELL_MODEL, {"cap_payoff": "zero", "rule": RULE},
+        "unknown cap_payoff 'zero'"),
+    "value_cap_of_a_never_rule": (
+        "evaluate_rule", SELL_MODEL, {"cap_payoff": "value", "rule": {"kind": "never"}},
+        'numerics.cap_payoff "value" needs a threshold_up rule, the kind of the sell closed '
+        'form; got never'),
+    "value_cap_of_a_fixed_time_rule": (
+        "evaluate_rule", QUIT_MODEL,
+        {"dt": 0.1, "t_max": 1.0, "cap_payoff": "value",
+         "rule": {"kind": "fixed_time", "fixed_time": 0.5}},
+        'numerics.cap_payoff "value" needs a threshold_down rule, the kind of the quit closed '
+        'form; got fixed_time'),
+    "value_cap_against_the_direction": (
+        "evaluate_rule", SELL_MODEL,
+        {"cap_payoff": "value", "rule": {"kind": "threshold_down", "threshold": 0.5}},
+        'numerics.cap_payoff "value" needs a threshold_up rule, the kind of the sell closed '
+        'form; got threshold_down'),
     "negative_t_max": ("evaluate_rule", SELL_MODEL, {"t_max": -1, "rule": RULE}, "t_max"),
     "unknown_sweep_rule_kind": (
         "threshold_sweep", SELL_MODEL, {"thresholds": [2.7], "rule_kind": "sideways"},
@@ -229,7 +247,7 @@ VALIDATE_REJECTS = {
         "evaluate_rule", SELL_MODEL, {"rule": RULE}, {"max_l1": 1e-4},
         "unknown key 'max_l1' in checks"),
     "no_checkpoints": ("simulate_path", SELL_MODEL, {"checkpoints": []}, {}, "'checkpoints'"),
-    "dynkin_workers": (  # dynkin_residual runs in one process whatever the setting
+    "dynkin_workers": (  # the pool size of a dynkin_check comes from `run --workers` only
         "dynkin_check", SELL_MODEL, {"workers": 4}, {}, "unknown key 'workers' in numerics"),
     "dynkin_shorter_than_a_step": (
         "dynkin_check", SELL_MODEL, {"dt": 1.0, "delta": 0.4}, {}, "one step"),
@@ -636,6 +654,17 @@ def _output_hashes(tmp_path, monkeypatch, experiment, family):
 def test_cli_outputs_frozen(tmp_path, monkeypatch, experiment, family):
     hashes = _output_hashes(tmp_path, monkeypatch, experiment, family)
     assert hashes == FROZEN_OUTPUTS[f"{experiment}-{family}"]
+
+
+@pytest.mark.parametrize("family", ["sell", "quit"])
+def test_value_cap_passes_the_frozen_closed_form_checks(tmp_path, family):
+    # the frozen configs cap most rows at t_max; paying the bequest there fails the check
+    model, numerics, checks = FROZEN_CONFIGS["evaluate_rule", family]
+    body = base_config(tmp_path, experiment="evaluate_rule", model=model, seed=7,
+                       numerics=dict(numerics, cap_payoff="value"), checks=checks)
+    assert run_experiment(load_config(write_config(tmp_path, body))) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["checks"]["value_vs_closed_form"]["passed"]
 
 
 @pytest.mark.parametrize("experiment,family,name", [

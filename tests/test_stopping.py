@@ -174,6 +174,19 @@ class TestRuleValidation:
         with pytest.raises(ValueError, match="n_particles"):
             SimConfig(dt=1e-3, replications=10, seed=0, t_max=1.0, mode="particle",
                       n_particles=0)
+        with pytest.raises(ValueError, match="unknown cap_payoff 'zero'"):
+            SimConfig(dt=1e-3, replications=10, seed=0, t_max=1.0, cap_payoff="zero")
+
+    @pytest.mark.parametrize("rule", [StoppingRule("never"),
+                                      StoppingRule("fixed_time", fixed_time=0.5),
+                                      StoppingRule("threshold_down", threshold=0.5)],
+                             ids=["never", "fixed_time", "against_the_direction"])
+    def test_value_cap_needs_a_rule_with_a_closed_form(self, rule):
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+        cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0, cap_payoff="value")
+        with pytest.raises(ValueError, match=f'cap_payoff "value" needs a threshold_up rule, '
+                                             f'the kind of the sell closed form; got {rule.kind}'):
+            evaluate_rule_mc(spec, rule, cfg)
 
 
 class TestOffGridTimes:
@@ -181,11 +194,10 @@ class TestOffGridTimes:
 
     def test_fixed_time(self):
         spec = make_quit_model(0.3, 0.1)
-        unit = (lambda t, m: np.ones_like(m), None)
         cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=1.0)
         with pytest.raises(ValueError, match="fixed_time must be a whole multiple of dt; "
                                              "0.25 is 2.5 steps of 0.1"):
-            _run_rules(spec, [StoppingRule("fixed_time", fixed_time=0.25)], cfg, payoff=unit)
+            _run_rules(spec, [StoppingRule("fixed_time", fixed_time=0.25)], cfg)
 
     def test_fixed_time_past_t_max(self):
         # every path is capped at t_max before the rule could fire
@@ -206,12 +218,12 @@ class TestOffGridTimes:
             dynkin_residual(spec, replace(cfg, t_max=0.5))
 
     def test_on_grid_up_to_rounding(self):
-        # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
+        # 0.3 / 0.1 is 2.9999999999999996 in binary floating point; a nearly still
+        # quit mean at 1 earns e^{-t} dt at each of the three left points, not two
         cfg = SimConfig(dt=0.1, replications=10, seed=0, t_max=0.3)
-        unit = (lambda t, m: np.ones_like(m), None)
-        [est] = _run_rules(make_quit_model(0.3, 0.1),
-                           [StoppingRule("fixed_time", fixed_time=0.3)], cfg, payoff=unit)
-        assert est.mean == pytest.approx(0.3)
+        spec = make_quit_model(1e-9, 0.1, initial_law=InitialLaw("point", 1.0))
+        [est] = _run_rules(spec, [StoppingRule("fixed_time", fixed_time=0.3)], cfg)
+        assert est.mean == pytest.approx(0.1 * sum(math.exp(-0.1 * k) for k in range(3)))
 
 
 class TestMonteCarlo:
@@ -250,14 +262,15 @@ class TestMonteCarlo:
                              ids=["capped", "cap_at_0"])
     @pytest.mark.parametrize("mode", ["fast", "particle"])
     def test_never_rule_with_zero_cap_payoff(self, mode, start, t_max):
+        # a never rule caps every row, also at t_max 0, and each pays the bequest
+        # e^{-rho t_max} (m - a) there, whose mean is the closed form below
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", start))
-        cfg = SimConfig(
-            dt=0.01, replications=64, seed=0, t_max=t_max,
-            cap_payoff="zero", mode=mode, n_particles=100,
-        )
+        cfg = SimConfig(dt=0.01, replications=64, seed=0, t_max=t_max, mode=mode,
+                        n_particles=100)
         est = evaluate_rule_mc(spec, StoppingRule("never"), cfg)
-        assert est.mean == 0.0
         assert est.truncation_fraction == 1.0
+        expect = math.exp(-0.2 * t_max) * (start * math.exp(0.1 * t_max) - 1.0)
+        assert abs(est.mean - expect) <= 4 * est.std_error  # exact at t_max 0
 
     @pytest.mark.parametrize("mode", ["fast", "particle"])
     def test_standard_error_does_not_depend_on_batching(self, mode):
@@ -339,6 +352,35 @@ def test_dynkin_residual_small_run():
     cfg = SimConfig(dt=0.005, replications=4000, seed=10, t_max=1.0)
     result = dynkin_residual(spec, replace(cfg, t_max=0.3))
     assert abs(result.residual) < 4 * result.std_error + 1e-3
+
+
+@pytest.mark.parametrize("family", ["sell", "quit"])
+def test_dynkin_residual_pool_matches_serial(family):
+    # the run is plain data, so the pool runs its batches as one process would
+    if family == "sell":
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 1.5))
+    else:
+        spec = make_quit_model(0.3, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
+    cfg = SimConfig(dt=0.01, replications=600, seed=8, t_max=0.5, batch_size=250)
+    assert dynkin_residual(spec, replace(cfg, workers=2)) == dynkin_residual(spec, cfg)
+
+
+@pytest.mark.parametrize("family", ["sell", "quit"])
+def test_value_cap_is_unbiased_at_a_short_horizon(family):
+    # most rows are capped at t_max 2: paying the bequest there reads -81 SE (sell) and
+    # -388 SE (quit) from the rule's closed-form value, paying that value reads within 1
+    if family == "sell":
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+        rule = StoppingRule("threshold_up", threshold=2.7)
+        ref = sell_value(0.0, 1.0, spec, xi=2.7)
+    else:
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
+        rule = StoppingRule("threshold_down", threshold=-0.47)
+        ref = quit_value(0.0, 0.0, spec, eta=-0.47)
+    cfg = SimConfig(dt=0.01, replications=20_000, seed=7, t_max=2.0, cap_payoff="value")
+    est = evaluate_rule_mc(spec, rule, cfg)
+    assert est.truncation_fraction > 0.7
+    assert abs(est.mean - ref) <= 3 * est.std_error
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +483,6 @@ def test_fast_mode_needs_a_start_in_its_state_space():
         evaluate_rule_mc(sell, rule, cfg)
 
 
-def test_custom_running_profit_may_broadcast():
-    # a profit rate of time only gives the same integral as its full-shape copy
-    spec = make_quit_model(0.3, 0.1)
-    cfg = SimConfig(dt=0.01, replications=50, seed=3, t_max=6.0)
-    rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
-    narrow = (lambda t, m: np.exp(-0.2 * t), None)
-    full = (lambda t, m: np.exp(-0.2 * t) + 0.0 * m, None)
-    assert (_run_rules(spec, [rule], cfg, payoff=narrow)
-            == _run_rules(spec, [rule], cfg, payoff=full))
-
-
 # ---------------------------------------------------------------------------
 # the stop search of a fast run without running profit
 
@@ -463,9 +494,9 @@ def _settled(monkeypatch, run, dt):
     seen = {}
     settle = stopping._RuleState.settle
 
-    def record(self, rows, hit, t, m, g, cap_payoff):
+    def record(self, rows, hit, t, m, g):
         seen.setdefault(self.rule, []).append((rows, hit, t, m))
-        settle(self, rows, hit, t, m, g, cap_payoff)
+        settle(self, rows, hit, t, m, g)
 
     with monkeypatch.context() as patch:
         patch.setattr(stopping._RuleState, "settle", record)
@@ -684,9 +715,9 @@ def _frozen_runs():
         evaluate_rule_mc(sell_12, StoppingRule("fixed_time", fixed_time=0.0),
                          SimConfig(replications=50, t_max=1.0, **fast)),
     )
-    runs["cap_zero"] = (
+    runs["cap_value"] = (
         evaluate_rule_mc(sell_spec, StoppingRule("threshold_up", threshold=2.7),
-                         SimConfig(replications=300, t_max=4.0, cap_payoff="zero", **fast)),
+                         SimConfig(replications=300, t_max=4.0, cap_payoff="value", **fast)),
     )
     runs["fast_dynkin_custom"] = (
         dynkin_residual(make_quit_model(0.3, 0.1, rho=0.2,
@@ -726,8 +757,8 @@ FROZEN = {
         (0.48094497919526974, 0.11471156908413808, 200, 0.0),
         (0.19999999999999993, 0.0, 50, 0.0),
     ),
-    'cap_zero': (
-        (0.13830116569280682, 0.020656560024315148, 300, 0.8666666666666667),
+    'cap_value': (
+        (0.3219003811766207, 0.018348411834810844, 300, 0.8666666666666667),
     ),
     'fast_dynkin_custom': (
         (1.9883381994821439, 0.0909703644876413, 300, 0.8633333333333333),
