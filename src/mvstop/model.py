@@ -45,6 +45,8 @@ class InitialLaw:
     def __post_init__(self) -> None:
         if self.kind not in INITIAL_KINDS:
             raise ModelError(f"unknown initial law kind {self.kind!r}")
+        if not (math.isfinite(self.loc) and math.isfinite(self.scale)):
+            raise ModelError(f"loc and scale must be finite, got {self.loc!r}, {self.scale!r}")
         if self.scale < 0:
             raise ModelError("scale must be >= 0")
 
@@ -105,6 +107,8 @@ def no_jumps() -> LevyMeasureSpec:
 def discrete_marks(intensity: float, values, probs) -> LevyMeasureSpec:
     values = [float(v) for v in values]
     probs = [float(p) for p in probs]
+    if not all(0.0 <= p <= 1.0 for p in probs):  # NaN too
+        raise ModelError(f"mark probabilities must lie in [0, 1], got {probs}")
     if abs(sum(probs) - 1.0) > 1e-12:
         raise ModelError("mark probabilities must sum to 1")
     return LevyMeasureSpec(intensity=intensity, atoms=tuple(zip(values, probs)))
@@ -155,6 +159,11 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.family not in ("sell", "quit"):
             raise ModelError(f"model family must be 'sell' or 'quit', got {self.family!r}")
+        numbers = ("a0", "a1", "b0", "b1", "s0", "s1", "j0", "j1", "rho", "cost")
+        bad = {name: getattr(self, name) for name in numbers
+               if not math.isfinite(getattr(self, name))}
+        if bad:
+            raise ModelError(f"model coefficients, rho and cost must be finite, got {bad}")
 
     def drift(self, m):
         return _affine(self.a0, self.a1, m)

@@ -204,6 +204,8 @@ def kde_density(
     x = np.asarray(grid, float)
     check_grid(x)  # the tile windows need an increasing grid
     states = cloud.states
+    if not np.isfinite(states).all():  # the window and outside-share checks would skip them
+        raise ValueError("kde_density needs finite particle states")
     h = silverman_bandwidth(states) if bandwidth is None else float(bandwidth)
     if h <= 0:
         raise ValueError("bandwidth must be > 0")
@@ -236,7 +238,6 @@ def kde_density(
         acc[:] = 0.0
         part = states[lo:hi]
         starts = np.arange(0, hi - lo, tile)
-        # fmin and fmax skip a NaN particle, whose kernel is 0.0 everywhere
         first = np.searchsorted(x, np.fmin.reduceat(part, starts) - reach).tolist()
         last = np.searchsorted(x, np.fmax.reduceat(part, starts) + reach).tolist()
         for t, c0, c1 in zip(starts.tolist(), first, last):

@@ -52,6 +52,15 @@ class TestInitialLaw:
         with pytest.raises(ModelError):
             InitialLaw("normal", 0.0, -1.0)
 
+    @pytest.mark.parametrize("kind,loc,scale", [("normal", 0.0, math.nan),
+                                                ("point", math.inf, 0.0),
+                                                ("lognormal", math.nan, 0.1)],
+                             ids=["nan_scale", "inf_loc", "nan_loc"])
+    def test_non_finite_parameters(self, kind, loc, scale):
+        # a NaN scale passed the scale >= 0 check and sampled NaN
+        with pytest.raises(ModelError, match="loc and scale must be finite"):
+            InitialLaw(kind, loc, scale)
+
 
 class TestLevyMeasure:
     def test_discrete_marks_moments(self):
@@ -61,6 +70,14 @@ class TestLevyMeasure:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ModelError):
             discrete_marks(1.0, [-0.1, -0.2], [0.6, 0.6])
+
+    @pytest.mark.parametrize("probs", [[1.5, -0.5], [math.nan, math.nan]],
+                             ids=["outside", "nan"])
+    def test_probabilities_must_lie_in_the_unit_interval(self, probs):
+        # [1.5, -0.5] sums to 1, yet the marks drawn would be -0.1 every time
+        # while the compensator takes -0.05; NaN passed the sum check
+        with pytest.raises(ModelError, match=r"mark probabilities must lie in \[0, 1\]"):
+            discrete_marks(0.5, [-0.1, -0.2], probs)
 
     def test_active_jumps_need_marks(self):
         with pytest.raises(ModelError):
@@ -155,6 +172,19 @@ class TestModelFamilies:
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec
         assert back.drift(1.3) == spec.drift(1.3)
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: make_quit_model(sigma1=math.nan, sigma2=0.1), "b0"),
+        (lambda: make_quit_model(0.3, 0.1, rho=math.inf), "rho"),
+        (lambda: make_sell_model(math.nan, 0.3, 0.2, 0.2, 1.0), "a1"),
+        (lambda: make_sell_model(0.1, 0.3, 0.2, 0.2, math.inf), "cost"),
+        (lambda: ModelSpec("quit", no_jumps(), InitialLaw("point", 0.0), b0=0.3, s1=math.nan),
+         "s1"),
+    ], ids=["quit_sigma1", "quit_rho", "sell_alpha0", "sell_cost", "spec_s1"])
+    def test_non_finite_numbers_are_rejected(self, make, name):
+        # each used to build a spec, which then ran on NaN
+        with pytest.raises(ModelError, match=f"must be finite, got {{'{name}'"):
+            make()
 
     def test_only_shipped_families(self):
         with pytest.raises(ModelError, match="'sell' or 'quit'"):

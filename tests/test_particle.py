@@ -301,6 +301,16 @@ def test_kde_matches_reference_sum(states, bandwidth, check):
     assert check is None or check(states, want)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bandwidth", [0.05, None], ids=["given", "silverman"])
+def test_kde_rejects_non_finite_states(bad, bandwidth):
+    # once, half a cloud of NaN gave a finite density of the other half
+    states = _normal(1000)
+    states[::2] = bad
+    with pytest.raises(ValueError, match="finite particle states"):
+        kde_density(ParticleCloud(0.0, states), bandwidth, _KDE_GRID)
+
+
 def test_kde_rejects_a_decreasing_grid():
     cloud = ParticleCloud(0.0, _normal(1000))
     with pytest.raises(GridError, match="increasing"):
