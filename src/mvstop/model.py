@@ -81,12 +81,17 @@ class LevyMeasureSpec:
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.intensity >= 0:
-            raise ModelError("jump intensity must be >= 0")
+        if not 0 <= self.intensity < math.inf:
+            raise ModelError(f"jump intensity must be >= 0 and finite, got {self.intensity!r}")
         if self.intensity > 0 and not self.atoms:
             raise ModelError("active jumps need mark atoms")
         if not all(math.isfinite(value) for value, _ in self.atoms):
             raise ModelError("jump marks must be finite")
+        probs = [p for _, p in self.atoms]
+        if not all(0.0 <= p <= 1.0 for p in probs):  # NaN too
+            raise ModelError(f"mark probabilities must lie in [0, 1], got {probs}")
+        if probs and abs(sum(probs) - 1.0) > 1e-12:
+            raise ModelError("mark probabilities must sum to 1")
 
     @cached_property
     def _mark_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -107,10 +112,6 @@ def no_jumps() -> LevyMeasureSpec:
 def discrete_marks(intensity: float, values, probs) -> LevyMeasureSpec:
     values = [float(v) for v in values]
     probs = [float(p) for p in probs]
-    if not all(0.0 <= p <= 1.0 for p in probs):  # NaN too
-        raise ModelError(f"mark probabilities must lie in [0, 1], got {probs}")
-    if abs(sum(probs) - 1.0) > 1e-12:
-        raise ModelError("mark probabilities must sum to 1")
     return LevyMeasureSpec(intensity=intensity, atoms=tuple(zip(values, probs)))
 
 

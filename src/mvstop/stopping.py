@@ -818,11 +818,11 @@ def dynkin_residual(spec: ModelSpec, cfg: SimConfig) -> DynkinResult:
 
     The candidate is the family's optimal value for ``spec``.  Paths start
     inside its continuation region and run its threshold rule for the short
-    horizon ``cfg.t_max``, paying the candidate, which is the payoff at a stop,
-    at a cap too (``cap_payoff="value"``).  If the candidate solves the
-    continuation-region equation the residual is zero in expectation.  A
-    start in the stopping region, or a ``t_max`` under one step, would stop
-    every path at time 0 and check nothing, so both are rejected.
+    horizon ``cfg.t_max``: a stop pays the payoff, which the candidate equals
+    there, and a cap the candidate (``cap_payoff="value"``).  If it solves
+    the continuation-region equation the residual is zero in expectation.
+    A start in the stopping region, or a ``t_max`` under one step, would
+    stop every path at time 0 and check nothing, so both are rejected.
     """
     candidate = FAMILIES[spec.family].candidate(spec)
     start = spec.initial_law.mean

@@ -57,7 +57,7 @@ class TestInitialLaw:
                                                 ("lognormal", math.nan, 0.1)],
                              ids=["nan_scale", "inf_loc", "nan_loc"])
     def test_non_finite_parameters(self, kind, loc, scale):
-        # a NaN scale passed the scale >= 0 check and sampled NaN
+        # a NaN scale is not below 0, yet every draw from it is NaN
         with pytest.raises(ModelError, match="loc and scale must be finite"):
             InitialLaw(kind, loc, scale)
 
@@ -74,10 +74,12 @@ class TestLevyMeasure:
     @pytest.mark.parametrize("probs", [[1.5, -0.5], [math.nan, math.nan]],
                              ids=["outside", "nan"])
     def test_probabilities_must_lie_in_the_unit_interval(self, probs):
-        # [1.5, -0.5] sums to 1, yet the marks drawn would be -0.1 every time
-        # while the compensator takes -0.05; NaN passed the sum check
-        with pytest.raises(ModelError, match=r"mark probabilities must lie in \[0, 1\]"):
-            discrete_marks(0.5, [-0.1, -0.2], probs)
+        # [1.5, -0.5] sums to 1, yet sample_marks would draw -0.1 every time while
+        # expected_jump_amp compensates -0.05; a NaN sum is not off 1 by more than 1e-12
+        for build in (lambda: discrete_marks(0.5, [-0.1, -0.2], probs),
+                      lambda: LevyMeasureSpec(0.5, ((-0.1, probs[0]), (-0.2, probs[1])))):
+            with pytest.raises(ModelError, match=r"mark probabilities must lie in \[0, 1\]"):
+                build()
 
     def test_active_jumps_need_marks(self):
         with pytest.raises(ModelError):
@@ -156,6 +158,8 @@ class TestModelFamilies:
             make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=-0.5)
         with pytest.raises(ModelError, match="jump intensity must be >= 0"):
             LevyMeasureSpec(intensity=math.nan)
+        with pytest.raises(ModelError, match="jump intensity must be >= 0 and finite, got inf"):
+            make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=math.inf)
 
     def test_expected_jump_amp_uses_atoms(self):
         levy = discrete_marks(1.0, [-0.1, -0.3], [0.5, 0.5])
@@ -182,7 +186,7 @@ class TestModelFamilies:
          "s1"),
     ], ids=["quit_sigma1", "quit_rho", "sell_alpha0", "sell_cost", "spec_s1"])
     def test_non_finite_numbers_are_rejected(self, make, name):
-        # each used to build a spec, which then ran on NaN
+        # every comparison the makers reject on is False for NaN, and most are for inf
         with pytest.raises(ModelError, match=f"must be finite, got {{'{name}'"):
             make()
 

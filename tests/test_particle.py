@@ -304,7 +304,8 @@ def test_kde_matches_reference_sum(states, bandwidth, check):
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("bandwidth", [0.05, None], ids=["given", "silverman"])
 def test_kde_rejects_non_finite_states(bad, bandwidth):
-    # once, half a cloud of NaN gave a finite density of the other half
+    # the windows skip a NaN particle and the outside share counts it inside,
+    # so half a cloud of NaN would give a finite density of the other half
     states = _normal(1000)
     states[::2] = bad
     with pytest.raises(ValueError, match="finite particle states"):
