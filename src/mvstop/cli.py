@@ -36,6 +36,7 @@ from .stopping import (
     FAMILIES,
     SimConfig,
     StoppingRule,
+    check_dynkin_start,
     check_fixed_time,
     conditional_mean_oracle,
     dynkin_residual,
@@ -449,15 +450,9 @@ def _var_ineq_check(spec, numerics, checks, seed):
 
 def _dynkin_check(spec, numerics, checks, seed):
     delta = numerics["delta"]
-    if round(delta / numerics["dt"]) < 1:  # no step: every path ends where it starts
-        raise ValueError("numerics.delta must be at least one step dt")
+    check_dynkin_start(spec, numerics["dt"], delta, "numerics.delta")
     check_on_grid(numerics["dt"], {"delta": delta}, "numerics.")
     cfg = _sim_config(numerics, seed, t_max=delta)
-    fam = FAMILIES[spec.family]
-    candidate = fam.candidate(spec)
-    if not candidate.in_continuation(spec.initial_law.mean):  # every path would stop at 0
-        raise ValueError(f"dynkin_check needs an initial mean ({fam.start_key}) inside the "
-                         f"continuation region, not past the threshold {candidate.threshold!r}")
 
     def compute(out, mhash, summary):
         result = dynkin_residual(spec, cfg)

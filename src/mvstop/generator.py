@@ -20,6 +20,9 @@ import numpy as np
 
 from .model import ModelSpec
 
+DERIVATIVE_TOL = 1e-6  # how far a supplied derivative may sit from its difference quotient
+_FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class CylinderFunction:
@@ -35,23 +38,32 @@ class CylinderFunction:
     def dz(self, s: float, z: float) -> float:
         return self.psi(s) * self.F_prime(z)
 
-    def check_derivatives(self, probe_s, probe_z, tol: float = 1e-6) -> None:
-        """Finite-difference sanity check of the supplied derivatives."""
-        eps = 1e-6
-        for s in np.atleast_1d(probe_s):
-            fd = (self.psi(s + eps) - self.psi(s - eps)) / (2 * eps)
-            ref = max(1.0, abs(self.psi_prime(s)))
-            if abs(fd - self.psi_prime(s)) > tol * ref:
-                raise ValueError(f"psi_prime inconsistent at s={s}")
-        for z in np.atleast_1d(probe_z):
-            fd = (self.F(z + eps) - self.F(z - eps)) / (2 * eps)
-            ref = max(1.0, abs(self.F_prime(z)))
-            if abs(fd - self.F_prime(z)) > tol * ref:
-                raise ValueError(f"F_prime inconsistent at z={z}")
-            fd2 = (self.F_prime(z + eps) - self.F_prime(z - eps)) / (2 * eps)
-            ref2 = max(1.0, abs(self.F_double_prime(z)))
-            if abs(fd2 - self.F_double_prime(z)) > tol * ref2:
-                raise ValueError(f"F_double_prime inconsistent at z={z}")
+    def derivative_mismatches(self, probe_s, probe_z, z_floor: float | None = None) -> list[str]:
+        """Names of the supplied derivatives that central differences contradict.
+
+        ``psi_prime`` is checked at every ``probe_s``, ``F_prime`` and
+        ``F_double_prime`` at every ``probe_z``, with a step of
+        ``1e-6 max(|x|, 1)``, shortened so that ``z`` minus it stays above
+        ``z_floor``.  A derivative is contradicted where it differs from the
+        difference quotient by more than ``DERIVATIVE_TOL max(1, |derivative|)``,
+        or is NaN there.
+        """
+        s, z = np.asarray(probe_s, float), np.asarray(probe_z, float)
+        h_z = _FD_STEP * np.maximum(np.abs(z), 1.0)
+        if z_floor is not None:
+            h_z = np.minimum(h_z, _FD_STEP * (z - z_floor))
+        mismatches = []
+        for name, fn, deriv, x, h in (
+                ("psi_prime", self.psi, self.psi_prime, s, _FD_STEP * np.maximum(np.abs(s), 1.0)),
+                ("F_prime", self.F, self.F_prime, z, h_z),
+                ("F_double_prime", self.F_prime, self.F_double_prime, z, h_z)):
+            up, down = x + h, x - h
+            quotient = (fn(up) - fn(down)) / (up - down)
+            supplied = np.broadcast_to(deriv(x), x.shape)
+            bound = DERIVATIVE_TOL * np.maximum(1.0, np.abs(supplied))
+            if not np.all(np.abs(quotient - supplied) <= bound):
+                mismatches.append(name)
+        return mismatches
 
 
 def frechet_gradient_cylinder(F_prime: Callable, z: float, h_pairing: float) -> float:
@@ -126,6 +138,7 @@ class VarIneqReport:
     tol: float
     gap_tol: float
     worst_probes: list = field(default_factory=list)
+    derivative_mismatches: list = field(default_factory=list)  # "<branch>.<derivative>"
 
     def passed(self) -> bool:
         return bool(
@@ -134,6 +147,7 @@ class VarIneqReport:
             and self.obstacle_violations == 0
             and self.continuity_gap <= self.gap_tol
             and self.smooth_fit_gap <= self.gap_tol
+            and not self.derivative_mismatches
         )
 
     def to_dict(self) -> dict:
@@ -151,6 +165,7 @@ class VarIneqReport:
             "n_continuation_probes": self.continuation.n_probes,
             "n_stopping_probes": self.stopping.n_probes,
             "worst_probes": self.worst_probes,
+            "derivative_mismatches": self.derivative_mismatches,
         }
         return {key: None if isinstance(value, float) and not math.isfinite(value) else value
                 for key, value in fields.items()}
@@ -182,18 +197,24 @@ def check_variational_inequalities(
     On the continuation region the generator residual (plus running profit)
     must vanish; outside it must be nonpositive; the candidate must dominate
     the obstacle everywhere and paste continuously and differentiably at the
-    free boundary.  The probes are every ``(s, z)`` pair, ``s``-major, each
-    region evaluated as one array; a NaN residual or gap fails.  Findings are
-    data, never exceptions.
+    free boundary.  The residual reads each branch's own ``psi'``, ``F'`` and
+    ``F''``, so a wrong ``F''`` could zero it: each must also match central
+    differences on the probes of its region
+    (``CylinderFunction.derivative_mismatches``).  The probes are every
+    ``(s, z)`` pair, ``s``-major, each region evaluated as one array; a NaN
+    residual or gap fails.  Findings are data, never exceptions.
     """
     s, z = (grid.ravel() for grid in np.meshgrid(probe_s, probe_z, indexing="ij"))
+    z_axis = np.asarray(probe_z, float)
     if candidate.z_floor is not None:
         keep = z > candidate.z_floor
         s, z = s[keep], z[keep]
-    inside = candidate.in_continuation(z)
-    regions = []
-    for region, mask, branch in (("continuation", inside, candidate.continuation),
-                                 ("stopping", ~inside, candidate.stopping)):
+        z_axis = z_axis[z_axis > candidate.z_floor]
+    inside, inside_axis = candidate.in_continuation(z), candidate.in_continuation(z_axis)
+    regions, mismatches = [], []
+    for region, mask, mask_axis, branch in (
+            ("continuation", inside, inside_axis, candidate.continuation),
+            ("stopping", ~inside, ~inside_axis, candidate.stopping)):
         s_in, z_in = s[mask], z[mask]
         res = apply_generator_cylinder(branch, s_in, z_in, spec)
         if candidate.f is not None:
@@ -201,6 +222,9 @@ def check_variational_inequalities(
         res = np.broadcast_to(res, z_in.shape)  # a branch may be constant
         regions.append(RegionCheck(region, res.size, float(np.max(res, initial=-np.inf)),
                                    float(np.max(np.abs(res), initial=0.0))))
+        if z_in.size:
+            mismatches += [f"{region}.{name}" for name in branch.derivative_mismatches(
+                probe_s, z_axis[mask_axis], candidate.z_floor)]
     value, g = candidate.value(s, z), candidate.g(s, z)
     below = np.flatnonzero(value < g - OBSTACLE_TOL)
     worst = [(float(s[i]), float(z[i]), float(value[i] - g[i])) for i in below[:10]]
@@ -218,4 +242,5 @@ def check_variational_inequalities(
         tol=tol,
         gap_tol=gap_tol,
         worst_probes=worst,
+        derivative_mismatches=mismatches,
     )

@@ -6,11 +6,12 @@ proceeds at the stop) and quitting a project (additive dynamics, running
 discounted conditional-mean profit).  The Monte Carlo side evaluates
 arbitrary threshold rules on the conditional mean, either in *fast mode*
 (the scalar conditional-mean SDE, exact in law on the time grid) or in
-*particle mode* (a full interacting cloud per replication).  Fast mode walks
-every step of the exact conditional-mean path when the payoff has a running
-profit to integrate; without one it draws each path's stops directly, from
-the first-passage law of the path's Brownian motion with drift
-(``_StopSearch``), with the same discrete-monitoring law.
+*particle mode* (a full interacting cloud per replication).  Fast mode
+never walks a path: it draws each path's stops from the first-passage law
+of the path's Brownian motion with drift (``_StopSearch``), with the
+discrete-monitoring law of a walk, and pays quit's running profit from the
+stop alone through its discrete potential (``quit_potential``).  Particle
+mode walks every step and integrates the running profit itself.
 
 Replication ``r`` always draws from ``SeedSequence(master_seed,
 spawn_key=(r,))``, so adding replications extends the earlier streams
@@ -73,9 +74,9 @@ class SimConfig:
     which by the strong Markov property leaves no bias at any ``t_max``.
 
     ``batch_size`` replications are one unit of work for the worker pool,
-    and per-batch results merge in batch order.  It does not size fast
-    mode's buffers, which hold one tile of at most 128 rows; a
-    particle-mode batch holds all its clouds at once.
+    and per-batch results merge in batch order.  Fast mode keeps a few
+    numbers per row and rule, whatever ``t_max``; a particle-mode batch
+    holds all its clouds at once.
     """
 
     dt: float
@@ -123,6 +124,27 @@ def quit_payoff(spec: ModelSpec) -> tuple[Callable | None, Callable | None]:
     _check_family(spec, "quit")
     rho = spec.rho
     return (lambda t, m: np.exp(-rho * t) * m), None
+
+
+def quit_potential(spec: ModelSpec, dt: float) -> Callable:
+    """Quit's discrete potential ``P(t, m) = c e^{-rho t} m``, ``c = dt / (1 - e^{-rho dt})``.
+
+    It holds only for a conditional mean without drift, as ``make_quit_model``
+    builds it (no ``a0``); a spec with ``a0 != 0`` raises.  Then on the grid
+    ``e^{-rho t_k} m_k + (1 - e^{-rho dt}) sum_{j<k} e^{-rho t_j} m_j`` is a
+    martingale, with increments ``e^{-rho t_{k+1}} (m_{k+1} - m_k)``, and
+    optional stopping at a grid stop ``tau <= N`` gives
+    ``E[sum_{k<tau} e^{-rho t_k} m_k dt] = E[P(0, m_0) - P(t_tau, m_tau)]``
+    exactly, at every ``dt`` and at the cap.  So fast mode pays the left-point
+    profit sum as ``P(0, m_0) - P(t_tau, m_tau)``, from the stop alone.
+    """
+    _check_family(spec, "quit")
+    if spec.a0 != 0:
+        raise ValueError(f"quit's running profit is paid through its potential, which needs a "
+                         f"conditional mean without drift; got a0 = {spec.a0!r}")
+    rho = spec.rho
+    c = dt / -math.expm1(-rho * dt)
+    return lambda t, m: c * np.exp(-rho * t) * m
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +299,7 @@ class Family:
     start_key: str              # config key of the default point initial law
     build: Callable[[dict, InitialLaw], ModelSpec]
     payoff: Callable            # spec -> (f, g), the performance functional
+    potential: Callable | None  # (spec, dt) -> P(t, m), fast mode's payment of f; None: no f
     candidate: Callable         # (spec, threshold or None) -> StoppingCandidate
     report: Callable            # spec -> (closed_form.csv rows, worst residual)
     probe: Callable             # optimal threshold -> default VI probe window
@@ -326,6 +349,7 @@ FAMILIES = {
         start_key="m0",
         build=_sell_spec,
         payoff=sell_payoff,
+        potential=None,
         candidate=sell_candidate,
         report=_sell_report,
         probe=lambda xi: {"z_min": 0.01, "z_max": 20.0, "log_z": True},
@@ -341,6 +365,7 @@ FAMILIES = {
         build=lambda c, law: make_quit_model(c["sigma1"], c["sigma2"], c["gamma0"],
                                              c["intensity"], c["rho"], law),
         payoff=quit_payoff,
+        potential=quit_potential,
         candidate=quit_candidate,
         report=_quit_report,
         probe=lambda eta: {"z_min": eta - 2.0, "z_max": eta + 6.0, "log_z": False},
@@ -371,69 +396,26 @@ def conditional_mean_oracle(spec: ModelSpec, common: particle.CommonNoisePath) -
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo engine: a path source per mode feeding one rule accumulator
+# Monte Carlo engine: a stop search (fast) or a walk (particle) feeding one
+# rule accumulator
 
-_BLOCK = 512  # fast-mode path steps drawn per row at a time
-_ROWS = 128    # fast-mode rows per tile: one tile's block of path, 512 KiB, stays in L2
+_ROWS = 128  # stop-search rows settled at a time, so per-tile arrays stay small
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
-class _FastSource:
-    """Exact conditional-mean path in the family's ``y``; rules compare in ``y``.
-
-    Fast mode walks this path only when it pays a running profit.  Each
-    block is drawn and integrated in place, one tile of at most ``tile``
-    rows at a time, in one buffer owned by the source, so the path returned
-    by ``advance`` is valid only until the next call.  The buffer holds one
-    tile, whatever the batch size.
-    """
-
-    block = _BLOCK
-
-    def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
-        fam = FAMILIES[spec.family]
-        y0 = fam.start_y(spec)
-        self.mu_dt = fam.path_drift(spec) * cfg.dt
-        self.to_m, self.to_y = fam.to_m, fam.to_y
-        self.vol = fam.path_vol(spec) * math.sqrt(cfg.dt)
-        self.gens, self.dt = gens, cfg.dt
-        self.m0 = np.full(len(gens), spec.initial_law.mean, dtype=float)
-        self.y = np.full(len(gens), y0, dtype=float)
-        self.tile = min(cfg.batch_size, _ROWS)
-        self.buf = np.empty(self.tile * self.block)
-
-    def advance(self, act: np.ndarray, steps_done: int, K: int):
-        """Rows ``act`` for ``K`` steps: left values, a view of the path block, right times."""
-        z = self.buf[: act.size * K].reshape(act.size, K)
-        for j, r in enumerate(act):
-            self.gens[r].standard_normal(out=z[j])
-        y_left = self.y[act]
-        # y_left + cumsum(mu_dt + vol * z), evaluated in place
-        z *= self.vol
-        z += self.mu_dt
-        np.cumsum(z, axis=1, out=z)
-        z += y_left[:, None]
-        self.y[act] = z[:, -1]
-        return y_left, z, steps_done * self.dt + self.dt * np.arange(1, K + 1)
-
-
 class _ParticleSource:
-    """One interacting cloud per row of one state matrix; ``y`` is ``m``.
+    """One interacting cloud per row of one state matrix, walked one step at a time.
 
     ``x[:k]`` holds the clouds of the ``k`` rows still running, in batch
     order, and ``particle.step`` advances them together.  When rows finish,
     the survivors are moved up so the running clouds stay one contiguous
-    block; the matrix is allocated once.  The compaction must see every
-    running row, so one tile holds the whole batch.
+    block; the matrix is allocated once.
     """
 
-    block = 1
-
     def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
-        self.tile = len(gens)
         self.spec, self.gens, self.dt = spec, gens, cfg.dt
         self.x = np.empty((len(gens), cfg.n_particles))
         for j, rng in enumerate(gens):
@@ -441,9 +423,9 @@ class _ParticleSource:
         self.m0 = self.x.mean(axis=1)
         self.m = self.m0.copy()             # row means, aligned with the rows of x
         self.rows = np.arange(len(gens))    # batch index of each row of x
-        self.to_m, self.to_y = np.positive, float  # identities on paths and thresholds
 
-    def advance(self, act: np.ndarray, steps_done: int, K: int):
+    def advance(self, act: np.ndarray):
+        """Rows ``act`` one step on; their means before and after the step."""
         if act.size < self.rows.size:  # rows finished: compact the survivors, in order
             keep = np.searchsorted(self.rows, act)
             for dst, src in enumerate(keep):
@@ -453,10 +435,10 @@ class _ParticleSource:
             self.rows = act
         x, m = self.x[:act.size], self.m[:act.size]
         gens = [self.gens[r] for r in act]
-        y_left = m.copy()
+        m_left = m.copy()
         dB1 = np.array([rng.standard_normal() for rng in gens]) * math.sqrt(self.dt)
         particle.step(x, self.spec, self.dt, m, dB1, gens)
-        return y_left, m[:, None], np.array([(steps_done + 1) * self.dt])
+        return m_left, m
 
 
 def check_fixed_time(rule: StoppingRule, dt: float, t_max: float, prefix: str = "") -> None:
@@ -466,6 +448,24 @@ def check_fixed_time(rule: StoppingRule, dt: float, t_max: float, prefix: str = 
         if round(rule.fixed_time / dt) > round(t_max / dt):
             raise ValueError(f"{prefix}rule.fixed_time {rule.fixed_time} is past {prefix}t_max "
                              f"{t_max}: every path is capped before the rule can stop it")
+
+
+def check_dynkin_start(spec: ModelSpec, dt: float, t_max: float,
+                       key: str = "t_max") -> StoppingCandidate:
+    """The family's optimal candidate, after rejecting a Dynkin check that would
+    stop every path at time 0 and so check nothing: a horizon ``t_max``, named
+    ``key``, under one step ``dt``, or a start in the candidate's stopping region."""
+    if round(t_max / dt) < 1:
+        raise ValueError(f"the Dynkin check needs a {key} of at least one step dt; with no "
+                         "step, every path ends where it starts")
+    fam = FAMILIES[spec.family]
+    candidate = fam.candidate(spec)
+    start = spec.initial_law.mean
+    if not candidate.in_continuation(start):
+        raise ValueError(f"the Dynkin check needs a start inside the continuation region; the "
+                         f"initial mean ({fam.start_key}) {start!r} is on the stopping side of "
+                         f"{candidate.threshold!r}")
+    return candidate
 
 
 def rule_value(spec: ModelSpec, rule: StoppingRule, key: str) -> StoppingCandidate:
@@ -501,34 +501,16 @@ class _RuleState:
         self.alive[rows] = False
 
 
-def _first_stop(rule: StoppingRule, y: np.ndarray, rows: np.ndarray, to_y,
-                first_step: int, dt: float, extremes: dict):
-    """``(hit, col)`` of ``rule`` on ``rows`` of the path block ``y``.
+def _first_stop(rule: StoppingRule, m: np.ndarray, step: int, dt: float) -> np.ndarray:
+    """Whether ``rule`` stops each conditional mean of ``m`` at grid step ``step``.
 
-    Column 0 of ``y`` lies at grid step ``first_step``.  ``col`` is the first
-    stopping column of a hit row and the last column otherwise.  A threshold
-    rule searches only rows whose block extreme crosses; the row extremes are
-    cached in ``extremes`` per direction and width, so rules scanning the same
-    block share them.  ``fmax``/``fmin`` skip NaN, which never crosses.
+    A NaN mean never crosses a threshold.
     """
-    width = y.shape[1]
-    hit = np.zeros(rows.size, dtype=bool)
-    col = np.full(rows.size, width - 1)
-    if rule.kind in ("threshold_up", "threshold_down"):
-        up = rule.kind == "threshold_up"
-        key = (up, width)
-        if key not in extremes:
-            extremes[key] = (np.fmax if up else np.fmin).reduce(y, axis=1)
-        thr, ext = to_y(rule.threshold), extremes[key][rows]
-        hit = ext >= thr if up else ext <= thr
-        found = np.flatnonzero(hit)
-        cross = y[rows[found]]
-        col[found] = np.argmax(cross >= thr if up else cross <= thr, axis=1)
-    elif rule.kind == "fixed_time":
-        k = int(round(rule.fixed_time / dt)) - first_step
-        if 0 <= k < width:
-            hit[:], col[:] = True, k
-    return hit, col
+    if rule.kind == "threshold_up":
+        return m >= rule.threshold
+    if rule.kind == "threshold_down":
+        return m <= rule.threshold
+    return np.full(m.shape, rule.kind == "fixed_time" and round(rule.fixed_time / dt) == step)
 
 
 # |mu| a / sigma^2 below this is a zero drift: the zero-drift passage law is then
@@ -564,7 +546,7 @@ def _killed_end(rng: np.random.Generator, z: float, b: float, t: float, mu: floa
 
 
 class _StopSearch:
-    """Fast mode's stops drawn without the path, for a payoff with no running profit.
+    """Fast mode's stops drawn without the path, and what each row pays at its stop.
 
     In ``y`` the conditional mean is a Brownian motion with drift, so a
     threshold rule's first stopping grid step can be drawn exactly.  From
@@ -580,10 +562,16 @@ class _StopSearch:
     searched in order of distance from the start; ``fixed_time`` and
     ``never`` rules read one forward normal each, in order of their steps.
     A run that mixes threshold directions, or thresholds with other rules,
-    is rejected.
+    is rejected.  The draws read ``|path_vol|``, so a volatility's sign,
+    which leaves the law unchanged, leaves every draw unchanged too.
 
-    Replication ``r`` draws on its own stream, as in the walk, so a result
-    does not depend on how replications are batched or tiled.  A stop before
+    A stop at ``(t, m)`` pays ``g``; with a running profit it pays the
+    profit up to the stop as ``P(0, m_0) - P(t, m)``, the family's discrete
+    potential (``quit_potential``), written into the row's ``fint`` before
+    ``settle`` adds ``g`` or, at a value cap, the rule's value.
+
+    Replication ``r`` draws on its own stream, so a result does not depend
+    on how replications are batched or tiled.  A stop before
     step ``N`` depends on nothing drawn after it, so a run with a smaller
     ``t_max`` makes every stop before its own cap at the same step, with the
     same value.
@@ -594,15 +582,16 @@ class _StopSearch:
         kinds = {r.kind for r in rules}
         if not (kinds <= {"threshold_up"} or kinds <= {"threshold_down"}
                 or kinds <= {"fixed_time", "never"}):
-            raise ValueError("a fast-mode run without running profit takes threshold rules of "
-                             f"one direction or fixed_time and never rules, not {sorted(kinds)}")
+            raise ValueError("a fast-mode run takes threshold rules of one direction or "
+                             f"fixed_time and never rules, not {sorted(kinds)}")
         # thresholds are searched in z = sign * y, where every barrier lies above the start
         self.sign = -1.0 if "threshold_down" in kinds else 1.0
         self.z0 = self.sign * fam.start_y(spec)
         self.mu = self.sign * fam.path_drift(spec)
-        self.sigma = fam.path_vol(spec)
+        self.sigma = abs(fam.path_vol(spec))
         self.to_y, self.to_m = fam.to_y, fam.to_m
         self.m0 = np.full(hi - lo, spec.initial_law.mean, dtype=float)
+        self.potential = fam.potential(spec, cfg.dt) if fam.potential else None
         self.seed, self.lo, self.dt = cfg.seed, lo, cfg.dt
         self.n_steps = int(round(cfg.t_max / cfg.dt))
 
@@ -631,8 +620,10 @@ class _StopSearch:
                 fill(_rep_rng(self.seed, self.lo + r), key, step[:, j], z[:, j], hit[:, j])
             for c, i in enumerate(order):  # a fixed_time rule stops at its step, never is capped
                 st = states[live[i]]
-                st.settle(rows, hit[c] | (st.rule.kind == "fixed_time"), step[c] * self.dt,
-                          self.to_m(self.sign * z[c]), g)
+                t, m = step[c] * self.dt, self.to_m(self.sign * z[c])
+                if self.potential is not None:
+                    st.fint[rows] = self.potential(0.0, self.m0[rows]) - self.potential(t, m)
+                st.settle(rows, hit[c] | (st.rule.kind == "fixed_time"), t, m, g)
 
     def _thresholds(self, rng, bars, step, z_out, hit) -> None:
         """One row's stops for the ascending barriers ``bars``."""
@@ -672,69 +663,52 @@ def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int):
     ``lo:hi``, all on the same paths.  Each path pays the spec's family payoff
     ``(f, g)``, and a capped one under ``cap_payoff="value"`` its rule's value.
 
-    A fast-mode run with no running profit ``f`` has no path integral to
-    pay, so ``_StopSearch`` draws each replication's stops without its path.
-    Every other run walks its paths step by step (``_walk``), fed by the
-    mode's path source.  Both settle their rows through ``_RuleState``,
-    after one shared check at time 0.
+    Fast mode draws each replication's stops without its path and pays a
+    running profit ``f`` through the family's potential (``_StopSearch``).
+    Particle mode walks every step of its clouds and integrates ``f`` itself
+    (``_walk``), so it checks the potential independently.  Both settle
+    their rows through ``_RuleState``, after one shared check at time 0.
     """
     nb = hi - lo
     f, g = FAMILIES[spec.family].payoff(spec)
     n_steps = int(round(cfg.t_max / cfg.dt))
     states = [_RuleState(spec, r, nb, cfg) for r in rules]
-    search = cfg.mode == "fast" and f is None
-    if search:
+    if cfg.mode == "fast":
         src = _StopSearch(spec, cfg, rules, lo, hi)
     else:
-        gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
-        src = (_FastSource if cfg.mode == "fast" else _ParticleSource)(spec, cfg, gens)
-    everyone, at_start = np.arange(nb), {}
+        src = _ParticleSource(spec, cfg, [_rep_rng(cfg.seed, r) for r in range(lo, hi)])
     for st in states:  # time 0: a start in the stopping region or a zero t_max ends the row
-        hit, _ = _first_stop(st.rule, src.m0[:, None], everyone, float, 0, cfg.dt, at_start)
+        hit = _first_stop(st.rule, src.m0, 0, cfg.dt)
         rows = np.flatnonzero(hit | (n_steps == 0))
         st.settle(rows, hit[rows], np.zeros(rows.size), src.m0[rows], g)
-    if search:
+    if cfg.mode == "fast":
         src.run(states, g)
     else:
-        _walk(src, states, f, g, cfg, n_steps)
+        _walk(src, states, f, g, cfg.dt, n_steps)
     return [(float(st.payoff.sum()), *_mean_m2(st.payoff), nb, int(st.trunc.sum()))
             for st in states]
 
 
-def _walk(src, states, f, g, cfg: SimConfig, n_steps: int) -> None:
-    """Settle the running rows by walking every step of their paths, paying ``f`` on the way."""
-    dt = cfg.dt
-    fbuf = np.empty(src.tile * src.block) if f is not None else None
-    steps_done = 0
-    while steps_done < n_steps:
+def _walk(src: _ParticleSource, states, f, g, dt: float, n_steps: int) -> None:
+    """Settle the running rows by walking every step of their clouds, paying the
+    left-point running profit ``f dt`` on the way."""
+    for k in range(n_steps):
         running = np.flatnonzero(np.logical_or.reduce([st.alive for st in states]))
         if running.size == 0:
             break
-        K = min(src.block, n_steps - steps_done)
-        for i in range(0, running.size, src.tile):  # rows are independent: any tiling is exact
-            act = running[i:i + src.tile]
-            y_left, ypath, t_right = src.advance(act, steps_done, K)
-            if f is not None:  # running profit: m at left points, then f * dt, summed in place
-                fcum = fbuf[: act.size * K].reshape(act.size, K)
-                fcum[:, 0] = y_left
-                fcum[:, 1:] = ypath[:, :-1]
-                src.to_m(fcum, out=fcum)
-                np.multiply(f(steps_done * dt + dt * np.arange(K), fcum), dt, out=fcum)
-                np.cumsum(fcum, axis=1, out=fcum)
-            extremes = {}
-            for st in states:
-                rows_local = np.flatnonzero(st.alive[act])
-                if rows_local.size == 0:
-                    continue
-                hit, col = _first_stop(st.rule, ypath, rows_local, src.to_y,
-                                       steps_done + 1, dt, extremes)
-                if f is not None:
-                    st.fint[act[rows_local]] += fcum[rows_local, col]
-                end = hit | (steps_done + K >= n_steps)
-                t_end = np.where(hit, t_right[col], n_steps * dt)
-                ended, col = rows_local[end], col[end]
-                st.settle(act[ended], hit[end], t_end[end], src.to_m(ypath[ended, col]), g)
-        steps_done += K
+        m_left, m = src.advance(running)
+        profit = f(k * dt, m_left) * dt if f is not None else None
+        t = np.full(running.size, (k + 1) * dt)
+        for st in states:
+            rows = np.flatnonzero(st.alive[running])
+            if rows.size == 0:
+                continue
+            if f is not None:
+                st.fint[running[rows]] += profit[rows]
+            hit = _first_stop(st.rule, m[rows], k + 1, dt)
+            end = hit | (k + 1 == n_steps)
+            ended = rows[end]
+            st.settle(running[ended], hit[end], t[ended], m[ended], g)
 
 
 def _mean_m2(x: np.ndarray) -> tuple[float, float]:
@@ -822,17 +796,11 @@ def dynkin_residual(spec: ModelSpec, cfg: SimConfig) -> DynkinResult:
     there, and a cap the candidate (``cap_payoff="value"``).  If it solves
     the continuation-region equation the residual is zero in expectation.
     A start in the stopping region, or a ``t_max`` under one step, would
-    stop every path at time 0 and check nothing, so both are rejected.
+    stop every path at time 0 and check nothing, so both are rejected
+    (``check_dynkin_start``).
     """
-    candidate = FAMILIES[spec.family].candidate(spec)
-    start = spec.initial_law.mean
-    if not candidate.in_continuation(start):
-        raise ValueError(f"the Dynkin check needs a start inside the continuation region; "
-                         f"{start!r} is on the stopping side of {candidate.threshold!r}")
-    if round(cfg.t_max / cfg.dt) < 1:
-        raise ValueError("the Dynkin check needs a t_max of at least one step dt; with no "
-                         "step, every path ends where it starts")
+    candidate = check_dynkin_start(spec, cfg.dt, cfg.t_max)
     rule = StoppingRule(f"threshold_{candidate.direction}", threshold=candidate.threshold)
     est = _run_rules(spec, [rule], replace(cfg, cap_payoff="value"))[0]
-    residual = est.mean - candidate.value(0.0, start)
+    residual = est.mean - candidate.value(0.0, spec.initial_law.mean)
     return DynkinResult(residual, est.std_error, residual / cfg.t_max, est)

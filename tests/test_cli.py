@@ -250,7 +250,8 @@ VALIDATE_REJECTS = {
     "dynkin_workers": (  # the pool size of a dynkin_check comes from `run --workers` only
         "dynkin_check", SELL_MODEL, {"workers": 4}, {}, "unknown key 'workers' in numerics"),
     "dynkin_shorter_than_a_step": (
-        "dynkin_check", SELL_MODEL, {"dt": 1.0, "delta": 0.4}, {}, "one step"),
+        "dynkin_check", SELL_MODEL, {"dt": 1.0, "delta": 0.4}, {},
+        "the Dynkin check needs a numerics.delta of at least one step dt"),
     "zero_path_horizon": ("simulate_path", SELL_MODEL, {"horizon": 0}, {}, "numerics.horizon"),
     "numeric_argmax_flag": (
         "threshold_sweep", SELL_MODEL, {"thresholds": [2.7]}, {"argmax_within_cell": 1},
@@ -315,10 +316,12 @@ VALIDATE_REJECTS = {
         {"closed_form_tolerance": 0.1}, "needs a threshold_up rule, the kind of the sell"),
     "dynkin_start_in_the_sell_stopping_region": (
         "dynkin_check", dict(SELL_MODEL, m0=5.0), {}, {},
-        "dynkin_check needs an initial mean (m0) inside the continuation region"),
+        "the Dynkin check needs a start inside the continuation region; the initial mean (m0) "
+        "5.0 is on the stopping side of 2.71273731325692"),
     "dynkin_start_in_the_quit_stopping_region": (
         "dynkin_check", dict(QUIT_MODEL, x0=-2.0), {}, {},
-        "dynkin_check needs an initial mean (x0) inside the continuation region"),
+        "the Dynkin check needs a start inside the continuation region; the initial mean (x0) "
+        "-2.0 is on the stopping side of -0.47434164902525"),
     "negative_quit_intensity": (
         "evaluate_rule", dict(QUIT_MODEL, intensity=-0.5),
         {"rule": {"kind": "threshold_down", "threshold": -0.47}}, {},
@@ -585,8 +588,8 @@ FROZEN_OUTPUTS = {
         'summary.json': 'effbcbf6c1b526b646c9e137eda50d1b659ed28c95aaa8bc994d336cd1e8aaf1',
     },
     'evaluate_rule-quit': {
-        'estimate.csv': 'de75c2c48e49a2ba06717bb46ef562c9c888dd8826f6ee8f961f903d27517d96',
-        'summary.json': '26e0e41db02876c1f6b34932698ed075e61c5f18052724cd9d29a6b6ecf3c97e',
+        'estimate.csv': '193c61663460a6ee0070ef752274f0b6e6a0c779a1d9dd3d1104d2bac5c20105',
+        'summary.json': 'd4547543a0e2da49aa6ae24d167ee642d93d8c92e6d1c45bbc026b11464f6709',
     },
     'threshold_sweep-sell': {
         'summary.json': 'd83cfd63002694da1ca5b8e190911b9d3355e6836ceed375a4bb1c63565e1d5b',
@@ -594,7 +597,7 @@ FROZEN_OUTPUTS = {
     },
     'threshold_sweep-quit': {
         'summary.json': '7817019b5332d0298182135ba901694b37055b7780eee647fde026ca205dda05',
-        'sweep.csv': '0a987236fff4616d3c85b0a12fc9a68c55c70c869ae83f263897f67a10b56bdb',
+        'sweep.csv': '9827a0162a201ec189e97683ef9730e9492e382ce5a875e9015f1711675071cf',
     },
     'simulate_path-sell': {
         'summary.json': '518bf68cdbf94ff3e33a46931358ad74856639fe27e61d1d6477f94e7322ac54',
@@ -616,19 +619,19 @@ FROZEN_OUTPUTS = {
     },
     'var_ineq_check-sell': {
         'summary.json': '63bd62777ea90dae5387235f332966a65afe5f63811038843737eccaf81bf61b',
-        'var_ineq_report.json': 'd5f8a4ef050da593848303e4f99993038e442c96c4f7bf613a995f0c6639ea33',
+        'var_ineq_report.json': 'd0b9b981ef0c5c7fcd6f74e181eaf0e27e385b208d6e172f41f27b285b959cc7',
     },
     'var_ineq_check-quit': {
         'summary.json': '8c2c64abf471a0181cf6b21ca4c432174c3a17499e78a5d09e2a7d694d5a6eb7',
-        'var_ineq_report.json': '78b9a2d9e612c0bd6504b2e8098d1edc635b6e31b67da5ee2e532e939e54422e',
+        'var_ineq_report.json': 'e1e6defd210e951e1f673f992e2727e4206a0edf03d4f3c31114cf9bab2c6210',
     },
     'dynkin_check-sell': {
         'dynkin.csv': 'c6ee9e63095b27125ef9b7f4114fcebd7397e20f3ed56e2f3ea1f6553cad5fcd',
         'summary.json': 'd42919493f0c8d181c124465fd099fa3862158babbeb28c24557372a6cd78684',
     },
     'dynkin_check-quit': {
-        'dynkin.csv': '35364c12e55e70c19dedfb50780bdbb62f577c78aaf4405d734902b9db25bf05',
-        'summary.json': '18d3a1cdb7658a3b12636220f1167115349550ca68df676638e95345176fcb37',
+        'dynkin.csv': 'ab953ade2866b8a480a6f3bda24cd18c270baad3e0929afab1d709ce55f3b376',
+        'summary.json': '32d9f6ba61f57990abaeacc0d49ac3fe3306b184529cc056b043f9547dccea06',
     },
 }
 

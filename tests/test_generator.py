@@ -17,11 +17,11 @@ from mvstop.generator import (
     frechet_hessian_cylinder,
 )
 from mvstop.model import make_quit_model, make_sell_model
-from mvstop.stopping import FAMILIES, quit_candidate, sell_candidate
+from mvstop.stopping import FAMILIES, lambda_roots, quit_candidate, sell_candidate
 
 
 def _exp_decay(rho):
-    return (lambda s: math.exp(-rho * s), lambda s: -rho * math.exp(-rho * s))
+    return (lambda s: np.exp(-rho * s), lambda s: -rho * np.exp(-rho * s))
 
 
 class TestFrechetCalculus:
@@ -78,13 +78,12 @@ def test_derivative_check_catches_errors():
         psi, psi_p, F=lambda z: z**2, F_prime=lambda z: 2 * z,
         F_double_prime=lambda z: 2.0,
     )
-    good.check_derivatives([0.5], [1.0, 2.0])
+    assert good.derivative_mismatches([0.5], [1.0, 2.0]) == []
     bad = CylinderFunction(
         psi, psi_p, F=lambda z: z**2, F_prime=lambda z: 3 * z,   # wrong slope
         F_double_prime=lambda z: 2.0,
     )
-    with pytest.raises(ValueError, match="F_prime"):
-        bad.check_derivatives([0.5], [1.0])
+    assert bad.derivative_mismatches([0.5], [1.0]) == ["F_prime", "F_double_prime"]
 
 
 @pytest.mark.parametrize("n_seed", range(5))
@@ -97,7 +96,7 @@ def test_derivatives_of_random_cylinder_functions(n_seed):
     phi = CylinderFunction(
         psi, psi_p, F=poly, F_prime=poly.deriv(), F_double_prime=poly.deriv(2),
     )
-    phi.check_derivatives(rng.uniform(0, 2, 5), rng.uniform(0.5, 3.0, 10))
+    assert phi.derivative_mismatches(rng.uniform(0, 2, 5), rng.uniform(0.5, 3.0, 10)) == []
 
 
 class TestVariationalInequalities:
@@ -146,6 +145,31 @@ class TestVariationalInequalities:
         # a non-positive end would probe NaNs and pass with no continuation probes
         with pytest.raises(ValueError, match="log probe window needs z_min, z_max > 0"):
             default_probe_grid(*window, log_z=True)
+
+    def test_wrong_second_derivative_fails(self):
+        # F = z^p at p = 0.8 lambda1 with the smooth-fit threshold p a / (p - 1) = 4.744 and
+        # an F'' that zeroes the generator residual: residuals, obstacle and pasting all pass,
+        # yet its value at z = 1 is 0.5207 against the true 0.3526
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+        lam1 = lambda_roots(spec.a1, spec.b1, spec.rho)[1]
+        p = 0.8 * lam1
+        xi = p * spec.cost / (p - 1)
+        psi0 = (xi - spec.cost) / xi**p
+        wrong = replace(sell_candidate(spec, xi), continuation=CylinderFunction(
+            psi=lambda s: psi0 * np.exp(-spec.rho * s),
+            psi_prime=lambda s: -spec.rho * psi0 * np.exp(-spec.rho * s),
+            F=lambda z: z**p,
+            F_prime=lambda z: p * z ** (p - 1),
+            F_double_prime=lambda z: (spec.rho * z**p - spec.a1 * p * z**p)
+            / (0.5 * spec.b1**2 * z**2)))
+        assert wrong.value(0.0, 1.0) == pytest.approx(0.5207, abs=1e-4)
+        window = FAMILIES["sell"].probe(sell_candidate(spec).threshold)
+        probe_s, probe_z = default_probe_grid(**window)
+        report = check_variational_inequalities(wrong, spec, probe_s, probe_z)
+        assert report.continuation.max_abs_residual <= 1e-15
+        assert report.derivative_mismatches == ["continuation.F_double_prime"]
+        assert not report.passed()
+        assert report.to_dict()["derivative_mismatches"] == ["continuation.F_double_prime"]
 
     def test_nan_residual_fails(self):
         spec = make_quit_model(0.3, 0.1, rho=0.2)

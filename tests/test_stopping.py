@@ -20,6 +20,7 @@ from mvstop.stopping import (
     lambda_roots,
     quit_candidate,
     quit_payoff,
+    quit_potential,
     quit_smooth_fit_residuals,
     quit_threshold,
     quit_value,
@@ -384,30 +385,25 @@ def test_value_cap_is_unbiased_at_a_short_horizon(family):
 
 
 # ---------------------------------------------------------------------------
-# the extreme-first rule scan against the full stop-flag matrix it replaced
+# the one-step rule scan of the time-0 check and the particle walk, against
+# the full stop-flag matrix of a path
 
-def _reference_scan(rule, y, rows, to_y, first_step, dt):
+def _reference_flags(rule, y, first_step, dt):
+    """Per row and column of ``y``, whether ``rule`` stops there; column 0 is ``first_step``."""
     if rule.kind == "threshold_up":
-        cond = y >= to_y(rule.threshold)
-    elif rule.kind == "threshold_down":
-        cond = y <= to_y(rule.threshold)
-    elif rule.kind == "fixed_time":
+        return y >= rule.threshold
+    if rule.kind == "threshold_down":
+        return y <= rule.threshold
+    if rule.kind == "fixed_time":
         at = first_step + np.arange(y.shape[1]) == int(round(rule.fixed_time / dt))
-        cond = np.broadcast_to(at, y.shape)
-    else:
-        cond = np.zeros(y.shape, dtype=bool)
-    hit = cond.any(axis=1)[rows]
-    return hit, np.where(hit, cond.argmax(axis=1)[rows], y.shape[1] - 1)
-
-
-def _sell_to_y(threshold):
-    return math.log(threshold) if threshold > 0 else -math.inf
+        return np.broadcast_to(at, y.shape)
+    return np.zeros(y.shape, dtype=bool)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_first_stop_matches_full_matrix_scan(seed):
     rng = np.random.default_rng(seed)
-    n = 3 * _ROWS + 7  # more crossing rows than one tile holds, as in the time-0 check
+    n = 3 * _ROWS + 7
     y = np.round(rng.standard_normal((n, 23)).cumsum(axis=1), 1)  # ties at thresholds
     y[3, 5] = y[7, :] = np.nan
     y[11, ::2] = np.nan
@@ -419,31 +415,29 @@ def test_first_stop_matches_full_matrix_scan(seed):
     rules += [StoppingRule("never")]
     subsets = [np.arange(n), np.sort(rng.choice(n, 2 * _ROWS + 3, replace=False)),
                np.array([7, 11, 13, 17]), np.array([], dtype=int)]
-    for to_y in (float, _sell_to_y, lambda t: math.copysign(math.inf, t)):
-        for klim in (23, 9, 1):
-            block, extremes = y[:, :klim], {}
-            for rows in subsets:
-                for rule in rules:
-                    got = _first_stop(rule, block, rows, to_y, 5, dt, extremes)
-                    want = _reference_scan(rule, block, rows, to_y, 5, dt)
-                    np.testing.assert_array_equal(got[0], want[0])
-                    np.testing.assert_array_equal(got[1], want[1])
+    for first_step in (0, 5):  # step 0 is the time-0 check
+        for rule in rules:
+            want = _reference_flags(rule, y, first_step, dt)
+            for col in range(y.shape[1]):
+                for rows in subsets:
+                    got = _first_stop(rule, y[rows, col], first_step + col, dt)
+                    np.testing.assert_array_equal(got, want[rows, col])
 
 
 def _tiling_runs():
     sell_12 = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 1.2))
     quit_spec = make_quit_model(0.3, 0.1, rho=0.2)
     quit_rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
-    # the walk: 0.1 stops at time 0, lower thresholds cap rows at t_max; two batches
+    # quit's running profit: 0.1 stops at time 0, lower thresholds cap rows at t_max; two batches
     sweep = threshold_sweep(quit_spec, [0.1, QUIT_ETA, -0.7, -1.0],
                             SimConfig(dt=0.01, replications=300, seed=21, t_max=6.0,
                                       batch_size=200), kind="threshold_down").estimates
-    # running profit capped inside a block (700 steps) and at a block edge (1024)
+    # a capped row pays the potential and the bequest, or the potential and the rule's value
     quit_caps = tuple(
         evaluate_rule_mc(quit_spec, quit_rule,
-                         SimConfig(dt=0.01, replications=300, seed=22, t_max=t_max))
-        for t_max in (7.0, 10.24))
-    # the stop search settles its rows one tile at a time too
+                         SimConfig(dt=0.01, replications=300, seed=22, t_max=7.0,
+                                   cap_payoff=cap))
+        for cap in ("stop", "value"))
     sell_sweep = threshold_sweep(sell_12, [1.1, 1.5, 2.7, 3.5],
                                  SimConfig(dt=0.01, replications=300, seed=23, t_max=6.0,
                                            batch_size=200)).estimates
@@ -452,6 +446,7 @@ def _tiling_runs():
 
 @pytest.mark.parametrize("rows", [1, 5, 4096])
 def test_tiling_only_reorders_rows(monkeypatch, rows):
+    # the stop search settles its rows one tile of _ROWS at a time
     default = _tiling_runs()
     sweep, quit_caps, sell_sweep = default
     for time_0 in (sweep[0], sell_sweep[0]):
@@ -459,20 +454,6 @@ def test_tiling_only_reorders_rows(monkeypatch, rows):
     assert all(0 < e.truncation_fraction < 1 for e in sweep[1:] + quit_caps + sell_sweep[2:])
     monkeypatch.setattr(stopping, "_ROWS", rows)
     assert _tiling_runs() == default
-
-
-def test_fast_mode_peak_memory_does_not_grow_with_the_batch():
-    # one 4096-row batch: a path block and a profit block of the whole batch
-    # would each be 16 MiB, and a batch-sized buffer 64 MiB each
-    spec = make_quit_model(0.3, 0.1, rho=0.2)
-    cfg = SimConfig(dt=0.01, replications=4096, seed=0, t_max=5.12)
-    tracemalloc.start()
-    try:
-        evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=QUIT_ETA), cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
 
 
 def test_fast_mode_needs_a_start_in_its_state_space():
@@ -640,11 +621,11 @@ def test_an_unreachable_threshold_caps_every_row(threshold):
 @pytest.mark.parametrize("kinds", [("threshold_up", "threshold_down"),
                                    ("threshold_up", "fixed_time"), ("never", "threshold_down")])
 def test_the_stop_search_rejects_a_mixed_rule_list(kinds):
-    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
     rules = [StoppingRule(k, threshold=2.0, fixed_time=0.5) for k in kinds]
-    with pytest.raises(ValueError, match="threshold rules of one direction or fixed_time and "
-                                         "never rules"):
-        _run_rules(spec, rules, SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0))
+    for spec in (make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0), make_quit_model(0.3, 0.1, rho=0.2)):
+        with pytest.raises(ValueError, match=r"a fast-mode run takes threshold rules of one "
+                                             r"direction or fixed_time and never rules, not \["):
+            _run_rules(spec, rules, SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0))
 
 
 def test_fixed_times_share_one_path():
@@ -662,16 +643,64 @@ def test_fixed_times_share_one_path():
 
 def test_stop_search_peak_memory_does_not_grow_with_the_batch():
     # one 16384-row batch: its arrays of one value per row (128 KiB each for floats)
-    # peak at about 1.8 MiB, and a Python tuple of results per row would add 2.5 MiB
-    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+    # peak at about 1.8 MiB, and a Python tuple of results per row would add 2.5 MiB;
+    # quit's running profit adds arrays of one tile, where a walk held blocks of paths
     cfg = SimConfig(dt=0.01, replications=16384, seed=0, t_max=0.5)
-    tracemalloc.start()
-    try:
-        evaluate_rule_mc(spec, StoppingRule("threshold_up", threshold=1.2), cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2**20
+    for spec, rule in [
+            (make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0), StoppingRule("threshold_up", threshold=1.2)),
+            (make_quit_model(0.3, 0.1, rho=0.2), StoppingRule("threshold_down",
+                                                               threshold=QUIT_ETA))]:
+        tracemalloc.start()
+        try:
+            evaluate_rule_mc(spec, rule, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, spec.family
+
+
+# ---------------------------------------------------------------------------
+# quit's running profit paid from the stop through its discrete potential
+
+@pytest.mark.parametrize("shift", [-0.2, 0.0, 0.2])
+def test_potential_pays_the_left_point_profit_sum(shift):
+    # on shared walk paths, the payment P(0, m_0) - P(t_tau, m_tau) and the left-point
+    # sum of e^{-rho t_k} m_k dt before the grid stop tau (or the cap) agree in mean
+    spec = make_quit_model(0.3, 0.1, rho=0.2)
+    eta, dt, steps, n = QUIT_ETA + shift, 0.05, 400, 100_000
+    potential = quit_potential(spec, dt)
+    rng = np.random.default_rng(71)
+    m, t = np.zeros(n), np.zeros(n)
+    profit, alive = np.zeros(n), np.ones(n, dtype=bool)
+    for k in range(steps):
+        profit[alive] += np.exp(-0.2 * k * dt) * m[alive] * dt
+        m[alive] += 0.3 * math.sqrt(dt) * rng.standard_normal(alive.sum())
+        t[alive] = (k + 1) * dt
+        alive &= m > eta
+    assert 0 < alive.mean() < 1  # the identity holds at the cap too
+    diff = potential(0.0, 0.0) - potential(t, m) - profit
+    assert abs(diff.mean()) <= 4 * diff.std() / math.sqrt(n)
+
+
+def test_potential_needs_a_driftless_mean():
+    # make_quit_model sets no a0; one set afterwards would bias the potential's payment
+    spec = replace(make_quit_model(0.3, 0.1, rho=0.2), a0=0.05)
+    cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0)
+    with pytest.raises(ValueError, match="needs a conditional mean without drift; got a0 = 0.05"):
+        evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=QUIT_ETA), cfg)
+
+
+def test_the_sign_of_sigma1_leaves_every_draw_unchanged():
+    runs = []
+    for sigma1 in (0.3, -0.3):
+        spec = make_quit_model(sigma1, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
+        cfg = SimConfig(dt=0.01, replications=300, seed=46, t_max=5.0)
+        runs.append((
+            threshold_sweep(spec, [QUIT_ETA - 0.1, QUIT_ETA, 0.1], cfg, kind="threshold_down"),
+            evaluate_rule_mc(spec, StoppingRule("never"), cfg),
+            dynkin_residual(spec, replace(cfg, t_max=0.5)),
+        ))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +724,7 @@ def _frozen_runs():
         sell_12, [1.1, 1.5, 2.2, 2.7, 3.5],
         SimConfig(replications=400, t_max=20.0, batch_size=300, **fast),
     ).estimates
-    # running profit; caps inside a block, at a block edge and at the horizon
+    # running profit paid through the potential, at stops and at caps of several horizons
     quit_caps = SimConfig(dt=0.01, replications=300, seed=12, t_max=10.0)
     runs["fast_quit_caps"] = [
         evaluate_rule_mc(quit_spec, rule, replace(quit_caps, t_max=t_max))
@@ -719,7 +748,7 @@ def _frozen_runs():
         evaluate_rule_mc(sell_spec, StoppingRule("threshold_up", threshold=2.7),
                          SimConfig(replications=300, t_max=4.0, cap_payoff="value", **fast)),
     )
-    runs["fast_dynkin_custom"] = (
+    runs["fast_quit_dynkin"] = (
         dynkin_residual(make_quit_model(0.3, 0.1, rho=0.2,
                                         initial_law=InitialLaw("point", 0.3)),
                         SimConfig(dt=0.005, replications=300, seed=14, t_max=3.0)).estimate,
@@ -746,22 +775,22 @@ FROZEN = {
         (0.432860608445247, 0.024376097599919846, 400, 0.3075),
     ),
     'fast_quit_caps': (
-        (0.6536239330843308, 0.06478962250426433, 300, 0.4066666666666667),
-        (0.1508156542009942, 0.023687552358759217, 300, 0.6733333333333333),
-        (-0.03686608531717933, 0.06378625384462566, 300, 1.0),
-        (0.44288297845273417, 0.04796339363814417, 300, 0.19),
-        (-0.6397603248118506, 0.0678560554682407, 300, 0.38333333333333336),
+        (0.6194290746141501, 0.06175312778490142, 300, 0.4033333333333333),
+        (0.14953691936392854, 0.0859914180550434, 300, 0.6533333333333333),
+        (0.09648353156102688, 0.06753527141411797, 300, 1.0),
+        (0.4799307567860376, 0.044696666284343795, 300, 0.21),
+        (-0.597929522033008, 0.06347170013539416, 300, 0.42333333333333334),
     ),
     'fixed_time': (
         (0.045078862912302536, 0.011459197035151995, 300, 0.0),
-        (0.48094497919526974, 0.11471156908413808, 200, 0.0),
+        (0.33562050587883574, 0.0693966640200407, 200, 0.0),
         (0.19999999999999993, 0.0, 50, 0.0),
     ),
     'cap_value': (
         (0.3219003811766207, 0.018348411834810844, 300, 0.8666666666666667),
     ),
-    'fast_dynkin_custom': (
-        (1.9883381994821439, 0.0909703644876413, 300, 0.8633333333333333),
+    'fast_quit_dynkin': (
+        (1.9289518667491101, 0.028594252873450732, 300, 0.89),
     ),
     'particle_sell_jumps': (
         (0.09999999999999964, 0.0, 12, 0.0),
