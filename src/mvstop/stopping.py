@@ -291,7 +291,7 @@ class Family:
     precondition; every closed form reads the spec.  The exact conditional
     mean is ``to_m(to_y(start) + path_drift(spec) t + path_vol(spec) B1)``,
     where ``start`` is the mean of the initial law: the oracle evaluates it
-    and fast mode integrates it.
+    and fast mode searches its stops.
     """
 
     required: tuple[str, ...]   # model config keys besides family and initial
@@ -571,10 +571,10 @@ class _StopSearch:
     ``settle`` adds ``g`` or, at a value cap, the rule's value.
 
     Replication ``r`` draws on its own stream, so a result does not depend
-    on how replications are batched or tiled.  A stop before
-    step ``N`` depends on nothing drawn after it, so a run with a smaller
-    ``t_max`` makes every stop before its own cap at the same step, with the
-    same value.
+    on how replications are batched or tiled.  A stop before step ``N``
+    depends on nothing drawn after it, so a run with a smaller ``t_max``
+    makes every stop before its own cap at the same step, with the same
+    value.
     """
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int):
