@@ -167,6 +167,8 @@ class TestVariationalInequalities:
         probe_s, probe_z = default_probe_grid(**window)
         report = check_variational_inequalities(wrong, spec, probe_s, probe_z)
         assert report.continuation.max_abs_residual <= 1e-15
+        assert report.stopping.max_residual <= report.tol and report.obstacle_violations == 0
+        assert max(report.continuity_gap, report.smooth_fit_gap) <= report.gap_tol
         assert report.derivative_mismatches == ["continuation.F_double_prime"]
         assert not report.passed()
         assert report.to_dict()["derivative_mismatches"] == ["continuation.F_double_prime"]
