@@ -456,6 +456,20 @@ def test_tiling_only_reorders_rows(monkeypatch, rows):
     assert _tiling_runs() == default
 
 
+def test_fast_mode_peak_memory_does_not_grow_with_the_batch():
+    # one 4096-row batch over 512 steps: a path block and a profit block of the whole
+    # batch would each be 16 MiB, and a batch-sized buffer 64 MiB each
+    spec = make_quit_model(0.3, 0.1, rho=0.2)
+    cfg = SimConfig(dt=0.01, replications=4096, seed=0, t_max=5.12)
+    tracemalloc.start()
+    try:
+        evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=QUIT_ETA), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_fast_mode_needs_a_start_in_its_state_space():
     sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", -1.0))
     rule = StoppingRule("threshold_up", threshold=2.7)
