@@ -42,6 +42,7 @@ from .stopping import (
     dynkin_residual,
     evaluate_rule_mc,
     rule_value,
+    sweep_rules,
     threshold_sweep,
 )
 
@@ -331,8 +332,7 @@ def _threshold_sweep(spec, numerics, checks, seed):
     thresholds = numerics["thresholds"]
     kind = numerics["rule_kind"]
     kind = f"threshold_{fam.candidate(spec).direction}" if kind is None else kind
-    for t in thresholds:  # the rules threshold_sweep builds
-        StoppingRule(kind, threshold=float(t))
+    sweep_rules(thresholds, kind)  # the rules threshold_sweep builds
 
     def compute(out, mhash, summary):
         sweep = threshold_sweep(spec, thresholds, cfg, kind=kind)

@@ -11,7 +11,9 @@ never walks a path: it draws each path's stops from the first-passage law
 of the path's Brownian motion with drift (``_StopSearch``), with the
 discrete-monitoring law of a walk, and pays quit's running profit from the
 stop alone through its discrete potential (``quit_potential``).  Particle
-mode walks every step and integrates the running profit itself.
+mode walks every step and integrates the running profit itself (``_walk``).
+Either way the source reports where each rule ends each path, and
+``_batch`` alone pays the performance functional there.
 
 Replication ``r`` always draws from ``SeedSequence(master_seed,
 spawn_key=(r,))``, so adding replications extends the earlier streams
@@ -74,8 +76,8 @@ class SimConfig:
     which by the strong Markov property leaves no bias at any ``t_max``.
 
     ``batch_size`` replications are one unit of work for the worker pool,
-    and per-batch results merge in batch order.  Fast mode keeps a few
-    numbers per row and rule, whatever ``t_max``; a particle-mode batch
+    and per-batch results merge in batch order.  Fast mode keeps a stop of
+    13 bytes per row and rule, whatever ``t_max``; a particle-mode batch
     holds all its clouds at once.
     """
 
@@ -90,8 +92,9 @@ class SimConfig:
     batch_size: int = 16384
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.t_max < 0 or self.replications < 1:
-            raise ValueError("need dt > 0, t_max >= 0, replications >= 1")
+        if self.dt <= 0 or self.t_max < 0 or self.replications < 2:
+            raise ValueError("need dt > 0, t_max >= 0, replications >= 2 (one replication has "
+                             "no standard error)")
         check_on_grid(self.dt, {"t_max": self.t_max})
         if self.mode not in ("fast", "particle"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -396,49 +399,12 @@ def conditional_mean_oracle(spec: ModelSpec, common: particle.CommonNoisePath) -
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo engine: a stop search (fast) or a walk (particle) feeding one
-# rule accumulator
-
-_ROWS = 128  # stop-search rows settled at a time, so per-tile arrays stay small
+# Monte Carlo engine: a stop search (fast) or a walk (particle) reports where
+# each rule ends each row, and _batch pays the stops
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
-
-
-class _ParticleSource:
-    """One interacting cloud per row of one state matrix, walked one step at a time.
-
-    ``x[:k]`` holds the clouds of the ``k`` rows still running, in batch
-    order, and ``particle.step`` advances them together.  When rows finish,
-    the survivors are moved up so the running clouds stay one contiguous
-    block; the matrix is allocated once.
-    """
-
-    def __init__(self, spec: ModelSpec, cfg: SimConfig, gens: list):
-        self.spec, self.gens, self.dt = spec, gens, cfg.dt
-        self.x = np.empty((len(gens), cfg.n_particles))
-        for j, rng in enumerate(gens):
-            self.x[j] = spec.initial_law.sample(rng, cfg.n_particles)
-        self.m0 = self.x.mean(axis=1)
-        self.m = self.m0.copy()             # row means, aligned with the rows of x
-        self.rows = np.arange(len(gens))    # batch index of each row of x
-
-    def advance(self, act: np.ndarray):
-        """Rows ``act`` one step on; their means before and after the step."""
-        if act.size < self.rows.size:  # rows finished: compact the survivors, in order
-            keep = np.searchsorted(self.rows, act)
-            for dst, src in enumerate(keep):
-                if dst != src:
-                    self.x[dst] = self.x[src]
-            self.m[:act.size] = self.m[keep]
-            self.rows = act
-        x, m = self.x[:act.size], self.m[:act.size]
-        gens = [self.gens[r] for r in act]
-        m_left = m.copy()
-        dB1 = np.array([rng.standard_normal() for rng in gens]) * math.sqrt(self.dt)
-        particle.step(x, self.spec, self.dt, m, dB1, gens)
-        return m_left, m
 
 
 def check_fixed_time(rule: StoppingRule, dt: float, t_max: float, prefix: str = "") -> None:
@@ -478,29 +444,6 @@ def rule_value(spec: ModelSpec, rule: StoppingRule, key: str) -> StoppingCandida
     return fam.candidate(spec, rule.threshold)
 
 
-class _RuleState:
-    """Per-rule bookkeeping over one batch of replications."""
-
-    def __init__(self, spec: ModelSpec, rule: StoppingRule, nb: int, cfg: SimConfig):
-        check_fixed_time(rule, cfg.dt, cfg.t_max)
-        self.rule = rule
-        self.cap_value = (rule_value(spec, rule, 'cap_payoff "value"').value
-                          if cfg.cap_payoff == "value" else None)
-        self.alive = np.ones(nb, dtype=bool)
-        self.payoff = np.zeros(nb)
-        self.fint = np.zeros(nb)
-        self.trunc = np.zeros(nb, dtype=bool)
-
-    def settle(self, rows, hit, t, m, g) -> None:
-        """End ``rows`` at times ``t``: a hit pays ``g``, a cap ``g`` or its rule's value."""
-        self.payoff[rows] = self.fint[rows]
-        for pay, ends in ((g, hit | (self.cap_value is None)), (self.cap_value, ~hit)):
-            if pay is not None and ends.any():
-                self.payoff[rows[ends]] += pay(t[ends], m[ends])
-        self.trunc[rows[~hit]] = True
-        self.alive[rows] = False
-
-
 def _first_stop(rule: StoppingRule, m: np.ndarray, step: int, dt: float) -> np.ndarray:
     """Whether ``rule`` stops each conditional mean of ``m`` at grid step ``step``.
 
@@ -511,8 +454,6 @@ def _first_stop(rule: StoppingRule, m: np.ndarray, step: int, dt: float) -> np.n
     if rule.kind == "threshold_down":
         return m <= rule.threshold
     return np.full(m.shape, rule.kind == "fixed_time" and round(rule.fixed_time / dt) == step)
-
-
 # |mu| a / sigma^2 below this is a zero drift: the zero-drift passage law is then
 # within about this of the inverse Gaussian in total variation, and ``wald``,
 # whose relative rounding error is about 1e-16 times its mean-to-shape ratio
@@ -546,7 +487,7 @@ def _killed_end(rng: np.random.Generator, z: float, b: float, t: float, mu: floa
 
 
 class _StopSearch:
-    """Fast mode's stops drawn without the path, and what each row pays at its stop.
+    """Fast mode's stops drawn without the path.
 
     In ``y`` the conditional mean is a Brownian motion with drift, so a
     threshold rule's first stopping grid step can be drawn exactly.  From
@@ -565,16 +506,16 @@ class _StopSearch:
     is rejected.  The draws read ``|path_vol|``, so a volatility's sign,
     which leaves the law unchanged, leaves every draw unchanged too.
 
-    A stop at ``(t, m)`` pays ``g``; with a running profit it pays the
-    profit up to the stop as ``P(0, m_0) - P(t, m)``, the family's discrete
-    potential (``quit_potential``), written into the row's ``fint`` before
-    ``settle`` adds ``g`` or, at a value cap, the rule's value.
+    Every row starts at the initial mean, so time 0 ends a rule on every
+    row or on none, and a rule it ends draws nothing.  The other rules'
+    stops fill one table, a row's draws at a time.  With a running profit,
+    each rule's profit up to its stops is paid as ``P(0, m_0) - P(t, m)``,
+    the family's discrete potential (``quit_potential``).
 
     Replication ``r`` draws on its own stream, so a result does not depend
-    on how replications are batched or tiled.  A stop before step ``N``
-    depends on nothing drawn after it, so a run with a smaller ``t_max``
-    makes every stop before its own cap at the same step, with the same
-    value.
+    on how replications are batched.  A stop before step ``N`` depends on
+    nothing drawn after it, so a run with a smaller ``t_max`` makes every
+    stop before its own cap at the same step, with the same value.
     """
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int):
@@ -590,40 +531,43 @@ class _StopSearch:
         self.mu = self.sign * fam.path_drift(spec)
         self.sigma = abs(fam.path_vol(spec))
         self.to_y, self.to_m = fam.to_y, fam.to_m
-        self.m0 = np.full(hi - lo, spec.initial_law.mean, dtype=float)
+        self.m0 = spec.initial_law.mean
         self.potential = fam.potential(spec, cfg.dt) if fam.potential else None
-        self.seed, self.lo, self.dt = cfg.seed, lo, cfg.dt
+        self.rules, self.seed, self.lo, self.nb, self.dt = rules, cfg.seed, lo, hi - lo, cfg.dt
         self.n_steps = int(round(cfg.t_max / cfg.dt))
 
-    def run(self, states, g) -> None:
-        """Settle every row that time 0 left running, one tile of rows at a time."""
-        # every row starts at the initial mean, so time 0 settles a rule for all rows or none
-        live = [i for i, st in enumerate(states) if st.alive.any()]
-        if not live:
-            return
-        rules = [states[i].rule for i in live]
-        if rules[0].kind.startswith("threshold"):
-            key = [self.sign * self.to_y(r.threshold) for r in rules]
+    def stops(self):
+        """Per rule, in order, ``(step, m, hit, profit)`` of every row; ``profit`` is
+        None without a running profit."""
+        rules, dt, nb, m0 = self.rules, self.dt, self.nb, self.m0
+        hit_0 = [bool(_first_stop(r, np.array([m0]), 0, dt)[0]) for r in rules]
+        live = [i for i, h in enumerate(hit_0) if not h and self.n_steps > 0]
+        if live and rules[live[0]].kind.startswith("threshold"):
+            key = [self.sign * self.to_y(rules[i].threshold) for i in live]
             fill = self._thresholds
         else:
-            key = [round(r.fixed_time / self.dt) if r.kind == "fixed_time" else self.n_steps
-                   for r in rules]
+            key = [round(rules[i].fixed_time / dt) if rules[i].kind == "fixed_time"
+                   else self.n_steps for i in live]
             fill = self._forward
         order = sorted(range(len(live)), key=key.__getitem__)
-        key, nb = sorted(key), self.m0.size
-        for first in range(0, nb, _ROWS):
-            rows = np.arange(first, min(first + _ROWS, nb))
-            step = np.empty((len(live), rows.size), dtype=np.int64)
-            z = np.empty((len(live), rows.size))
-            hit = np.zeros((len(live), rows.size), dtype=bool)
-            for j, r in enumerate(rows):
-                fill(_rep_rng(self.seed, self.lo + r), key, step[:, j], z[:, j], hit[:, j])
-            for c, i in enumerate(order):  # a fixed_time rule stops at its step, never is capped
-                st = states[live[i]]
-                t, m = step[c] * self.dt, self.to_m(self.sign * z[c])
-                if self.potential is not None:
-                    st.fint[rows] = self.potential(0.0, self.m0[rows]) - self.potential(t, m)
-                st.settle(rows, hit[c] | (st.rule.kind == "fixed_time"), t, m, g)
+        key = sorted(key)
+        step = np.zeros((len(live), nb), dtype=np.int32)
+        m = np.empty((len(live), nb))  # z, then m in place
+        hit = np.zeros((len(live), nb), dtype=bool)
+        for r in range(nb if live else 0):  # a rule time 0 ended draws nothing
+            fill(_rep_rng(self.seed, self.lo + r), key, step[:, r], m[:, r], hit[:, r])
+        m *= self.sign
+        self.to_m(m, out=m)
+        table = {live[i]: c for c, i in enumerate(order)}
+        for i, rule in enumerate(rules):
+            if i in table:  # a fixed_time rule stops at its step, a never rule is capped
+                c = table[i]
+                stop = step[c], m[c], hit[c] | (rule.kind == "fixed_time")
+            else:  # time 0 ended the rule
+                stop = np.zeros(nb, dtype=np.int32), np.full(nb, m0), np.full(nb, hit_0[i])
+            profit = (None if self.potential is None
+                      else self.potential(0.0, m0) - self.potential(stop[0] * dt, stop[1]))
+            yield *stop, profit
 
     def _thresholds(self, rng, bars, step, z_out, hit) -> None:
         """One row's stops for the ascending barriers ``bars``."""
@@ -658,57 +602,96 @@ class _StopSearch:
             z_out[i] = z
 
 
+def _walk(spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int) -> list:
+    """Particle mode's stops: per rule, ``(step, m, hit, profit)`` of every row,
+    found by walking one interacting cloud per replication.
+
+    The clouds are the rows of one state matrix, and one ``particle.step``
+    call per time step advances the running ones; when rows finish, the
+    survivors are moved up so they stay one contiguous block.  Every rule is
+    checked at every step, time 0 included, and ``t_max`` caps the rows a
+    rule leaves running.  Each running row carries one left-point sum of the
+    running profit ``f dt``, which a rule that ends the row records, so the
+    walk checks the fast mode's potential independently.
+    """
+    f = FAMILIES[spec.family].payoff(spec)[0]
+    dt, n_steps, nb = cfg.dt, int(round(cfg.t_max / cfg.dt)), hi - lo
+    gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
+    x = np.empty((nb, cfg.n_particles))
+    for j, rng in enumerate(gens):
+        x[j] = spec.initial_law.sample(rng, cfg.n_particles)
+    m = x.mean(axis=1)      # the running rows' means, aligned with the rows of x
+    fsum = np.zeros(nb)     # the running rows' profit sums, aligned with the rows of x
+    rows = np.arange(nb)    # the batch index of each running row of x
+    shape = (len(rules), nb)
+    step = np.full(shape, -1, dtype=np.int32)  # -1 while the rule runs the row
+    m_at, hit = np.empty(shape), np.zeros(shape, dtype=bool)
+    profit = np.zeros(shape) if f is not None else None
+    for k in range(n_steps + 1):
+        n = rows.size
+        if k:
+            if f is not None:
+                fsum[:n] += f((k - 1) * dt, m[:n]) * dt
+            dB1 = np.array([gens[r].standard_normal() for r in rows]) * math.sqrt(dt)
+            particle.step(x[:n], spec, dt, m[:n], dB1, [gens[r] for r in rows])
+        for i, rule in enumerate(rules):
+            live = np.flatnonzero(step[i, rows] < 0)
+            stopped = _first_stop(rule, m[live], k, dt)
+            end = stopped | (k == n_steps)
+            at, done = live[end], rows[live[end]]
+            step[i, done], m_at[i, done], hit[i, done] = k, m[at], stopped[end]
+            if profit is not None:
+                profit[i, done] = fsum[at]
+        keep = np.flatnonzero((step[:, rows] < 0).any(axis=0))
+        if keep.size < n:  # rows finished: move the survivors up, in order
+            for dst, src in enumerate(keep):
+                if dst != src:
+                    x[dst] = x[src]
+            m[:keep.size], fsum[:keep.size], rows = m[keep], fsum[keep], rows[keep]
+        if rows.size == 0:
+            break
+    return [(step[i], m_at[i], hit[i], None if profit is None else profit[i])
+            for i in range(len(rules))]
+
+
 def _batch(spec: ModelSpec, rules, cfg: SimConfig, lo: int, hi: int):
     """Per rule, ``(payoff sum, mean, M2, count, truncated)`` over replications
-    ``lo:hi``, all on the same paths.  Each path pays the spec's family payoff
-    ``(f, g)``, and a capped one under ``cap_payoff="value"`` its rule's value.
+    ``lo:hi``, all on the same paths.
 
-    Fast mode draws each replication's stops without its path and pays a
-    running profit ``f`` through the family's potential (``_StopSearch``).
-    Particle mode walks every step of its clouds and integrates ``f`` itself
-    (``_walk``), so it checks the potential independently.  Both settle
-    their rows through ``_RuleState``, after one shared check at time 0.
+    A source reports each rule's stop ``(step, m, hit, profit)`` on each
+    row: fast mode draws the stops without the path and pays a running
+    profit through the family's potential (``_StopSearch``); particle mode
+    walks every step of its clouds and integrates the running profit
+    itself (``_walk``).  Here alone the stops are paid: the profit plus the
+    bequest ``g`` at ``(t, m)``, except that a row capped at ``t_max`` under
+    ``cap_payoff="value"`` pays its rule's value in place of ``g``.  Each
+    rule is reduced as soon as it is paid, so one rule's payoffs are held
+    at a time.
     """
-    nb = hi - lo
-    f, g = FAMILIES[spec.family].payoff(spec)
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    states = [_RuleState(spec, r, nb, cfg) for r in rules]
+    caps = []
+    for rule in rules:
+        check_fixed_time(rule, cfg.dt, cfg.t_max)
+        caps.append(rule_value(spec, rule, 'cap_payoff "value"').value
+                    if cfg.cap_payoff == "value" else None)
+    g = FAMILIES[spec.family].payoff(spec)[1]
     if cfg.mode == "fast":
-        src = _StopSearch(spec, cfg, rules, lo, hi)
+        stops = _StopSearch(spec, cfg, rules, lo, hi).stops()
     else:
-        src = _ParticleSource(spec, cfg, [_rep_rng(cfg.seed, r) for r in range(lo, hi)])
-    for st in states:  # time 0: a start in the stopping region or a zero t_max ends the row
-        hit = _first_stop(st.rule, src.m0, 0, cfg.dt)
-        rows = np.flatnonzero(hit | (n_steps == 0))
-        st.settle(rows, hit[rows], np.zeros(rows.size), src.m0[rows], g)
-    if cfg.mode == "fast":
-        src.run(states, g)
-    else:
-        _walk(src, states, f, g, cfg.dt, n_steps)
-    return [(float(st.payoff.sum()), *_mean_m2(st.payoff), nb, int(st.trunc.sum()))
-            for st in states]
-
-
-def _walk(src: _ParticleSource, states, f, g, dt: float, n_steps: int) -> None:
-    """Settle the running rows by walking every step of their clouds, paying the
-    left-point running profit ``f dt`` on the way."""
-    for k in range(n_steps):
-        running = np.flatnonzero(np.logical_or.reduce([st.alive for st in states]))
-        if running.size == 0:
-            break
-        m_left, m = src.advance(running)
-        profit = f(k * dt, m_left) * dt if f is not None else None
-        t = np.full(running.size, (k + 1) * dt)
-        for st in states:
-            rows = np.flatnonzero(st.alive[running])
-            if rows.size == 0:
-                continue
-            if f is not None:
-                st.fint[running[rows]] += profit[rows]
-            hit = _first_stop(st.rule, m[rows], k + 1, dt)
-            end = hit | (k + 1 == n_steps)
-            ended = rows[end]
-            st.settle(running[ended], hit[end], t[ended], m[ended], g)
+        stops = _walk(spec, cfg, rules, lo, hi)
+    out = []
+    for cap, (step, m, hit, profit) in zip(caps, stops):
+        t = step * cfg.dt
+        payoff = np.zeros(hi - lo) if profit is None else profit
+        if cap is None:  # stopped or capped, a row pays the bequest
+            if g is not None:
+                payoff += g(t, m)
+        else:
+            for pay, ends in ((g, hit), (cap, ~hit)):
+                if pay is not None and ends.any():
+                    payoff[ends] += pay(t[ends], m[ends])
+        out.append((float(payoff.sum()), *_mean_m2(payoff), hi - lo,
+                    int(np.count_nonzero(~hit))))
+    return out
 
 
 def _mean_m2(x: np.ndarray) -> tuple[float, float]:
@@ -744,7 +727,7 @@ def _run_rules(spec: ModelSpec, rules: Sequence[StoppingRule],
             m2 += b_m2 + delta * delta * count * share
             mean += delta * share  # exact for the first batch: share is 1
             total, count, trunc = total + b_total, count + b_count, trunc + b_trunc
-        var = m2 / max(1, count - 1)
+        var = m2 / (count - 1)
         out.append(McEstimate(total / count, math.sqrt(var / count), count, trunc / count))
     return out
 
@@ -764,6 +747,15 @@ class SweepResult:
         return list(zip(self.thresholds, self.estimates))
 
 
+def sweep_rules(thresholds: Sequence[float], kind: str) -> list[StoppingRule]:
+    """The rules of a threshold sweep, one ``kind`` rule per threshold; any other
+    kind would ignore the threshold and give every row of the sweep the same rule."""
+    if kind not in ("threshold_up", "threshold_down"):
+        raise ValueError(f"a threshold sweep needs threshold_up or threshold_down rules, "
+                         f"got {kind!r}")
+    return [StoppingRule(kind, threshold=float(t)) for t in thresholds]
+
+
 def threshold_sweep(
     spec: ModelSpec,
     thresholds: Sequence[float],
@@ -771,7 +763,7 @@ def threshold_sweep(
     kind: str = "threshold_up",
 ) -> SweepResult:
     """Evaluate one threshold rule per grid value on common random numbers."""
-    rules = [StoppingRule(kind, threshold=float(t)) for t in thresholds]
+    rules = sweep_rules(thresholds, kind)
     estimates = _run_rules(spec, rules, cfg)
     best = int(np.argmax([e.mean for e in estimates]))
     return SweepResult(

@@ -155,7 +155,7 @@ RUN_ABORTS = {
     "negative_t_max": ("evaluate_rule", SELL_MODEL, {"t_max": -1, "rule": RULE}, "t_max"),
     "unknown_sweep_rule_kind": (
         "threshold_sweep", SELL_MODEL, {"thresholds": [2.7], "rule_kind": "sideways"},
-        "unknown rule kind"),
+        "a threshold sweep needs threshold_up or threshold_down rules, got 'sideways'"),
     "zero_batch_size": (
         "evaluate_rule", SELL_MODEL, {"batch_size": 0, "rule": RULE}, "batch_size"),
     "sell_nonpositive_start": ("evaluate_rule", dict(SELL_MODEL, m0=-1.0), {"rule": RULE}, "m0"),
@@ -329,6 +329,17 @@ VALIDATE_REJECTS = {
     "negative_sell_jump_intensity": (
         "evaluate_rule", dict(SELL_MODEL, jump_intensity=-0.5), {"rule": RULE}, {},
         "jump intensity must be >= 0"),
+    "sweep_of_never_rules": (  # every row of sweep.csv was the same never rule
+        "threshold_sweep", SELL_MODEL, {"thresholds": [2.2, 2.7], "rule_kind": "never"}, {},
+        "a threshold sweep needs threshold_up or threshold_down rules, got 'never'"),
+    "sweep_of_fixed_time_rules": (  # was rejected for wanting a nonnegative time
+        "threshold_sweep", SELL_MODEL, {"thresholds": [2.7], "rule_kind": "fixed_time"}, {},
+        "a threshold sweep needs threshold_up or threshold_down rules, got 'fixed_time'"),
+    "one_replication": (  # its standard error was written as 0.0
+        "evaluate_rule", SELL_MODEL, {"replications": 1, "rule": RULE}, {},
+        "replications >= 2 (one replication has no standard error)"),
+    "dynkin_of_one_replication": (  # its 3-SE limit was 0.0
+        "dynkin_check", SELL_MODEL, {"replications": 1}, {}, "replications >= 2"),
 }
 
 

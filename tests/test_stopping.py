@@ -11,7 +11,6 @@ from mvstop.particle import CommonNoisePath
 from mvstop.stopping import (
     SimConfig,
     StoppingRule,
-    _ROWS,
     _first_stop,
     _run_rules,
     conditional_mean_oracle,
@@ -177,6 +176,24 @@ class TestRuleValidation:
                       n_particles=0)
         with pytest.raises(ValueError, match="unknown cap_payoff 'zero'"):
             SimConfig(dt=1e-3, replications=10, seed=0, t_max=1.0, cap_payoff="zero")
+
+    def test_one_replication_has_no_standard_error(self):
+        # it was reported as 0, an exact estimate, and a Dynkin check's 3-SE limit of 0
+        with pytest.raises(ValueError, match=r"replications >= 2 \(one replication has no "
+                                             r"standard error\)"):
+            SimConfig(dt=1e-3, replications=1, seed=0, t_max=1.0)
+        assert evaluate_rule_mc(make_quit_model(0.3, 0.1), StoppingRule("never"),
+                                SimConfig(dt=0.1, replications=2, seed=0, t_max=1.0)
+                                ).std_error > 0
+
+    @pytest.mark.parametrize("kind", ["never", "fixed_time", "sideways"])
+    def test_a_sweep_takes_threshold_rules_only(self, kind):
+        # a never sweep gave identical rows, a fixed_time one asked for a nonnegative time
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+        cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0)
+        with pytest.raises(ValueError, match=f"a threshold sweep needs threshold_up or "
+                                             f"threshold_down rules, got '{kind}'"):
+            threshold_sweep(spec, [2.2, 2.7], cfg, kind=kind)
 
     @pytest.mark.parametrize("rule", [StoppingRule("never"),
                                       StoppingRule("fixed_time", fixed_time=0.5),
@@ -403,7 +420,7 @@ def _reference_flags(rule, y, first_step, dt):
 @pytest.mark.parametrize("seed", range(4))
 def test_first_stop_matches_full_matrix_scan(seed):
     rng = np.random.default_rng(seed)
-    n = 3 * _ROWS + 7
+    n = 391
     y = np.round(rng.standard_normal((n, 23)).cumsum(axis=1), 1)  # ties at thresholds
     y[3, 5] = y[7, :] = np.nan
     y[11, ::2] = np.nan
@@ -413,7 +430,7 @@ def test_first_stop_matches_full_matrix_scan(seed):
              for t in (-2.0, -0.3, 0.0, 0.5, 1.0, 2.5, 40.0)]
     rules += [StoppingRule("fixed_time", fixed_time=x) for x in (0.0, 0.05, 0.1, 0.27, 0.4)]
     rules += [StoppingRule("never")]
-    subsets = [np.arange(n), np.sort(rng.choice(n, 2 * _ROWS + 3, replace=False)),
+    subsets = [np.arange(n), np.sort(rng.choice(n, 259, replace=False)),
                np.array([7, 11, 13, 17]), np.array([], dtype=int)]
     for first_step in (0, 5):  # step 0 is the time-0 check
         for rule in rules:
@@ -424,41 +441,60 @@ def test_first_stop_matches_full_matrix_scan(seed):
                     np.testing.assert_array_equal(got, want[rows, col])
 
 
-def _tiling_runs():
+def _tiling_runs(sweep_batch=200, caps_batch=16384):
     sell_12 = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", 1.2))
     quit_spec = make_quit_model(0.3, 0.1, rho=0.2)
     quit_rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
     # quit's running profit: 0.1 stops at time 0, lower thresholds cap rows at t_max; two batches
     sweep = threshold_sweep(quit_spec, [0.1, QUIT_ETA, -0.7, -1.0],
                             SimConfig(dt=0.01, replications=300, seed=21, t_max=6.0,
-                                      batch_size=200), kind="threshold_down").estimates
+                                      batch_size=sweep_batch), kind="threshold_down").estimates
     # a capped row pays the potential and the bequest, or the potential and the rule's value
     quit_caps = tuple(
         evaluate_rule_mc(quit_spec, quit_rule,
                          SimConfig(dt=0.01, replications=300, seed=22, t_max=7.0,
-                                   cap_payoff=cap))
+                                   cap_payoff=cap, batch_size=caps_batch))
         for cap in ("stop", "value"))
     sell_sweep = threshold_sweep(sell_12, [1.1, 1.5, 2.7, 3.5],
                                  SimConfig(dt=0.01, replications=300, seed=23, t_max=6.0,
-                                           batch_size=200)).estimates
+                                           batch_size=sweep_batch)).estimates
     return sweep, quit_caps, sell_sweep
 
 
 @pytest.mark.parametrize("rows", [1, 5, 4096])
-def test_tiling_only_reorders_rows(monkeypatch, rows):
-    # the stop search settles its rows one tile of _ROWS at a time
+def test_tiling_only_reorders_rows(rows):
+    # replications are tiled into batches of batch_size rows, and a row's stops and payoff
+    # do not depend on its batch: only the order of the merged sums, so their rounding, moves
     default = _tiling_runs()
     sweep, quit_caps, sell_sweep = default
     for time_0 in (sweep[0], sell_sweep[0]):
         assert time_0.std_error == 0.0 and time_0.truncation_fraction == 0.0
     assert all(0 < e.truncation_fraction < 1 for e in sweep[1:] + quit_caps + sell_sweep[2:])
-    monkeypatch.setattr(stopping, "_ROWS", rows)
-    assert _tiling_runs() == default
+    for got, want in zip(sum(_tiling_runs(rows, rows), ()), sum(default, ())):
+        assert (got.replications, got.truncation_fraction) == (
+            want.replications, want.truncation_fraction)
+        assert (got.mean, got.std_error) == pytest.approx((want.mean, want.std_error), rel=1e-12)
+
+
+def test_a_particle_sweep_pays_each_rule_as_its_own_run():
+    # a row runs while any rule runs it and carries one running-profit sum, which each
+    # rule records where it ends the row: the sum a run of that rule alone pays there
+    spec = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5, rho=0.2,
+                           initial_law=InitialLaw("normal", 0.0, 0.3))
+    cfg = SimConfig(dt=0.05, replications=12, seed=17, t_max=3.0, mode="particle",
+                    n_particles=100, batch_size=5)
+    thresholds = [-0.1, QUIT_ETA, -0.8]
+    sweep = threshold_sweep(spec, thresholds, cfg, kind="threshold_down").estimates
+    alone = tuple(evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=t), cfg)
+                  for t in thresholds)
+    assert sweep == alone
+    assert len({e.truncation_fraction for e in sweep}) == 3
 
 
 def test_fast_mode_peak_memory_does_not_grow_with_the_batch():
     # one 4096-row batch over 512 steps: a path block and a profit block of the whole
-    # batch would each be 16 MiB, and a batch-sized buffer 64 MiB each
+    # batch would each be 16 MiB, and a batch-sized buffer 64 MiB each; the stop table
+    # holds 13 bytes per row, and the payment one rule's arrays of one value per row
     spec = make_quit_model(0.3, 0.1, rho=0.2)
     cfg = SimConfig(dt=0.01, replications=4096, seed=0, t_max=5.12)
     tracemalloc.start()
@@ -481,34 +517,31 @@ def test_fast_mode_needs_a_start_in_its_state_space():
 # ---------------------------------------------------------------------------
 # the stop search of a fast run without running profit
 
-def _settled(monkeypatch, run, dt):
-    """Per rule, every row's ``(hit, step, log m)`` at its end, as ``run()`` settles them.
+def _settled(monkeypatch, run):
+    """Per rule, every row's ``(hit, step, log m)`` at its end, as the stop search reports
+    them to ``run()``.
 
-    ``run`` must use one batch of steps ``dt``, so that batch rows are replications.
+    ``run`` must use one batch, so that batch rows are replications.
     """
     seen = {}
-    settle = stopping._RuleState.settle
+    stops = stopping._StopSearch.stops
 
-    def record(self, rows, hit, t, m, g):
-        seen.setdefault(self.rule, []).append((rows, hit, t, m))
-        settle(self, rows, hit, t, m, g)
+    def record(self):
+        for rule, stop in zip(self.rules, stops(self)):
+            assert rule not in seen  # one batch reports each rule once
+            seen[rule] = stop[2], stop[0], np.log(stop[1])
+            yield stop
 
     with monkeypatch.context() as patch:
-        patch.setattr(stopping._RuleState, "settle", record)
+        patch.setattr(stopping._StopSearch, "stops", record)
         run()
-    out = {}
-    for rule, parts in seen.items():
-        rows, hit, t, m = (np.concatenate(col) for col in zip(*parts))
-        order = np.argsort(rows, kind="stable")
-        assert np.array_equal(rows[order], np.arange(rows.size))  # each row settled once
-        out[rule] = hit[order], np.round(t[order] / dt).astype(int), np.log(m[order])
-    return out
+    return seen
 
 
 def _sell_run(spec, thresholds, monkeypatch, **cfg):
     """Per threshold of a sell ``threshold_up`` sweep, ``(hit, step, log m)`` of every row."""
     cfg = SimConfig(**cfg, batch_size=cfg["replications"])
-    got = _settled(monkeypatch, lambda: threshold_sweep(spec, thresholds, cfg), cfg.dt)
+    got = _settled(monkeypatch, lambda: threshold_sweep(spec, thresholds, cfg))
     return [got[StoppingRule("threshold_up", threshold=t)] for t in thresholds]
 
 
@@ -658,7 +691,8 @@ def test_fixed_times_share_one_path():
 def test_stop_search_peak_memory_does_not_grow_with_the_batch():
     # one 16384-row batch: its arrays of one value per row (128 KiB each for floats)
     # peak at about 1.8 MiB, and a Python tuple of results per row would add 2.5 MiB;
-    # quit's running profit adds arrays of one tile, where a walk held blocks of paths
+    # the stop table holds 13 bytes per row and rule, and quit's running profit is paid
+    # through the potential for one rule at a time, where a walk held blocks of paths
     cfg = SimConfig(dt=0.01, replications=16384, seed=0, t_max=0.5)
     for spec, rule in [
             (make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0), StoppingRule("threshold_up", threshold=1.2)),
@@ -719,7 +753,7 @@ def test_the_sign_of_sigma1_leaves_every_draw_unchanged():
 
 # ---------------------------------------------------------------------------
 # frozen engine outputs: exact estimates on small runs that cover every
-# branch of the rule accumulator and both path sources
+# branch of the payment in _batch and both stop sources
 
 def _frozen_runs():
     sell_spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
