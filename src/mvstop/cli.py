@@ -173,8 +173,9 @@ def load_config(path) -> dict:
     known = isinstance(kind, str) and kind in EXPERIMENTS
     if not known:
         errors.append(f"experiment must be one of {tuple(EXPERIMENTS)}")
-    if not isinstance(raw.get("seed"), int) or isinstance(raw.get("seed"), bool):
-        errors.append("seed must be an integer")
+    seed = raw.get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        errors.append(f"seed must be a non-negative integer, got {seed!r}")
     output = raw.get("output")
     if not isinstance(output, str):
         errors.append("output must be a directory path string")

@@ -18,14 +18,18 @@ Either way the source reports where each rule ends each path, and
 Replication ``r`` always draws from ``SeedSequence(master_seed,
 spawn_key=(r,))``, so adding replications extends the earlier streams
 unchanged and every rule evaluated in one run sees the same paths (exact
-common random numbers).
+common random numbers).  That generator's state is computed for a batch's
+rows in one vectorised pass (``_rep_states``), bit for bit what numpy's
+seeding gives, as ``test_rep_states_match_seed_sequence`` checks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,6 +108,8 @@ class SimConfig:
             raise ValueError("batch_size must be >= 1")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def _check_family(spec: ModelSpec, family: str) -> None:
@@ -403,8 +409,64 @@ def conditional_mean_oracle(spec: ModelSpec, common: particle.CommonNoisePath) -
 # each rule ends each row, and _batch pays the stops
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
+# numpy's SeedSequence hashes uint32 words; PCG64 is a 128-bit LCG with this multiplier
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(h: int, mult: int):
+    """SeedSequence's hash constants from ``h``: per hash, its xor and its multiplier."""
+    while True:
+        yield h, (h := h * mult & _M32)
+
+
+def _hash(v: np.ndarray, c) -> np.ndarray:
+    """SeedSequence's hash of the uint32 words ``v`` with the constants ``c``."""
+    v = (v ^ c[0]) * c[1] & _M32
+    return v ^ v >> 16
+
+
+def _absorb(pool: list, word: np.ndarray, consts) -> list:
+    """Mix ``word`` into each pool word in turn, taking one hash constant each."""
+    mixed = [(p * 0xCA01F9DD - _hash(word, next(consts)) * 0x4973F715) & _M32 for p in pool]
+    return [v ^ v >> 16 for v in mixed]
+
+
+def _rep_states(seed: int, lo: int, hi: int):
+    """The PCG64 state of each replication ``lo..hi-1``, bit for bit that of
+    ``default_rng(SeedSequence(seed, spawn_key=(r,)))``.
+
+    SeedSequence mixes the seed's words, zero-padded to four, into its pool
+    (``SeedSequence(seed).pool``, once), absorbs the spawn words of ``r``
+    (two from ``r = 2**32``) and hashes four 64-bit words from the pool:
+    PCG64's initial state and stream.  These run in uint32 numpy arithmetic
+    on 1024 rows at a time, and PCG64's seeding in Python ints.
+    """
+    seed = operator.index(seed)
+    pool = np.random.SeedSequence(seed).pool  # rejects a negative seed
+    if not 0 <= lo <= hi <= 2**64:
+        raise ValueError(f"replications {lo}..{hi - 1} lie outside 0..2**64 - 1")
+    used = 4 * max(4, -(-seed.bit_length() // 32))  # the hashes that mixed the seed in
+    spawn = list(islice(_hash_consts(0x43B0D7E5, 0x931E8875), used, used + 8))
+    gen = list(islice(_hash_consts(0x8B51F9DD, 0x58F38DED), 8))
+    for a in range(lo, hi, 1024):
+        r = np.arange(a, min(a + 1024, hi), dtype=np.uint64)
+        p = _absorb([np.full(r.size, v) for v in pool], (r & _M32).astype(np.uint32),
+                    iter(spawn[:4]))
+        if a + r.size > 2**32:
+            wide = _absorb(p, (r >> 32).astype(np.uint32), iter(spawn[4:]))
+            p = [np.where(r >> 32 > 0, v, u) for v, u in zip(wide, p)]
+        s = [_hash(p[i % 4], c).astype(np.uint64) for i, c in enumerate(gen)]
+        for st1, st0, sq1, sq0 in zip(*[(s[i] | s[i + 1] << 32).tolist() for i in (0, 2, 4, 6)]):
+            inc = ((sq1 << 64 | sq0) << 1 | 1) & _M128
+            yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                   "state": {"state": ((inc + (st1 << 64 | st0)) * _PCG64_MULT + inc) & _M128,
+                             "inc": inc}}
+
+
+def _rng() -> np.random.Generator:
+    """A generator to load the states of ``_rep_states`` into."""
+    return np.random.Generator(np.random.PCG64(0))
 
 
 def check_fixed_time(rule: StoppingRule, dt: float, t_max: float, prefix: str = "") -> None:
@@ -554,8 +616,11 @@ class _StopSearch:
         step = np.zeros((len(live), nb), dtype=np.int32)
         m = np.empty((len(live), nb))  # z, then m in place
         hit = np.zeros((len(live), nb), dtype=bool)
-        for r in range(nb if live else 0):  # a rule time 0 ended draws nothing
-            fill(_rep_rng(self.seed, self.lo + r), key, step[:, r], m[:, r], hit[:, r])
+        rng = _rng()  # holds each row's stream in turn
+        states = _rep_states(self.seed, self.lo, self.lo + nb) if live else ()
+        for r, state in enumerate(states):  # a rule time 0 ended draws nothing
+            rng.bit_generator.state = state
+            fill(rng, key, step[:, r], m[:, r], hit[:, r])
         m *= self.sign
         self.to_m(m, out=m)
         table = {live[i]: c for c, i in enumerate(order)}
@@ -616,7 +681,9 @@ def _walk(spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int) -> list:
     """
     f = FAMILIES[spec.family].payoff(spec)[0]
     dt, n_steps, nb = cfg.dt, int(round(cfg.t_max / cfg.dt)), hi - lo
-    gens = [_rep_rng(cfg.seed, r) for r in range(lo, hi)]
+    gens = [_rng() for _ in range(nb)]
+    for rng, state in zip(gens, _rep_states(cfg.seed, lo, hi)):
+        rng.bit_generator.state = state
     x = np.empty((nb, cfg.n_particles))
     for j, rng in enumerate(gens):
         x[j] = spec.initial_law.sample(rng, cfg.n_particles)

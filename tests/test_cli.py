@@ -106,7 +106,8 @@ RULE = {"kind": "threshold_up", "threshold": 2.7}
 FP_MODEL = dict(QUIT_MODEL, sigma2=0.0, initial={"kind": "normal", "loc": 0.0, "scale": 0.3})
 FP_SMALL = {"dt": 0.002, "spide_dt": 0.001, "horizon": 0.02, "n": 2000,
             "grid": {"x_min": -2.0, "x_max": 2.0, "n_points": 121}}
-# configs that `run` aborts on: (experiment, model, numerics, expected message[, checks])
+# configs that `run` aborts on:
+# (experiment, model, numerics, expected message[, checks[, top-level keys]])
 RUN_ABORTS = {
     "non_numeric_jump_intensity": (
         "evaluate_rule", dict(SELL_MODEL, jump_intensity="high", jump_mark=-0.2),
@@ -227,14 +228,18 @@ RUN_ABORTS = {
         "var_ineq_check", SELL_MODEL, {"threshold": 0.0}, "sell threshold must be > 0, got 0.0"),
     "negative_sell_threshold": (
         "var_ineq_check", SELL_MODEL, {"threshold": -1.0}, "sell threshold must be > 0, got -1.0"),
+    "negative_seed": (
+        "evaluate_rule", SELL_MODEL, {"rule": RULE}, "seed must be a non-negative integer, got -1",
+        {}, {"seed": -1}),
 }
 
 
 @pytest.mark.parametrize("case", list(RUN_ABORTS))
 def test_validate_rejects_what_run_aborts(tmp_path, capsys, case):
-    experiment, model, numerics, message, *checks = RUN_ABORTS[case]
+    experiment, model, numerics, message, *rest = RUN_ABORTS[case]
+    checks, top = (*rest, {}, {})[:2]
     body = base_config(tmp_path, experiment=experiment, model=dict(model), numerics=numerics,
-                       checks=checks[0] if checks else {})
+                       checks=checks, **top)
     assert main(["validate", write_config(tmp_path, body)]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -176,6 +176,8 @@ class TestRuleValidation:
                       n_particles=0)
         with pytest.raises(ValueError, match="unknown cap_payoff 'zero'"):
             SimConfig(dt=1e-3, replications=10, seed=0, t_max=1.0, cap_payoff="zero")
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            SimConfig(dt=1e-3, replications=10, seed=-1, t_max=1.0)
 
     def test_one_replication_has_no_standard_error(self):
         # it was reported as 0, an exact estimate, and a Dynkin check's 3-SE limit of 0
@@ -633,8 +635,8 @@ def test_a_drift_below_the_tolerance_is_zero(monkeypatch):
     # wald's mean a / |mu| is unresolvable at |mu| = 1e-12; such a drift takes the
     # zero-drift passage law, whose draws are the same as at a drift of exactly 0
     ratios = []
-    rep_rng = stopping._rep_rng
-    monkeypatch.setattr(stopping, "_rep_rng", lambda seed, r: _WaldLog(rep_rng(seed, r), ratios))
+    rng = stopping._rng
+    monkeypatch.setattr(stopping, "_rng", lambda: _WaldLog(rng(), ratios))
     base = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
     runs = {}
     for drift in (0.0, 1e-12, -1e-12, 0.055):
@@ -705,6 +707,32 @@ def test_stop_search_peak_memory_does_not_grow_with_the_batch():
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20, spec.family
+
+
+def _seed_sequence_state(seed, r):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,))).bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7,
+                                  2**200 + 3])
+def test_rep_states_match_seed_sequence(seed):
+    # rows 0-3; rows 16000-17099, which hold the batch edge 16383 | 16384 and a seeding
+    # chunk edge; rows across 2**32, where the spawn key gains a second word, in one
+    # chunk; and the last rows below 2**64.  2**200 + 3 has more words than the pool.
+    for lo, hi in [(0, 4), (16000, 17100), (2**32 - 3, 2**32 + 3), (2**64 - 2, 2**64)]:
+        got = list(stopping._rep_states(seed, lo, hi))
+        assert got == [_seed_sequence_state(seed, r) for r in range(lo, hi)], (lo, hi)
+
+
+def test_rep_states_refuse_what_seed_sequence_refuses():
+    assert list(stopping._rep_states(np.int64(5), 7, 9)) == [
+        _seed_sequence_state(5, r) for r in (7, 8)]
+    with pytest.raises(ValueError, match="non-negative"):
+        next(stopping._rep_states(-1, 0, 2))
+    with pytest.raises(TypeError):
+        next(stopping._rep_states(1.5, 0, 2))
+    with pytest.raises(ValueError, match="outside 0..2"):  # the spawn key would need a third word
+        next(stopping._rep_states(0, 2**64 - 1, 2**64 + 1))
 
 
 # ---------------------------------------------------------------------------
