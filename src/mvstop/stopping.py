@@ -523,19 +523,6 @@ def _first_stop(rule: StoppingRule, m: np.ndarray, step: int, dt: float) -> np.n
 _DRIFT_TOL = 1e-7
 
 
-def _passage_time(rng: np.random.Generator, a: float, mu: float, var: float) -> float:
-    """First time a Brownian motion with variance ``var`` per unit time and drift
-    ``mu`` toward a barrier at distance ``a >= 0`` reaches it; ``inf`` if never."""
-    if abs(mu) * a < _DRIFT_TOL * var:
-        z = rng.standard_normal()
-        return (a / z) * (a / z) / var if z else math.inf
-    # drifting away, the path reaches the barrier with probability exp(-2 |mu| a / var),
-    # and then at a time with the law it has when drifting toward it
-    if mu < 0 and rng.random() >= math.exp(2 * mu * a / var):
-        return math.inf
-    return rng.wald(a / abs(mu), a * a / var)
-
-
 def _killed_end(rng: np.random.Generator, z: float, b: float, t: float, mu: float,
                 sigma: float) -> float:
     """The value at time ``t`` of a path from ``z < b`` with drift ``mu`` and
@@ -554,7 +541,7 @@ class _StopSearch:
     In ``y`` the conditional mean is a Brownian motion with drift, so a
     threshold rule's first stopping grid step can be drawn exactly.  From
     grid step ``k`` at ``y``, draw the first time ``tau`` the continuous path
-    reaches the barrier (``_passage_time``); the first grid step at or after
+    reaches the barrier (``_thresholds``); the first grid step at or after
     it is ``j = k + ceil(tau / dt)``, and ``y_j`` is drawn from the path
     restarted at the barrier at ``tau``.  No grid point before ``tau`` lies
     past a barrier the path has not reached, so this is the stop a walk over
@@ -635,24 +622,48 @@ class _StopSearch:
             yield *stop, profit
 
     def _thresholds(self, rng, bars, step, z_out, hit) -> None:
-        """One row's stops for the ascending barriers ``bars``."""
+        """One row's stops for the ascending barriers ``bars``.
+
+        ``tau`` is the first time the path from ``z`` reaches the barrier
+        ``b`` at distance ``a``, ``inf`` if never.  A drift below the
+        tolerance is zero, with the passage law ``a^2 / (var Z^2)``; drifting
+        away, the path reaches the barrier with probability
+        ``exp(-2 |mu| a / var)``, and then at a time with the law it has when
+        drifting toward it, the inverse Gaussian of ``wald``.
+        """
         mu, sigma, dt, n = self.mu, self.sigma, self.dt, self.n_steps
+        normal, wald, uniform = rng.standard_normal, rng.wald, rng.random
+        sqrt, ceil, exp, inf = math.sqrt, math.ceil, math.exp, math.inf
         var = sigma * sigma
-        k, z, i = 0, self.z0, 0
-        while i < len(bars):
+        abs_mu, two_mu, tol = abs(mu), 2 * mu, _DRIFT_TOL * var
+        k, z, i, nbars = 0, self.z0, 0, len(bars)
+        while i < nbars:
             b = bars[i]
-            tau = math.inf if k == n or b == math.inf else _passage_time(rng, b - z, mu, var)
+            a = b - z
+            if k == n or b == inf:
+                tau = inf
+            elif abs_mu * a < tol:
+                x = normal()
+                tau = (a / x) * (a / x) / var if x else inf
+            elif mu < 0 and uniform() >= exp(two_mu * a / var):
+                tau = inf
+            else:
+                tau = wald(a / abs_mu, a * a / var)
             q = tau / dt
             if q > n - k:  # no stop by step N: cap this rule and every farther one
                 if k < n:
                     z = _killed_end(rng, z, b, (n - k) * dt, mu, sigma)
                 step[i:], z_out[i:] = n, z
                 return
-            steps = max(1, math.ceil(q))
+            steps = ceil(q)
+            if steps < 1:
+                steps = 1
             k += steps
-            d = max(steps * dt - tau, 0.0)  # from the passage to the grid point
-            z = b + mu * d + sigma * math.sqrt(d) * rng.standard_normal()
-            while i < len(bars) and z >= bars[i]:
+            d = steps * dt - tau  # from the passage to the grid point
+            if d < 0.0:
+                d = 0.0
+            z = b + mu * d + sigma * sqrt(d) * normal()
+            while i < nbars and z >= bars[i]:
                 step[i], z_out[i], hit[i] = k, z, True
                 i += 1
 
