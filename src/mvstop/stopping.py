@@ -521,18 +521,106 @@ def _first_stop(rule: StoppingRule, m: np.ndarray, step: int, dt: float) -> np.n
 # whose relative rounding error is about 1e-16 times its mean-to-shape ratio
 # sigma^2 / (|mu| a), is never handed a ratio above 1 / _DRIFT_TOL
 _DRIFT_TOL = 1e-7
+# a capped value takes at most this many rejection proposals, then one exact draw
+_PROPOSALS = 16
+_LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
 
 def _killed_end(rng: np.random.Generator, z: float, b: float, t: float, mu: float,
                 sigma: float) -> float:
     """The value at time ``t`` of a path from ``z < b`` with drift ``mu`` and
-    volatility ``sigma`` that has not reached ``b`` by then, by rejection: a
-    free end short of ``b`` is kept unless the bridge to it crosses ``b``."""
+    volatility ``sigma`` that has not reached ``b`` by then.
+
+    Up to ``_PROPOSALS`` proposals are drawn by rejection: a free end short
+    of ``b`` is kept unless the bridge to it crosses ``b``.  Each proposal is
+    kept with the survival probability, so near the barrier with a long
+    horizon the loop would run thousands of times; after ``_PROPOSALS``
+    rejections one uniform is inverted through the killed law instead
+    (``_killed_gap``).  Both are exact draws, and so is their mixture; a
+    call makes at most ``2 _PROPOSALS + 1`` generator calls.
+    """
     mean, sd, var_t = z + mu * t, sigma * math.sqrt(t), sigma * sigma * t
-    while True:
+    a, left = b - z, _PROPOSALS
+    while True:  # counted after a rejection, so a kept first proposal pays no count
         end = mean + sd * rng.standard_normal()
-        if end < b and rng.random() >= math.exp(-2 * (b - z) * (b - end) / var_t):
+        if end < b and rng.random() >= math.exp(-2 * a * (b - end) / var_t):
             return end
+        left -= 1
+        if not left:
+            break
+    end = b - _killed_gap(1.0 - rng.random(), a, a - mu * t, sd)
+    return end if end < b else math.nextafter(b, -math.inf)
+
+
+def _mills(u: float) -> float:
+    """The Mills ratio ``Q(u) / phi(u)`` at ``u >= 0``, ``Q`` the normal tail."""
+    if u < 4.0:  # past 4 the rounding of exp(u^2 / 2) grows, to 1e-13 at u = 25
+        return math.sqrt(0.5 * math.pi) * math.erfc(u / math.sqrt(2)) * math.exp(0.5 * u * u)
+    r = u  # Laplace's continued fraction, converged to rounding past 4 at this depth
+    for k in range(int(120 / u) + 4, 0, -1):
+        r = u + k / r
+    return 1 / r
+
+
+def _log_survival(d: float, a: float, c: float, s: float) -> tuple[float, float]:
+    """``(log S(d), S(d) / f(d))`` for the gap ``D = b - end`` of a path that
+    starts ``a`` below the barrier ``b`` and whose free end lies ``c`` below it
+    in mean, with standard deviation ``s``.
+
+    ``S(d) = P(D > d, no passage) = Q(u1) - e^{2 a (a - c) / s^2} Q(u2)``, with
+    ``u1 = (d - c) / s`` and ``u2 = u1 + 2a / s``, and its density ``f = -S'``
+    is ``phi(u1) (1 - e^{-2ad/s^2}) / s``.  The second term is evaluated as
+    one exponent, ``phi(u1) e^{-2ad/s^2} R(u2)`` with the Mills ratio ``R``,
+    which cannot overflow; past the mean (``u1 >= 0``) ``phi(u1)`` is
+    factored out, so the log holds where ``S`` itself underflows.
+    """
+    u1 = (d - c) / s
+    u2 = u1 + 2 * a / s
+    lam = 2 * a * d / (s * s)
+    kill = -math.expm1(-lam)  # the chance that the bridge to the end stays below b
+    if u1 >= 0:
+        diff = _mills(u1) - math.exp(-lam) * _mills(u2)
+        log_s = -0.5 * u1 * u1 - _LOG_SQRT_2PI + math.log(diff) if diff > 0 else -math.inf
+        return log_s, s * diff / kill if kill else math.inf
+    if u2 < 0:  # then c > 2a, and the exponent is negative
+        second = math.exp(2 * a * (a - c) / (s * s)) * 0.5 * math.erfc(u2 / math.sqrt(2))
+    else:
+        second = math.exp(-0.5 * u1 * u1 - lam - _LOG_SQRT_2PI) * _mills(u2)
+    surv = 0.5 * math.erfc(u1 / math.sqrt(2)) - second
+    density = math.exp(-0.5 * u1 * u1 - _LOG_SQRT_2PI) * kill / s
+    return (math.log(surv) if surv > 0 else -math.inf), surv / density if density else math.inf
+
+
+def _killed_gap(u: float, a: float, c: float, s: float) -> float:
+    """The gap ``d > 0`` below the barrier where the killed law's survival
+    ``S(d)`` is ``u`` times ``S(0)``, for ``0 < u <= 1`` (``_log_survival``).
+
+    ``log S`` is decreasing and concave (the killed density is log-concave),
+    so a Newton step on it lands past the root, and the steps from there
+    fall onto it.  A step that leaves the bracket of the root, as rounding
+    can make it, halves the bracket, or doubles the point while no point
+    past the root is known.  A start closer to the barrier than ``1e-9 s``
+    is moved there, which changes the law by about that fraction and keeps
+    ``S(0)``, a difference of two nearly equal terms, to 7 digits.
+    """
+    a = max(a, 1e-9 * s)
+    target = math.log(u) + _log_survival(0.0, a, c, s)[0]
+    d, lo, hi = max(c, 0.0) + s, 0.0, math.inf
+    for _ in range(100):
+        log_s, ratio = _log_survival(d, a, c, s)
+        if log_s > target:
+            lo = d
+        else:
+            hi = d
+        if abs(log_s - target) <= 1e-12:
+            return d
+        nd = d + (log_s - target) * ratio
+        if not lo < nd < hi:
+            nd = 2 * d if hi == math.inf else 0.5 * (lo + hi)
+        if abs(nd - d) <= 1e-12 * nd:
+            return nd
+        d = nd
+    return d
 
 
 class _StopSearch:
@@ -548,7 +636,9 @@ class _StopSearch:
     every step finds.  If ``y_j`` is short of the barrier, the search goes on
     from ``(j, y_j)``.  A ``j`` past step ``N`` caps the row, with ``y_N``
     drawn from the law of a path that has not reached the barrier by then
-    (``_killed_end``).  The threshold rules of a run share one path and are
+    (``_killed_end``): up to ``_PROPOSALS`` rejection proposals of a normal
+    and a uniform each, then, if all are rejected, one uniform inverted
+    through that law.  The threshold rules of a run share one path and are
     searched in order of distance from the start; ``fixed_time`` and
     ``never`` rules read one forward normal each, in order of their steps.
     A run that mixes threshold directions, or thresholds with other rules,

@@ -604,16 +604,16 @@ FROZEN_OUTPUTS = {
         'summary.json': 'effbcbf6c1b526b646c9e137eda50d1b659ed28c95aaa8bc994d336cd1e8aaf1',
     },
     'evaluate_rule-quit': {
-        'estimate.csv': '193c61663460a6ee0070ef752274f0b6e6a0c779a1d9dd3d1104d2bac5c20105',
-        'summary.json': 'd4547543a0e2da49aa6ae24d167ee642d93d8c92e6d1c45bbc026b11464f6709',
+        'estimate.csv': '9f128e8ac29f4b6f1a76f379b11dfc9a881ebb16cc62b22c4e8abb6989717329',
+        'summary.json': '7ca8d2a3f8e2fdafc17672ab62f00f7a89311ee8f4dbadd8e9f67b96ebd32767',
     },
     'threshold_sweep-sell': {
         'summary.json': 'd83cfd63002694da1ca5b8e190911b9d3355e6836ceed375a4bb1c63565e1d5b',
-        'sweep.csv': '05ce928f19dafa0bb0753197491f0cc6d530ecae26dc3b622f528f662238d4b4',
+        'sweep.csv': 'a124b36afd3558931b01112918feca67894a5c924bf12a5ce02d7b903dfd239f',
     },
     'threshold_sweep-quit': {
         'summary.json': '7817019b5332d0298182135ba901694b37055b7780eee647fde026ca205dda05',
-        'sweep.csv': '9827a0162a201ec189e97683ef9730e9492e382ce5a875e9015f1711675071cf',
+        'sweep.csv': '55d40c85102e31647025a7e802e4043678f86b26d0dc3ea7c05434c99349ff62',
     },
     'simulate_path-sell': {
         'summary.json': '518bf68cdbf94ff3e33a46931358ad74856639fe27e61d1d6477f94e7322ac54',

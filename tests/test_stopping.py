@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -557,17 +558,29 @@ def _normal_cdf(x):
     return 0.5 * math.erfc(-x / math.sqrt(2))
 
 
-@pytest.mark.parametrize("alpha0,seed", [(0.1, 31), (0.045, 32), (0.015, 33)],
-                         ids=["toward", "zero", "away"])
-def test_stop_search_has_the_law_of_a_discrete_walk(monkeypatch, alpha0, seed):
-    # log m drifts at alpha0 - sigma1^2 / 2: +0.055, 0 (to rounding) and -0.03;
-    # a coarse grid of 40 steps of 0.5 keeps discrete and continuous monitoring apart
+@pytest.mark.parametrize("alpha0,seed,inverted", [(0.1, 31, 0.2), (0.045, 32, 0.05),
+                                                  (0.015, 33, 0.02), (0.15, 34, 0.4)],
+                         ids=["toward", "zero", "away", "strongly_toward"])
+def test_stop_search_has_the_law_of_a_discrete_walk(monkeypatch, alpha0, seed, inverted):
+    # log m drifts at alpha0 - sigma1^2 / 2: +0.055, 0 (to rounding), -0.03 and +0.105;
+    # a coarse grid of 40 steps of 0.5 keeps discrete and continuous monitoring apart.
+    # A row capped near a barrier keeps a proposal of its capped value rarely, and more
+    # than the share ``inverted`` of the capped rows draw it by inversion (_killed_gap)
     n, dt, steps, sigma = 50_000, 0.5, 40, 0.3
     levels = (0.3, 0.6, 1.0)
     mu = alpha0 - 0.5 * sigma**2
     spec = make_sell_model(alpha0, sigma, 0.2, 0.2, 1.0)
+    inversions = []
+    gap = stopping._killed_gap
+
+    def counted(*args):
+        inversions.append(args)
+        return gap(*args)
+
+    monkeypatch.setattr(stopping, "_killed_gap", counted)
     got = _sell_run(spec, [math.exp(b) for b in levels], monkeypatch,
                     dt=dt, replications=n, seed=seed, t_max=dt * steps)
+    assert len(inversions) > inverted * np.count_nonzero(~got[-1][0])
     z = np.random.default_rng(seed).standard_normal((n, steps))
     y = np.cumsum(mu * dt + sigma * math.sqrt(dt) * z, axis=1)
     t = dt * steps
@@ -665,6 +678,151 @@ def test_an_unreachable_threshold_caps_every_row(threshold):
     assert est.truncation_fraction == 1.0
     expect = math.exp(-0.2 * 2.0) * (math.exp(0.1 * 2.0) - 1.0)
     assert abs(est.mean - expect) < 4 * est.std_error
+
+
+# ---------------------------------------------------------------------------
+# a capped row's value: up to _PROPOSALS rejection proposals, then one inversion
+
+# (z, b, t, mu, sigma) by the drift toward, zero or away from the barrier and the
+# survival probability, from 0.8 down to 1e-4
+KILLED_CASES = {
+    "zero_0.8": (0.0, 0.64, 1.0, 0.0, 0.5),
+    "toward_0.18": (0.0, 0.3, 2.0, 0.2, 0.5),
+    "away_0.022": (0.0, 0.008, 4.0, -0.1, 0.3),
+    "zero_0.012": (0.0, 0.009, 1.0, 0.0, 0.6),
+    "toward_9e-5": (0.0, 1.0, 2.0, 2.9, 1.0),
+    "away_1e-4": (0.0, 2e-4, 9.0, -0.001, 0.5),
+}
+
+
+def _killed_survival(d, z, b, t, mu, sigma):
+    """``P(b - X_t > d, no passage of b by t)`` for the path ``X`` from ``z``, in closed form."""
+    a, c, s = b - z, b - z - mu * t, sigma * math.sqrt(t)
+    return (_normal_cdf((c - d) / s)
+            - math.exp(2 * a * mu / sigma**2) * _normal_cdf((c - d - 2 * a) / s))
+
+
+def _uncapped_killed_end(rng, z, b, t, mu, sigma):
+    """The rejection loop without a cap: the capped value and its number of proposals."""
+    mean, sd, var_t = z + mu * t, sigma * math.sqrt(t), sigma * sigma * t
+    proposals = 0
+    while True:
+        proposals += 1
+        end = mean + sd * rng.standard_normal()
+        if end < b and rng.random() >= math.exp(-2 * (b - z) * (b - end) / var_t):
+            return end, proposals
+
+
+class _Calls:
+    """A generator that counts the draws made through it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("case", list(KILLED_CASES))
+def test_the_capped_value_has_the_killed_law(case):
+    # one-sample Kolmogorov-Smirnov distance to P(end <= x | no passage), under the
+    # 0.1% critical value 1.95 / sqrt(n); the generator calls stay within 2 * 16 + 1
+    args = KILLED_CASES[case]
+    b = args[1]
+    alive = _killed_survival(0.0, *args)
+    assert alive == pytest.approx(float(case.split("_")[1]), rel=0.1)
+    n = 3000
+    rng = _Calls(np.random.default_rng(61))
+    ends = []
+    for _ in range(n):
+        rng.calls = 0
+        ends.append(stopping._killed_end(rng, *args))
+        assert rng.calls <= 2 * stopping._PROPOSALS + 1
+    ends = np.sort(ends)
+    assert ends[-1] < b
+    cdf = np.array([_killed_survival(b - end, *args) for end in ends]) / alive
+    ranks = np.arange(1, n + 1)
+    distance = max(np.max(ranks / n - cdf), np.max(cdf - (ranks - 1) / n))
+    assert distance < 1.95 / math.sqrt(n)
+
+
+def test_the_capped_value_is_the_rejection_draw_up_to_its_cap():
+    # a call whose rejection loop keeps one of its first 16 proposals draws exactly what
+    # the uncapped loop draws, and leaves the stream where that loop leaves it
+    args = KILLED_CASES["away_0.022"]
+    within = beyond = 0
+    for seed in range(400):
+        want, proposals = _uncapped_killed_end(np.random.default_rng(seed), *args)
+        rng = np.random.default_rng(seed)
+        got = stopping._killed_end(rng, *args)
+        if proposals <= stopping._PROPOSALS:
+            within += 1
+            assert got == want
+            ref = np.random.default_rng(seed)
+            _uncapped_killed_end(ref, *args)
+            assert rng.random() == ref.random()
+        else:
+            beyond += 1
+    assert within > 50 and beyond > 50
+
+
+def test_the_capped_value_draws_a_bounded_number_of_times():
+    # at survival 1e-4 the uncapped loop makes thousands of generator calls per value
+    for case in ("toward_9e-5", "away_1e-4"):
+        for seed in range(100):
+            rng = _Calls(np.random.default_rng(seed))
+            stopping._killed_end(rng, *KILLED_CASES[case])
+            assert rng.calls <= 2 * stopping._PROPOSALS + 1
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, 0.5, 5.5, 0.1, 0.01),                # 2 a mu / sigma^2 = 1000: e^1000 overflows
+    (0.0, 1.0, 100.0, 10.0, 0.1),              # a survival probability of e^-500000
+    (math.nextafter(1.0, 0.0), 1.0, 100.0, 0.0, 1.0),  # one ulp below the barrier
+    (0.999999, 1.0, 1e6, 1.0, 1e-4),                   # 1e-6 below it for a long time
+], ids=["exp_overflow", "underflow", "one_ulp", "long_horizon"])
+def test_the_capped_value_stays_below_the_barrier(args):
+    b = args[1]
+    rng = np.random.default_rng(62)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = [stopping._killed_end(rng, *args) for _ in range(300)]
+    assert max(ends) < b and all(math.isfinite(end) for end in ends)
+
+
+def test_a_run_whose_capped_values_need_a_large_exponent(monkeypatch):
+    # sell with sigma1 0.01 drifts at 0.1 toward log xi = 0.5: the killed law of a row
+    # capped at t_max 5.5 from the start has e^{2 a mu / sigma^2} = e^1000, past the
+    # largest float, as the factor of its second term
+    exponents = []
+    gap = stopping._killed_gap
+
+    def logged(u, a, c, s):
+        exponents.append(2 * a * (a - c) / s**2)
+        return gap(u, a, c, s)
+
+    monkeypatch.setattr(stopping, "_killed_gap", logged)
+    spec = make_sell_model(0.10005, 0.01, 0.2, 0.2, 1.0)
+    cfg = SimConfig(dt=0.5, replications=2000, seed=63, t_max=5.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = evaluate_rule_mc(spec, StoppingRule("threshold_up", threshold=math.exp(0.5)), cfg)
+    assert 0 < est.truncation_fraction < 1
+    assert max(exponents) > math.log(np.finfo(float).max)
+
+
+def test_an_unreachable_barrier_keeps_the_first_proposal():
+    rng = _Calls(np.random.default_rng(64))
+    z, t, mu, sigma = 0.3, 2.0, 0.05, 0.3
+    end = stopping._killed_end(rng, z, math.inf, t, mu, sigma)
+    assert rng.calls == 2
+    assert end == z + mu * t + sigma * math.sqrt(t) * np.random.default_rng(64).standard_normal()
 
 
 @pytest.mark.parametrize("kinds", [("threshold_up", "threshold_down"),
@@ -845,17 +1003,17 @@ def _frozen_runs():
 FROZEN = {
     'fast_sell_sweep': (
         (0.19999999999999993, 0.0, 400, 0.0),
-        (0.36264708939303714, 0.007683627994189764, 400, 0.0375),
-        (0.47968300146324677, 0.017849119336327858, 400, 0.1225),
-        (0.4687193791041216, 0.021263723147669063, 400, 0.195),
-        (0.432860608445247, 0.024376097599919846, 400, 0.3075),
+        (0.36262135890724356, 0.007686756808445783, 400, 0.0375),
+        (0.4795476253542241, 0.01785834649363744, 400, 0.1225),
+        (0.4686729910175822, 0.021266412786594822, 400, 0.195),
+        (0.4329084788282965, 0.024374063074851696, 400, 0.3075),
     ),
     'fast_quit_caps': (
-        (0.6194290746141501, 0.06175312778490142, 300, 0.4033333333333333),
-        (0.14953691936392854, 0.0859914180550434, 300, 0.6533333333333333),
+        (0.6173836757736058, 0.06187808206736233, 300, 0.4033333333333333),
+        (0.14810555286262483, 0.08599712824619665, 300, 0.6533333333333333),
         (0.09648353156102688, 0.06753527141411797, 300, 1.0),
-        (0.4799307567860376, 0.044696666284343795, 300, 0.21),
-        (-0.597929522033008, 0.06347170013539416, 300, 0.42333333333333334),
+        (0.4725712646393047, 0.04579441340714256, 300, 0.21),
+        (-0.5959079167689774, 0.06358745484999696, 300, 0.42333333333333334),
     ),
     'fixed_time': (
         (0.045078862912302536, 0.011459197035151995, 300, 0.0),
