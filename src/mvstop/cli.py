@@ -517,7 +517,7 @@ EXPERIMENTS = {
          "gap_tolerance": (NUMBER, 1e-8)},
         {"expect_pass": (FLAG, True)}, _var_ineq_check),
     "dynkin_check": Experiment(
-        {**{key: _SIM[key] for key in ("dt", "replications", "batch_size")},
+        {**{key: _SIM[key] for key in ("dt", "replications", "workers", "batch_size")},
          "delta": (POSITIVE, 0.5)},
         {}, _dynkin_check),
 }

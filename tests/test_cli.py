@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mvstop import stopping
 from mvstop.cli import (
     ConfigError, build_model, load_config, main, manifest_hash, run_experiment,
 )
@@ -252,8 +253,8 @@ VALIDATE_REJECTS = {
         "evaluate_rule", SELL_MODEL, {"rule": RULE}, {"max_l1": 1e-4},
         "unknown key 'max_l1' in checks"),
     "no_checkpoints": ("simulate_path", SELL_MODEL, {"checkpoints": []}, {}, "'checkpoints'"),
-    "dynkin_workers": (  # the pool size of a dynkin_check comes from `run --workers` only
-        "dynkin_check", SELL_MODEL, {"workers": 4}, {}, "unknown key 'workers' in numerics"),
+    "dynkin_zero_workers": (
+        "dynkin_check", SELL_MODEL, {"workers": 0}, {}, "numerics.workers must be >= 1"),
     "dynkin_shorter_than_a_step": (
         "dynkin_check", SELL_MODEL, {"dt": 1.0, "delta": 0.4}, {},
         "the Dynkin check needs a numerics.delta of at least one step dt"),
@@ -356,6 +357,30 @@ def test_validate_rejects_misread_settings(tmp_path, case):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, body))
     assert message in "\n".join(err.value.errors)
+
+
+def test_dynkin_check_takes_its_pool_from_the_config(tmp_path, monkeypatch):
+    # numerics.workers sets the pool, as for evaluate_rule and threshold_sweep; it was an
+    # unknown key.  Over four batches the pool writes the serial run's dynkin.csv
+    sizes = []
+    pool = stopping.ProcessPoolExecutor
+
+    def logged(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(stopping, "ProcessPoolExecutor", logged)
+    body = base_config(tmp_path, experiment="dynkin_check", model=dict(SELL_MODEL, m0=1.5),
+                       numerics={"dt": 0.01, "replications": 200, "batch_size": 64,
+                                 "delta": 0.5, "workers": 2}, seed=7)
+    path = write_config(tmp_path, body)
+    assert main(["validate", path]) == 0
+    written = []
+    for workers in (None, 1):  # the config's 2, then `run --workers 1`
+        assert run_experiment(load_config(path), workers=workers) == 0
+        written.append((tmp_path / "out" / "dynkin.csv").read_bytes())
+    assert sizes == [2]
+    assert written[0] == written[1]
 
 
 def test_fixed_time_at_t_max_loads(tmp_path):
