@@ -42,7 +42,6 @@ from .stopping import (
     dynkin_residual,
     evaluate_rule_mc,
     rule_value,
-    sweep_rules,
     threshold_sweep,
 )
 
@@ -331,16 +330,13 @@ def _threshold_sweep(spec, numerics, checks, seed):
     check_on_grid(numerics["dt"], {"t_max": numerics["t_max"]}, "numerics.")
     cfg = _sim_config(numerics, seed)
     thresholds = numerics["thresholds"]
-    kind = numerics["rule_kind"]
-    kind = f"threshold_{fam.candidate(spec).direction}" if kind is None else kind
-    sweep_rules(thresholds, kind)  # the rules threshold_sweep builds
 
     def compute(out, mhash, summary):
-        sweep = threshold_sweep(spec, thresholds, cfg, kind=kind)
+        sweep = threshold_sweep(spec, thresholds, cfg)
         rows = [
             (spec.family, t, e.mean, e.std_error, e.replications, e.truncation_fraction,
              cfg.dt, cfg.n_particles, cfg.seed, int(t == sweep.argmax_threshold))
-            for t, e in sweep.rows()
+            for t, e in zip(sweep.thresholds, sweep.estimates)
         ]
         write_csv(
             out / "sweep.csv",
@@ -490,7 +486,7 @@ _GRID = {"x_min": (NUMBER, REQUIRED), "x_max": (NUMBER, REQUIRED),
          "n_points": (COUNT, REQUIRED)}
 _PROBE = {  # None keeps the family's probe window and default_probe_grid's sizes
     "z_min": (NUMBER, None), "z_max": (NUMBER, None), "n_z": (COUNT, None),
-    "s_max": (NUMBER, None), "n_s": (COUNT, None), "log_z": (FLAG, None),
+    "s_max": (NUMBER, None), "n_s": (COUNT, None),
 }
 
 EXPERIMENTS = {
@@ -501,7 +497,7 @@ EXPERIMENTS = {
         {"closed_form_tolerance": (NUMBER, None)}, _evaluate_rule),
     "threshold_sweep": Experiment(
         {**{key: _SIM[key] for key in _SIM if key != "cap_payoff"},
-         "thresholds": (NUMBERS, REQUIRED), "rule_kind": (TEXT, None)},
+         "thresholds": (NUMBERS, REQUIRED)},
         {"argmax_within_cell": (FLAG, False)}, _threshold_sweep),
     "simulate_path": Experiment(
         {"dt": (POSITIVE, 1e-3), "horizon": (POSITIVE, 1.0), "n": (COUNT, 1000),

@@ -326,6 +326,10 @@ class Family:
                              f"state space, got {mean!r}: it is every run's start value")
         return y0
 
+    def threshold_kind(self, spec: ModelSpec) -> str:
+        """The kind of a threshold rule in the direction of the closed form: up for sell."""
+        return f"threshold_{self.candidate(spec).direction}"
+
 
 def _sell_spec(c: dict, law: InitialLaw) -> ModelSpec:
     intensity, mark = c["jump_intensity"], c["jump_mark"]
@@ -499,7 +503,7 @@ def check_dynkin_start(spec: ModelSpec, dt: float, t_max: float,
 def rule_value(spec: ModelSpec, rule: StoppingRule, key: str) -> StoppingCandidate:
     """The closed form of ``rule``, which must be a threshold rule in the family's direction."""
     fam = FAMILIES[spec.family]
-    kind = f"threshold_{fam.candidate(spec).direction}"
+    kind = fam.threshold_kind(spec)
     if rule.kind != kind:
         raise ValueError(f"{key} needs a {kind} rule, the kind of the {spec.family} closed "
                          f"form; got {rule.kind}")
@@ -911,32 +915,15 @@ class SweepResult:
     estimates: tuple[McEstimate, ...]
     argmax_threshold: float
 
-    def rows(self):
-        return list(zip(self.thresholds, self.estimates))
 
-
-def sweep_rules(thresholds: Sequence[float], kind: str) -> list[StoppingRule]:
-    """The rules of a threshold sweep, one ``kind`` rule per threshold; any other
-    kind would ignore the threshold and give every row of the sweep the same rule."""
-    if kind not in ("threshold_up", "threshold_down"):
-        raise ValueError(f"a threshold sweep needs threshold_up or threshold_down rules, "
-                         f"got {kind!r}")
-    return [StoppingRule(kind, threshold=float(t)) for t in thresholds]
-
-
-def threshold_sweep(
-    spec: ModelSpec,
-    thresholds: Sequence[float],
-    cfg: SimConfig,
-    kind: str = "threshold_up",
-) -> SweepResult:
-    """Evaluate one threshold rule per grid value on common random numbers."""
-    rules = sweep_rules(thresholds, kind)
-    estimates = _run_rules(spec, rules, cfg)
+def threshold_sweep(spec: ModelSpec, thresholds: Sequence[float], cfg: SimConfig) -> SweepResult:
+    """Evaluate one threshold rule per grid value on common random numbers, each
+    in the direction of the family's closed form (``Family.threshold_kind``)."""
+    thresholds = tuple(map(float, thresholds))
+    kind = FAMILIES[spec.family].threshold_kind(spec)
+    estimates = tuple(_run_rules(spec, [StoppingRule(kind, threshold=t) for t in thresholds], cfg))
     best = int(np.argmax([e.mean for e in estimates]))
-    return SweepResult(
-        tuple(float(t) for t in thresholds), tuple(estimates), float(thresholds[best])
-    )
+    return SweepResult(thresholds, estimates, thresholds[best])
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,6 @@ def test_criterion_07_threshold_optimality():
         sw = threshold_sweep(
             quit_spec, quit_grid,
             SimConfig(dt=1e-3, replications=20_000, seed=750 + seed, t_max=60.0),
-            kind="threshold_down",
         )
         if abs(sw.argmax_threshold - eta) > 0.1 + 1e-12:
             failures.append(("quit", seed, sw.argmax_threshold))

@@ -155,9 +155,9 @@ RUN_ABORTS = {
         'numerics.cap_payoff "value" needs a threshold_up rule, the kind of the sell closed '
         'form; got threshold_down'),
     "negative_t_max": ("evaluate_rule", SELL_MODEL, {"t_max": -1, "rule": RULE}, "t_max"),
-    "unknown_sweep_rule_kind": (
-        "threshold_sweep", SELL_MODEL, {"thresholds": [2.7], "rule_kind": "sideways"},
-        "a threshold sweep needs threshold_up or threshold_down rules, got 'sideways'"),
+    "unknown_sweep_rule_kind": (  # a sweep's direction is the family's; it was a setting
+        "threshold_sweep", SELL_MODEL, {"thresholds": [2.7], "rule_kind": "threshold_down"},
+        "unknown key 'rule_kind' in numerics"),
     "zero_batch_size": (
         "evaluate_rule", SELL_MODEL, {"batch_size": 0, "rule": RULE}, "batch_size"),
     "sell_nonpositive_start": ("evaluate_rule", dict(SELL_MODEL, m0=-1.0), {"rule": RULE}, "m0"),
@@ -264,7 +264,9 @@ VALIDATE_REJECTS = {
         "'argmax_within_cell'"),
     "text_expect_pass": (
         "var_ineq_check", SELL_MODEL, {}, {"expect_pass": "yes"}, "'expect_pass'"),
-    "numeric_log_z": ("var_ineq_check", SELL_MODEL, {"probe": {"log_z": 0}}, {}, "'log_z'"),
+    "numeric_log_z": (  # the probe spacing is the family's (Family.probe); it was a setting
+        "var_ineq_check", SELL_MODEL, {"probe": {"log_z": 0}}, {},
+        "unknown key 'log_z' in numerics.probe"),
     "negative_log_probe_start": (
         "var_ineq_check", SELL_MODEL, {"probe": {"z_min": -1.0}}, {},
         "a log probe window needs z_min, z_max > 0, got -1.0, 20.0"),
@@ -335,12 +337,6 @@ VALIDATE_REJECTS = {
     "negative_sell_jump_intensity": (
         "evaluate_rule", dict(SELL_MODEL, jump_intensity=-0.5), {"rule": RULE}, {},
         "jump intensity must be >= 0"),
-    "sweep_of_never_rules": (  # every row of sweep.csv was the same never rule
-        "threshold_sweep", SELL_MODEL, {"thresholds": [2.2, 2.7], "rule_kind": "never"}, {},
-        "a threshold sweep needs threshold_up or threshold_down rules, got 'never'"),
-    "sweep_of_fixed_time_rules": (  # was rejected for wanting a nonnegative time
-        "threshold_sweep", SELL_MODEL, {"thresholds": [2.7], "rule_kind": "fixed_time"}, {},
-        "a threshold sweep needs threshold_up or threshold_down rules, got 'fixed_time'"),
     "one_replication": (  # its standard error was written as 0.0
         "evaluate_rule", SELL_MODEL, {"replications": 1, "rule": RULE}, {},
         "replications >= 2 (one replication has no standard error)"),

@@ -189,15 +189,6 @@ class TestRuleValidation:
                                 SimConfig(dt=0.1, replications=2, seed=0, t_max=1.0)
                                 ).std_error > 0
 
-    @pytest.mark.parametrize("kind", ["never", "fixed_time", "sideways"])
-    def test_a_sweep_takes_threshold_rules_only(self, kind):
-        # a never sweep gave identical rows, a fixed_time one asked for a nonnegative time
-        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
-        cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0)
-        with pytest.raises(ValueError, match=f"a threshold sweep needs threshold_up or "
-                                             f"threshold_down rules, got '{kind}'"):
-            threshold_sweep(spec, [2.2, 2.7], cfg, kind=kind)
-
     @pytest.mark.parametrize("rule", [StoppingRule("never"),
                                       StoppingRule("fixed_time", fixed_time=0.5),
                                       StoppingRule("threshold_down", threshold=0.5)],
@@ -331,6 +322,16 @@ class TestMonteCarlo:
         sweep = threshold_sweep(spec, [2.5, 3.0, 2.5], cfg)
         assert sweep.estimates[0] == sweep.estimates[2]
 
+    def test_a_quit_sweep_quits_when_the_mean_falls(self):
+        # a sweep's direction is the family's: swept upward, every quit path stopped at
+        # time 0 and each row read 0.0 +- 0.0, with the argmax at the lowest threshold
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
+        cfg = SimConfig(dt=0.01, replications=2000, seed=5, t_max=60.0)
+        sweep = threshold_sweep(spec, [QUIT_ETA - 0.1, QUIT_ETA, QUIT_ETA + 0.1], cfg)
+        assert sweep.argmax_threshold == QUIT_ETA
+        for est in sweep.estimates:
+            assert est.mean > 0.7 and est.std_error > 0
+
     def test_worker_pool_matches_serial(self):
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
@@ -451,7 +452,7 @@ def _tiling_runs(sweep_batch=200, caps_batch=16384):
     # quit's running profit: 0.1 stops at time 0, lower thresholds cap rows at t_max; two batches
     sweep = threshold_sweep(quit_spec, [0.1, QUIT_ETA, -0.7, -1.0],
                             SimConfig(dt=0.01, replications=300, seed=21, t_max=6.0,
-                                      batch_size=sweep_batch), kind="threshold_down").estimates
+                                      batch_size=sweep_batch)).estimates
     # a capped row pays the potential and the bequest, or the potential and the rule's value
     quit_caps = tuple(
         evaluate_rule_mc(quit_spec, quit_rule,
@@ -487,7 +488,7 @@ def test_a_particle_sweep_pays_each_rule_as_its_own_run():
     cfg = SimConfig(dt=0.05, replications=12, seed=17, t_max=3.0, mode="particle",
                     n_particles=100, batch_size=5)
     thresholds = [-0.1, QUIT_ETA, -0.8]
-    sweep = threshold_sweep(spec, thresholds, cfg, kind="threshold_down").estimates
+    sweep = threshold_sweep(spec, thresholds, cfg).estimates
     alone = tuple(evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=t), cfg)
                   for t in thresholds)
     assert sweep == alone
@@ -930,7 +931,7 @@ def test_the_sign_of_sigma1_leaves_every_draw_unchanged():
         spec = make_quit_model(sigma1, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
         cfg = SimConfig(dt=0.01, replications=300, seed=46, t_max=5.0)
         runs.append((
-            threshold_sweep(spec, [QUIT_ETA - 0.1, QUIT_ETA, 0.1], cfg, kind="threshold_down"),
+            threshold_sweep(spec, [QUIT_ETA - 0.1, QUIT_ETA, 0.1], cfg),
             evaluate_rule_mc(spec, StoppingRule("never"), cfg),
             dynkin_residual(spec, replace(cfg, t_max=0.5)),
         ))
