@@ -296,7 +296,9 @@ def _closed_form_report(spec, numerics, checks, seed):
 
 
 def _evaluate_rule(spec, numerics, checks, seed):
-    rule = StoppingRule(**numerics["rule"])
+    given = numerics["rule"]
+    kind = FAMILIES[spec.family].threshold_kind(spec) if given["kind"] is None else given["kind"]
+    rule = StoppingRule(**dict(given, kind=kind))
     dt, t_max = numerics["dt"], numerics["t_max"]
     check_on_grid(dt, {"t_max": t_max}, "numerics.")
     check_fixed_time(rule, dt, t_max, "numerics.")
@@ -480,7 +482,7 @@ _SIM = {  # SimConfig settings; "n" is its n_particles, and None keeps SimConfig
     "mode": (TEXT, None), "n": (COUNT, None), "cap_payoff": (TEXT, None),
     "workers": (COUNT, None), "batch_size": (COUNT, None),
 }
-_RULE = {"kind": (TEXT, "threshold_up"), "threshold": (NUMBER, math.nan),
+_RULE = {"kind": (TEXT, None), "threshold": (NUMBER, math.nan),  # None: the family's kind
          "fixed_time": (NUMBER, math.nan)}
 _GRID = {"x_min": (NUMBER, REQUIRED), "x_max": (NUMBER, REQUIRED),
          "n_points": (COUNT, REQUIRED)}

@@ -528,6 +528,24 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["checks"]["value_vs_closed_form"]["passed"]
 
+    @pytest.mark.parametrize("kind", [{}, {"kind": None}], ids=["absent", "null"])
+    def test_a_rule_without_a_kind_takes_the_familys(self, tmp_path, kind):
+        # the kind was threshold_up for both families: a quit rule stopped every path at
+        # time 0 and wrote 0.0 +- 0.0
+        numerics = {"dt": 0.01, "replications": 2000, "t_max": 60.0,
+                    "rule": {"threshold": -0.47434164902525, **kind}}
+        body = base_config(tmp_path, experiment="evaluate_rule", model=dict(QUIT_MODEL),
+                           numerics=numerics, seed=5)
+        assert run_experiment(load_config(write_config(tmp_path, body))) == 0
+        with open(tmp_path / "out" / "estimate.csv") as fh:
+            row = next(csv.DictReader(line for line in fh if not line.startswith("#")))
+        est = stopping.evaluate_rule_mc(
+            make_quit_model(0.3, 0.1, rho=0.2),
+            stopping.StoppingRule("threshold_down", threshold=-0.47434164902525),
+            SimConfig(dt=0.01, replications=2000, seed=5, t_max=60.0))
+        assert (float(row["mean"]), float(row["std_error"])) == (est.mean, est.std_error)
+        assert est.mean > 0.7
+
     def test_probe_grid_defaults_apply(self, tmp_path):
         body = base_config(tmp_path, experiment="var_ineq_check", numerics={"probe": {}})
         assert run_experiment(load_config(write_config(tmp_path, body))) == 0
