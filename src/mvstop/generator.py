@@ -93,7 +93,7 @@ def apply_generator_cylinder(phi: CylinderFunction, s, z, spec: ModelSpec):
 # ---------------------------------------------------------------------------
 # candidates and variational-inequality checking
 
-OBSTACLE_TOL = 1e-9  # how far a candidate may sit below the obstacle
+OBSTACLE_TOL = 1e-9  # how far a candidate may sit below the obstacle, or off it where it stops
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,12 @@ def check_variational_inequalities(
 
     On the continuation region the generator residual (plus running profit)
     must vanish; outside it must be nonpositive; the candidate must dominate
-    the obstacle everywhere and paste continuously and differentiably at the
-    free boundary.  The residual reads each branch's own ``psi'``, ``F'`` and
-    ``F''``, so a wrong ``F''`` could zero it: each must also match central
+    the obstacle everywhere, equal it on the stopping region (where the rule
+    stops, the value is the payoff: Øksendal & Sulem 2019, Ch. 2) and paste
+    continuously and differentiably at the free boundary.  A probe below the
+    obstacle, or off it on the stopping region, is an obstacle violation.
+    The residual reads each branch's own ``psi'``, ``F'`` and ``F''``, so a
+    wrong ``F''`` could zero it: each must also match central
     differences on the probes of its region
     (``CylinderFunction.derivative_mismatches``).  The probes are every
     ``(s, z)`` pair, ``s``-major, each region evaluated as one array; a NaN
@@ -226,8 +229,9 @@ def check_variational_inequalities(
             mismatches += [f"{region}.{name}" for name in branch.derivative_mismatches(
                 probe_s, z_axis[mask_axis], candidate.z_floor)]
     value, g = candidate.value(s, z), candidate.g(s, z)
-    below = np.flatnonzero(value < g - OBSTACLE_TOL)
-    worst = [(float(s[i]), float(z[i]), float(value[i] - g[i])) for i in below[:10]]
+    off = np.flatnonzero((value < g - OBSTACLE_TOL)
+                         | (~inside & (np.abs(value - g) > OBSTACLE_TOL)))
+    worst = [(float(s[i]), float(z[i]), float(value[i] - g[i])) for i in off[:10]]
     s_axis, th = np.asarray(probe_s, float), candidate.threshold
     cont, stop = candidate.continuation, candidate.stopping
     continuity_gap = np.max(np.abs(cont.value(s_axis, th) - stop.value(s_axis, th)),
@@ -236,7 +240,7 @@ def check_variational_inequalities(
     return VarIneqReport(
         continuation=regions[0],
         stopping=regions[1],
-        obstacle_violations=below.size,
+        obstacle_violations=off.size,
         continuity_gap=float(continuity_gap),
         smooth_fit_gap=float(smooth_gap),
         tol=tol,

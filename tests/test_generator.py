@@ -173,6 +173,23 @@ class TestVariationalInequalities:
         assert not report.passed()
         assert report.to_dict()["derivative_mismatches"] == ["continuation.F_double_prime"]
 
+    def test_a_stopping_branch_off_the_obstacle_fails(self):
+        # the optimal candidate of cost 0.8 against the obstacle of cost 1: it stops at
+        # e^{-rho s} (z - 0.8), above the payoff it would receive, and only dominated the
+        # obstacle, so every other check passes, yet its value at z = 1 is 0.4016 against
+        # the true 0.3526
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+        wrong = replace(sell_candidate(replace(spec, cost=0.8)), g=sell_candidate(spec).g)
+        assert wrong.value(0.0, 1.0) == pytest.approx(0.4016, abs=1e-4)
+        report = check_variational_inequalities(wrong, spec, *default_probe_grid(0.01, 20.0))
+        assert report.continuation.max_abs_residual <= report.tol
+        assert report.stopping.max_residual <= report.tol and not report.derivative_mismatches
+        assert max(report.continuity_gap, report.smooth_fit_gap) <= report.gap_tol
+        assert report.obstacle_violations == report.stopping.n_probes > 0
+        assert all(gap == pytest.approx(0.2 * math.exp(-0.2 * s))
+                   for s, _, gap in report.worst_probes)
+        assert not report.passed()
+
     def test_nan_residual_fails(self):
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         good = quit_candidate(spec)
@@ -211,10 +228,11 @@ def _per_probe_report(candidate, spec, probe_s, probe_z, tol=1e-10, gap_tol=1e-8
             region[0] += 1
             region[1] = max(region[1], res)
             region[2] = max(region[2], abs(res))
-            if candidate.value(s, z) < candidate.g(s, z) - OBSTACLE_TOL:
+            value, g = candidate.value(s, z), candidate.g(s, z)
+            if value < g - OBSTACLE_TOL or not inside and abs(value - g) > OBSTACLE_TOL:
                 violations += 1
                 if len(worst) < 10:
-                    worst.append((s, z, float(candidate.value(s, z) - candidate.g(s, z))))
+                    worst.append((s, z, float(value - g)))
     th = candidate.threshold
     continuity_gap = smooth_gap = 0.0
     for s in np.atleast_1d(probe_s):
