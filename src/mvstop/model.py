@@ -140,7 +140,10 @@ class ModelSpec:
     one-term coefficient is exactly that term (``alpha0 * m``, ``sigma1``).
     ``family`` is ``"sell"`` or ``"quit"``; it names the performance
     functional, discounted at ``rho``, and ``cost`` is the sell family's
-    transaction cost (0 for quit).
+    transaction cost (0 for quit).  The family also fixes the pattern of the
+    conditional mean's drift and common diffusion, the terms its closed forms,
+    fast mode and oracle read: ``a1 m`` and ``b1 m`` for sell, ``a0`` and
+    ``b0`` for quit.  The other two terms must be 0.
     """
 
     family: str
@@ -165,6 +168,11 @@ class ModelSpec:
                if not math.isfinite(getattr(self, name))}
         if bad:
             raise ModelError(f"model coefficients, rho and cost must be finite, got {bad}")
+        for name in ("a0", "b0") if self.family == "sell" else ("a1", "b1"):
+            if getattr(self, name) != 0:
+                raise ModelError(f"a {self.family} spec has no {name} term: the {self.family} "
+                                 f"closed forms, fast mode and oracle drop it; got {name} = "
+                                 f"{getattr(self, name)!r}")
 
     def drift(self, m):
         return _affine(self.a0, self.a1, m)

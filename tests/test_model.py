@@ -190,6 +190,23 @@ class TestModelFamilies:
         with pytest.raises(ModelError, match=f"must be finite, got {{'{name}'"):
             make()
 
+    @pytest.mark.parametrize("name,value", [("a0", 0.5), ("b0", 0.3)])
+    def test_sell_rejects_the_terms_its_reduction_drops(self, name, value):
+        # sell's conditional mean is read as a1 m and b1 m: particle mode moved m_bar by
+        # an a0 that the closed form, fast mode and the oracle ignored
+        with pytest.raises(ModelError, match=f"a sell spec has no {name} term"):
+            ModelSpec("sell", no_jumps(), InitialLaw("point", 1.0), a1=0.1, b1=0.3, s1=0.2,
+                      j1=1.0, rho=0.2, cost=1.0, **{name: value})
+
+    @pytest.mark.parametrize("name", ["a1", "b1"])
+    def test_quit_rejects_the_terms_its_reduction_drops(self, name):
+        # quit's conditional mean is read as a0 and b0; a0 stays legal (quit_potential
+        # rejects it where it would bias the payment of the running profit)
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
+        with pytest.raises(ModelError, match=f"a quit spec has no {name} term"):
+            replace(spec, **{name: 0.2})
+        assert replace(spec, a0=0.05).a0 == 0.05
+
     def test_only_shipped_families(self):
         with pytest.raises(ModelError, match="'sell' or 'quit'"):
             ModelSpec("custom", no_jumps(), InitialLaw("point", 0.0), b0=0.3)
