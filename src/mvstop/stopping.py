@@ -327,7 +327,8 @@ class Family:
         return y0
 
     def threshold_kind(self, spec: ModelSpec) -> str:
-        """The kind of a threshold rule in the direction of the closed form: up for sell."""
+        """The kind of a threshold rule in the direction of the family's closed form:
+        ``threshold_up`` for sell, ``threshold_down`` for quit."""
         return f"threshold_{self.candidate(spec).direction}"
 
 
@@ -947,7 +948,7 @@ def dynkin_residual(spec: ModelSpec, cfg: SimConfig) -> DynkinResult:
     (``check_dynkin_start``).
     """
     candidate = check_dynkin_start(spec, cfg.dt, cfg.t_max)
-    rule = StoppingRule(f"threshold_{candidate.direction}", threshold=candidate.threshold)
+    rule = StoppingRule(FAMILIES[spec.family].threshold_kind(spec), threshold=candidate.threshold)
     est = _run_rules(spec, [rule], replace(cfg, cap_payoff="value"))[0]
     residual = est.mean - candidate.value(0.0, spec.initial_law.mean)
     return DynkinResult(residual, est.std_error, residual / cfg.t_max, est)
