@@ -337,6 +337,12 @@ VALIDATE_REJECTS = {
     "negative_sell_jump_intensity": (
         "evaluate_rule", dict(SELL_MODEL, jump_intensity=-0.5), {"rule": RULE}, {},
         "jump intensity must be >= 0"),
+    "sweep_of_never_rules": (  # every row of sweep.csv was the same never rule
+        "threshold_sweep", SELL_MODEL, {"thresholds": [2.2, 2.7], "rule_kind": "never"}, {},
+        "unknown key 'rule_kind' in numerics"),
+    "sweep_of_fixed_time_rules": (  # was rejected for wanting a nonnegative time
+        "threshold_sweep", SELL_MODEL, {"thresholds": [2.7], "rule_kind": "fixed_time"}, {},
+        "unknown key 'rule_kind' in numerics"),
     "one_replication": (  # its standard error was written as 0.0
         "evaluate_rule", SELL_MODEL, {"replications": 1, "rule": RULE}, {},
         "replications >= 2 (one replication has no standard error)"),
