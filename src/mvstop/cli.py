@@ -436,7 +436,7 @@ def _var_ineq_check(spec, numerics, checks, seed):
 
     def compute(out, mhash, summary):
         report = check_variational_inequalities(
-            candidate, spec, probe_s, probe_z,
+            candidate, spec, fam.payoff(spec), probe_s, probe_z,
             tol=numerics["tolerance"], gap_tol=numerics["gap_tolerance"],
         )
         with open(out / "var_ineq_report.json", "w") as fh:

@@ -98,15 +98,13 @@ OBSTACLE_TOL = 1e-9  # how far a candidate may sit below the obstacle, or off it
 
 @dataclass(frozen=True)
 class StoppingCandidate:
-    """Piecewise cylinder candidate with obstacle, running profit and region."""
+    """Piecewise cylinder value function and its continuation region."""
 
     continuation: CylinderFunction
     stopping: CylinderFunction
     threshold: float
-    direction: str                       # "up": continuation is z < threshold
-    g: Callable[[float, float], float]   # obstacle (s, z)
-    f: Callable[[float, float], float] | None = None
-    z_floor: float | None = None         # open lower edge of the state domain
+    direction: str                # "up": continuation is z < threshold
+    z_floor: float | None = None  # open lower edge of the state domain
 
     def in_continuation(self, z):
         return z < self.threshold if self.direction == "up" else z > self.threshold
@@ -115,6 +113,8 @@ class StoppingCandidate:
         """The continuation branch inside its region, the stopping branch elsewhere."""
         s = np.asarray(s, float)
         z = np.asarray(z, float)
+        if self.z_floor is not None and np.any(z <= self.z_floor):
+            raise ValueError(f"the state must lie above {self.z_floor}, got {z}")
         out = np.where(self.in_continuation(z), self.continuation.value(s, z),
                        self.stopping.value(s, z))
         return float(out) if out.ndim == 0 else out
@@ -187,22 +187,24 @@ def default_probe_grid(
 def check_variational_inequalities(
     candidate: StoppingCandidate,
     spec: ModelSpec,
+    payoff: tuple[Callable | None, Callable | None],
     probe_s: np.ndarray,
     probe_z: np.ndarray,
     tol: float = 1e-10,
     gap_tol: float = 1e-8,
 ) -> VarIneqReport:
-    """Probe the candidate against the optimal-stopping variational system.
+    """Probe the candidate against the variational system of the problem
+    ``spec`` with ``payoff``, the ``(f, g)`` of ``Family.payoff`` (None is 0).
 
-    On the continuation region the generator residual (plus running profit)
-    must vanish; outside it must be nonpositive; the candidate must dominate
-    the obstacle everywhere, equal it on the stopping region (where the rule
-    stops, the value is the payoff: Øksendal & Sulem 2019, Ch. 2) and paste
-    continuously and differentiably at the free boundary.  A probe below the
-    obstacle, or off it on the stopping region, is an obstacle violation.
-    The residual reads each branch's own ``psi'``, ``F'`` and ``F''``, so a
-    wrong ``F''`` could zero it: each must also match central
-    differences on the probes of its region
+    On the continuation region the generator residual plus the running profit
+    ``f`` must vanish; outside it must be nonpositive; the candidate must
+    dominate the obstacle ``g`` everywhere, equal it on the stopping region
+    (where the rule stops, the value is the payoff: Øksendal & Sulem 2019,
+    Ch. 2) and paste continuously and differentiably at the free boundary.
+    A probe below the obstacle, or off it on the stopping region, is an
+    obstacle violation.  The residual reads each branch's own ``psi'``,
+    ``F'`` and ``F''``, so a wrong ``F''`` could zero it: each must also
+    match central differences on the probes of its region
     (``CylinderFunction.derivative_mismatches``).  The probes are every
     ``(s, z)`` pair, ``s``-major, each region evaluated as one array; a NaN
     residual or gap fails.  Findings are data, never exceptions.
@@ -213,6 +215,7 @@ def check_variational_inequalities(
         keep = z > candidate.z_floor
         s, z = s[keep], z[keep]
         z_axis = z_axis[z_axis > candidate.z_floor]
+    f, g = payoff
     inside, inside_axis = candidate.in_continuation(z), candidate.in_continuation(z_axis)
     regions, mismatches = [], []
     for region, mask, mask_axis, branch in (
@@ -220,18 +223,19 @@ def check_variational_inequalities(
             ("stopping", ~inside, ~inside_axis, candidate.stopping)):
         s_in, z_in = s[mask], z[mask]
         res = apply_generator_cylinder(branch, s_in, z_in, spec)
-        if candidate.f is not None:
-            res = res + candidate.f(s_in, z_in)
+        if f is not None:
+            res = res + f(s_in, z_in)
         res = np.broadcast_to(res, z_in.shape)  # a branch may be constant
         regions.append(RegionCheck(region, res.size, float(np.max(res, initial=-np.inf)),
                                    float(np.max(np.abs(res), initial=0.0))))
         if z_in.size:
             mismatches += [f"{region}.{name}" for name in branch.derivative_mismatches(
                 probe_s, z_axis[mask_axis], candidate.z_floor)]
-    value, g = candidate.value(s, z), candidate.g(s, z)
-    off = np.flatnonzero((value < g - OBSTACLE_TOL)
-                         | (~inside & (np.abs(value - g) > OBSTACLE_TOL)))
-    worst = [(float(s[i]), float(z[i]), float(value[i] - g[i])) for i in off[:10]]
+    value = candidate.value(s, z)
+    obstacle = np.zeros_like(value) if g is None else g(s, z)
+    off = np.flatnonzero((value < obstacle - OBSTACLE_TOL)
+                         | (~inside & (np.abs(value - obstacle) > OBSTACLE_TOL)))
+    worst = [(float(s[i]), float(z[i]), float(value[i] - obstacle[i])) for i in off[:10]]
     s_axis, th = np.asarray(probe_s, float), candidate.threshold
     cont, stop = candidate.continuation, candidate.stopping
     continuity_gap = np.max(np.abs(cont.value(s_axis, th) - stop.value(s_axis, th)),

@@ -181,16 +181,9 @@ def sell_threshold(lambda1: float, a: float) -> float:
     return lambda1 * a / (lambda1 - 1)
 
 
-def sell_value(s, z, spec: ModelSpec, xi: float | None = None):
-    """Discounted value of selling optimally (or at threshold ``xi``)."""
-    if np.any(np.asarray(z, float) <= 0):
-        raise ValueError("conditional mean must be positive for the sell model")
-    return sell_candidate(spec, xi).value(s, z)
-
-
 def sell_candidate(spec: ModelSpec, xi: float | None = None) -> StoppingCandidate:
     """The value of selling at ``xi`` (optimal by default), as a piecewise candidate."""
-    _, g = sell_payoff(spec)
+    _check_family(spec, "sell")
     _, lam1 = lambda_roots(spec.a1, spec.b1, spec.rho)
     if xi is None:
         xi = sell_threshold(lam1, spec.cost)
@@ -217,8 +210,6 @@ def sell_candidate(spec: ModelSpec, xi: float | None = None) -> StoppingCandidat
         stopping=stopping,
         threshold=xi,
         direction="up",
-        g=g,
-        f=None,
         z_floor=0.0,
     )
 
@@ -251,11 +242,6 @@ def quit_smooth_fit_residuals(
     return cont, slope
 
 
-def quit_value(s, z, spec: ModelSpec, eta: float | None = None):
-    """Discounted value of running the project optimally (or until ``eta``)."""
-    return quit_candidate(spec, eta).value(s, z)
-
-
 def quit_candidate(spec: ModelSpec, eta: float | None = None) -> StoppingCandidate:
     """The value of quitting at ``eta`` (optimal by default), as a piecewise candidate."""
     lam, eta_star, _ = quit_threshold(spec)
@@ -282,8 +268,6 @@ def quit_candidate(spec: ModelSpec, eta: float | None = None) -> StoppingCandida
         stopping=stopping,
         threshold=eta,
         direction="down",
-        g=lambda s, z: np.zeros_like(np.asarray(z, float)) + 0.0,
-        f=quit_payoff(spec)[0],
     )
 
 

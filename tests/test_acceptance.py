@@ -29,11 +29,11 @@ from mvstop.stopping import (
     lambda_roots,
     quit_candidate,
     quit_smooth_fit_residuals,
+    quit_payoff,
     quit_threshold,
-    quit_value,
     sell_candidate,
+    sell_payoff,
     sell_threshold,
-    sell_value,
     threshold_sweep,
 )
 
@@ -71,7 +71,7 @@ def test_criterion_02_sell_smooth_fit():
     cont_gap = abs(cand.continuation.value(0.3, xi) - cand.stopping.value(0.3, xi))
     slope_gap = abs(cand.continuation.dz(0.3, xi) - cand.stopping.dz(0.3, xi))
     z = np.geomspace(0.01, 20.0, 1000)
-    obstacle_ok = bool(np.all(sell_value(0.0, z, SELL) >= z - SELL.cost - 1e-12))
+    obstacle_ok = bool(np.all(cand.value(0.0, z) >= z - SELL.cost - 1e-12))
     passed = cont_gap < 1e-8 and slope_gap < 1e-8 and obstacle_ok
     report(2, "sell smooth fit", passed,
            f"gaps ({cont_gap:.2e}, {slope_gap:.2e}), obstacle {obstacle_ok}")
@@ -80,12 +80,13 @@ def test_criterion_02_sell_smooth_fit():
 def test_criterion_03_sell_variational_inequalities():
     spec = SELL
     probe_s, probe_z = default_probe_grid(0.01, 20.0, 400, 2.0, 15, log_z=True)
-    good = check_variational_inequalities(sell_candidate(SELL), spec, probe_s, probe_z)
+    good = check_variational_inequalities(sell_candidate(SELL), spec, sell_payoff(SELL),
+                                          probe_s, probe_z)
     d = good.to_dict()
     _, lam1 = lambda_roots(SELL.a1, SELL.b1, SELL.rho)
     xi = sell_threshold(lam1, SELL.cost)
     bad = check_variational_inequalities(
-        sell_candidate(SELL, xi=xi + 0.5), spec, probe_s, probe_z
+        sell_candidate(SELL, xi=xi + 0.5), spec, sell_payoff(SELL), probe_s, probe_z
     )
     passed = (
         d["continuation_max_abs_residual"] < 1e-10
@@ -104,7 +105,8 @@ def test_criterion_04_quit_variational_inequalities():
     assert eta == pytest.approx(-1.0 / lam, rel=1e-14)
     cont_res, slope_res = quit_smooth_fit_residuals(QUIT, eta, c1)
     probe_s, probe_z = default_probe_grid(eta - 2.0, eta + 6.0, 400, 2.0, 15, log_z=False)
-    rep = check_variational_inequalities(quit_candidate(QUIT), spec, probe_s, probe_z)
+    rep = check_variational_inequalities(quit_candidate(QUIT), spec, quit_payoff(QUIT),
+                                         probe_s, probe_z)
     d = rep.to_dict()
     passed = (
         rep.passed()
@@ -125,7 +127,7 @@ def test_criterion_05_sell_mc_matches_closed_form():
     xi = sell_threshold(lam1, SELL.cost)
     cfg = SimConfig(dt=1e-3, replications=100_000, seed=501, t_max=100.0)
     est = evaluate_rule_mc(spec, StoppingRule("threshold_up", threshold=xi), cfg)
-    ref = sell_value(0.0, 1.0, SELL)
+    ref = sell_candidate(SELL).value(0.0, 1.0)
     band = max(3 * est.std_error, 0.02 * abs(ref))
     report(5, "sell MC vs closed form", abs(est.mean - ref) <= band,
            f"est {est.mean:.5f} +- {est.std_error:.5f}, ref {ref:.5f}, "
@@ -138,7 +140,7 @@ def test_criterion_06_quit_mc_matches_closed_form():
     _, eta, _ = quit_threshold(QUIT)
     cfg = SimConfig(dt=1e-3, replications=100_000, seed=601, t_max=100.0)
     est = evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=eta), cfg)
-    ref = quit_value(0.0, 0.0, QUIT)
+    ref = quit_candidate(QUIT).value(0.0, 0.0)
     band = max(3 * est.std_error, 0.02 * abs(ref))
     report(6, "quit MC vs closed form", abs(est.mean - ref) <= band,
            f"est {est.mean:.5f} +- {est.std_error:.5f}, ref {ref:.5f}, "

@@ -11,7 +11,7 @@ from mvstop.cli import (
     ConfigError, build_model, load_config, main, manifest_hash, run_experiment,
 )
 from mvstop.model import make_quit_model
-from mvstop.stopping import SimConfig, dynkin_residual, quit_value
+from mvstop.stopping import SimConfig, dynkin_residual, quit_candidate
 
 SELL_MODEL = {
     "family": "sell", "alpha0": 0.1, "sigma1": 0.3, "sigma2": 0.2,
@@ -521,7 +521,7 @@ class TestRunExperiment:
         run_experiment(load_config(write_config(tmp_path, body)))
         with open(tmp_path / "out" / "estimate.csv") as fh:
             row = next(csv.DictReader(line for line in fh if not line.startswith("#")))
-        ref = quit_value(0.0, 2.0, make_quit_model(0.3, 0.1, rho=0.2))
+        ref = quit_candidate(make_quit_model(0.3, 0.1, rho=0.2)).value(0.0, 2.0)
         assert abs(float(row["mean"]) - ref) <= max(3 * float(row["std_error"]), 0.02 * ref)
 
     def test_closed_form_check_uses_the_rules_own_value(self, tmp_path):

@@ -17,7 +17,9 @@ from mvstop.generator import (
     frechet_hessian_cylinder,
 )
 from mvstop.model import make_quit_model, make_sell_model
-from mvstop.stopping import FAMILIES, lambda_roots, quit_candidate, sell_candidate
+from mvstop.stopping import (
+    FAMILIES, lambda_roots, quit_candidate, quit_payoff, sell_candidate, sell_payoff,
+)
 
 
 def _exp_decay(rho):
@@ -104,7 +106,7 @@ class TestVariationalInequalities:
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         probe_s, probe_z = default_probe_grid(0.01, 20.0, 200, 2.0, 10, log_z=True)
         report = check_variational_inequalities(
-            sell_candidate(spec), spec, probe_s, probe_z
+            sell_candidate(spec), spec, sell_payoff(spec), probe_s, probe_z
         )
         assert report.passed()
         d = report.to_dict()
@@ -115,7 +117,7 @@ class TestVariationalInequalities:
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         probe_s, probe_z = default_probe_grid(-2.0, 4.0, 200, 2.0, 10, log_z=False)
         report = check_variational_inequalities(
-            quit_candidate(spec), spec, probe_s, probe_z
+            quit_candidate(spec), spec, quit_payoff(spec), probe_s, probe_z
         )
         assert report.passed()
 
@@ -123,18 +125,19 @@ class TestVariationalInequalities:
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         bad = quit_candidate(spec, eta=-0.9)
         probe_s, probe_z = default_probe_grid(-2.0, 4.0, 200, 2.0, 10, log_z=False)
-        report = check_variational_inequalities(bad, spec, probe_s, probe_z)
+        report = check_variational_inequalities(bad, spec, quit_payoff(spec), probe_s, probe_z)
         assert not report.passed()
 
     def test_report_is_json_safe(self):
         quit_spec = make_quit_model(0.3, 0.1, rho=0.2)
         sell_spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         quit_report = check_variational_inequalities(
-            quit_candidate(quit_spec), quit_spec,
+            quit_candidate(quit_spec), quit_spec, quit_payoff(quit_spec),
             *default_probe_grid(-2.0, 4.0, 50, 2.0, 5, log_z=False))
         # below the sell threshold: no stopping probes, so no stopping maximum
         sell_report = check_variational_inequalities(
-            sell_candidate(sell_spec), sell_spec, *default_probe_grid(0.5, 2.0))
+            sell_candidate(sell_spec), sell_spec, sell_payoff(sell_spec),
+            *default_probe_grid(0.5, 2.0))
         for report in (quit_report, sell_report):
             json.dumps(report.to_dict(), allow_nan=False)
         assert sell_report.stopping.n_probes == 0 and sell_report.passed()
@@ -165,7 +168,7 @@ class TestVariationalInequalities:
         assert wrong.value(0.0, 1.0) == pytest.approx(0.5207, abs=1e-4)
         window = FAMILIES["sell"].probe(sell_candidate(spec).threshold)
         probe_s, probe_z = default_probe_grid(**window)
-        report = check_variational_inequalities(wrong, spec, probe_s, probe_z)
+        report = check_variational_inequalities(wrong, spec, sell_payoff(spec), probe_s, probe_z)
         assert report.continuation.max_abs_residual <= 1e-15
         assert report.stopping.max_residual <= report.tol and report.obstacle_violations == 0
         assert max(report.continuity_gap, report.smooth_fit_gap) <= report.gap_tol
@@ -179,9 +182,10 @@ class TestVariationalInequalities:
         # obstacle, so every other check passes, yet its value at z = 1 is 0.4016 against
         # the true 0.3526
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
-        wrong = replace(sell_candidate(replace(spec, cost=0.8)), g=sell_candidate(spec).g)
+        wrong = sell_candidate(replace(spec, cost=0.8))
         assert wrong.value(0.0, 1.0) == pytest.approx(0.4016, abs=1e-4)
-        report = check_variational_inequalities(wrong, spec, *default_probe_grid(0.01, 20.0))
+        report = check_variational_inequalities(wrong, spec, sell_payoff(spec),
+                                                *default_probe_grid(0.01, 20.0))
         assert report.continuation.max_abs_residual <= report.tol
         assert report.stopping.max_residual <= report.tol and not report.derivative_mismatches
         assert max(report.continuity_gap, report.smooth_fit_gap) <= report.gap_tol
@@ -190,13 +194,26 @@ class TestVariationalInequalities:
                    for s, _, gap in report.worst_probes)
         assert not report.passed()
 
+    def test_a_candidate_is_checked_against_the_running_profit_it_is_given(self):
+        # the optimal quit value solves A phi + f = 0 for quit's profit f = e^{-rho s} z:
+        # against a problem without running profit its residual is -f, largest at s = 0
+        spec = make_quit_model(0.3, 0.1, rho=0.2)
+        probe_s, probe_z = default_probe_grid(**FAMILIES["quit"].probe(_ETA))
+        assert check_variational_inequalities(
+            quit_candidate(spec), spec, quit_payoff(spec), probe_s, probe_z).passed()
+        report = check_variational_inequalities(
+            quit_candidate(spec), spec, (None, None), probe_s, probe_z)
+        assert report.continuation.max_abs_residual == pytest.approx(probe_z[-1], rel=1e-9)
+        assert report.stopping.max_residual <= report.tol and report.obstacle_violations == 0
+        assert not report.passed()
+
     def test_nan_residual_fails(self):
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         good = quit_candidate(spec)
         broken = replace(good, continuation=replace(
             good.continuation, F_double_prime=lambda z: np.nan * z))
         probe_s, probe_z = default_probe_grid(**FAMILIES["quit"].probe(good.threshold))
-        report = check_variational_inequalities(broken, spec, probe_s, probe_z)
+        report = check_variational_inequalities(broken, spec, quit_payoff(spec), probe_s, probe_z)
         assert report.continuation.n_probes > 0
         assert math.isnan(report.continuation.max_abs_residual)
         assert not report.passed()
@@ -208,7 +225,9 @@ class TestVariationalInequalities:
 
 
 def _per_probe_report(candidate, spec, probe_s, probe_z, tol=1e-10, gap_tol=1e-8):
-    """The variational-inequality check one probe at a time, in Python scalars."""
+    """The variational-inequality check one probe at a time, in Python scalars,
+    against the family's payoff."""
+    f, g = FAMILIES[spec.family].payoff(spec)
     regions = {"continuation": [0, -np.inf, 0.0], "stopping": [0, -np.inf, 0.0]}
     violations, worst = 0, []
     for s in np.atleast_1d(probe_s):
@@ -222,17 +241,18 @@ def _per_probe_report(candidate, spec, probe_s, probe_z, tol=1e-10, gap_tol=1e-8
             a, b = spec.drift(z), spec.diffusion_common(z)
             res = phi.psi_prime(s) * phi.F(z) + phi.psi(s) * (
                 phi.F_prime(z) * a + 0.5 * phi.F_double_prime(z) * b * b)
-            if candidate.f is not None:
-                res += candidate.f(s, z)
+            if f is not None:
+                res += f(s, z)
             region = regions["continuation" if inside else "stopping"]
             region[0] += 1
             region[1] = max(region[1], res)
             region[2] = max(region[2], abs(res))
-            value, g = candidate.value(s, z), candidate.g(s, z)
-            if value < g - OBSTACLE_TOL or not inside and abs(value - g) > OBSTACLE_TOL:
+            value, obstacle = candidate.value(s, z), 0.0 if g is None else g(s, z)
+            if (value < obstacle - OBSTACLE_TOL
+                    or not inside and abs(value - obstacle) > OBSTACLE_TOL):
                 violations += 1
                 if len(worst) < 10:
-                    worst.append((s, z, float(value - g)))
+                    worst.append((s, z, float(value - obstacle)))
     th = candidate.threshold
     continuity_gap = smooth_gap = 0.0
     for s in np.atleast_1d(probe_s):
@@ -283,7 +303,9 @@ _WINDOWS = {
 def _both_reports(spec, threshold, window):
     candidate = FAMILIES[spec.family].candidate(spec, threshold)
     probe_s, probe_z = default_probe_grid(**window)
-    return (_report_fields(check_variational_inequalities(candidate, spec, probe_s, probe_z)),
+    payoff = FAMILIES[spec.family].payoff(spec)
+    return (_report_fields(check_variational_inequalities(candidate, spec, payoff, probe_s,
+                                                          probe_z)),
             _report_fields(_per_probe_report(candidate, spec, probe_s, probe_z)))
 
 

@@ -23,11 +23,10 @@ from mvstop.stopping import (
     quit_potential,
     quit_smooth_fit_residuals,
     quit_threshold,
-    quit_value,
+    rule_value,
     sell_candidate,
     sell_payoff,
     sell_threshold,
-    sell_value,
     threshold_sweep,
 )
 
@@ -64,21 +63,31 @@ class TestSellClosedForm:
 
     def test_value_frozen(self):
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
-        assert sell_value(0.0, 1.0, spec) == pytest.approx(SELL_VALUE_0_1, rel=1e-12)
-        assert sell_value(0.5, 2.0, spec) == pytest.approx(SELL_VALUE_HALF_2, rel=1e-12)
-        assert sell_value(0.0, 5.0, spec) == pytest.approx(4.0, rel=1e-12)
+        value = sell_candidate(spec).value
+        assert value(0.0, 1.0) == pytest.approx(SELL_VALUE_0_1, rel=1e-12)
+        assert value(0.5, 2.0) == pytest.approx(SELL_VALUE_HALF_2, rel=1e-12)
+        assert value(0.0, 5.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_value_continuous_at_threshold(self):
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         eps = 1e-9
-        below = sell_value(0.3, XI_STAR - eps, spec)
-        above = sell_value(0.3, XI_STAR + eps, spec)
+        below = sell_candidate(spec).value(0.3, XI_STAR - eps)
+        above = sell_candidate(spec).value(0.3, XI_STAR + eps)
         assert abs(below - above) < 1e-8
 
     def test_value_needs_positive_mean(self):
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         with pytest.raises(ValueError):
-            sell_value(0.0, -1.0, spec)
+            sell_candidate(spec).value(0.0, -1.0)
+
+    def test_every_value_guards_its_domain(self):
+        # the candidate read 0.0 at z = 0; a capped row, the Dynkin start and the CLI's
+        # reference all read the candidate, as rule_value returns it
+        spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
+        cap = rule_value(spec, StoppingRule("threshold_up", threshold=2.7), "cap_payoff")
+        for value in (sell_candidate(spec).value, cap.value):
+            with pytest.raises(ValueError, match="the state must lie above 0.0"):
+                value(0.0, 0.0)
 
     def test_params_preconditions(self):
         with pytest.raises(ValueError):
@@ -117,18 +126,18 @@ class TestQuitClosedForm:
 
     def test_value_frozen(self):
         spec = make_quit_model(0.3, 0.1, rho=0.2)
-        assert quit_value(0.0, 0.0, spec) == pytest.approx(QUIT_C1, rel=1e-12)
-        assert quit_value(1.0, 0.5, spec) == pytest.approx(QUIT_VALUE_1_HALF, rel=1e-12)
-        assert quit_value(0.0, QUIT_ETA - 0.5, spec) == 0.0
+        value = quit_candidate(spec).value
+        assert value(0.0, 0.0) == pytest.approx(QUIT_C1, rel=1e-12)
+        assert value(1.0, 0.5) == pytest.approx(QUIT_VALUE_1_HALF, rel=1e-12)
+        assert value(0.0, QUIT_ETA - 0.5) == 0.0
 
 
 @pytest.mark.parametrize("family", ["sell", "quit"])
 def test_closed_forms_need_their_own_family(family):
     other = (make_quit_model(0.3, 0.1, rho=0.2) if family == "sell"
              else make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0))
-    forms = ([sell_payoff, sell_candidate, lambda spec: sell_value(0.0, 1.0, spec)]
-             if family == "sell" else
-             [quit_payoff, quit_candidate, quit_threshold, lambda spec: quit_value(0.0, 0.0, spec),
+    forms = ([sell_payoff, sell_candidate] if family == "sell" else
+             [quit_payoff, quit_candidate, quit_threshold,
               lambda spec: quit_smooth_fit_residuals(spec, QUIT_ETA, QUIT_C1)])
     for form in forms:
         with pytest.raises(ValueError, match=f"the {family} problem needs a {family} spec"):
@@ -394,11 +403,11 @@ def test_value_cap_is_unbiased_at_a_short_horizon(family):
     if family == "sell":
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         rule = StoppingRule("threshold_up", threshold=2.7)
-        ref = sell_value(0.0, 1.0, spec, xi=2.7)
+        ref = sell_candidate(spec, 2.7).value(0.0, 1.0)
     else:
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         rule = StoppingRule("threshold_down", threshold=-0.47)
-        ref = quit_value(0.0, 0.0, spec, eta=-0.47)
+        ref = quit_candidate(spec, -0.47).value(0.0, 0.0)
     cfg = SimConfig(dt=0.01, replications=20_000, seed=7, t_max=2.0, cap_payoff="value")
     est = evaluate_rule_mc(spec, rule, cfg)
     assert est.truncation_fraction > 0.7
