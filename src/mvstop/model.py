@@ -142,8 +142,8 @@ class ModelSpec:
     functional, discounted at ``rho``, and ``cost`` is the sell family's
     transaction cost (0 for quit).  The family also fixes the pattern of the
     conditional mean's drift and common diffusion, the terms its closed forms,
-    fast mode and oracle read: ``a1 m`` and ``b1 m`` for sell, ``a0`` and
-    ``b0`` for quit.  The other two terms must be 0.
+    fast mode and oracle read: ``a1 m`` and ``b1 m`` for sell, ``b0`` alone
+    for quit, whose closed forms assume no drift.  The other terms must be 0.
     """
 
     family: str
@@ -168,10 +168,12 @@ class ModelSpec:
                if not math.isfinite(getattr(self, name))}
         if bad:
             raise ModelError(f"model coefficients, rho and cost must be finite, got {bad}")
-        for name in ("a0", "b0") if self.family == "sell" else ("a1", "b1"):
+        for name in ("a0", "b0") if self.family == "sell" else ("a0", "a1", "b1"):
             if getattr(self, name) != 0:
-                raise ModelError(f"a {self.family} spec has no {name} term: the {self.family} "
-                                 f"closed forms, fast mode and oracle drop it; got {name} = "
+                why = ("the quit closed forms and fast mode's potential assume a driftless "
+                       "conditional mean" if (self.family, name) == ("quit", "a0")
+                       else f"the {self.family} closed forms, fast mode and oracle drop it")
+                raise ModelError(f"a {self.family} spec has no {name} term: {why}; got {name} = "
                                  f"{getattr(self, name)!r}")
 
     def drift(self, m):

@@ -138,8 +138,8 @@ def quit_payoff(spec: ModelSpec) -> tuple[Callable | None, Callable | None]:
 def quit_potential(spec: ModelSpec, dt: float) -> Callable:
     """Quit's discrete potential ``P(t, m) = c e^{-rho t} m``, ``c = dt / (1 - e^{-rho dt})``.
 
-    It holds only for a conditional mean without drift, as ``make_quit_model``
-    builds it (no ``a0``); a spec with ``a0 != 0`` raises.  Then on the grid
+    It holds because a quit spec's conditional mean has no drift (``ModelSpec``
+    rejects a quit ``a0``).  Then on the grid
     ``e^{-rho t_k} m_k + (1 - e^{-rho dt}) sum_{j<k} e^{-rho t_j} m_j`` is a
     martingale, with increments ``e^{-rho t_{k+1}} (m_{k+1} - m_k)``, and
     optional stopping at a grid stop ``tau <= N`` gives
@@ -148,9 +148,6 @@ def quit_potential(spec: ModelSpec, dt: float) -> Callable:
     profit sum as ``P(0, m_0) - P(t_tau, m_tau)``, from the stop alone.
     """
     _check_family(spec, "quit")
-    if spec.a0 != 0:
-        raise ValueError(f"quit's running profit is paid through its potential, which needs a "
-                         f"conditional mean without drift; got a0 = {spec.a0!r}")
     rho = spec.rho
     c = dt / -math.expm1(-rho * dt)
     return lambda t, m: c * np.exp(-rho * t) * m

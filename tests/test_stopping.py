@@ -926,14 +926,6 @@ def test_potential_pays_the_left_point_profit_sum(shift):
     assert abs(diff.mean()) <= 4 * diff.std() / math.sqrt(n)
 
 
-def test_potential_needs_a_driftless_mean():
-    # make_quit_model sets no a0; one set afterwards would bias the potential's payment
-    spec = replace(make_quit_model(0.3, 0.1, rho=0.2), a0=0.05)
-    cfg = SimConfig(dt=0.01, replications=10, seed=0, t_max=1.0)
-    with pytest.raises(ValueError, match="needs a conditional mean without drift; got a0 = 0.05"):
-        evaluate_rule_mc(spec, StoppingRule("threshold_down", threshold=QUIT_ETA), cfg)
-
-
 def test_the_sign_of_sigma1_leaves_every_draw_unchanged():
     runs = []
     for sigma1 in (0.3, -0.3):
