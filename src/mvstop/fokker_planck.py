@@ -92,11 +92,6 @@ def gaussian_density(x: np.ndarray, mean: float, std: float) -> GridDensity:
     return GridDensity(x, values).normalized()
 
 
-def boundary_mass(density: GridDensity) -> float:
-    rho, dx = density.values, density.dx
-    return float((abs(rho[0]) + abs(rho[-1])) * dx)
-
-
 @dataclass
 class StepDiagnostics:
     mass_defect: float        # |mass - 1| after the raw Euler update
