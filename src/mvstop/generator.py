@@ -114,7 +114,7 @@ class StoppingCandidate:
         s = np.asarray(s, float)
         z = np.asarray(z, float)
         if self.z_floor is not None and np.any(z <= self.z_floor):
-            raise ValueError(f"the state must lie above {self.z_floor}, got {z}")
+            raise ValueError(f"the state must lie above {self.z_floor}, got {float(np.nanmin(z))}")
         out = np.where(self.in_continuation(z), self.continuation.value(s, z),
                        self.stopping.value(s, z))
         return float(out) if out.ndim == 0 else out

@@ -200,8 +200,8 @@ class TestModelFamilies:
 
     @pytest.mark.parametrize("name", ["a0", "a1", "b1"])
     def test_quit_rejects_the_terms_its_reduction_drops(self, name):
-        # quit's conditional mean is read as b0 alone; with an a0 the closed forms still
-        # answered the driftless problem (eta* -0.47434)
+        # quit's conditional mean is read as b0 alone: its closed forms and fast mode's
+        # potential assume no drift
         spec = make_quit_model(0.3, 0.1, rho=0.2)
         with pytest.raises(ModelError, match=f"a quit spec has no {name} term"):
             replace(spec, **{name: 0.05})

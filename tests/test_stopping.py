@@ -81,7 +81,7 @@ class TestSellClosedForm:
             sell_candidate(spec).value(0.0, -1.0)
 
     def test_every_value_guards_its_domain(self):
-        # the candidate read 0.0 at z = 0; a capped row, the Dynkin start and the CLI's
+        # z = 0 is outside the sell domain; a capped row, the Dynkin start and the CLI's
         # reference all read the candidate, as rule_value returns it
         spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
         cap = rule_value(spec, StoppingRule("threshold_up", threshold=2.7), "cap_payoff")
