@@ -29,22 +29,17 @@ class CFLError(RuntimeError):
     """Explicit step size violates the stability bound."""
 
 
-def check_grid(x: np.ndarray) -> np.ndarray:
-    """The trapezoid weights ``diff(x)`` of a uniform, increasing 1-D grid
-    of at least 3 nodes; any other ``x`` raises ``GridError``."""
+def check_grid(x: np.ndarray) -> None:
+    """Raise ``GridError`` unless ``x`` is a uniform, increasing 1-D grid of at least 3 nodes."""
     dx = np.diff(x)
     if x.ndim != 1 or x.size < 3 or not dx[0] > 0 or not np.allclose(dx, dx[0], rtol=1e-10):
         raise GridError("grid must be uniform and increasing with at least 3 nodes")
-    return dx
 
 
 @dataclass
 class GridDensity:
-    """Density values on uniform grid nodes ``x`` at time ``time``.
-
-    The grid is validated once, on construction, and keeps its trapezoid
-    weights ``diff(x)``; a step's successor shares both without a re-check.
-    """
+    """Density values on uniform grid nodes ``x`` at time ``time``; the grid
+    is validated on construction."""
 
     x: np.ndarray
     values: np.ndarray
@@ -55,27 +50,17 @@ class GridDensity:
         self.values = np.asarray(self.values, dtype=float)
         if self.x.ndim != 1 or self.x.shape != self.values.shape:
             raise GridError("grid and values must be 1-D arrays of equal length")
-        self._d = check_grid(self.x)
-
-    def _on_grid(self, values: np.ndarray, time: float) -> "GridDensity":
-        """``values`` at ``time`` on this density's grid, which is not checked again."""
-        out = object.__new__(GridDensity)
-        out.x, out.values, out.time, out._d = self.x, values, time, self._d
-        return out
-
-    def _trapezoid(self, y: np.ndarray) -> float:
-        """``np.trapezoid(y, x)``: numpy's own expression, on the kept weights."""
-        return float((self._d * (y[1:] + y[:-1]) / 2.0).sum())
+        check_grid(self.x)
 
     @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
     def mass(self) -> float:
-        return self._trapezoid(self.values)
+        return float(np.trapezoid(self.values, self.x))
 
     def first_moment(self) -> float:
-        return self._trapezoid(self.x * self.values)
+        return float(np.trapezoid(self.x * self.values, self.x))
 
     def normalized(self) -> "GridDensity":
         return replace(self, values=self.values / self.mass())
@@ -129,7 +114,7 @@ class _Kernel:
         self.rho = density.values.copy()
         self.dx = density.dx
         self._2dx, self._dx2 = 2 * self.dx, self.dx**2
-        self._d = density._d
+        self._d = np.diff(self.x)           # trapezoid weights, as np.trapezoid takes them
         # D[0 rho] is +0.0 everywhere unless rho carries a sign bit, and
         # adding its negation -0.0 changes no value; a step's values never
         # carry one, so only the start density needs the check
@@ -261,7 +246,7 @@ def step_spide(
     """One Euler-Maruyama step of the density, with clipping and renormalization."""
     kernel = _Kernel(density, spec)
     diag = kernel.step(dt, dB1)
-    return density._on_grid(kernel.rho, kernel.time), diag
+    return GridDensity(density.x, kernel.rho, kernel.time), diag
 
 
 def evolve_spide(
@@ -273,7 +258,7 @@ def evolve_spide(
     """``step_spide`` once per common-noise increment, all in one kernel's buffers."""
     kernel = _Kernel(density, spec)
     diags = [kernel.step(dt, float(dB1)) for dB1 in np.asarray(dB1_increments, float)]
-    return density._on_grid(kernel.rho, kernel.time), diags
+    return GridDensity(density.x, kernel.rho, kernel.time), diags
 
 
 def compare_to_particles(density: GridDensity, kde: GridDensity) -> float:
