@@ -13,7 +13,7 @@ kill the x- and jump-terms, which is what makes the closed forms exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -121,17 +121,14 @@ class StoppingCandidate:
 
 
 @dataclass
-class RegionCheck:
-    region: str
-    n_probes: int
-    max_residual: float       # -inf without probes
-    max_abs_residual: float   # 0 without probes
-
-
-@dataclass
 class VarIneqReport:
-    continuation: RegionCheck
-    stopping: RegionCheck
+    """The variational-inequality findings, one field per key of
+    ``var_ineq_report.json``."""
+
+    continuation_max_abs_residual: float  # 0 without probes
+    stopping_max_residual: float          # -inf without probes
+    n_continuation_probes: int
+    n_stopping_probes: int
     obstacle_violations: int
     continuity_gap: float
     smooth_fit_gap: float
@@ -142,8 +139,8 @@ class VarIneqReport:
 
     def passed(self) -> bool:
         return bool(
-            self.continuation.max_abs_residual <= self.tol
-            and self.stopping.max_residual <= self.tol
+            self.continuation_max_abs_residual <= self.tol
+            and self.stopping_max_residual <= self.tol
             and self.obstacle_violations == 0
             and self.continuity_gap <= self.gap_tol
             and self.smooth_fit_gap <= self.gap_tol
@@ -153,22 +150,8 @@ class VarIneqReport:
     def to_dict(self) -> dict:
         """The report as strict JSON: a non-finite number, such as the maximum
         over a region without probes, is null."""
-        fields = {
-            "passed": self.passed(),
-            "continuation_max_abs_residual": float(self.continuation.max_abs_residual),
-            "stopping_max_residual": float(self.stopping.max_residual),
-            "obstacle_violations": int(self.obstacle_violations),
-            "continuity_gap": float(self.continuity_gap),
-            "smooth_fit_gap": float(self.smooth_fit_gap),
-            "tol": self.tol,
-            "gap_tol": self.gap_tol,
-            "n_continuation_probes": self.continuation.n_probes,
-            "n_stopping_probes": self.stopping.n_probes,
-            "worst_probes": self.worst_probes,
-            "derivative_mismatches": self.derivative_mismatches,
-        }
         return {key: None if isinstance(value, float) and not math.isfinite(value) else value
-                for key, value in fields.items()}
+                for key, value in {"passed": self.passed(), **asdict(self)}.items()}
 
 
 def default_probe_grid(
@@ -217,7 +200,7 @@ def check_variational_inequalities(
         z_axis = z_axis[z_axis > candidate.z_floor]
     f, g = payoff
     inside, inside_axis = candidate.in_continuation(z), candidate.in_continuation(z_axis)
-    regions, mismatches = [], []
+    residuals, mismatches = [], []
     for region, mask, mask_axis, branch in (
             ("continuation", inside, inside_axis, candidate.continuation),
             ("stopping", ~inside, ~inside_axis, candidate.stopping)):
@@ -225,9 +208,7 @@ def check_variational_inequalities(
         res = apply_generator_cylinder(branch, s_in, z_in, spec)
         if f is not None:
             res = res + f(s_in, z_in)
-        res = np.broadcast_to(res, z_in.shape)  # a branch may be constant
-        regions.append(RegionCheck(region, res.size, float(np.max(res, initial=-np.inf)),
-                                   float(np.max(np.abs(res), initial=0.0))))
+        residuals.append(np.broadcast_to(res, z_in.shape))  # a branch may be constant
         if z_in.size:
             mismatches += [f"{region}.{name}" for name in branch.derivative_mismatches(
                 probe_s, z_axis[mask_axis], candidate.z_floor)]
@@ -241,9 +222,12 @@ def check_variational_inequalities(
     continuity_gap = np.max(np.abs(cont.value(s_axis, th) - stop.value(s_axis, th)),
                             initial=0.0)
     smooth_gap = np.max(np.abs(cont.dz(s_axis, th) - stop.dz(s_axis, th)), initial=0.0)
+    cont_res, stop_res = residuals
     return VarIneqReport(
-        continuation=regions[0],
-        stopping=regions[1],
+        continuation_max_abs_residual=float(np.max(np.abs(cont_res), initial=0.0)),
+        stopping_max_residual=float(np.max(stop_res, initial=-np.inf)),
+        n_continuation_probes=cont_res.size,
+        n_stopping_probes=stop_res.size,
         obstacle_violations=off.size,
         continuity_gap=float(continuity_gap),
         smooth_fit_gap=float(smooth_gap),

@@ -8,7 +8,6 @@ import pytest
 from mvstop.generator import (
     OBSTACLE_TOL,
     CylinderFunction,
-    RegionCheck,
     VarIneqReport,
     apply_generator_cylinder,
     check_variational_inequalities,
@@ -140,7 +139,7 @@ class TestVariationalInequalities:
             *default_probe_grid(0.5, 2.0))
         for report in (quit_report, sell_report):
             json.dumps(report.to_dict(), allow_nan=False)
-        assert sell_report.stopping.n_probes == 0 and sell_report.passed()
+        assert sell_report.n_stopping_probes == 0 and sell_report.passed()
         assert sell_report.to_dict()["stopping_max_residual"] is None
 
     @pytest.mark.parametrize("window", [(-1.0, 20.0), (0.0, 20.0), (0.01, -2.0)])
@@ -169,8 +168,8 @@ class TestVariationalInequalities:
         window = FAMILIES["sell"].probe(sell_candidate(spec).threshold)
         probe_s, probe_z = default_probe_grid(**window)
         report = check_variational_inequalities(wrong, spec, sell_payoff(spec), probe_s, probe_z)
-        assert report.continuation.max_abs_residual <= 1e-15
-        assert report.stopping.max_residual <= report.tol and report.obstacle_violations == 0
+        assert report.continuation_max_abs_residual <= 1e-15
+        assert report.stopping_max_residual <= report.tol and report.obstacle_violations == 0
         assert max(report.continuity_gap, report.smooth_fit_gap) <= report.gap_tol
         assert report.derivative_mismatches == ["continuation.F_double_prime"]
         assert not report.passed()
@@ -186,10 +185,10 @@ class TestVariationalInequalities:
         assert wrong.value(0.0, 1.0) == pytest.approx(0.4016, abs=1e-4)
         report = check_variational_inequalities(wrong, spec, sell_payoff(spec),
                                                 *default_probe_grid(0.01, 20.0))
-        assert report.continuation.max_abs_residual <= report.tol
-        assert report.stopping.max_residual <= report.tol and not report.derivative_mismatches
+        assert report.continuation_max_abs_residual <= report.tol
+        assert report.stopping_max_residual <= report.tol and not report.derivative_mismatches
         assert max(report.continuity_gap, report.smooth_fit_gap) <= report.gap_tol
-        assert report.obstacle_violations == report.stopping.n_probes > 0
+        assert report.obstacle_violations == report.n_stopping_probes > 0
         assert all(gap == pytest.approx(0.2 * math.exp(-0.2 * s))
                    for s, _, gap in report.worst_probes)
         assert not report.passed()
@@ -203,8 +202,8 @@ class TestVariationalInequalities:
             quit_candidate(spec), spec, quit_payoff(spec), probe_s, probe_z).passed()
         report = check_variational_inequalities(
             quit_candidate(spec), spec, (None, None), probe_s, probe_z)
-        assert report.continuation.max_abs_residual == pytest.approx(probe_z[-1], rel=1e-9)
-        assert report.stopping.max_residual <= report.tol and report.obstacle_violations == 0
+        assert report.continuation_max_abs_residual == pytest.approx(probe_z[-1], rel=1e-9)
+        assert report.stopping_max_residual <= report.tol and report.obstacle_violations == 0
         assert not report.passed()
 
     def test_nan_residual_fails(self):
@@ -214,8 +213,8 @@ class TestVariationalInequalities:
             good.continuation, F_double_prime=lambda z: np.nan * z))
         probe_s, probe_z = default_probe_grid(**FAMILIES["quit"].probe(good.threshold))
         report = check_variational_inequalities(broken, spec, quit_payoff(spec), probe_s, probe_z)
-        assert report.continuation.n_probes > 0
-        assert math.isnan(report.continuation.max_abs_residual)
+        assert report.n_continuation_probes > 0
+        assert math.isnan(report.continuation_max_abs_residual)
         assert not report.passed()
         assert report.to_dict()["continuation_max_abs_residual"] is None
 
@@ -228,7 +227,8 @@ def _per_probe_report(candidate, spec, probe_s, probe_z, tol=1e-10, gap_tol=1e-8
     """The variational-inequality check one probe at a time, in Python scalars,
     against the family's payoff."""
     f, g = FAMILIES[spec.family].payoff(spec)
-    regions = {"continuation": [0, -np.inf, 0.0], "stopping": [0, -np.inf, 0.0]}
+    n_probes = {True: 0, False: 0}
+    cont_max_abs, stop_max = 0.0, -np.inf
     violations, worst = 0, []
     for s in np.atleast_1d(probe_s):
         s = float(s)
@@ -243,10 +243,11 @@ def _per_probe_report(candidate, spec, probe_s, probe_z, tol=1e-10, gap_tol=1e-8
                 phi.F_prime(z) * a + 0.5 * phi.F_double_prime(z) * b * b)
             if f is not None:
                 res += f(s, z)
-            region = regions["continuation" if inside else "stopping"]
-            region[0] += 1
-            region[1] = max(region[1], res)
-            region[2] = max(region[2], abs(res))
+            n_probes[inside] += 1
+            if inside:
+                cont_max_abs = max(cont_max_abs, abs(res))
+            else:
+                stop_max = max(stop_max, res)
             value, obstacle = candidate.value(s, z), 0.0 if g is None else g(s, z)
             if (value < obstacle - OBSTACLE_TOL
                     or not inside and abs(value - obstacle) > OBSTACLE_TOL):
@@ -261,27 +262,12 @@ def _per_probe_report(candidate, spec, probe_s, probe_z, tol=1e-10, gap_tol=1e-8
         continuity_gap = max(continuity_gap, abs(cont.value(s, th) - stop.value(s, th)))
         smooth_gap = max(smooth_gap, abs(cont.dz(s, th) - stop.dz(s, th)))
     return VarIneqReport(
-        RegionCheck("continuation", *regions["continuation"]),
-        RegionCheck("stopping", *regions["stopping"]),
+        cont_max_abs, stop_max, n_probes[True], n_probes[False],
         violations, continuity_gap, smooth_gap, tol, gap_tol, worst,
     )
 
 
-_RESIDUAL_MAXIMA = ("continuation.max_residual", "continuation.max_abs_residual",
-                    "stopping.max_residual", "stopping.max_abs_residual")
-
-
-def _report_fields(report: VarIneqReport) -> dict:
-    return {
-        **{f"{r.region}.{key}": getattr(r, key)
-           for r in (report.continuation, report.stopping)
-           for key in ("n_probes", "max_residual", "max_abs_residual")},
-        "obstacle_violations": report.obstacle_violations,
-        "continuity_gap": report.continuity_gap,
-        "smooth_fit_gap": report.smooth_fit_gap,
-        "worst_probes": report.worst_probes,
-        "dict": report.to_dict(),
-    }
+_RESIDUAL_MAXIMA = ("continuation_max_abs_residual", "stopping_max_residual")
 
 
 _SELL = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
@@ -304,9 +290,8 @@ def _both_reports(spec, threshold, window):
     candidate = FAMILIES[spec.family].candidate(spec, threshold)
     probe_s, probe_z = default_probe_grid(**window)
     payoff = FAMILIES[spec.family].payoff(spec)
-    return (_report_fields(check_variational_inequalities(candidate, spec, payoff, probe_s,
-                                                          probe_z)),
-            _report_fields(_per_probe_report(candidate, spec, probe_s, probe_z)))
+    return (check_variational_inequalities(candidate, spec, payoff, probe_s, probe_z),
+            _per_probe_report(candidate, spec, probe_s, probe_z))
 
 
 @pytest.mark.parametrize("window", list(_WINDOWS))
@@ -320,7 +305,5 @@ def test_array_check_round_off_on_a_linear_sell_window():
     window = {"z_min": 0.01, "z_max": 20.0, "log_z": False}
     array, loop = _both_reports(_SELL, None, window)
     for key in _RESIDUAL_MAXIMA:
-        assert abs(array.pop(key) - loop.pop(key)) <= 1e-15
-    for key in ("continuation_max_abs_residual", "stopping_max_residual"):
-        assert abs(array["dict"].pop(key) - loop["dict"].pop(key)) <= 1e-15
-    assert array == loop
+        assert abs(getattr(array, key) - getattr(loop, key)) <= 1e-15
+    assert replace(array, **{key: getattr(loop, key) for key in _RESIDUAL_MAXIMA}) == loop
