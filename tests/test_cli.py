@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -10,6 +11,7 @@ from mvstop import stopping
 from mvstop.cli import (
     ConfigError, build_model, load_config, main, manifest_hash, run_experiment,
 )
+from mvstop.generator import VarIneqReport
 from mvstop.model import make_quit_model
 from mvstop.stopping import SimConfig, dynkin_residual, quit_candidate
 
@@ -557,6 +559,13 @@ class TestRunExperiment:
         assert run_experiment(load_config(write_config(tmp_path, body))) == 0
         report = json.loads((tmp_path / "out" / "var_ineq_report.json").read_text())
         assert report["n_continuation_probes"] + report["n_stopping_probes"] == 200 * 20
+
+    def test_var_ineq_report_keys_are_the_report_fields(self, tmp_path):
+        body = base_config(tmp_path, experiment="var_ineq_check",
+                           numerics={"probe": {"n_z": 10, "n_s": 2}})
+        assert run_experiment(load_config(write_config(tmp_path, body))) == 0
+        report = json.loads((tmp_path / "out" / "var_ineq_report.json").read_text())
+        assert set(report) == {f.name for f in dataclasses.fields(VarIneqReport)} | {"passed"}
 
     @pytest.mark.parametrize("given", [{}, {"mode": None}], ids=["absent", "null"])
     def test_simulation_defaults_apply(self, tmp_path, given):

@@ -46,6 +46,9 @@ def test_gaussian_density_mass_and_moment():
     d = gaussian_density(make_grid(-4, 4, 801), 0.5, 0.3)
     assert d.mass() == pytest.approx(1.0, abs=1e-12)
     assert d.first_moment() == pytest.approx(0.5, abs=1e-8)
+    # the moments are numpy's trapezoid rule, to the bit
+    assert d.mass() == np.trapezoid(d.values, d.x)
+    assert d.first_moment() == np.trapezoid(d.x * d.values, d.x)
 
 
 def test_a1_star_integrates_to_zero(quit_spec):
@@ -58,6 +61,26 @@ def test_a0_star_integrates_to_zero(quit_spec):
     d = gaussian_density(make_grid(-3, 3, 601), 0.0, 0.3)
     rate = apply_A0_star(d, quit_spec, d.first_moment())
     assert abs(np.trapezoid(rate, d.x)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [601, 1201])
+def test_a0_star_moment_identities(n):
+    # <A0* rho, x^k> = <rho, A0 x^k> for k = 0, 1, 2 with the coefficients frozen at the
+    # mean m: 0, a(m) and 2 m a + b1^2 + b2^2 + lambda gamma^2, plus, in the second moment,
+    # the variance lambda dx^2 f (1 - f), f = frac(|gamma| / dx), that the linear
+    # interpolation of the jump shift adds
+    spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, levy=constant_mark(0.5, -0.2))
+    d = gaussian_density(make_grid(-2, 5, n), 1.5, 0.3)
+    x, m = d.x, d.first_moment()
+    rate = apply_A0_star(d, spec, m)
+    a, gamma = spec.drift(m), spec.jump_amp(m, -0.2)
+    second = 2 * m * a + spec.diffusion_common(m) ** 2 + spec.diffusion_idio(m) ** 2
+    second += spec.levy.intensity * gamma**2
+    f = abs(gamma) / d.dx % 1.0
+    assert abs(np.trapezoid(rate, x)) <= 1e-13
+    assert abs(np.trapezoid(x * rate, x) - a) <= 1e-13
+    assert np.trapezoid(x * x * rate, x) - second == pytest.approx(
+        spec.levy.intensity * d.dx**2 * f * (1 - f), abs=1e-12)
 
 
 def test_diffusion_spreads_variance(quit_spec):
