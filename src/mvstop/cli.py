@@ -226,12 +226,10 @@ def build_model(model: dict) -> ModelSpec:
     block = {**fam.defaults, **model}
     initial = model.get("initial")
     law = InitialLaw("point", block[key]) if initial is None else InitialLaw(**initial)
-    spec = fam.build(block, law)
     if initial is not None and key in model and model[key] != law.mean:
         raise ValueError(f"model.{key} = {model[key]!r} differs from the mean {law.mean!r} "
                          f"of model.initial; give one of them")
-    fam.start_y(spec)
-    return spec
+    return fam.build(block, law)
 
 
 def _sim_config(numerics: dict, seed: int, **fixed) -> SimConfig:
@@ -411,7 +409,7 @@ def _fokker_planck_compare(spec, numerics, checks, seed):
         density, diags = evolve_spide(density, spec, spide_dt, common.increments)
         coarse = CommonNoisePath(dt, common.increments.reshape(-1, ratio).sum(axis=1))
         result = simulate_path(spec, coarse, numerics["n"], rng_cloud)
-        kde = kde_density(result.cloud, numerics["bandwidth"], x)
+        kde = kde_density(result.states, numerics["bandwidth"], x)
         l1 = compare_to_particles(density, kde)
         defect = max(d.mass_defect for d in diags)
         write_csv(out / "densities.csv", ("x", "spide", "kde"),
@@ -458,10 +456,10 @@ def _dynkin_check(spec, numerics, checks, seed):
         write_csv(out / "dynkin.csv",
                   ("model", "delta", "residual", "std_error", "per_unit_time",
                    "truncation_fraction", "replications", "dt", "seed"),
-                  [(spec.family, delta, result.residual, result.std_error,
-                    result.per_unit_time, result.estimate.truncation_fraction,
+                  [(spec.family, delta, result.residual, result.estimate.std_error,
+                    result.residual / delta, result.estimate.truncation_fraction,
                     cfg.replications, cfg.dt, cfg.seed)], mhash)
-        limit = 3 * result.std_error
+        limit = 3 * result.estimate.std_error
         summary.add("dynkin_residual", abs(result.residual), limit,
                     abs(result.residual) <= limit)
     return compute

@@ -144,6 +144,9 @@ class ModelSpec:
     conditional mean's drift and common diffusion, the terms its closed forms,
     fast mode and oracle read: ``a1 m`` and ``b1 m`` for sell, ``b0`` alone
     for quit, whose closed forms assume no drift.  The other terms must be 0.
+    Every precondition of the problem is checked here, so a spec from a maker,
+    from ``ModelSpec(...)`` or from ``dataclasses.replace`` is a valid one;
+    the makers only map the paper's parameter names onto the spec.
     """
 
     family: str
@@ -163,6 +166,22 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.family not in ("sell", "quit"):
             raise ModelError(f"model family must be 'sell' or 'quit', got {self.family!r}")
+        sell = self.family == "sell"
+        if sell and self.b1 <= 0:
+            raise ModelError("sell model requires sigma1 > 0")
+        if not sell and self.b0 == 0:
+            raise ModelError("quit model requires sigma1 != 0")
+        if not self.rho > 0:
+            raise ModelError("discount rate rho must be > 0")
+        if sell and self.cost <= 0:
+            raise ModelError("transaction cost a must be > 0")
+        if sell and self.a1 >= self.rho:
+            raise ModelError("sell model requires alpha0 < rho")
+        if sell and self.s1 < 0:
+            raise ModelError("sell model requires sigma2 >= 0")
+        outside = [v for v, _ in self.levy.atoms if not (-1.0 < v <= 0.0)]
+        if sell and self.levy.intensity > 0 and outside:
+            raise ModelError(f"sell-model marks must lie in (-1, 0]; got {outside}")
         numbers = ("a0", "a1", "b0", "b1", "s0", "s1", "j0", "j1", "rho", "cost")
         bad = {name: getattr(self, name) for name in numbers
                if not math.isfinite(getattr(self, name))}
@@ -175,6 +194,10 @@ class ModelSpec:
                        else f"the {self.family} closed forms, fast mode and oracle drop it")
                 raise ModelError(f"a {self.family} spec has no {name} term: {why}; got {name} = "
                                  f"{getattr(self, name)!r}")
+        mean = self.initial_law.mean
+        if sell and not mean > 0:  # sell's conditional mean is m0 e^y
+            raise ModelError(f"the initial mean (m0) must lie in the sell state space, got "
+                             f"{mean!r}: it is every run's start value")
 
     def drift(self, m):
         return _affine(self.a0, self.a1, m)
@@ -206,20 +229,7 @@ def make_sell_model(
     initial_law: InitialLaw | None = None,
 ) -> ModelSpec:
     """Geometric conditional-mean dynamics, selling at the mean less the cost ``a``."""
-    if sigma1 <= 0:
-        raise ModelError("sell model requires sigma1 > 0")
-    if not rho > 0:
-        raise ModelError("discount rate rho must be > 0")
-    if a <= 0:
-        raise ModelError("transaction cost a must be > 0")
-    if alpha0 >= rho:
-        raise ModelError("sell model requires alpha0 < rho")
-    if sigma2 < 0:
-        raise ModelError("sell model requires sigma2 >= 0")
     levy = levy if levy is not None else no_jumps()
-    bad = [v for v, _ in levy.atoms if not (-1.0 < v <= 0.0)]
-    if levy.intensity > 0 and bad:
-        raise ModelError(f"sell-model marks must lie in (-1, 0]; got {bad}")
     initial_law = initial_law if initial_law is not None else InitialLaw("point", 1.0)
     return ModelSpec("sell", levy, initial_law, a1=alpha0, b1=sigma1, s1=sigma2, j1=1.0,
                      rho=rho, cost=a)
@@ -234,10 +244,6 @@ def make_quit_model(
     initial_law: InitialLaw | None = None,
 ) -> ModelSpec:
     """Constant-coefficient, zero-drift dynamics, earning the mean until quitting."""
-    if sigma1 == 0:
-        raise ModelError("quit model requires sigma1 != 0")
-    if not rho > 0:
-        raise ModelError("discount rate rho must be > 0")
     levy = constant_mark(intensity, gamma0) if intensity > 0 else LevyMeasureSpec(intensity)
     initial_law = initial_law if initial_law is not None else InitialLaw("point", 0.0)
     return ModelSpec("quit", levy, initial_law, b0=sigma1, s0=sigma2, j0=1.0, rho=rho)

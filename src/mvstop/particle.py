@@ -12,7 +12,7 @@ many clouds at once, one per row of a state array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,21 +70,6 @@ class CommonNoisePath:
         out[0] = 0.0
         np.cumsum(self.increments, out=out[1:])
         return out
-
-
-@dataclass
-class ParticleCloud:
-    """Particle states at one time; ``m_bar`` is their mean, computed once."""
-
-    time: float
-    states: np.ndarray
-    m_bar: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim != 1 or self.states.size < 1:
-            raise ValueError("states must be a nonempty 1-D array")
-        self.m_bar = float(self.states.mean())
 
 
 def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, rng: np.random.Generator):
@@ -156,9 +141,8 @@ def step(
 
 @dataclass
 class PathResult:
-    times: np.ndarray
-    m_bar: np.ndarray
-    cloud: ParticleCloud    # the states at the last grid time
+    m_bar: np.ndarray       # at each grid time of the common-noise path
+    states: np.ndarray      # the particles at its last grid time
     floor_events: int = 0   # always 0, clouds are not clamped; perfbench's tracer reads it
 
 
@@ -172,16 +156,14 @@ def simulate_path(
     common-noise path, recording ``m_bar`` at each of its grid times."""
     if n < 1:
         raise ValueError("particle count must be >= 1")
-    cloud = ParticleCloud(0.0, spec.initial_law.sample(rng, n))
-    times = common.times()
-    m_bar = np.empty(times.size)
-    m_bar[0] = cloud.m_bar
-    x = cloud.states.reshape(1, n)  # stepped in place
+    x = spec.initial_law.sample(rng, n).reshape(1, n)  # stepped in place
+    m_bar = np.empty(common.increments.size + 1)
+    m_bar[0] = x[0].mean()
     m = m_bar[:1].copy()
-    for k in range(times.size - 1):
+    for k in range(common.increments.size):
         step(x, spec, common.dt, m, common.increments[k:k + 1], [rng])
         m_bar[k + 1] = m[0]
-    return PathResult(times, m_bar, ParticleCloud(times[-1], x[0]))
+    return PathResult(m_bar, x[0])
 
 
 def silverman_bandwidth(states: np.ndarray) -> float:
@@ -196,14 +178,17 @@ def silverman_bandwidth(states: np.ndarray) -> float:
 
 
 def kde_density(
-    cloud: ParticleCloud,
+    states: np.ndarray,
     bandwidth: float | None,
     grid: np.ndarray,
 ) -> GridDensity:
-    """Gaussian-kernel estimate on the grid, renormalized to unit mass."""
+    """Gaussian-kernel estimate of the particles ``states`` on the grid,
+    renormalized to unit mass."""
     x = np.asarray(grid, float)
     check_grid(x)  # the tile windows need an increasing grid
-    states = cloud.states
+    states = np.asarray(states, float)
+    if states.ndim != 1 or states.size < 1:
+        raise ValueError("states must be a nonempty 1-D array")
     if not np.isfinite(states).all():  # the window and outside-share checks would skip them
         raise ValueError("kde_density needs finite particle states")
     h = silverman_bandwidth(states) if bandwidth is None else float(bandwidth)
@@ -260,4 +245,4 @@ def kde_density(
             np.add.reduce(k, axis=0, out=acc[c0:c1])
         values += norm * acc
     values /= states.size
-    return GridDensity(x, values, cloud.time).normalized()
+    return GridDensity(x, values).normalized()

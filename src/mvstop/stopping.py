@@ -104,11 +104,12 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.cap_payoff not in ("stop", "value"):
             raise ValueError(f"unknown cap_payoff {self.cap_payoff!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.seed < 0:
+        for name, least in {"replications": 2, "n_particles": 1, "workers": 1,
+                            "batch_size": 1}.items():
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
@@ -277,8 +278,8 @@ class Family:
     """One shipped model family, from its config keys to its closed forms.
 
     ``build`` makes the spec, the one problem object, from a model config
-    block with ``defaults`` filled in and the initial law, checking every
-    precondition; every closed form reads the spec.  The exact conditional
+    block with ``defaults`` filled in and the initial law; the spec checks
+    every precondition, and every closed form reads it.  The exact conditional
     mean is ``to_m(to_y(start) + path_drift(spec) t + path_vol(spec) B1)``,
     where ``start`` is the mean of the initial law: the oracle evaluates it
     and fast mode searches its stops.
@@ -297,15 +298,6 @@ class Family:
     path_vol: Callable          # spec -> volatility of y
     to_y: Callable              # state value -> y, for thresholds and the start
     to_m: Callable              # ufunc y -> state value
-
-    def start_y(self, spec: ModelSpec) -> float:
-        """``y`` of the initial mean, where every run starts; it must lie in the state space."""
-        mean = spec.initial_law.mean
-        y0 = self.to_y(mean)
-        if not math.isfinite(y0):
-            raise ValueError(f"the initial mean ({self.start_key}) must lie in the {spec.family} "
-                             f"state space, got {mean!r}: it is every run's start value")
-        return y0
 
     def threshold_kind(self, spec: ModelSpec) -> str:
         """The kind of a threshold rule in the direction of the family's closed form:
@@ -387,7 +379,8 @@ def conditional_mean_oracle(spec: ModelSpec, common: particle.CommonNoisePath) -
     fam = FAMILIES[spec.family]
     b1 = common.brownian()
     t = common.times()
-    return fam.to_m(fam.start_y(spec) + (fam.path_drift(spec) * t + fam.path_vol(spec) * b1))
+    y0 = fam.to_y(spec.initial_law.mean)
+    return fam.to_m(y0 + (fam.path_drift(spec) * t + fam.path_vol(spec) * b1))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +645,7 @@ class _StopSearch:
                              f"fixed_time and never rules, not {sorted(kinds)}")
         # thresholds are searched in z = sign * y, where every barrier lies above the start
         self.sign = -1.0 if "threshold_down" in kinds else 1.0
-        self.z0 = self.sign * fam.start_y(spec)
+        self.z0 = self.sign * fam.to_y(spec.initial_law.mean)
         self.mu = self.sign * fam.path_drift(spec)
         self.sigma = abs(fam.path_vol(spec))
         self.to_y, self.to_m = fam.to_y, fam.to_m
@@ -911,9 +904,7 @@ def threshold_sweep(spec: ModelSpec, thresholds: Sequence[float], cfg: SimConfig
 @dataclass(frozen=True)
 class DynkinResult:
     residual: float          # E[phi(Y at exit-or-horizon)] + E[int f] - phi(start)
-    std_error: float
-    per_unit_time: float
-    estimate: McEstimate
+    estimate: McEstimate     # its std_error is the residual's
 
 
 def dynkin_residual(spec: ModelSpec, cfg: SimConfig) -> DynkinResult:
@@ -932,4 +923,4 @@ def dynkin_residual(spec: ModelSpec, cfg: SimConfig) -> DynkinResult:
     rule = StoppingRule(FAMILIES[spec.family].threshold_kind(spec), threshold=candidate.threshold)
     est = _run_rules(spec, [rule], replace(cfg, cap_payoff="value"))[0]
     residual = est.mean - candidate.value(0.0, spec.initial_law.mean)
-    return DynkinResult(residual, est.std_error, residual / cfg.t_max, est)
+    return DynkinResult(residual, est)

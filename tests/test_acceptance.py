@@ -218,7 +218,7 @@ def test_criterion_09_fokker_planck_cross_check():
     )
     coarse = CommonNoisePath(1e-3, common.increments.reshape(-1, 10).sum(axis=1))
     result = simulate_path(spec, coarse, 100_000, rng_cloud)
-    kde = kde_density(result.cloud, None, x)
+    kde = kde_density(result.states, None, x)
     l1 = compare_to_particles(density, kde)
     defect = max(d.mass_defect for d in diags)
     report(9, "Fokker-Planck vs particle KDE", l1 < 0.1 and defect < 1e-6,
@@ -264,11 +264,11 @@ def test_criterion_11_dynkin_diagnostic():
                                 initial_law=InitialLaw("point", 0.3))
     quit_run = dynkin_residual(
         quit_spec, SimConfig(dt=1e-3, replications=20_000, seed=1102, t_max=0.5))
-    sell_ok = abs(sell_run.residual) <= 3 * sell_run.std_error
-    quit_ok = abs(quit_run.residual) <= 3 * quit_run.std_error
+    sell_ok = abs(sell_run.residual) <= 3 * sell_run.estimate.std_error
+    quit_ok = abs(quit_run.residual) <= 3 * quit_run.estimate.std_error
     report(11, "Dynkin martingale diagnostic", sell_ok and quit_ok,
-           f"sell {sell_run.residual:.5f} (3SE {3 * sell_run.std_error:.5f}), "
-           f"quit {quit_run.residual:.5f} (3SE {3 * quit_run.std_error:.5f})")
+           f"sell {sell_run.residual:.5f} (3SE {3 * sell_run.estimate.std_error:.5f}), "
+           f"quit {quit_run.residual:.5f} (3SE {3 * quit_run.estimate.std_error:.5f})")
 
 
 def test_criterion_12_determinism_across_workers(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -151,6 +152,42 @@ class TestModelFamilies:
                 make_sell_model(*args)
         with pytest.raises(ModelError, match="rho must be > 0"):
             make_quit_model(0.3, 0.1, rho=-0.2)
+
+    @pytest.mark.parametrize("family,name,value,param,message", [
+        ("sell", "b1", 0.0, "sigma1", "sell model requires sigma1 > 0"),
+        ("sell", "b1", -0.3, "sigma1", "sell model requires sigma1 > 0"),
+        ("sell", "rho", 0.0, "rho", "discount rate rho must be > 0"),
+        ("sell", "cost", 0.0, "a", "transaction cost a must be > 0"),
+        ("sell", "a1", 0.2, "alpha0", "sell model requires alpha0 < rho"),
+        ("sell", "a1", 0.3, "alpha0", "sell model requires alpha0 < rho"),
+        ("sell", "s1", -0.2, "sigma2", "sell model requires sigma2 >= 0"),
+        ("sell", "levy", constant_mark(1.0, 0.5), "levy",
+         "sell-model marks must lie in (-1, 0]; got [0.5]"),
+        ("sell", "levy", constant_mark(1.0, -1.0), "levy",
+         "sell-model marks must lie in (-1, 0]; got [-1.0]"),
+        ("sell", "initial_law", InitialLaw("point", 0.0), "initial_law",
+         "the initial mean (m0) must lie in the sell state space, got 0.0"),
+        ("quit", "b0", 0.0, "sigma1", "quit model requires sigma1 != 0"),
+        ("quit", "rho", 0.0, "rho", "discount rate rho must be > 0"),
+        ("quit", "rho", -0.2, "rho", "discount rate rho must be > 0"),
+    ], ids=["sell_sigma1_0", "sell_sigma1_neg", "sell_rho_0", "sell_cost_0", "sell_alpha0_rho",
+            "sell_alpha0_above_rho", "sell_sigma2_neg", "sell_mark_pos", "sell_mark_minus1",
+            "sell_start_0", "quit_sigma1_0", "quit_rho_0", "quit_rho_neg"])
+    def test_the_spec_rejects_what_the_makers_reject(self, family, name, value, param,
+                                                     message):
+        # a spec built by hand or by replace once skipped the makers' checks: a quit b0 or
+        # rho of 0 reached quit_threshold as a ZeroDivisionError
+        if family == "sell":
+            maker, args = make_sell_model, {"alpha0": 0.1, "sigma1": 0.3, "sigma2": 0.2,
+                                            "rho": 0.2, "a": 1.0}
+        else:
+            maker, args = make_quit_model, {"sigma1": 0.3, "sigma2": 0.1}
+        spec = maker(**args)
+        for build in (lambda: maker(**{**args, param: value}),
+                      lambda: replace(spec, **{name: value}),
+                      lambda: ModelSpec(**{**vars(spec), name: value})):
+            with pytest.raises(ModelError, match=re.escape(message)):
+                build()
 
     def test_negative_intensity_is_rejected(self):
         # it used to mean "no jumps"

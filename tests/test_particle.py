@@ -11,7 +11,6 @@ from mvstop.particle import (
     _KDE_CHUNK,
     _KDE_TILE,
     CommonNoisePath,
-    ParticleCloud,
     SimulationError,
     _draw_jumps,
     kde_density,
@@ -35,12 +34,6 @@ def test_common_noise_variance():
     assert path.increments.var() == pytest.approx(0.01, rel=0.05)
 
 
-def test_init_cloud_and_pairing():
-    cloud = ParticleCloud(0.0, InitialLaw("point", 1.5).sample(np.random.default_rng(0), 100))
-    assert cloud.states.size == 100
-    assert cloud.m_bar == 1.5
-
-
 def test_step_moments_quit_model():
     spec = make_quit_model(0.4, 0.3)
     x, m = np.zeros((1, 200_000)), np.zeros(1)
@@ -55,12 +48,12 @@ def test_no_idiosyncratic_noise_is_rigid_translation():
     spec = make_quit_model(0.4, 0.0, initial_law=InitialLaw("normal", 0.0, 0.3))
     rng = np.random.default_rng(3)
     common = CommonNoisePath.sample(0.5, 0.01, rng)
-    cloud0 = ParticleCloud(0.0, spec.initial_law.sample(np.random.default_rng(4), 1000))
-    x, m = cloud0.states.reshape(1, -1).copy(), np.array([cloud0.m_bar])
+    states0 = spec.initial_law.sample(np.random.default_rng(4), 1000)
+    x, m = states0.reshape(1, -1).copy(), np.array([states0.mean()])
     for k in range(common.increments.size):
         step(x, spec, 0.01, m, common.increments[k:k + 1], [np.random.default_rng(5)])
     np.testing.assert_allclose(
-        x[0], cloud0.states + 0.4 * common.brownian()[-1], atol=1e-12
+        x[0], states0 + 0.4 * common.brownian()[-1], atol=1e-12
     )
 
 
@@ -94,8 +87,8 @@ def test_two_atom_mark_frequencies():
 def test_compensated_two_atom_increment():
     # E[mark^2] = 0.25 * 0.01 + 0.75 * 0.09 = 0.07, so the variance is 0.1 * 5 * 0.07
     spec = ModelSpec("quit", discrete_marks(5.0, [-0.1, -0.3], [0.25, 0.75]),
-                     InitialLaw("point", 0.0), j0=1.0)
-    # one step of a zero cloud with no diffusion and no common noise
+                     InitialLaw("point", 0.0), b0=0.3, j0=1.0)
+    # one step of a zero cloud with no diffusion and no common noise (dB1 = 0)
     x = np.zeros((1, 200_000))
     step(x, spec, 0.1, np.zeros(1), np.zeros(1), [np.random.default_rng(23)])
     draws = x[0]
@@ -138,9 +131,8 @@ def test_final_cloud_recorded():
     spec = make_quit_model(0.4, 0.3)
     common = CommonNoisePath.sample(0.5, 0.01, np.random.default_rng(10))
     result = simulate_path(spec, common, 50, np.random.default_rng(11))
-    np.testing.assert_array_equal(result.times, common.times())
-    assert result.cloud.time == common.times()[-1]
-    assert result.cloud.states.mean() == result.m_bar[-1]
+    assert result.m_bar.size == common.times().size
+    assert result.states.mean() == result.m_bar[-1]
 
 
 def test_particle_count_must_be_positive():
@@ -168,24 +160,23 @@ class TestKde:
 
     def test_kde_recovers_gaussian(self):
         rng = np.random.default_rng(13)
-        cloud = ParticleCloud(0.0, rng.normal(0.0, 0.5, 50_000))
+        states = rng.normal(0.0, 0.5, 50_000)
         grid = np.linspace(-3, 3, 601)
-        d = kde_density(cloud, None, grid)
+        d = kde_density(states, None, grid)
         assert d.mass() == pytest.approx(1.0, abs=1e-12)
         exact = np.exp(-0.5 * (grid / 0.5) ** 2) / (0.5 * math.sqrt(2 * math.pi))
         assert np.trapezoid(np.abs(d.values - exact), grid) < 0.05
 
     def test_narrow_grid_rejected(self):
-        cloud = ParticleCloud(0.0, np.random.default_rng(14).normal(0.0, 1.0, 10_000))
+        states = np.random.default_rng(14).normal(0.0, 1.0, 10_000)
         with pytest.raises(ValueError, match="grid too narrow"):
-            kde_density(cloud, 0.1, np.linspace(-0.5, 0.5, 101))
+            kde_density(states, 0.1, np.linspace(-0.5, 0.5, 101))
 
 
 # ---------------------------------------------------------------------------
 # the tiled kernel sum against the one-expression sum it replaced
 
-def _reference_kde(cloud, bandwidth, x):
-    states = cloud.states
+def _reference_kde(states, bandwidth, x):
     h = silverman_bandwidth(states) if bandwidth is None else bandwidth
     norm = 1.0 / (h * math.sqrt(2 * math.pi))
     values = np.zeros_like(x)
@@ -194,7 +185,7 @@ def _reference_kde(cloud, bandwidth, x):
         part = states[lo : lo + chunk, None]
         values += norm * np.exp(-0.5 * ((x[None, :] - part) / h) ** 2).sum(axis=0)
     values /= states.size
-    return GridDensity(x, values, cloud.time).normalized().values
+    return GridDensity(x, values).normalized().values
 
 
 _KDE_GRID = np.linspace(-3.0, 3.0, 601)
@@ -293,11 +284,9 @@ def _empty_last_window(states, want):
         "underflow", "subnormal", "whole_grid", "two_clusters", "band_tail",
         "beyond_reach", "one_column"])
 def test_kde_matches_reference_sum(states, bandwidth, check):
-    cloud = ParticleCloud(0.5, states)
-    got = kde_density(cloud, bandwidth, _KDE_GRID)
-    want = _reference_kde(cloud, bandwidth, _KDE_GRID)
+    got = kde_density(states, bandwidth, _KDE_GRID)
+    want = _reference_kde(states, bandwidth, _KDE_GRID)
     np.testing.assert_array_equal(got.values, want)
-    assert got.time == 0.5
     assert check is None or check(states, want)
 
 
@@ -309,10 +298,16 @@ def test_kde_rejects_non_finite_states(bad, bandwidth):
     states = _normal(1000)
     states[::2] = bad
     with pytest.raises(ValueError, match="finite particle states"):
-        kde_density(ParticleCloud(0.0, states), bandwidth, _KDE_GRID)
+        kde_density(states, bandwidth, _KDE_GRID)
+
+
+@pytest.mark.parametrize("states", [np.empty(0), _normal(1000).reshape(10, 100)],
+                         ids=["empty", "2d"])
+def test_kde_rejects_states_that_are_not_one_cloud(states):
+    with pytest.raises(ValueError, match="states must be a nonempty 1-D array"):
+        kde_density(states, 0.05, _KDE_GRID)
 
 
 def test_kde_rejects_a_decreasing_grid():
-    cloud = ParticleCloud(0.0, _normal(1000))
     with pytest.raises(GridError, match="increasing"):
-        kde_density(cloud, 0.05, _KDE_GRID[::-1])
+        kde_density(_normal(1000), 0.05, _KDE_GRID[::-1])

@@ -157,12 +157,11 @@ def test_conditional_mean_oracle_matches_formula():
 
 
 def test_conditional_mean_oracle_needs_a_start_in_its_state_space():
-    # the sell path is m0 e^{y}: a start m0 <= 0 has no y, and once read as an all-zero path
-    common = CommonNoisePath.sample(0.05, 0.01, np.random.default_rng(0))
-    sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", -1.0))
+    # the sell path is m0 e^{y}: a start m0 <= 0 has no y, and once read as an all-zero path;
+    # the spec rejects it, so no oracle is ever asked for one
     with pytest.raises(ValueError, match=r"the initial mean \(m0\) must lie in the sell state "
                                          r"space, got -1.0"):
-        conditional_mean_oracle(sell, common)
+        make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", -1.0))
 
 
 class TestRuleValidation:
@@ -188,6 +187,20 @@ class TestRuleValidation:
             SimConfig(dt=1e-3, replications=10, seed=0, t_max=1.0, cap_payoff="zero")
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             SimConfig(dt=1e-3, replications=10, seed=-1, t_max=1.0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got 1.5"):
+            SimConfig(dt=1e-3, replications=10, seed=1.5, t_max=1.0)  # a TypeError in the run
+
+    @pytest.mark.parametrize("name,value", [
+        ("workers", 0), ("workers", -3), ("n_particles", 2.5), ("replications", 2.5),
+        ("batch_size", 2.5), ("workers", 1.0),
+    ])
+    def test_counts_are_integers_at_their_minimum(self, name, value):
+        # workers 0 or -3 ran serially without a word, and a fractional count failed later
+        # with a TypeError deep in the run
+        least = 2 if name == "replications" else 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= {least}, got "
+                                             f"{value!r}"):
+            SimConfig(**{"dt": 1e-3, "replications": 10, "seed": 0, "t_max": 1.0, name: value})
 
     def test_one_replication_has_no_standard_error(self):
         # it was reported as 0, an exact estimate, and a Dynkin check's 3-SE limit of 0
@@ -382,7 +395,7 @@ def test_dynkin_residual_small_run():
     spec = make_quit_model(0.3, 0.1, rho=0.2, initial_law=InitialLaw("point", 0.3))
     cfg = SimConfig(dt=0.005, replications=4000, seed=10, t_max=1.0)
     result = dynkin_residual(spec, replace(cfg, t_max=0.3))
-    assert abs(result.residual) < 4 * result.std_error + 1e-3
+    assert abs(result.residual) < 4 * result.estimate.std_error + 1e-3
 
 
 @pytest.mark.parametrize("family", ["sell", "quit"])
@@ -520,11 +533,9 @@ def test_fast_mode_peak_memory_does_not_grow_with_the_batch():
 
 
 def test_fast_mode_needs_a_start_in_its_state_space():
-    sell = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", -1.0))
-    rule = StoppingRule("threshold_up", threshold=2.7)
-    cfg = SimConfig(dt=0.01, replications=10, seed=1, t_max=1.0)
+    # the spec rejects the start, so no fast-mode run is ever asked for one
     with pytest.raises(ValueError, match="start value"):
-        evaluate_rule_mc(sell, rule, cfg)
+        make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, initial_law=InitialLaw("point", -1.0))
 
 
 # ---------------------------------------------------------------------------
