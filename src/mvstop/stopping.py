@@ -9,9 +9,11 @@ arbitrary threshold rules on the conditional mean, either in *fast mode*
 *particle mode* (a full interacting cloud per replication).  Fast mode
 never walks a path: it draws each path's stops from the first-passage law
 of the path's Brownian motion with drift (``_StopSearch``), with the
-discrete-monitoring law of a walk, and pays quit's running profit from the
-stop alone through its discrete potential (``quit_potential``).  Particle
-mode walks every step and integrates the running profit itself (``_walk``).
+discrete-monitoring law of a walk, a tile of rows at a time in numpy, each
+row reading its draws from blocks of its own stream.  It pays quit's running
+profit from the stop alone through its discrete potential
+(``quit_potential``).  Particle mode walks every step and integrates the
+running profit itself (``_walk``).
 Either way the source reports where each rule ends each path, and
 ``_batch`` alone pays the performance functional there.
 
@@ -29,7 +31,7 @@ import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,8 +83,9 @@ class SimConfig:
 
     ``batch_size`` replications are one unit of work for the worker pool,
     and per-batch results merge in batch order.  Fast mode keeps a stop of
-    13 bytes per row and rule, whatever ``t_max``; a particle-mode batch
-    holds all its clouds at once.
+    13 bytes per row and rule, whatever ``t_max``, and its threshold search
+    the draws of one tile of ``_TILE`` rows besides, 384 KiB; a
+    particle-mode batch holds all its clouds at once.
     """
 
     dt: float
@@ -96,6 +99,9 @@ class SimConfig:
     batch_size: int = 16384
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.t_max < 0 or self.replications < 2:
             raise ValueError("need dt > 0, t_max >= 0, replications >= 2 (one replication has "
                              "no standard error)")
@@ -438,9 +444,13 @@ def _rep_states(seed: int, lo: int, hi: int):
         s = [_hash(p[i % 4], c).astype(np.uint64) for i, c in enumerate(gen)]
         for st1, st0, sq1, sq0 in zip(*[(s[i] | s[i + 1] << 32).tolist() for i in (0, 2, 4, 6)]):
             inc = ((sq1 << 64 | sq0) << 1 | 1) & _M128
-            yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                   "state": {"state": ((inc + (st1 << 64 | st0)) * _PCG64_MULT + inc) & _M128,
-                             "inc": inc}}
+            yield _pcg64(((inc + (st1 << 64 | st0)) * _PCG64_MULT + inc) & _M128, inc)
+
+
+def _pcg64(state: int, inc: int) -> dict:
+    """The PCG64 generator state with LCG state ``state`` and increment ``inc``."""
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state, "inc": inc}}
 
 
 def _rng() -> np.random.Generator:
@@ -496,13 +506,37 @@ def _first_stop(rule: StoppingRule, m: np.ndarray, step: int, dt: float) -> np.n
         return m <= rule.threshold
     return np.full(m.shape, rule.kind == "fixed_time" and round(rule.fixed_time / dt) == step)
 # |mu| a / sigma^2 below this is a zero drift: the zero-drift passage law is then
-# within about this of the inverse Gaussian in total variation, and ``wald``,
-# whose relative rounding error is about 1e-16 times its mean-to-shape ratio
-# sigma^2 / (|mu| a), is never handed a ratio above 1 / _DRIFT_TOL
+# within about this of the inverse Gaussian in total variation, and
+# ``_inverse_gaussian``, whose relative rounding error is about 1e-16 times its
+# mean-to-shape ratio sigma^2 / (|mu| a), is never handed a ratio above 1 / _DRIFT_TOL
 _DRIFT_TOL = 1e-7
 # a capped value takes at most this many rejection proposals, then one exact draw
 _PROPOSALS = 16
+# the stop search advances this many rows together, and each row draws the
+# randomness of this many passages at a time (``_StopSearch._tile``)
+_TILE = 512
+_BLOCK = 24
 _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _inverse_gaussian(mean: np.ndarray, shape: np.ndarray, x: np.ndarray,
+                      u: np.ndarray) -> np.ndarray:
+    """Inverse Gaussian draws of means ``mean`` and shapes ``shape`` from the
+    standard normals ``x`` and the uniforms ``u`` (Michael, Schucany & Haas 1976).
+
+    With ``Y = mean x^2`` the smaller root is
+    ``X = mean - 2 mean Y / (Y + sqrt(Y^2 + 4 shape Y))``, and the draw is
+    ``X`` if ``u <= mean / (mean + X)``, else ``mean^2 / X``.  The root is
+    written without ``Y - sqrt(Y^2 + 4 shape Y)``, the difference of nearly
+    equal terms in ``numpy``'s ``wald``; what rounding is left, in
+    ``mean - ...`` when ``Y`` is far above ``shape``, is about 1e-16 times
+    ``Y / shape``.  ``Y = 0`` gives ``X = mean``: the denominator, 0 only
+    where ``Y`` is, is raised to the least positive float there.
+    """
+    y = mean * x * x
+    root = y + np.sqrt(y * y + 4 * shape * y)
+    small = mean - 2 * mean * y / np.maximum(root, math.ulp(0.0))
+    return np.where(u <= mean / (mean + small), small, mean * mean / small)
 
 
 def _killed_end(rng: np.random.Generator, z: float, b: float, t: float, mu: float,
@@ -608,8 +642,8 @@ class _StopSearch:
     In ``y`` the conditional mean is a Brownian motion with drift, so a
     threshold rule's first stopping grid step can be drawn exactly.  From
     grid step ``k`` at ``y``, draw the first time ``tau`` the continuous path
-    reaches the barrier (``_thresholds``); the first grid step at or after
-    it is ``j = k + ceil(tau / dt)``, and ``y_j`` is drawn from the path
+    reaches the barrier (``_passage``); the first grid step at or after it
+    is ``j = k + ceil(tau / dt)``, and ``y_j`` is drawn from the path
     restarted at the barrier at ``tau``.  No grid point before ``tau`` lies
     past a barrier the path has not reached, so this is the stop a walk over
     every step finds.  If ``y_j`` is short of the barrier, the search goes on
@@ -624,16 +658,25 @@ class _StopSearch:
     is rejected.  The draws read ``|path_vol|``, so a volatility's sign,
     which leaves the law unchanged, leaves every draw unchanged too.
 
+    The threshold search runs ``_TILE`` rows at a time and advances all the
+    running rows of a tile together, one passage per pass, in numpy
+    (``_tile``); no generator call runs inside a pass.  Each row draws its
+    passages' randomness as blocks from its own stream, ``_BLOCK`` passages
+    at a time, and a passage reads its fixed columns whether it uses them
+    or not.  A tile holds its rows' blocks, ``32 _BLOCK`` bytes per row,
+    besides the stop table.
+
     Every row starts at the initial mean, so time 0 ends a rule on every
     row or on none, and a rule it ends draws nothing.  The other rules'
-    stops fill one table, a row's draws at a time.  With a running profit,
-    each rule's profit up to its stops is paid as ``P(0, m_0) - P(t, m)``,
-    the family's discrete potential (``quit_potential``).
+    stops fill one table.  With a running profit, each rule's profit up to
+    its stops is paid as ``P(0, m_0) - P(t, m)``, the family's discrete
+    potential (``quit_potential``).
 
     Replication ``r`` draws on its own stream, so a result does not depend
-    on how replications are batched.  A stop before step ``N`` depends on
-    nothing drawn after it, so a run with a smaller ``t_max`` makes every
-    stop before its own cap at the same step, with the same value.
+    on how replications are batched or tiled.  A stop before step ``N``
+    depends on nothing drawn after it, so a run with a smaller ``t_max``
+    makes every stop before its own cap at the same step, with the same
+    value.
     """
 
     def __init__(self, spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int):
@@ -672,11 +715,8 @@ class _StopSearch:
         step = np.zeros((len(live), nb), dtype=np.int32)
         m = np.empty((len(live), nb))  # z, then m in place
         hit = np.zeros((len(live), nb), dtype=bool)
-        rng = _rng()  # holds each row's stream in turn
-        states = _rep_states(self.seed, self.lo, self.lo + nb) if live else ()
-        for r, state in enumerate(states):  # a rule time 0 ended draws nothing
-            rng.bit_generator.state = state
-            fill(rng, key, step[:, r], m[:, r], hit[:, r])
+        if live:  # a rule time 0 ended draws nothing
+            fill(_rng(), key, step, m, hit)  # the generator holds each row's stream in turn
         m *= self.sign
         self.to_m(m, out=m)
         table = {live[i]: c for c, i in enumerate(order)}
@@ -691,60 +731,148 @@ class _StopSearch:
             yield *stop, profit
 
     def _thresholds(self, rng, bars, step, z_out, hit) -> None:
-        """One row's stops for the ascending barriers ``bars``.
+        """Every row's stops for the ascending barriers ``bars`` into ``step``,
+        ``z_out`` and ``hit``, one table row per barrier and one column per
+        replication row, ``_TILE`` rows at a time (``_tile``).  The tiles share one buffer of
+        blocks and the generator ``rng``."""
+        bars = np.array(bars)
+        blocks = np.empty((2, min(self.nb, _TILE), _BLOCK, 2))  # a tile's normals, uniforms
+        for lo in range(0, self.nb, _TILE):
+            tile = slice(lo, lo + _TILE)
+            states = _rep_states(self.seed, self.lo + lo, self.lo + min(lo + _TILE, self.nb))
+            self._tile(rng, states, bars, blocks, step[:, tile], z_out[:, tile], hit[:, tile])
 
-        ``tau`` is the first time the path from ``z`` reaches the barrier
-        ``b`` at distance ``a``, ``inf`` if never.  A drift below the
-        tolerance is zero, with the passage law ``a^2 / (var Z^2)``; drifting
-        away, the path reaches the barrier with probability
-        ``exp(-2 |mu| a / var)``, and then at a time with the law it has when
-        drifting toward it, the inverse Gaussian of ``wald``.
+    def _tile(self, rng, states, bars: np.ndarray, blocks: np.ndarray, step, z_out,
+              hit) -> None:
+        """The stops of one tile of rows, every running row advanced one passage
+        per pass.
+
+        Row ``r`` starts its stream at the ``r``-th of ``states`` and fills
+        column ``r`` of ``step``, ``z_out`` and ``hit``.  It draws a block of
+        ``2 _BLOCK`` normals, then one of ``2 _BLOCK`` uniforms, and its
+        passage ``p`` reads pair ``p % _BLOCK`` of each: the passage normal and
+        the overshoot normal, the uniform of the inverse Gaussian and the
+        uniform of a drift away from the barrier, whether it uses them or not.
+        A row that needs a passage past its blocks draws the next pair of
+        blocks from its stream, and a capped row draws its capped value
+        (``_killed_end``) from its stream after its blocks.  So a row's
+        draws depend on its stream alone.
         """
-        mu, sigma, dt, n = self.mu, self.sigma, self.dt, self.n_steps
-        normal, wald, uniform = rng.standard_normal, rng.wald, rng.random
-        sqrt, ceil, exp, inf = math.sqrt, math.ceil, math.exp, math.inf
-        var = sigma * sigma
-        abs_mu, two_mu, tol = abs(mu), 2 * mu, _DRIFT_TOL * var
-        k, z, i, nbars = 0, self.z0, 0, len(bars)
-        while i < nbars:
+        mu, sigma, dt, n, nbars = self.mu, self.sigma, self.dt, self.n_steps, bars.size
+        width = step.shape[1]
+        normal, uniform = blocks[:, :width]
+        starts = []  # each row's (state, inc) before its current blocks, 144 bytes
+
+        def draw(r: int) -> None:  # row r's next blocks, from the loaded stream
+            rng.standard_normal(out=normal[r])
+            rng.random(out=uniform[r])
+
+        def past_blocks(r: int) -> None:  # load row r's stream after its current blocks
+            rng.bit_generator.state = _pcg64(*starts[r])
+            draw(r)  # draws them again, the same
+
+        def cap(on: np.ndarray) -> None:  # rows ``on`` end at step N, short of barrier i
+            ends = []
+            for r, kc, zc, bc in zip(rows[on].tolist(), k[on].tolist(), z[on].tolist(),
+                                     b[on].tolist()):
+                if kc < n:
+                    past_blocks(r)
+                    zc = _killed_end(rng, zc, bc, (n - kc) * dt, mu, sigma)
+                ends.append(zc)
+            at, cols, ends = i[on], rows[on], np.array(ends)
+            for j in range(int(at.min()), nbars):  # barrier i and every farther one
+                past = at <= j
+                step[j, cols[past]], z_out[j, cols[past]] = n, ends[past]
+
+        for r, state in enumerate(states):
+            rng.bit_generator.state = state
+            starts.append((state["state"]["state"], state["state"]["inc"]))
+            draw(r)
+
+        rows = np.arange(width)                 # the tile column of each running row
+        k = np.zeros(width, dtype=np.int64)     # its grid step
+        z = np.full(width, self.z0)             # its value there
+        i = np.zeros(width, dtype=np.intp)      # its next barrier
+        for p in count():
             b = bars[i]
-            a = b - z
-            if k == n or b == inf:
-                tau = inf
-            elif abs_mu * a < tol:
-                x = normal()
-                tau = (a / x) * (a / x) / var if x else inf
-            elif mu < 0 and uniform() >= exp(two_mu * a / var):
-                tau = inf
-            else:
-                tau = wald(a / abs_mu, a * a / var)
+            stuck = (k == n) | (b == math.inf)
+            if stuck.any():  # no passage is left
+                cap(stuck)
+                on = ~stuck
+                rows, k, z, i, b = rows[on], k[on], z[on], i[on], b[on]
+                if not rows.size:
+                    return
+            col = p % _BLOCK
+            if p and not col:  # every running row has read its blocks: draw the next
+                for r in rows.tolist():
+                    past_blocks(r)
+                    state = rng.bit_generator.state["state"]
+                    starts[r] = state["state"], state["inc"]
+                    draw(r)
+            tau = self._passage(b - z, normal[rows, col, 0], *uniform[rows, col].T)
             q = tau / dt
-            if q > n - k:  # no stop by step N: cap this rule and every farther one
-                if k < n:
-                    z = _killed_end(rng, z, b, (n - k) * dt, mu, sigma)
-                step[i:], z_out[i:] = n, z
+            over = q > n - k  # no stop by step N: cap this barrier and every farther one
+            if over.any():
+                cap(over)
+                on = ~over
+                rows, k, i, b, q, tau = rows[on], k[on], i[on], b[on], q[on], tau[on]
+            steps = np.maximum(np.ceil(q), 1.0)
+            k = k + steps.astype(np.int64)
+            d = np.maximum(steps * dt - tau, 0.0)  # from the passage to the grid point
+            z = b + mu * d + sigma * np.sqrt(d) * normal[rows, col, 1]
+            passed = np.maximum(np.searchsorted(bars, z, side="right"), i)
+            gained = passed - i
+            for off in range(int(gained.max(initial=0))):  # the barriers z is past, in turn
+                now = gained > off
+                at, cols = i[now] + off, rows[now]
+                step[at, cols], z_out[at, cols], hit[at, cols] = k[now], z[now], True
+            on = passed < nbars
+            rows, k, z, i = rows[on], k[on], z[on], passed[on]
+            if not rows.size:
                 return
-            steps = ceil(q)
-            if steps < 1:
-                steps = 1
-            k += steps
-            d = steps * dt - tau  # from the passage to the grid point
-            if d < 0.0:
-                d = 0.0
-            z = b + mu * d + sigma * sqrt(d) * normal()
-            while i < nbars and z >= bars[i]:
-                step[i], z_out[i], hit[i] = k, z, True
-                i += 1
+
+    def _passage(self, a: np.ndarray, x: np.ndarray, u: np.ndarray,
+                 v: np.ndarray) -> np.ndarray:
+        """The first time each path reaches its barrier at distance ``a``, ``inf``
+        if never, from its passage normal ``x`` and its uniforms ``u`` and ``v``.
+
+        A drift below the tolerance is zero, with the passage law
+        ``a^2 / (var x^2)``; drifting away, the path reaches the barrier when
+        ``v < exp(-2 |mu| a / var)``, and then at a time with the law it has
+        when drifting toward it, the inverse Gaussian of ``x`` and ``u``
+        (``_inverse_gaussian``).
+        """
+        mu, var = self.mu, self.sigma * self.sigma
+        near = abs(mu) * a < _DRIFT_TOL * var
+        tau = np.empty_like(a)
+        some, every = near.any(), near.all()
+        if some:  # whole-array slices where every row takes one law: mostly, all do
+            on = slice(None) if every else near
+            an, xn = a[on], x[on]
+            ratio = np.divide(an, xn, out=np.full_like(an, math.inf), where=xn != 0)
+            tau[on] = ratio * ratio / var
+        if not every:
+            on = ~near if some else slice(None)
+            af = a[on]
+            far = _inverse_gaussian(af / abs(mu), af * af / var, x[on], u[on])
+            if mu < 0:
+                far[v[on] >= np.exp(2 * mu * af / var)] = math.inf
+            tau[on] = far
+        return tau
 
     def _forward(self, rng, steps, step, z_out, hit) -> None:
-        """One row's values at the ascending stopping steps ``steps``."""
+        """Every row's values at the ascending stopping steps ``steps``, one row
+        at a time; ``hit`` stays unset, since ``stops`` makes a ``fixed_time``
+        stop a hit."""
         mu, sigma, dt = self.mu, self.sigma, self.dt
-        k, z = 0, self.z0
-        for i, s in enumerate(steps):
-            h = (s - k) * dt
-            z += mu * h + sigma * math.sqrt(h) * rng.standard_normal()
-            k = step[i] = s
-            z_out[i] = z
+        for r, state in enumerate(_rep_states(self.seed, self.lo, self.lo + self.nb)):
+            rng.bit_generator.state = state
+            k, z = 0, self.z0
+            for i, s in enumerate(steps):
+                h = (s - k) * dt
+                z += mu * h + sigma * math.sqrt(h) * rng.standard_normal()
+                k = step[i, r] = s
+                z_out[i, r] = z
 
 
 def _walk(spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int) -> list:

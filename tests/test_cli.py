@@ -658,16 +658,16 @@ FROZEN_OUTPUTS = {
         'summary.json': 'effbcbf6c1b526b646c9e137eda50d1b659ed28c95aaa8bc994d336cd1e8aaf1',
     },
     'evaluate_rule-quit': {
-        'estimate.csv': '9f128e8ac29f4b6f1a76f379b11dfc9a881ebb16cc62b22c4e8abb6989717329',
-        'summary.json': '7ca8d2a3f8e2fdafc17672ab62f00f7a89311ee8f4dbadd8e9f67b96ebd32767',
+        'estimate.csv': 'a4a6e525ae334e05df60d6e03f1828f553167959b442398114ba108cec687535',
+        'summary.json': '9af67130bf474511586cf1f6019b532747647c1b892348eea0505ace5b87d7e1',
     },
     'threshold_sweep-sell': {
         'summary.json': 'd83cfd63002694da1ca5b8e190911b9d3355e6836ceed375a4bb1c63565e1d5b',
-        'sweep.csv': 'a124b36afd3558931b01112918feca67894a5c924bf12a5ce02d7b903dfd239f',
+        'sweep.csv': '15be1f91ffa2ec224a1255f25c016f13554cdbf09e167c52e596b5d39c29218b',
     },
     'threshold_sweep-quit': {
         'summary.json': '7817019b5332d0298182135ba901694b37055b7780eee647fde026ca205dda05',
-        'sweep.csv': '55d40c85102e31647025a7e802e4043678f86b26d0dc3ea7c05434c99349ff62',
+        'sweep.csv': '7cda7720290f5cb9a12c76cde620df096b44cca49829d0d8b2d617125ca07f33',
     },
     'simulate_path-sell': {
         'summary.json': '518bf68cdbf94ff3e33a46931358ad74856639fe27e61d1d6477f94e7322ac54',
@@ -696,12 +696,12 @@ FROZEN_OUTPUTS = {
         'var_ineq_report.json': 'e1e6defd210e951e1f673f992e2727e4206a0edf03d4f3c31114cf9bab2c6210',
     },
     'dynkin_check-sell': {
-        'dynkin.csv': 'c6ee9e63095b27125ef9b7f4114fcebd7397e20f3ed56e2f3ea1f6553cad5fcd',
-        'summary.json': 'd42919493f0c8d181c124465fd099fa3862158babbeb28c24557372a6cd78684',
+        'dynkin.csv': 'f8c1a25c8c0471a4a8c5ea558b3806d12d18322b9780847af57d49fa925cc2af',
+        'summary.json': 'a013e9afae3bbf2b3109a4260453b6c88e2c6f85334ac86b5f5bd9b5905529f2',
     },
     'dynkin_check-quit': {
-        'dynkin.csv': 'ab953ade2866b8a480a6f3bda24cd18c270baad3e0929afab1d709ce55f3b376',
-        'summary.json': '32d9f6ba61f57990abaeacc0d49ac3fe3306b184529cc056b043f9547dccea06',
+        'dynkin.csv': 'e3c8acf702430d2c45b970cb8b03b7d686ca14688721b4e097f115e1e29002d9',
+        'summary.json': 'bece52af1f1921c6345b609913c14d70cc3ff0fb3757860b1815448baa54bce9',
     },
 }
 

@@ -189,6 +189,13 @@ class TestRuleValidation:
             SimConfig(dt=1e-3, replications=10, seed=-1, t_max=1.0)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got 1.5"):
             SimConfig(dt=1e-3, replications=10, seed=1.5, t_max=1.0)  # a TypeError in the run
+        # dt = inf ran zero steps and capped every path at time 0, t_max = inf raised an
+        # OverflowError, and a NaN "cannot convert float NaN to integer"
+        for name, value in [("dt", math.inf), ("t_max", math.inf), ("dt", math.nan),
+                            ("t_max", math.nan)]:
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+                SimConfig(**{"dt": 1e-3, "replications": 4, "seed": 0, "t_max": 1.0,
+                             name: value})
 
     @pytest.mark.parametrize("name,value", [
         ("workers", 0), ("workers", -3), ("n_particles", 2.5), ("replications", 2.5),
@@ -488,10 +495,15 @@ def _tiling_runs(sweep_batch=200, caps_batch=16384):
 
 
 @pytest.mark.parametrize("rows", [1, 5, 4096])
-def test_tiling_only_reorders_rows(rows):
+def test_tiling_only_reorders_rows(monkeypatch, rows):
     # replications are tiled into batches of batch_size rows, and a row's stops and payoff
-    # do not depend on its batch: only the order of the merged sums, so their rounding, moves
+    # do not depend on its batch: only the order of the merged sums, so their rounding, moves.
+    # The stop search's tiles of _TILE rows within a batch move nothing at all: with every
+    # row its own tile, with tiles of 7 rows, or of 128, the estimates are equal
     default = _tiling_runs()
+    with monkeypatch.context() as patch:
+        patch.setattr(stopping, "_TILE", {1: 1, 5: 7, 4096: 128}[rows])
+        assert _tiling_runs() == default
     sweep, quit_caps, sell_sweep = default
     for time_0 in (sweep[0], sell_sweep[0]):
         assert time_0.std_error == 0.0 and time_0.truncation_fraction == 0.0
@@ -651,26 +663,17 @@ def test_stops_at_the_last_step_are_hits(monkeypatch, steps):
         assert abs(hit.mean() - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
 
-class _WaldLog:
-    """A generator that logs the mean-to-shape ratio of every ``wald`` draw."""
-
-    def __init__(self, rng, ratios):
-        self.rng, self.ratios = rng, ratios
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-    def wald(self, mean, scale):
-        self.ratios.append(mean / scale)
-        return self.rng.wald(mean, scale)
-
-
 def test_a_drift_below_the_tolerance_is_zero(monkeypatch):
-    # wald's mean a / |mu| is unresolvable at |mu| = 1e-12; such a drift takes the
-    # zero-drift passage law, whose draws are the same as at a drift of exactly 0
+    # the inverse Gaussian's mean a / |mu| is unresolvable at |mu| = 1e-12; such a drift
+    # takes the zero-drift passage law, whose draws are the same as at a drift of exactly 0
     ratios = []
-    rng = stopping._rng
-    monkeypatch.setattr(stopping, "_rng", lambda: _WaldLog(rng(), ratios))
+    draw = stopping._inverse_gaussian
+
+    def logged(mean, shape, x, u):
+        ratios.extend((mean / shape).tolist())
+        return draw(mean, shape, x, u)
+
+    monkeypatch.setattr(stopping, "_inverse_gaussian", logged)
     base = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0)
     runs = {}
     for drift in (0.0, 1e-12, -1e-12, 0.055):
@@ -687,6 +690,112 @@ def test_a_drift_below_the_tolerance_is_zero(monkeypatch):
             # a passage from just short of a barrier turns the drift's 2e-11 into more
             np.testing.assert_allclose(end, end0, rtol=0, atol=1e-4)
             assert 0 < hit.mean() < 1
+
+
+def _reference_row(search, rng, bars):
+    """One row's ``(step, z, hit)`` per ascending barrier ``bars`` of ``z``, drawn
+    row by row on the stop search's block layout from the row's generator ``rng``,
+    and the number of passages it drew."""
+    mu, sigma, dt, n, block = search.mu, search.sigma, search.dt, search.n_steps, stopping._BLOCK
+    var = sigma * sigma
+    k, z, i, p, out = 0, search.z0, 0, 0, []
+    normal, uniform = rng.standard_normal((block, 2)), rng.random((block, 2))
+    while i < len(bars):
+        b = bars[i]
+        if k < n and b < math.inf:
+            if p and p % block == 0:  # the row has read its blocks: the next pair
+                normal, uniform = rng.standard_normal((block, 2)), rng.random((block, 2))
+            (x, overshoot), (u, v) = normal[p % block], uniform[p % block]
+            p += 1
+            a = b - z
+            if abs(mu) * a < stopping._DRIFT_TOL * var:
+                tau = (a / x) * (a / x) / var if x else math.inf
+            else:  # Michael, Schucany & Haas, written out
+                mean, shape = a / abs(mu), a * a / var
+                y = mean * x * x
+                root = y + math.sqrt(y * y + 4 * shape * y)
+                small = mean - (2 * mean * y / root if root > 0 else 0.0)
+                tau = small if u <= mean / (mean + small) else mean * mean / small
+                if mu < 0 and v >= np.exp(2 * mu * a / var):  # numpy's exp, as the search
+                    tau = math.inf
+            if tau / dt <= n - k:
+                steps = max(math.ceil(tau / dt), 1)
+                k += steps
+                d = max(steps * dt - tau, 0.0)
+                z = b + mu * d + sigma * math.sqrt(d) * overshoot
+                while i < len(bars) and z >= bars[i]:
+                    out.append((k, z, True))
+                    i += 1
+                continue
+        if k < n:  # capped: the value at step N, drawn after the blocks
+            z = stopping._killed_end(rng, z, b, (n - k) * dt, mu, sigma)
+        out += [(n, z, False)] * (len(bars) - i)
+        break
+    return out, p
+
+
+# (spec, rule kind, thresholds, t_max): every threshold list holds one that time 0 ends
+REFERENCE_CASES = {
+    # log m drifts at +0.055, then at -0.03; rows capped at t_max
+    "sell_toward": (make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0), "threshold_up",
+                    [0.9, 1.2, 1.5, 2.2, 2.7], 6.0),
+    "sell_away": (make_sell_model(0.015, 0.3, 0.2, 0.2, 1.0), "threshold_up",
+                  [1.0, 1.1, 1.4, 1.9], 6.0),
+    "quit_zero_drift": (make_quit_model(0.3, 0.1, rho=0.2), "threshold_down",
+                        [0.0, -0.2, QUIT_ETA, -1.0], 4.0),
+    # m <= 0 is y = -inf, a barrier no row reaches: every row is capped there
+    "sell_unreachable": (make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0), "threshold_down",
+                         [1.0, 0.85, 0.6, 0.0], 3.0),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_the_stop_search_is_the_row_by_row_draw(monkeypatch, case):
+    # tiles of 16 rows with blocks of 3 passages, so rows draw further blocks, on two
+    # batches of uneven size: every stop is the row-by-row reference's, bit for bit
+    spec, kind, thresholds, t_max = REFERENCE_CASES[case]
+    monkeypatch.setattr(stopping, "_TILE", 16)
+    monkeypatch.setattr(stopping, "_BLOCK", 3)
+    rules = [StoppingRule(kind, threshold=t) for t in thresholds]
+    cfg = SimConfig(dt=0.01, replications=90, seed=47, t_max=t_max)
+    fam = stopping.FAMILIES[spec.family]
+    refills = capped = 0
+    for lo, hi in [(0, 37), (37, 90)]:
+        search = stopping._StopSearch(spec, cfg, rules, lo, hi)
+        got = list(search.stops())
+        step, m, hit, _ = got[0]  # time 0 ends the first rule on every row
+        assert np.all(step == 0) and np.all(m == spec.initial_law.mean) and np.all(hit)
+        bars = [search.sign * fam.to_y(t) for t in thresholds[1:]]
+        for r in range(lo, hi):
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
+            want, passages = _reference_row(search, rng, bars)
+            for (w_step, w_z, w_hit), (step, m, hit, _) in zip(want, got[1:]):
+                w_m = fam.to_m(np.array([search.sign * w_z]))[0]
+                assert (step[r - lo], m[r - lo], hit[r - lo]) == (w_step, w_m, w_hit), r
+            refills += passages > stopping._BLOCK
+            capped += not want[-1][2]
+    assert capped > 0 and refills > 0
+
+
+@pytest.mark.parametrize("mean,shape", [(0.8, 1.5), (3e6, 0.3)],
+                         ids=["ratio_0.53", "ratio_1e7"])
+def test_the_inverse_gaussian_draw_has_its_law(mean, shape):
+    # the Dvoretzky-Kiefer-Wolfowitz band at 1e-6: P(sup |F_n - F| > eps) <= 2 e^{-2 n eps^2};
+    # the second pair's mean-to-shape ratio is 1 / _DRIFT_TOL, the largest the search hands
+    # the draw
+    assert mean / shape <= 1 / stopping._DRIFT_TOL
+    n = 200_000
+    rng = np.random.default_rng(48)
+    draws = np.sort(stopping._inverse_gaussian(np.full(n, mean), np.full(n, shape),
+                                               rng.standard_normal(n), rng.random(n)))
+    assert np.all(draws > 0)
+    root = np.sqrt(shape / draws)
+    erfc = np.vectorize(math.erfc, otypes=[float])
+    cdf = (0.5 * erfc(-root * (draws / mean - 1) / math.sqrt(2))
+           + math.exp(2 * shape / mean) * 0.5 * erfc(root * (draws / mean + 1) / math.sqrt(2)))
+    ranks = np.arange(1, n + 1)
+    distance = max(np.max(ranks / n - cdf), np.max(cdf - (ranks - 1) / n))
+    assert distance < math.sqrt(math.log(2 / 1e-6) / (2 * n))
 
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0])
@@ -1016,17 +1125,17 @@ def _frozen_runs():
 FROZEN = {
     'fast_sell_sweep': (
         (0.19999999999999993, 0.0, 400, 0.0),
-        (0.36262135890724356, 0.007686756808445783, 400, 0.0375),
-        (0.4795476253542241, 0.01785834649363744, 400, 0.1225),
-        (0.4686729910175822, 0.021266412786594822, 400, 0.195),
-        (0.4329084788282965, 0.024374063074851696, 400, 0.3075),
+        (0.35371010816591253, 0.008019797417393252, 400, 0.05),
+        (0.4614857709613813, 0.017786469039886534, 400, 0.1525),
+        (0.46864442508285736, 0.021876421099983636, 400, 0.2125),
+        (0.4546897148073916, 0.025565151453336946, 400, 0.3),
     ),
     'fast_quit_caps': (
-        (0.6173836757736058, 0.06187808206736233, 300, 0.4033333333333333),
-        (0.14810555286262483, 0.08599712824619665, 300, 0.6533333333333333),
+        (0.6306104702291263, 0.061557346576535645, 300, 0.4033333333333333),
+        (0.21039699700402006, 0.08294436306377788, 300, 0.6533333333333333),
         (0.09648353156102688, 0.06753527141411797, 300, 1.0),
-        (0.4725712646393047, 0.04579441340714256, 300, 0.21),
-        (-0.5959079167689774, 0.06358745484999696, 300, 0.42333333333333334),
+        (0.4930108261751153, 0.04351694969112933, 300, 0.21),
+        (-0.612708276216664, 0.06312177516479102, 300, 0.42333333333333334),
     ),
     'fixed_time': (
         (0.045078862912302536, 0.011459197035151995, 300, 0.0),
@@ -1034,10 +1143,10 @@ FROZEN = {
         (0.19999999999999993, 0.0, 50, 0.0),
     ),
     'cap_value': (
-        (0.3219003811766207, 0.018348411834810844, 300, 0.8666666666666667),
+        (0.32964557779064324, 0.017998672917126906, 300, 0.87),
     ),
     'fast_quit_dynkin': (
-        (1.9289518667491101, 0.028594252873450732, 300, 0.89),
+        (1.9327655390384655, 0.028728100468885052, 300, 0.89),
     ),
     'particle_sell_jumps': (
         (0.09999999999999964, 0.0, 12, 0.0),
