@@ -52,8 +52,11 @@ class CommonNoisePath:
 
     def __post_init__(self) -> None:
         self.increments = np.asarray(self.increments, dtype=float)
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not 0 < self.dt < math.inf:  # NaN too
+            raise ValueError(f"common-noise dt must be finite and > 0, got {self.dt!r}")
+        if self.increments.ndim != 1:
+            raise ValueError(f"common-noise increments must be a 1-D array, got shape "
+                             f"{self.increments.shape}")
 
     @classmethod
     def sample(cls, horizon: float, dt: float, rng: np.random.Generator) -> "CommonNoisePath":
@@ -72,24 +75,49 @@ class CommonNoisePath:
         return out
 
 
-def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, rng: np.random.Generator):
-    """Owners and marks of one step's jumps in a cloud of ``n`` particles.
+def _owners(u: np.ndarray, n: int) -> np.ndarray:
+    """Particle ``floor(u n)`` of each uniform ``u`` in [0, 1).
 
-    One Poisson(``lam dt n``) total, then a uniform owner per jump: by
-    Poisson splitting the per-particle counts have the joint law of ``n``
-    independent Poisson(``lam dt``) counts.  A one-atom law draws no marks
-    and returns its value.
+    For ``n`` up to 2**53 even the largest uniform, ``1 - 2**-53``, gives a
+    product that rounds to below ``n``, so every owner lies in ``0..n-1``.
+    Each owner's probability is within ``2**-53`` of ``1 / n``.
     """
-    total = rng.poisson(levy.intensity * dt * n)
-    owners = rng.integers(0, n, total)
-    if len(levy.atoms) == 1:
-        return owners, levy.atoms[0][0]
-    return owners, levy.sample_marks(rng, total)
+    return (u * n).astype(np.intp)
+
+
+def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, gens: list):
+    """Owners and marks of one step's jumps in ``len(gens)`` clouds of ``n``
+    particles, cloud ``j`` drawing from ``gens[j]`` alone.
+
+    Each cloud draws one Poisson(``lam dt n``) total, then one uniform owner
+    per jump (``_owners``): by Poisson splitting the per-particle counts have
+    the joint law of ``n`` independent Poisson(``lam dt``) counts.  Then it
+    draws its marks, unless the law has one atom; its value is returned in
+    place of the marks.  Owners index the clouds' particles in row order, so
+    particle ``i`` of cloud ``j`` is ``j n + i``.
+    """
+    lam = levy.intensity * dt * n
+    one_atom = len(levy.atoms) == 1
+    totals, uniforms, marks = [], [], []
+    for rng in gens:
+        total = rng.poisson(lam)
+        totals.append(total)
+        uniforms.append(rng.random(total))
+        if not one_atom:
+            marks.append(levy.sample_marks(rng, total))
+    owners = _owners(np.concatenate(uniforms), n)
+    owners += np.repeat(np.arange(0, len(gens) * n, n), totals)
+    return owners, levy.atoms[0][0] if one_atom else np.concatenate(marks)
 
 
 def _column(value) -> np.ndarray:
     """A per-row scalar or a scalar shared by all rows, as a column."""
     return np.reshape(value, (-1, 1))
+
+
+def _per_row(value, rows: int) -> list:
+    """A per-row array or a scalar shared by all rows, as ``rows`` floats."""
+    return value.tolist() if np.ndim(value) else [float(value)] * rows
 
 
 def step(
@@ -102,34 +130,41 @@ def step(
 ) -> None:
     """Euler-Maruyama step of ``rows`` clouds, in place and unclamped.
 
-    Row ``j`` of the ``(rows, n)`` array ``x`` is one cloud with mean
-    ``m_bar[j]``, common-noise increment ``dB1[j]`` and generator
+    Row ``j`` of the C-contiguous ``(rows, n)`` array ``x`` is one cloud
+    with mean ``m_bar[j]``, common-noise increment ``dB1[j]`` and generator
     ``gens[j]``, which draws that row's randomness and nothing else: the
     idiosyncratic normals (none when ``s0 == s1 == 0``), then the jumps of
-    ``_draw_jumps`` (none without intensity).  On return ``x`` holds the new
-    states and ``m_bar`` their row means.
+    ``_draw_jumps`` (none without intensity).  With idiosyncratic noise a
+    row moves by ``shift + scale * z`` in one update, drift, compensator and
+    common noise in ``shift``; without it by ``shift`` and then by the
+    common noise.  The jumps of all rows are added in one pass.  On return
+    ``x`` holds the new states and ``m_bar`` their row means.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not 0 < dt < math.inf:  # NaN too
+        raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
+    if x.ndim != 2 or not x.flags.c_contiguous:  # the jumps go in through a flat view
+        raise ValueError("step needs a C-contiguous (rows, n) state array")
     rows, n = x.shape
     levy = spec.levy
     shift = spec.drift(m_bar) * dt
     if levy.intensity > 0:  # the jump compensator
         shift = shift - dt * levy.intensity * spec.expected_jump_amp(m_bar)
-    x += _column(shift)
-    x += _column(spec.diffusion_common(m_bar) * dB1)
+    common = spec.diffusion_common(m_bar) * dB1
     if spec.s0 or spec.s1:
-        b2 = np.broadcast_to(spec.diffusion_idio(m_bar), rows)
-        dB2 = np.empty(n)  # one row of idiosyncratic increments at a time
+        shift = _per_row(shift + common, rows)
+        scale = _per_row(spec.diffusion_idio(m_bar) * math.sqrt(dt), rows)
+        z = np.empty(n)  # one row of idiosyncratic normals at a time
         for j, rng in enumerate(gens):
-            rng.standard_normal(out=dB2)
-            dB2 *= math.sqrt(dt)
-            dB2 *= b2[j]
-            x[j] += dB2
+            rng.standard_normal(out=z)
+            z *= scale[j]
+            z += shift[j]
+            x[j] += z
+    else:  # a rigid translation
+        x += _column(shift)
+        x += _column(common)
     if levy.intensity > 0:
-        for j, rng in enumerate(gens):
-            owners, marks = _draw_jumps(levy, n, dt, rng)
-            np.add.at(x[j], owners, spec.jump_amp(m_bar[j], marks))
+        owners, marks = _draw_jumps(levy, n, dt, gens)
+        np.add.at(x.reshape(-1), owners, spec.jump_amp(m_bar[owners // n], marks))
     np.mean(x, axis=1, out=m_bar)
     # a non-finite particle makes its row mean non-finite
     if not np.all(np.isfinite(m_bar)):
@@ -141,29 +176,47 @@ def step(
 
 @dataclass
 class PathResult:
-    m_bar: np.ndarray       # at each grid time of the common-noise path
-    states: np.ndarray      # the particles at its last grid time
+    m_bar: np.ndarray       # (clouds, steps + 1): each cloud's mean at each grid time
+    states: np.ndarray      # (clouds, n): the particles at the last grid time
     floor_events: int = 0   # always 0, clouds are not clamped; perfbench's tracer reads it
 
 
 def simulate_path(
     spec: ModelSpec,
-    common: CommonNoisePath,
+    paths: list,
     n: int,
-    rng: np.random.Generator,
+    gens: list,
 ) -> PathResult:
-    """Advance an unclamped cloud of ``n`` particles along the whole
-    common-noise path, recording ``m_bar`` at each of its grid times."""
+    """Advance one unclamped cloud of ``n`` particles along each common-noise
+    path of ``paths``, recording the clouds' means at every grid time.
+
+    Cloud ``j`` draws its initial states and all its step randomness from
+    ``gens[j]`` alone, so it comes out bit for bit as when run by itself.
+    The clouds are the rows of one state array, advanced by one ``step``
+    call per time step; the paths must share their ``dt`` and length.
+    """
     if n < 1:
         raise ValueError("particle count must be >= 1")
-    x = spec.initial_law.sample(rng, n).reshape(1, n)  # stepped in place
-    m_bar = np.empty(common.increments.size + 1)
-    m_bar[0] = x[0].mean()
-    m = m_bar[:1].copy()
-    for k in range(common.increments.size):
-        step(x, spec, common.dt, m, common.increments[k:k + 1], [rng])
-        m_bar[k + 1] = m[0]
-    return PathResult(m_bar, x[0])
+    if not paths:
+        raise ValueError("simulate_path needs at least one common-noise path")
+    if len(gens) != len(paths):
+        raise ValueError(f"simulate_path needs one generator per path, got {len(gens)} "
+                         f"generators for {len(paths)} paths")
+    dt = paths[0].dt
+    if any(p.dt != dt or p.increments.size != paths[0].increments.size for p in paths):
+        raise ValueError("the common-noise paths of one simulate_path call must share "
+                         "their dt and step count")
+    dB1 = np.stack([p.increments for p in paths], axis=1)  # row k: the clouds' increments
+    x = np.empty((len(paths), n))  # stepped in place
+    for row, rng in zip(x, gens):
+        row[:] = spec.initial_law.sample(rng, n)
+    m_bar = np.empty((len(paths), dB1.shape[0] + 1))
+    m = x.mean(axis=1)
+    m_bar[:, 0] = m
+    for k, increments in enumerate(dB1, start=1):
+        step(x, spec, dt, m, increments, gens)
+        m_bar[:, k] = m
+    return PathResult(m_bar, x)
 
 
 def silverman_bandwidth(states: np.ndarray) -> float:

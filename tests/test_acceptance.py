@@ -179,14 +179,17 @@ def test_criterion_08_particle_reduction():
     spec = make_sell_model(
         SELL.a1, SELL.b1, SELL.s1, SELL.rho, SELL.cost, constant_mark(0.5, -0.2)
     )
-    worst = 0.0
+    commons, clouds = [], []
     for rep in range(100):
         ss = np.random.SeedSequence(801, spawn_key=(rep,))
         rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
-        common = CommonNoisePath.sample(1.0, 1e-3, rng_common)
-        result = simulate_path(spec, common, 10_000, rng_cloud)
+        commons.append(CommonNoisePath.sample(1.0, 1e-3, rng_common))
+        clouds.append(rng_cloud)
+    result = simulate_path(spec, commons, 10_000, clouds)  # the 100 clouds as rows of one state
+    worst = 0.0
+    for common, m_bar in zip(commons, result.m_bar):
         ref = conditional_mean_oracle(spec, common)[-1]
-        worst = max(worst, abs(result.m_bar[-1] - ref) / abs(ref))
+        worst = max(worst, abs(m_bar[-1] - ref) / abs(ref))
     oracle_ok = worst < 0.05
 
     _, lam1 = lambda_roots(SELL.a1, SELL.b1, SELL.rho)
@@ -217,8 +220,8 @@ def test_criterion_09_fokker_planck_cross_check():
         gaussian_density(x, 0.0, 0.3), spec, 1e-4, common.increments
     )
     coarse = CommonNoisePath(1e-3, common.increments.reshape(-1, 10).sum(axis=1))
-    result = simulate_path(spec, coarse, 100_000, rng_cloud)
-    kde = kde_density(result.states, None, x)
+    result = simulate_path(spec, [coarse], 100_000, [rng_cloud])
+    kde = kde_density(result.states[0], None, x)
     l1 = compare_to_particles(density, kde)
     defect = max(d.mass_defect for d in diags)
     report(9, "Fokker-Planck vs particle KDE", l1 < 0.1 and defect < 1e-6,

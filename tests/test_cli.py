@@ -654,8 +654,8 @@ FROZEN_OUTPUTS = {
         'summary.json': '3214eb83175d2f8c8daf840338459dc24d59a565f7a71fa8da1be7479a551ff9',
     },
     'evaluate_rule-sell': {
-        'estimate.csv': '083985e55e2409ffbcc5ff5b6476d8306f7ebecab74ed95bcffd8e783bff12a0',
-        'summary.json': 'effbcbf6c1b526b646c9e137eda50d1b659ed28c95aaa8bc994d336cd1e8aaf1',
+        'estimate.csv': '4363fb363a6db5b2d6ea5e759db9a4fbbff042002450d5a939242140f07b7214',
+        'summary.json': 'a8b1370299ec61499aa5edfe42e0a7d290da368a5bee8166659978d092710bc2',
     },
     'evaluate_rule-quit': {
         'estimate.csv': 'a4a6e525ae334e05df60d6e03f1828f553167959b442398114ba108cec687535',
@@ -670,17 +670,17 @@ FROZEN_OUTPUTS = {
         'sweep.csv': '7cda7720290f5cb9a12c76cde620df096b44cca49829d0d8b2d617125ca07f33',
     },
     'simulate_path-sell': {
-        'summary.json': '518bf68cdbf94ff3e33a46931358ad74856639fe27e61d1d6477f94e7322ac54',
-        'trajectory.csv': '5966670bf82dfc04c4bf30634397e2b88ef2cc9f32b30b10a5e0f540ee0f4065',
+        'summary.json': '8d1522210602d4d9ffd9cc7823f8e790e00eaa8fd90f9b178cf91fa9372e4172',
+        'trajectory.csv': '7774a666d7f07895d62acab09c569c9668f17fc528116d6a91f2e3b88581ad44',
     },
     'simulate_path-quit': {
-        'summary.json': '69aa2d7a774871e814866c1143358233cf0b6f54332446b7223ef713733f991c',
-        'trajectory.csv': '97e065ad6caaee071bd4d862457c3d84f2989a2d0154d8d99de005b4f417c1b8',
+        'summary.json': 'b44863cc55f69f77e661b51d42d23636bb674c9cdc34b355cefd143d11cf540d',
+        'trajectory.csv': 'de2067b9a3e19336f3ad762d08c10570adc89a9565aa0e33b538fb2458a9ee0f',
     },
     'fokker_planck_compare-sell': {
-        'densities.csv': '270b0d3f16593b02d4650bfa5c1d1b085aaf5f33e933d630308b2ed246fba7fa',
-        'fp_summary.csv': '01eb618607b24b96d6854ffacc3e5e5650a551a3342fc516fd79dece013ec32e',
-        'summary.json': 'da480ee6d51e14a266c178991f923db3a7fa796d064f5c84a7fe653d4148a743',
+        'densities.csv': '70d38eb3daf7b28a1d0bdec873f86c1cf41cbfd5772a72676084171ae66b19c1',
+        'fp_summary.csv': '6dd3e4b4ce0063cd40c63c43ef463611dd9c5cb13873bdd69caabe1a98b86e46',
+        'summary.json': 'ab38a24417f27a8e316cb709ef2d2ba3dd568ad037ab07716ffc6994b6addea0',
     },
     'fokker_planck_compare-quit': {
         'densities.csv': 'd57e1f4a49f60e2e94ee06a8191be7faf80f608e4be1597a486ecf404762c6be',

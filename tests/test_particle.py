@@ -13,6 +13,7 @@ from mvstop.particle import (
     CommonNoisePath,
     SimulationError,
     _draw_jumps,
+    _owners,
     kde_density,
     silverman_bandwidth,
     simulate_path,
@@ -60,9 +61,9 @@ def test_no_idiosyncratic_noise_is_rigid_translation():
 def test_compensated_jumps_keep_conditional_mean():
     spec = make_sell_model(0.0, 0.2, 0.0, 0.2, 1.0, constant_mark(2.0, -0.3))
     common = CommonNoisePath(0.01, np.zeros(50))   # freeze the common noise
-    result = simulate_path(spec, common, 100_000, np.random.default_rng(6))
+    result = simulate_path(spec, [common], 100_000, [np.random.default_rng(6)])
     # with B1 = 0 and alpha0 = 0 the conditional mean must stay at 1
-    assert abs(result.m_bar[-1] - 1.0) < 0.01
+    assert abs(result.m_bar[0, -1] - 1.0) < 0.01
 
 
 # the jump draw of one step: a Poisson total split over uniform owners, and
@@ -70,16 +71,36 @@ def test_compensated_jumps_keep_conditional_mean():
 
 def test_jump_counts_are_poisson_per_particle():
     n, lam_dt = 200_000, 0.5
-    owners, _ = _draw_jumps(constant_mark(5.0, -0.2), n, 0.1, np.random.default_rng(21))
+    owners, _ = _draw_jumps(constant_mark(5.0, -0.2), n, 0.1, [np.random.default_rng(21)])
     counts = np.bincount(owners, minlength=n)
     assert abs(counts.mean() - lam_dt) < 0.01            # SE 0.0016
     assert abs(counts.var() - lam_dt) < 0.015            # SE 0.0022
     assert abs((counts == 0).mean() - math.exp(-lam_dt)) < 0.006   # SE 0.0011
 
 
+def test_jump_owners_are_uniform():
+    # chi-square of ~1.1e6 owners over 1000 particles, against its normal
+    # approximation with 999 degrees of freedom (SD 44.7); an owner map that
+    # never picks the last particle adds ~1100
+    n = 1000
+    owners, _ = _draw_jumps(constant_mark(1100.0, -0.2), n, 1.0, [np.random.default_rng(31)])
+    assert owners.size >= 1_000_000
+    counts = np.bincount(owners, minlength=n)
+    assert counts.size == n
+    expected = owners.size / n
+    chi2 = float(((counts - expected) ** 2).sum() / expected)
+    assert abs(chi2 - (n - 1)) < 5 * math.sqrt(2 * (n - 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2000, 10_000, 2**20 + 1])
+def test_owner_of_the_extreme_uniforms(n):
+    # 1 - 2**-53 is the largest value rng.random returns
+    assert _owners(np.array([0.0, 1.0 - 2.0**-53]), n).tolist() == [0, n - 1]
+
+
 def test_two_atom_mark_frequencies():
     levy = discrete_marks(5.0, [-0.1, -0.3], [0.25, 0.75])
-    _, marks = _draw_jumps(levy, 200_000, 0.1, np.random.default_rng(22))
+    _, marks = _draw_jumps(levy, 200_000, 0.1, [np.random.default_rng(22)])
     assert set(np.unique(marks)) == {-0.3, -0.1}
     assert abs((marks == -0.1).mean() - 0.25) < 0.007     # SE 0.0014 over ~1e5 marks
 
@@ -102,7 +123,7 @@ def test_rigid_model_without_jumps_draws_nothing():
     rng = np.random.default_rng(24)
     before = rng.bit_generator.state
     common = CommonNoisePath.sample(0.1, 0.01, np.random.default_rng(25))
-    simulate_path(spec, common, 100, rng)
+    simulate_path(spec, [common], 100, [rng])
     assert rng.bit_generator.state == before
 
 
@@ -121,6 +142,62 @@ def test_batched_rows_match_single_rows():
         assert np.array_equal(row[0], x[j]) and m_row[0] == m[j]
 
 
+@pytest.mark.parametrize("spec", [
+    make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0, discrete_marks(3.0, [-0.1, -0.3], [0.5, 0.5]),
+                    InitialLaw("lognormal", 0.0, 0.2)),
+    make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=3.0,
+                    initial_law=InitialLaw("normal", 0.0, 0.3)),
+], ids=["sell_two_atoms", "quit_one_atom"])
+def test_clouds_stepped_together_match_each_cloud_alone(spec):
+    # every cloud draws from its own generator alone, so batching changes no draw
+    paths = [CommonNoisePath.sample(0.2, 0.01, np.random.default_rng(s)) for s in (30, 31, 32)]
+    seeds = (33, 34, 35)
+    together = simulate_path(spec, paths, 500, [np.random.default_rng(s) for s in seeds])
+    for j, (path, seed) in enumerate(zip(paths, seeds)):
+        alone = simulate_path(spec, [path], 500, [np.random.default_rng(seed)])
+        assert np.array_equal(alone.m_bar[0], together.m_bar[j])
+        assert np.array_equal(alone.states[0], together.states[j])
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.01])
+def test_common_noise_path_rejects_a_bad_dt(dt):
+    with pytest.raises(ValueError, match="common-noise dt must be finite and > 0"):
+        CommonNoisePath(dt, np.zeros(3))
+
+
+def test_common_noise_path_rejects_2d_increments():
+    with pytest.raises(ValueError, match="increments must be a 1-D array"):
+        CommonNoisePath(0.01, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+def test_step_rejects_a_bad_dt(dt):
+    spec = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5)
+    with pytest.raises(ValueError, match="step dt must be finite and > 0"):
+        step(np.zeros((1, 10)), spec, dt, np.zeros(1), np.zeros(1), [np.random.default_rng(0)])
+
+
+def test_step_rejects_a_strided_state():
+    # the jumps are added through a flat view, which a strided array has not
+    x = np.zeros((10, 2)).T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        step(x, make_quit_model(0.3, 0.1), 0.01, np.zeros(2), np.zeros(2),
+             [np.random.default_rng(0), np.random.default_rng(1)])
+
+
+def test_simulate_path_rejects_clouds_that_do_not_fit_together():
+    spec = make_quit_model(0.4, 0.3)
+    path = CommonNoisePath(0.01, np.zeros(5))
+    gens = [np.random.default_rng(0), np.random.default_rng(1)]
+    for other in (CommonNoisePath(0.02, np.zeros(5)), CommonNoisePath(0.01, np.zeros(4))):
+        with pytest.raises(ValueError, match="share their dt and step count"):
+            simulate_path(spec, [path, other], 10, gens)
+    with pytest.raises(ValueError, match="one generator per path"):
+        simulate_path(spec, [path, path], 10, gens[:1])
+    with pytest.raises(ValueError, match="at least one common-noise path"):
+        simulate_path(spec, [], 10, [])
+
+
 def test_off_grid_horizon_and_snapshot_rejected():
     with pytest.raises(ValueError, match="horizon must be a whole multiple of dt"):
         CommonNoisePath.sample(0.2049, 0.01, np.random.default_rng(12))
@@ -130,15 +207,16 @@ def test_final_cloud_recorded():
     # the path runs over the whole common-noise grid and keeps its last cloud
     spec = make_quit_model(0.4, 0.3)
     common = CommonNoisePath.sample(0.5, 0.01, np.random.default_rng(10))
-    result = simulate_path(spec, common, 50, np.random.default_rng(11))
-    assert result.m_bar.size == common.times().size
-    assert result.states.mean() == result.m_bar[-1]
+    result = simulate_path(spec, [common], 50, [np.random.default_rng(11)])
+    assert result.m_bar.shape == (1, common.times().size)
+    assert result.states.shape == (1, 50)
+    assert result.states[0].mean() == result.m_bar[0, -1]
 
 
 def test_particle_count_must_be_positive():
     common = CommonNoisePath.sample(0.1, 0.01, np.random.default_rng(10))
     with pytest.raises(ValueError, match="particle count must be >= 1"):
-        simulate_path(make_quit_model(0.4, 0.3), common, 0, np.random.default_rng(11))
+        simulate_path(make_quit_model(0.4, 0.3), [common], 0, [np.random.default_rng(11)])
 
 
 def test_non_finite_state_raises():

@@ -1150,13 +1150,13 @@ FROZEN = {
     ),
     'particle_sell_jumps': (
         (0.09999999999999964, 0.0, 12, 0.0),
-        (0.1285549318157374, 0.06997211638115293, 12, 0.4166666666666667),
-        (0.1853432803290742, 0.09769369251577227, 12, 0.5),
+        (0.19921572801286483, 0.052919629914498445, 12, 0.25),
+        (0.22301379606432348, 0.08185466825974652, 12, 0.5833333333333334),
     ),
     'particle_quit': (
-        (0.25583358011103413, 0.1563914870182123, 12, 0.6666666666666666),
-        (-0.00021085957315309287, 0.04327253755788116, 12, 0.9166666666666666),
-        (-0.019598552996498177, 0.01761789190096245, 12, 0.0),
+        (0.05407940874661843, 0.10530795202765215, 12, 0.75),
+        (-0.05156119664672487, 0.03589797060662643, 12, 0.8333333333333334),
+        (-0.02710567991548507, 0.015019755616570573, 12, 0.0),
     ),
 }
 
