@@ -31,7 +31,9 @@ from . import __version__
 from .fokker_planck import compare_to_particles, evolve_spide, gaussian_density, make_grid
 from .generator import check_variational_inequalities, default_probe_grid
 from .model import InitialLaw, ModelError, ModelSpec
-from .particle import CommonNoisePath, check_on_grid, kde_density, off_grid, simulate_path
+from .particle import (
+    CommonNoisePath, check_bandwidth, check_on_grid, kde_density, off_grid, simulate_path,
+)
 from .stopping import (
     FAMILIES,
     SimConfig,
@@ -403,6 +405,8 @@ def _fokker_planck_compare(spec, numerics, checks, seed):
     ratio = round(dt / spide_dt)
     if ratio < 1 or off_grid(dt, spide_dt) or off_grid(horizon, dt):
         raise ValueError("numerics.dt must be a whole multiple of spide_dt and divide horizon")
+    if numerics["bandwidth"] is not None:  # None: Silverman's, checked by kde_density
+        check_bandwidth(numerics["bandwidth"], x, "numerics.")
 
     def compute(out, mhash, summary):
         ss = np.random.SeedSequence(seed, spawn_key=(0,))

@@ -101,11 +101,12 @@ class _Kernel:
     """Explicit steps of one density on its grid, in buffers allocated once.
 
     ``rho`` holds a copy of the start density's values, which ``step``
-    replaces by the next step's.  The operators are central differences
-    in divergence form whose four end-point stencils run on Python floats
-    from ``_head`` and ``_tail``, the end values of ``rho``; every
-    elementwise operation is the one the plain numpy expression would do,
-    in its order, so the results match it bit for bit.
+    replaces by the next step's.  Every coefficient is a number fixed by
+    ``m_bar``, so ``D[c rho] = c D[rho]``, and each operator, or a whole
+    step's linear update, is one three-point stencil of central differences
+    inside (``_linear``), in divergence form, so it conserves mass; its four
+    one-sided end stencils run on Python floats from ``_head`` and
+    ``_tail``, the end values of ``rho``.
     """
 
     def __init__(self, density: GridDensity, spec: ModelSpec):
@@ -113,18 +114,10 @@ class _Kernel:
         self.x, self.spec, self.time = density.x, spec, density.time
         self.rho = density.values.copy()
         self.dx = density.dx
-        self._2dx, self._dx2 = 2 * self.dx, self.dx**2
         self._d = np.diff(self.x)           # trapezoid weights, as np.trapezoid takes them
-        # D[0 rho] is +0.0 everywhere unless rho carries a sign bit, and
-        # adding its negation -0.0 changes no value; a step's values never
-        # carry one, so only the start density needs the check
-        self._unsigned = not np.signbit(self.rho).any()
         # a coefficient without an m term never reads m_bar (ModelSpec
         # evaluates only nonzero terms), so constant coefficients skip it
         self._reads_mean = any((spec.a1, spec.b1, spec.s1, spec.j1))
-        self._f = np.empty(n)              # one operand c * rho
-        self._rate = np.empty(n)           # A0* rho
-        self._grad = np.empty(n)           # D[c rho]
         self._stack = np.empty((3, n))     # the update, its negative part, its positive part
         self._pairs = np.empty((3, n - 1))
         self._read_ends()
@@ -132,52 +125,44 @@ class _Kernel:
     def _read_ends(self) -> None:
         self._head, self._tail = self.rho[:4].tolist(), self.rho[-4:].tolist()
 
-    def d1(self, c: float, out: np.ndarray) -> np.ndarray:
-        """``D[c rho]`` into ``out``: second order, central inside, one-sided at the ends."""
-        f = np.multiply(self.rho, c, out=self._f)
-        np.subtract(f[2:], f[:-2], out=out[1:-1])
-        out[1:-1] /= self._2dx
-        r0, r1, r2, _ = self._head
-        _, s2, s1, s0 = self._tail
-        out[0] = (-3 * (c * r0) + 4 * (c * r1) - c * r2) / self._2dx
-        out[-1] = (3 * (c * s0) - 4 * (c * s1) + c * s2) / self._2dx
-        return out
-
-    def d2(self, c: float, out: np.ndarray) -> np.ndarray:
-        """``D^2[c rho]`` into ``out``, with the same stencil rules as ``d1``."""
-        f = np.multiply(self.rho, c, out=self._f)
-        mid = out[1:-1]
-        np.multiply(f[1:-1], 2.0, out=mid)
-        np.subtract(f[2:], mid, out=mid)
-        mid += f[:-2]
-        mid /= self._dx2
+    def _linear(self, diag: float, diff: float, drift: float, out: np.ndarray) -> None:
+        """``diag rho + diff D^2[rho] - drift D[rho]`` into ``out``: second
+        order, central inside, one-sided at the ends."""
+        a, b = diff / self.dx**2, drift / (2 * self.dx)
+        out[1:-1] = np.convolve(self.rho, [a - b, diag - 2 * a, a + b], "valid")
         r0, r1, r2, r3 = self._head
         s3, s2, s1, s0 = self._tail
-        out[0] = (2 * (c * r0) - 5 * (c * r1) + 4 * (c * r2) - c * r3) / self._dx2
-        out[-1] = (2 * (c * s0) - 5 * (c * s1) + 4 * (c * s2) - c * s3) / self._dx2
-        return out
+        out[0] = (diag * r0 + a * (2 * r0 - 5 * r1 + 4 * r2 - r3)
+                  - b * (-3 * r0 + 4 * r1 - r2))
+        out[-1] = (diag * s0 + a * (2 * s0 - 5 * s1 + 4 * s2 - s3)
+                   - b * (3 * s0 - 4 * s1 + s2))
 
-    def a0_star(self, m_bar: float) -> np.ndarray:
-        """``A0* rho`` at mean ``m_bar`` into the rate buffer."""
+    def update(self, m_bar: float, dt: float, dB1: float, keep: float,
+               out: np.ndarray) -> np.ndarray:
+        """``keep rho + dt A0* rho + dB1 A1* rho`` at mean ``m_bar`` into ``out``.
+
+        With ``r = sum_k lam p_k`` and the compensator's transport
+        ``g = sum_k lam p_k gamma_k``, ``A0* rho = (b1^2 + b2^2) / 2 D^2[rho]
+        - (alpha - g) D[rho] - r rho + sum_k lam p_k rho(x - gamma_k)``, each
+        shift by linear interpolation, and ``A1* rho = -b1 D[rho]``.
+        """
         spec = self.spec
         b1, b2 = spec.diffusion_common(m_bar), spec.diffusion_idio(m_bar)
-        rate = self.d2(b1 * b1 + b2 * b2, self._rate)
-        rate *= 0.5
-        alpha = spec.drift(m_bar)
-        if alpha != 0 or not self._unsigned:
-            rate -= self.d1(alpha, self._grad)
-        if spec.levy.intensity > 0:
-            for value, prob in spec.levy.atoms:
-                gamma = spec.jump_amp(m_bar, value)
-                shifted = np.interp(self.x - gamma, self.x, self.rho, left=0.0, right=0.0)
-                shifted -= self.rho
-                shifted += self.d1(gamma, self._grad)
-                shifted *= spec.levy.intensity * prob
-                rate += shifted
-        return rate
+        lam = spec.levy.intensity
+        jumps = [(lam * prob, spec.jump_amp(m_bar, value))
+                 for value, prob in spec.levy.atoms] if lam > 0 else []
+        rate = sum(r for r, _ in jumps)
+        transport = sum(r * gamma for r, gamma in jumps)
+        self._linear(keep - dt * rate, 0.5 * (b1 * b1 + b2 * b2) * dt,
+                     (spec.drift(m_bar) - transport) * dt + b1 * dB1, out)
+        for r, gamma in jumps:
+            shifted = np.interp(self.x - gamma, self.x, self.rho, left=0.0, right=0.0)
+            shifted *= dt * r
+            out += shifted
+        return out
 
     def first_moment(self) -> float:
-        f, pair = self._f, self._pairs[0]
+        f, pair = self._stack[0], self._pairs[0]
         np.multiply(self.x, self.rho, out=f)
         np.add(f[1:], f[:-1], out=pair)
         pair *= self._d
@@ -198,43 +183,42 @@ class _Kernel:
         edge = (abs(self._head[0]) + abs(self._tail[-1])) * self.dx
         if edge > BOUNDARY_TOL:
             raise GridError(f"density mass at grid boundary {edge:.3e} exceeds {BOUNDARY_TOL:.1e}")
-        rho, stack = self.rho, self._stack
+        stack = self._stack
         new, neg, pos = stack
-        np.multiply(self.a0_star(m_bar), dt, out=new)
-        new += rho
-        a1_db = self.d1(spec.diffusion_common(m_bar), self._grad)
-        a1_db *= -dB1                  # A1* rho = -D[b1 rho]
-        new += a1_db
+        self.update(m_bar, dt, dB1, 1.0, new)
         # |new| <= VALUE_CAP; NaN fails both comparisons
-        if not (np.maximum.reduce(new) <= VALUE_CAP and -np.minimum.reduce(new) <= VALUE_CAP):
+        low = np.minimum.reduce(new)
+        if not (np.maximum.reduce(new) <= VALUE_CAP and -low <= VALUE_CAP):
             raise CFLError(
                 f"density blow-up at t={self.time:.4f}; "
                 f"CFL bound was {bound:.3e} for dt={dt:.3e}"
             )
-        np.maximum(new, 0.0, out=pos)   # np.clip(new, 0.0, None), without its wrapper
-        np.subtract(pos, new, out=neg)
-        pairs = self._pairs             # the three trapezoid rules in one pass
-        np.add(stack[:, 1:], stack[:, :-1], out=pairs)
+        if low < 0:
+            np.maximum(new, 0.0, out=pos)   # np.clip(new, 0.0, None), without its wrapper
+            np.subtract(pos, new, out=neg)
+            rows, kept = stack, pos
+        else:                               # nothing to clip
+            rows, kept = stack[:1], new
+        pairs = self._pairs[:len(rows)]     # the trapezoid rules in one pass
+        np.add(rows[:, 1:], rows[:, :-1], out=pairs)
         pairs *= self._d
         pairs /= 2.0
-        mass, clipped_mass, total = pairs.sum(axis=1).tolist()
-        np.divide(pos, total, out=rho)
+        sums = pairs.sum(axis=1).tolist()
+        mass, clipped_mass, total = sums if low < 0 else (sums[0], 0.0, sums[0])
+        np.divide(kept, total, out=self.rho)
         self._read_ends()
-        self._unsigned = True
         self.time += dt
         return StepDiagnostics(abs(mass - 1.0), clipped_mass, bound)
 
 
 def apply_A0_star(density: GridDensity, spec: ModelSpec, m_bar: float) -> np.ndarray:
     """Drift, diffusion and compensated jump parts of the adjoint generator at mean ``m_bar``."""
-    return _Kernel(density, spec).a0_star(m_bar)
+    return _Kernel(density, spec).update(m_bar, 1.0, 0.0, 0.0, np.empty_like(density.values))
 
 
 def apply_A1_star(density: GridDensity, spec: ModelSpec, m_bar: float) -> np.ndarray:
     """Common-noise transport term ``-D[beta1 rho]``; ``m_bar`` as in ``apply_A0_star``."""
-    kernel = _Kernel(density, spec)
-    grad = kernel.d1(spec.diffusion_common(m_bar), kernel._grad)
-    return np.negative(grad, out=grad)
+    return _Kernel(density, spec).update(m_bar, 0.0, 1.0, 0.0, np.empty_like(density.values))
 
 
 def step_spide(

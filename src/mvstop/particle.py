@@ -20,9 +20,10 @@ from .fokker_planck import GridDensity, check_grid
 from .model import LevyMeasureSpec, ModelSpec
 
 
-_KDE_CHUNK = 2e6          # kernel-matrix elements per summed chunk of particles
-_KDE_TILE = 2**15         # elements per evaluated tile, about 256 KiB of float64
+_KDE_CHUNK = 4096         # particles binned per pass, so no temporary outgrows 32 KiB
 _KDE_OUTSIDE = 0.01       # largest share of the cloud allowed off the grid
+_KDE_REACH = math.sqrt(1492.0)  # in bandwidths: beyond it exp underflows and a kernel is 0.0
+_KDE_TRUNCATION = 2.0**-60      # largest error a cut Taylor series may add to one kernel value
 
 
 class SimulationError(RuntimeError):
@@ -230,72 +231,100 @@ def silverman_bandwidth(states: np.ndarray) -> float:
     return 0.9 * scale * states.size ** (-1 / 5)
 
 
+def check_bandwidth(h: float, x: np.ndarray, prefix: str = "") -> None:
+    """Reject a KDE bandwidth ``h`` that is not finite or is below half the
+    step of the uniform grid ``x``; ``kde_density`` bins each particle to its
+    nearest node and needs its offset to be at most one bandwidth."""
+    dx = (x[-1] - x[0]) / (x.size - 1)
+    if not 0.5 * dx <= h < math.inf:  # NaN too
+        raise ValueError(f"{prefix}bandwidth must be finite and at least half the grid step "
+                         f"dx = {dx:.6g}, got {h!r}")
+
+
+def _taylor_order(delta: float) -> int:
+    """The least ``P`` such that cutting ``e^(u d)`` after its ``u^(P-1)`` term
+    changes ``e^(-(u - d)^2 / 2)`` by less than ``_KDE_TRUNCATION`` for every
+    ``u`` and every offset ``|d| <= delta``.
+
+    The cut's error is at most ``|u d|^P / P! e^(|u d|)``, so the kernel's is
+    at most ``|u d|^P / P! e^(-(|u| - |d|)^2 / 2)``, which is largest at
+    ``|u| = (delta + sqrt(delta^2 + 4 P)) / 2``.
+    """
+    limit = math.log(_KDE_TRUNCATION)
+    p = 1
+    while delta > 0:
+        u = 0.5 * (delta + math.sqrt(delta * delta + 4 * p))
+        if p * math.log(u * delta) - math.lgamma(p + 1) - 0.5 * (u - delta) ** 2 < limit:
+            break
+        p += 1
+    return p
+
+
 def kde_density(
     states: np.ndarray,
     bandwidth: float | None,
     grid: np.ndarray,
 ) -> GridDensity:
     """Gaussian-kernel estimate of the particles ``states`` on the grid,
-    renormalized to unit mass."""
+    renormalized to unit mass.
+
+    A binned Gauss transform (Greengard & Strain 1991).  A particle ``s``
+    on the grid goes to its nearest node ``c``, at the offset
+    ``d = (s - x[c]) / h``, at most half a step and so at most one
+    bandwidth.  Its kernel at node ``c + m``, ``u = m dx / h``, factors as
+    ``e^(-d^2/2) e^(u d) e^(-u^2/2)``; with ``e^(u d)`` cut after the
+    ``_taylor_order`` terms that keep each kernel value within
+    ``_KDE_TRUNCATION`` of exact, the estimate is a sum over ``p`` of the
+    moments ``sum e^(-d^2/2) d^p`` of each node's particles convolved with
+    ``e^(-u^2/2) u^p / p!``, for ``|u|`` up to ``_KDE_REACH``.  The few
+    particles off the grid are summed directly.
+    """
     x = np.asarray(grid, float)
-    check_grid(x)  # the tile windows need an increasing grid
+    check_grid(x)
     states = np.asarray(states, float)
     if states.ndim != 1 or states.size < 1:
         raise ValueError("states must be a nonempty 1-D array")
-    if not np.isfinite(states).all():  # the window and outside-share checks would skip them
+    if not np.isfinite(states).all():  # the outside share would count a NaN inside
         raise ValueError("kde_density needs finite particle states")
     h = silverman_bandwidth(states) if bandwidth is None else float(bandwidth)
-    if h <= 0:
-        raise ValueError("bandwidth must be > 0")
-    outside = np.count_nonzero((states < x[0]) | (states > x[-1])) / states.size
+    check_bandwidth(h, x)
+    off = (states < x[0]) | (states > x[-1])
+    outside = np.count_nonzero(off) / states.size
     if outside > _KDE_OUTSIDE:
         raise ValueError(
             f"grid too narrow: {outside:.2%} of cloud mass outside [{x[0]}, {x[-1]}]"
         )
-    norm = 1.0 / (h * math.sqrt(2 * math.pi))
-    values = np.zeros_like(x)
-    # Particles are summed in chunks of _KDE_CHUNK kernel values, each
-    # evaluated in tiles of _KDE_TILE // x.size particles whose kernel rows
-    # are added to the chunk's running sum ``acc`` in the order of one
-    # ``sum(axis=0)`` over the chunk.  A tile works only on its window:
-    # the grid columns within ``reach`` plus two cells of its particles.
-    # Beyond ``reach`` every ``exp`` argument is below -746 and the kernel
-    # is exactly 0.0.  ``exp`` is slow there and in [-746, -708), where
-    # its results are below 2**-1021, less than half an ulp of any sum of
-    # at least 2**-968, which therefore absorbs them exactly: they are
-    # computed only in columns whose running sum is still below that.
-    reach = h * math.sqrt(1492.0)
-    chunk = max(1, int(_KDE_CHUNK / x.size))
-    tile = max(1, _KDE_TILE // x.size)
-    arg = np.empty(tile * x.size)
-    live = np.empty(tile * x.size, dtype=bool)
-    kernel = np.empty((tile + 1) * x.size)
-    acc = np.empty_like(x)
-    for lo in range(0, states.size, chunk):
-        hi = min(lo + chunk, states.size)
-        acc[:] = 0.0
-        part = states[lo:hi]
-        starts = np.arange(0, hi - lo, tile)
-        first = np.searchsorted(x, np.fmin.reduceat(part, starts) - reach).tolist()
-        last = np.searchsorted(x, np.fmax.reduceat(part, starts) + reach).tolist()
-        for t, c0, c1 in zip(starts.tolist(), first, last):
-            if c0 == x.size or c1 == 0:  # the whole tile is out of reach
-                continue
-            # at least three columns: numpy sums one column pairwise, not row by row
-            c0, c1 = max(c0 - 2, 0), min(c1 + 2, x.size)
-            rows, width = min(tile, hi - lo - t), c1 - c0
-            a = arg[:rows * width].reshape(rows, width)
-            m = live[:rows * width].reshape(rows, width)
-            k = kernel[:(rows + 1) * width].reshape(rows + 1, width)
-            np.subtract(x[c0:c1], part[t:t + rows, None], out=a)  # -0.5 * ((x - s) / h) ** 2
-            a /= h
-            np.square(a, out=a)
-            a *= -0.5
-            np.greater_equal(a, np.where(acc[c0:c1] < 2.0**-968, -746.0, -708.0), out=m)
-            k[0] = acc[c0:c1]
-            k[1:] = 0.0
-            np.exp(a, out=k[1:], where=m)
-            np.add.reduce(k, axis=0, out=acc[c0:c1])
-        values += norm * acc
-    values /= states.size
+    g = x.size
+    dx = (x[-1] - x[0]) / (g - 1)
+    order = _taylor_order(0.5 * dx / h)
+    moments = np.zeros((order, g))
+    for lo in range(0, states.size, _KDE_CHUNK):
+        part = states[lo:lo + _KDE_CHUNK]
+        part = part[(part >= x[0]) & (part <= x[-1])]
+        node = np.rint((part - x[0]) / dx).astype(np.intp)
+        np.clip(node, 0, g - 1, out=node)
+        d = part - x[node]
+        d /= h
+        w = np.square(d)
+        w *= -0.5
+        np.exp(w, out=w)
+        for p in range(order):
+            if p:
+                w *= d
+            moments[p] += np.bincount(node, w, minlength=g)
+    reach = min(math.ceil(_KDE_REACH * h / dx), g - 1)
+    u = np.arange(-reach, reach + 1) * (dx / h)
+    weights = np.exp(-0.5 * u * u)
+    values = np.zeros(g)
+    for p in range(order):
+        if p:
+            weights *= u
+            weights /= p
+        values += np.convolve(moments[p], weights)[reach:reach + g]
+    rows = max(1, _KDE_CHUNK // g)
+    far = states[off]
+    for lo in range(0, far.size, rows):
+        values += np.exp(-0.5 * ((x - far[lo:lo + rows, None]) / h) ** 2).sum(axis=0)
+    np.maximum(values, 0.0, out=values)  # the alternating moment sums may round below 0
+    values *= 1.0 / (h * math.sqrt(2 * math.pi) * states.size)
     return GridDensity(x, values).normalized()

@@ -301,6 +301,16 @@ VALIDATE_REJECTS = {
     "off_grid_density_horizon": (
         "fokker_planck_compare", FP_MODEL, dict(FP_SMALL, horizon=0.0204), {},
         "numerics.dt must be a whole multiple of spide_dt and divide horizon"),
+    # the KDE bins each particle to its nearest node; a bandwidth under half the
+    # grid step (here 4 / 120) was run and wrote an l1_distance of NaN
+    "bandwidth_far_under_half_the_grid_step": (
+        "fokker_planck_compare", FP_MODEL, dict(FP_SMALL, bandwidth=1e-300), {},
+        "numerics.bandwidth must be finite and at least half the grid step dx = 0.0333333, "
+        "got 1e-300"),
+    "bandwidth_just_under_half_the_grid_step": (
+        "fokker_planck_compare", FP_MODEL, dict(FP_SMALL, bandwidth=0.0166), {},
+        "numerics.bandwidth must be finite and at least half the grid step dx = 0.0333333, "
+        "got 0.0166"),
     "off_grid_path_horizon": (
         "simulate_path", SELL_MODEL, {"dt": 0.01, "horizon": 0.2049, "checkpoints": [0.1]}, {},
         "numerics.horizon must be a whole multiple of dt; 0.2049 is 20.49 steps of 0.01"),
@@ -678,14 +688,14 @@ FROZEN_OUTPUTS = {
         'trajectory.csv': 'de2067b9a3e19336f3ad762d08c10570adc89a9565aa0e33b538fb2458a9ee0f',
     },
     'fokker_planck_compare-sell': {
-        'densities.csv': '70d38eb3daf7b28a1d0bdec873f86c1cf41cbfd5772a72676084171ae66b19c1',
-        'fp_summary.csv': '6dd3e4b4ce0063cd40c63c43ef463611dd9c5cb13873bdd69caabe1a98b86e46',
-        'summary.json': 'ab38a24417f27a8e316cb709ef2d2ba3dd568ad037ab07716ffc6994b6addea0',
+        'densities.csv': 'ae84122e8480eafcd51b52ad86e5cba4166823aad1d4150ade431f6d6a0184fc',
+        'fp_summary.csv': 'f40a118aa4c91a8d0509a3246de89605093d28273485a6458b0ad6d0dbb904be',
+        'summary.json': '9334b4e1330ae05453fe043ac8d277a345c398fa517817b3b96c1e20bd9656aa',
     },
     'fokker_planck_compare-quit': {
-        'densities.csv': 'd57e1f4a49f60e2e94ee06a8191be7faf80f608e4be1597a486ecf404762c6be',
-        'fp_summary.csv': '1c107ab62afe036808abe718ba4e4c6540513f5a7ccdb10c81322d9b587659aa',
-        'summary.json': '6f655cbae29c4054e50e25584eec930a9e2841110d3a8247b68594dc891dda18',
+        'densities.csv': '2f1e2a4452aadc4ac70d6c4ef0e826bac9155079aea2fa5f19209c193a7f11b0',
+        'fp_summary.csv': '36f5e4414a0bf8f4164d28ef7f910fc7b4a248de4e2983881c77762a65f58d49',
+        'summary.json': '55208ab392c64b1d04239e1de0b90eb1fd4ffcd32f861e748beced5a3989c4a2',
     },
     'var_ineq_check-sell': {
         'summary.json': '63bd62777ea90dae5387235f332966a65afe5f63811038843737eccaf81bf61b',

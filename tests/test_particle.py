@@ -9,7 +9,7 @@ from mvstop.model import (
 from mvstop.fokker_planck import GridDensity, GridError
 from mvstop.particle import (
     _KDE_CHUNK,
-    _KDE_TILE,
+    _KDE_REACH,
     CommonNoisePath,
     SimulationError,
     _draw_jumps,
@@ -252,25 +252,25 @@ class TestKde:
 
 
 # ---------------------------------------------------------------------------
-# the tiled kernel sum against the one-expression sum it replaced
+# the binned Gauss transform against the direct kernel sum in long double
 
 def _reference_kde(states, bandwidth, x):
+    """The normalised direct sum of every particle's kernel, in long double;
+    a kernel value 40 bandwidths out is below 1e-347 and left out."""
     h = silverman_bandwidth(states) if bandwidth is None else bandwidth
-    norm = 1.0 / (h * math.sqrt(2 * math.pi))
-    values = np.zeros_like(x)
-    chunk = max(1, int(2e6 / x.size))
-    for lo in range(0, states.size, chunk):
-        part = states[lo : lo + chunk, None]
-        values += norm * np.exp(-0.5 * ((x[None, :] - part) / h) ** 2).sum(axis=0)
-    values /= states.size
-    return GridDensity(x, values).normalized().values
+    xs, hl = x.astype(np.longdouble), np.longdouble(h)
+    values = np.zeros_like(xs)
+    states = np.sort(states)
+    for lo in range(0, states.size, 200):
+        part = states[lo:lo + 200]
+        c0, c1 = np.searchsorted(x, [part[0] - 40 * h, part[-1] + 40 * h])
+        arg = (xs[c0:c1] - part[:, None].astype(np.longdouble)) / hl
+        values[c0:c1] += np.exp(-0.5 * arg * arg).sum(axis=0)
+    return values / (np.sum((values[1:] + values[:-1]) * np.diff(xs)) / 2)
 
 
 _KDE_GRID = np.linspace(-3.0, 3.0, 601)
-_CHUNK_ROWS = int(_KDE_CHUNK / _KDE_GRID.size)
-_TILE_ROWS = _KDE_TILE // _KDE_GRID.size
-_REACH = math.sqrt(1492.0)  # in bandwidths: beyond it every kernel value is 0.0
-_TINY = np.finfo(float).tiny
+_KDE_DX = 0.01
 
 
 def _normal(n):
@@ -278,94 +278,63 @@ def _normal(n):
 
 
 def _two_clusters():
-    # one cluster after the other, so each tile's window is narrow and the
-    # windows jump across the grid between tiles and chunks
     rng = np.random.default_rng(21)
     return np.concatenate([rng.normal(-1.5, 0.05, 4000), rng.normal(1.2, 0.05, 3000)])
 
 
 def _band_tail():
-    # the first tile sits out of reach of the right end, where every later
-    # kernel argument is in [-746, -708): those columns' running sums stay
-    # at 0 past the first tile, and their values come from band terms alone
+    # at the right end every kernel argument is in [-746, -708), so the
+    # estimate there is a sum of subnormal kernel values alone
     rng = np.random.default_rng(22)
-    return np.concatenate([rng.normal(-2.0, 0.05, _TILE_ROWS),
-                           rng.uniform(1.085, 1.095, 300)])
+    return np.concatenate([rng.normal(-2.0, 0.05, 54), rng.uniform(1.085, 1.095, 300)])
 
 
-def _beyond_reach():
-    # the last tile holds one particle past the grid's end by more than the
-    # reach, so its window is empty; it is under 1% of the cloud
-    states = _normal(2 * _TILE_ROWS + 1)
-    states[-1] = 3.0 + 0.05 * _REACH + 0.5
+def _off_grid():
+    # 1% of the cloud off the grid, the most allowed; the last particle is
+    # beyond the kernel's reach of every node
+    states = _normal(1000)
+    states[:5] = -3.0 - np.linspace(0.01, 0.2, 5)
+    states[5:9] = 3.0 + np.linspace(0.01, 0.3, 4)
+    states[9] = 3.0 + 0.05 * _KDE_REACH + 0.5
     return states
 
 
-def _one_column():
-    # each tile's particles are within reach of one grid point only, a
-    # window numpy would sum pairwise without the two-cell margin
-    rng = np.random.default_rng(1)
-    return np.concatenate([rng.uniform(0.0, 0.0004, _TILE_ROWS),
-                           rng.uniform(0.0098, 0.0102, _TILE_ROWS)])
-
-
-def _mostly_underflow(states, want):
-    arg = -0.5 * ((_KDE_GRID - states[:1000, None]) / 0.002) ** 2
-    return np.mean(arg < -746.0) > 0.9
-
-
-def _subnormal_ends(states, want):
-    return np.any((want > 0) & (want < _TINY))
-
-
-def _narrow_windows(states, want):
-    tiles = [states[t:min(t + _TILE_ROWS, lo + _CHUNK_ROWS, states.size)]
-             for lo in range(0, states.size, _CHUNK_ROWS)
-             for t in range(lo, min(lo + _CHUNK_ROWS, states.size), _TILE_ROWS)]
-    spans = [np.ptp(t) + 2 * 0.01 * _REACH for t in tiles]
-    centres = [np.median(t) for t in tiles]
-    return np.median(spans) < 0.25 * np.ptp(_KDE_GRID) and min(centres) < 0 < max(centres)
-
-
-def _band_only_end(states, want):
-    first_out = np.abs(_KDE_GRID[-1] - states[:_TILE_ROWS]).min() > 0.05 * _REACH
-    arg = -0.5 * ((_KDE_GRID[-1] - states[_TILE_ROWS:]) / 0.05) ** 2
-    return first_out and np.all((arg >= -746.0) & (arg < -708.0)) and 0 < want[-1] < _TINY
-
-
-def _single_columns(states, want):
-    dx = _KDE_GRID[1] - _KDE_GRID[0]
-    return 2e-4 * _REACH + 0.0004 < dx and np.count_nonzero(want) == 2
-
-
-def _empty_last_window(states, want):
-    outside = np.mean(states > _KDE_GRID[-1])
-    return states.size % _TILE_ROWS == 1 and states[-1] - _KDE_GRID[-1] > 0.05 * _REACH \
-        and 0 < outside <= 0.01
-
-
-@pytest.mark.parametrize("states,bandwidth,check", [
-    (_normal(1), 0.05, None),
-    (_normal(_CHUNK_ROWS - 1), None, None),
-    (_normal(_CHUNK_ROWS + 1), None, None),
-    (_normal(_CHUNK_ROWS + 1), 0.2, None),
-    (_normal(_TILE_ROWS + 1), None, None),
-    (_normal(100_000), None, None),
-    (_normal(5000), 0.002, _mostly_underflow),    # most kernels underflow to exactly 0
-    (_normal(2000), 0.045, _subnormal_ends),      # kernel values in the subnormal band at the grid ends
-    (_normal(300), 0.5, None),                    # the reach, 19.3, covers the whole grid
-    (_two_clusters(), 0.01, _narrow_windows),
-    (_band_tail(), 0.05, _band_only_end),
-    (_beyond_reach(), 0.05, _empty_last_window),
-    (_one_column(), 2e-4, _single_columns),
-], ids=["one", "chunk-1", "chunk+1", "chunk+1_explicit", "tile+1", "100k",
-        "underflow", "subnormal", "whole_grid", "two_clusters", "band_tail",
-        "beyond_reach", "one_column"])
-def test_kde_matches_reference_sum(states, bandwidth, check):
+@pytest.mark.parametrize("states,bandwidth", [
+    (_normal(1), 0.05),
+    (_normal(_KDE_CHUNK - 1), None),
+    (_normal(_KDE_CHUNK + 1), None),
+    (_normal(_KDE_CHUNK + 1), 0.2),
+    (_normal(100_000), None),
+    (_normal(2000), 0.045),                   # kernel values in the subnormal band at the grid ends
+    (_normal(300), 0.5),                      # the reach, 19.3, covers the whole grid
+    (_normal(500), 10.0),                     # a bandwidth wider than the grid
+    (_normal(5000), 0.5 * _KDE_DX),           # the least bandwidth: offsets up to one bandwidth
+    (np.random.default_rng(5).uniform(-3.0, 3.0, 3000), 0.5 * _KDE_DX),
+    (_two_clusters(), 0.01),
+    (np.random.default_rng(23).permutation(_two_clusters()), 0.01),
+    (_band_tail(), 0.05),
+    (_off_grid(), 0.05),
+], ids=["one", "chunk-1", "chunk+1", "chunk+1_explicit", "100k", "subnormal", "whole_grid",
+        "wider_than_grid", "half_step", "half_step_uniform", "two_clusters", "permuted",
+        "band_tail", "beyond_reach"])
+def test_kde_matches_reference_sum(states, bandwidth):
+    # A float64 sum of many kernels rounds by up to some 16 eps of the peak,
+    # and a kernel's argument carries the rounding of its grid node, up to
+    # eps max|x| / h; the stated bound is eps (32 + 4 max|x| / h) of the peak.
     got = kde_density(states, bandwidth, _KDE_GRID)
     want = _reference_kde(states, bandwidth, _KDE_GRID)
-    np.testing.assert_array_equal(got.values, want)
-    assert check is None or check(states, want)
+    h = silverman_bandwidth(states) if bandwidth is None else bandwidth
+    bound = np.finfo(float).eps * (32 + 4 * 3.0 / h) * float(want.max())
+    assert np.abs(got.values - want).max() <= bound
+    assert got.values.min() >= 0
+
+
+@pytest.mark.parametrize("bandwidth", [math.nan, math.inf, 1e-300, 0.0, -0.05,
+                                       0.5 * _KDE_DX * (1 - 2**-52)],
+                         ids=["nan", "inf", "tiny", "zero", "negative", "under_half_step"])
+def test_kde_rejects_a_bandwidth_under_half_the_grid_step(bandwidth):
+    with pytest.raises(ValueError, match=r"at least half the grid step dx = 0\.01"):
+        kde_density(_normal(1000), bandwidth, _KDE_GRID)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
