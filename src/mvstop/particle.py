@@ -302,7 +302,6 @@ def kde_density(
         part = states[lo:lo + _KDE_CHUNK]
         part = part[(part >= x[0]) & (part <= x[-1])]
         node = np.rint((part - x[0]) / dx).astype(np.intp)
-        np.clip(node, 0, g - 1, out=node)
         d = part - x[node]
         d /= h
         w = np.square(d)
