@@ -19,6 +19,7 @@ from .model import ModelSpec
 CFL_SAFETY = 0.25      # fraction of the explicit diffusion limit dx^2 / (b1^2 + b2^2)
 BOUNDARY_TOL = 1e-6    # density mass allowed on the two end nodes before a step
 VALUE_CAP = 1e12       # largest density value a step may produce
+GRID_ULPS = 4          # largest spread of a uniform grid's steps, in ulps of max|x|
 
 
 class GridError(ValueError):
@@ -30,9 +31,13 @@ class CFLError(RuntimeError):
 
 
 def check_grid(x: np.ndarray) -> None:
-    """Raise ``GridError`` unless ``x`` is a uniform, increasing 1-D grid of at least 3 nodes."""
+    """Raise ``GridError`` unless ``x`` is a uniform, increasing 1-D grid of at
+    least 3 nodes.  Uniform means every step is within ``GRID_ULPS`` ulps of
+    ``max|x|`` of the first, as the steps of ``np.linspace`` are (2 ulps at
+    most): the KDE bins on ``dx`` and the stencils take every step to be it."""
     dx = np.diff(x)
-    if x.ndim != 1 or x.size < 3 or not dx[0] > 0 or not np.allclose(dx, dx[0], rtol=1e-10):
+    if (x.ndim != 1 or x.size < 3 or not dx[0] > 0
+            or not np.abs(dx - dx[0]).max() <= GRID_ULPS * np.spacing(np.abs(x).max())):
         raise GridError("grid must be uniform and increasing with at least 3 nodes")
 
 
@@ -105,8 +110,9 @@ class _Kernel:
     ``m_bar``, so ``D[c rho] = c D[rho]``, and each operator, or a whole
     step's linear update, is one three-point stencil of central differences
     inside (``_linear``), in divergence form, so it conserves mass; its four
-    one-sided end stencils run on Python floats from ``_head`` and
-    ``_tail``, the end values of ``rho``.
+    one-sided end stencils run on Python floats from ``_ends``, the four
+    first and four last values of ``rho``.  When no coefficient reads the
+    mean they are computed once, here.
     """
 
     def __init__(self, density: GridDensity, spec: ModelSpec):
@@ -118,34 +124,24 @@ class _Kernel:
         # a coefficient without an m term never reads m_bar (ModelSpec
         # evaluates only nonzero terms), so constant coefficients skip it
         self._reads_mean = any((spec.a1, spec.b1, spec.s1, spec.j1))
+        self._fixed = None
+        if not self._reads_mean:
+            self._fixed = self._coefficients(math.nan)
+        self._w = np.empty(3)               # the stencil weights
+        self._end_nodes = np.r_[0:4, n - 4:n]
         self._stack = np.empty((3, n))     # the update, its negative part, its positive part
         self._pairs = np.empty((3, n - 1))
         self._read_ends()
 
     def _read_ends(self) -> None:
-        self._head, self._tail = self.rho[:4].tolist(), self.rho[-4:].tolist()
+        self._ends = self.rho[self._end_nodes].tolist()
 
-    def _linear(self, diag: float, diff: float, drift: float, out: np.ndarray) -> None:
-        """``diag rho + diff D^2[rho] - drift D[rho]`` into ``out``: second
-        order, central inside, one-sided at the ends."""
-        a, b = diff / self.dx**2, drift / (2 * self.dx)
-        out[1:-1] = np.convolve(self.rho, [a - b, diag - 2 * a, a + b], "valid")
-        r0, r1, r2, r3 = self._head
-        s3, s2, s1, s0 = self._tail
-        out[0] = (diag * r0 + a * (2 * r0 - 5 * r1 + 4 * r2 - r3)
-                  - b * (-3 * r0 + 4 * r1 - r2))
-        out[-1] = (diag * s0 + a * (2 * s0 - 5 * s1 + 4 * s2 - s3)
-                   - b * (3 * s0 - 4 * s1 + s2))
-
-    def update(self, m_bar: float, dt: float, dB1: float, keep: float,
-               out: np.ndarray) -> np.ndarray:
-        """``keep rho + dt A0* rho + dB1 A1* rho`` at mean ``m_bar`` into ``out``.
-
-        With ``r = sum_k lam p_k`` and the compensator's transport
-        ``g = sum_k lam p_k gamma_k``, ``A0* rho = (b1^2 + b2^2) / 2 D^2[rho]
-        - (alpha - g) D[rho] - r rho + sum_k lam p_k rho(x - gamma_k)``, each
-        shift by linear interpolation, and ``A1* rho = -b1 D[rho]``.
-        """
+    def _coefficients(self, m_bar: float) -> tuple:
+        """At mean ``m_bar``: ``b1``, the diffusion ``(b1^2 + b2^2) / 2``, the
+        drift less the jumps' transport, the jump rate, the jumps as
+        ``(rate, shift)`` pairs and the CFL bound; computed once if fixed."""
+        if self._fixed is not None:
+            return self._fixed
         spec = self.spec
         b1, b2 = spec.diffusion_common(m_bar), spec.diffusion_idio(m_bar)
         lam = spec.levy.intensity
@@ -153,8 +149,38 @@ class _Kernel:
                  for value, prob in spec.levy.atoms] if lam > 0 else []
         rate = sum(r for r, _ in jumps)
         transport = sum(r * gamma for r, gamma in jumps)
-        self._linear(keep - dt * rate, 0.5 * (b1 * b1 + b2 * b2) * dt,
-                     (spec.drift(m_bar) - transport) * dt + b1 * dB1, out)
+        return (b1, 0.5 * (b1 * b1 + b2 * b2), spec.drift(m_bar) - transport, rate, jumps,
+                _cfl_bound(self.dx, spec, m_bar))
+
+    def _linear(self, diag: float, diff: float, drift: float, out: np.ndarray) -> None:
+        """``diag rho + diff D^2[rho] - drift D[rho]`` into ``out``: second
+        order, central inside, one-sided at the ends."""
+        a, b = diff / self.dx**2, drift / (2 * self.dx)
+        w = self._w  # the stencil reversed, so a correlation applies it
+        w[0], w[1], w[2] = a + b, diag - 2 * a, a - b
+        out[1:-1] = np.correlate(self.rho, w, "valid")
+        r0, r1, r2, r3, s3, s2, s1, s0 = self._ends
+        out[0] = (diag * r0 + a * (2 * r0 - 5 * r1 + 4 * r2 - r3)
+                  - b * (-3 * r0 + 4 * r1 - r2))
+        out[-1] = (diag * s0 + a * (2 * s0 - 5 * s1 + 4 * s2 - s3)
+                   - b * (3 * s0 - 4 * s1 + s2))
+
+    def update(self, m_bar: float, dt: float, dB1: float, keep: float,
+               out: np.ndarray) -> np.ndarray:
+        """``keep rho + dt A0* rho + dB1 A1* rho`` at mean ``m_bar`` into ``out``."""
+        return self._update(self._coefficients(m_bar), dt, dB1, keep, out)
+
+    def _update(self, coefficients: tuple, dt: float, dB1: float, keep: float,
+                out: np.ndarray) -> np.ndarray:
+        """``update`` on the ``_coefficients`` at its mean.
+
+        With ``r = sum_k lam p_k`` and the compensator's transport
+        ``g = sum_k lam p_k gamma_k``, ``A0* rho = (b1^2 + b2^2) / 2 D^2[rho]
+        - (alpha - g) D[rho] - r rho + sum_k lam p_k rho(x - gamma_k)``, each
+        shift by linear interpolation, and ``A1* rho = -b1 D[rho]``.
+        """
+        b1, diff, drift, rate, jumps, _ = coefficients
+        self._linear(keep - dt * rate, diff * dt, drift * dt + b1 * dB1, out)
         for r, gamma in jumps:
             shifted = np.interp(self.x - gamma, self.x, self.rho, left=0.0, right=0.0)
             shifted *= dt * r
@@ -172,20 +198,19 @@ class _Kernel:
     def step(self, dt: float, dB1: float) -> StepDiagnostics:
         if dt <= 0:
             raise ValueError("dt must be > 0")
-        spec = self.spec
-        m_bar = self.first_moment() if self._reads_mean else math.nan
-        bound = _cfl_bound(self.dx, spec, m_bar)
+        coefficients = self._coefficients(self.first_moment() if self._reads_mean else math.nan)
+        bound = coefficients[-1]
         if dt > bound * (1 + 1e-9):
             raise CFLError(
                 f"dt={dt:.3e} exceeds stability bound {bound:.3e} "
                 f"(dx={self.dx:.3e}, t={self.time:.4f})"
             )
-        edge = (abs(self._head[0]) + abs(self._tail[-1])) * self.dx
+        edge = (abs(self._ends[0]) + abs(self._ends[-1])) * self.dx
         if edge > BOUNDARY_TOL:
             raise GridError(f"density mass at grid boundary {edge:.3e} exceeds {BOUNDARY_TOL:.1e}")
         stack = self._stack
         new, neg, pos = stack
-        self.update(m_bar, dt, dB1, 1.0, new)
+        self._update(coefficients, dt, dB1, 1.0, new)
         # |new| <= VALUE_CAP; NaN fails both comparisons
         low = np.minimum.reduce(new)
         if not (np.maximum.reduce(new) <= VALUE_CAP and -low <= VALUE_CAP):
@@ -203,7 +228,7 @@ class _Kernel:
         np.add(rows[:, 1:], rows[:, :-1], out=pairs)
         pairs *= self._d
         pairs /= 2.0
-        sums = pairs.sum(axis=1).tolist()
+        sums = np.add.reduce(pairs, axis=1).tolist()
         mass, clipped_mass, total = sums if low < 0 else (sums[0], 0.0, sums[0])
         np.divide(kept, total, out=self.rho)
         self._read_ends()

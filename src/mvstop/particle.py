@@ -5,7 +5,8 @@ carries its own idiosyncratic Brownian increments and jumps.  The cloud's
 empirical measure stands in for the conditional law, and its mean is the
 ``m_bar`` entering the coefficients (frozen at the step start).  The
 coefficients depend on nothing else, so each step evaluates a few scalars
-per cloud and applies them to the whole state array.  ``step`` advances
+per cloud and applies them to the whole state array, or, when no particle
+has noise of its own, to one common offset per cloud.  ``step`` advances
 many clouds at once, one per row of a state array.
 """
 
@@ -111,11 +112,6 @@ def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, gens: list):
     return owners, levy.atoms[0][0] if one_atom else np.concatenate(marks)
 
 
-def _column(value) -> np.ndarray:
-    """A per-row scalar or a scalar shared by all rows, as a column."""
-    return np.reshape(value, (-1, 1))
-
-
 def _per_row(value, rows: int) -> list:
     """A per-row array or a scalar shared by all rows, as ``rows`` floats."""
     return value.tolist() if np.ndim(value) else [float(value)] * rows
@@ -123,23 +119,30 @@ def _per_row(value, rows: int) -> list:
 
 def step(
     x: np.ndarray,
+    offset: np.ndarray,
     spec: ModelSpec,
     dt: float,
     m_bar: np.ndarray,
     dB1: np.ndarray,
     gens: list,
+    x_mean: np.ndarray,
 ) -> None:
     """Euler-Maruyama step of ``rows`` clouds, in place and unclamped.
 
-    Row ``j`` of the C-contiguous ``(rows, n)`` array ``x`` is one cloud
-    with mean ``m_bar[j]``, common-noise increment ``dB1[j]`` and generator
+    Cloud ``j`` is ``offset[j] + x[j]``, row ``j`` of the C-contiguous
+    ``(rows, n)`` array ``x`` moved by its common offset.  It has mean
+    ``m_bar[j]``, common-noise increment ``dB1[j]`` and generator
     ``gens[j]``, which draws that row's randomness and nothing else: the
     idiosyncratic normals (none when ``s0 == s1 == 0``), then the jumps of
     ``_draw_jumps`` (none without intensity).  With idiosyncratic noise a
-    row moves by ``shift + scale * z`` in one update, drift, compensator and
-    common noise in ``shift``; without it by ``shift`` and then by the
-    common noise.  The jumps of all rows are added in one pass.  On return
-    ``x`` holds the new states and ``m_bar`` their row means.
+    row of ``x`` moves by ``shift + scale * z`` in one update, drift,
+    compensator and common noise in ``shift``, and its offset stays.
+    Without it every particle moves alike, so the offset takes the shift and
+    then the common noise, and ``x`` is not touched.  The jumps of all rows
+    go into ``x`` in one pass.  On return ``m_bar`` holds the clouds' means,
+    ``mean(x) + offset``, a zero offset left unadded, and ``x_mean`` each
+    row's ``mean(x)``, which a rigid step recomputes only for the rows that
+    a jump moved.
     """
     if not 0 < dt < math.inf:  # NaN too
         raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
@@ -147,11 +150,15 @@ def step(
         raise ValueError("step needs a C-contiguous (rows, n) state array")
     rows, n = x.shape
     levy = spec.levy
+    rigid = not (spec.s0 or spec.s1)
     shift = spec.drift(m_bar) * dt
     if levy.intensity > 0:  # the jump compensator
         shift = shift - dt * levy.intensity * spec.expected_jump_amp(m_bar)
     common = spec.diffusion_common(m_bar) * dB1
-    if spec.s0 or spec.s1:
+    if rigid:  # a translation of the whole cloud
+        offset += shift
+        offset += common
+    else:
         shift = _per_row(shift + common, rows)
         scale = _per_row(spec.diffusion_idio(m_bar) * math.sqrt(dt), rows)
         z = np.empty(n)  # one row of idiosyncratic normals at a time
@@ -160,18 +167,25 @@ def step(
             z *= scale[j]
             z += shift[j]
             x[j] += z
-    else:  # a rigid translation
-        x += _column(shift)
-        x += _column(common)
+    jumped = None  # the rigid rows that a jump moved
     if levy.intensity > 0:
         owners, marks = _draw_jumps(levy, n, dt, gens)
-        np.add.at(x.reshape(-1), owners, spec.jump_amp(m_bar[owners // n], marks))
-    np.mean(x, axis=1, out=m_bar)
-    # a non-finite particle makes its row mean non-finite
+        at = owners // n
+        np.add.at(x.reshape(-1), owners, spec.jump_amp(m_bar[at], marks))
+        if rigid:
+            jumped = np.unique(at)
+    if not rigid:
+        np.mean(x, axis=1, out=x_mean)
+    elif jumped is not None:  # a rigid row without jumps keeps its mean
+        x_mean[jumped] = np.mean(x[jumped], axis=1)
+    m_bar[:] = x_mean
+    np.add(m_bar, offset, out=m_bar, where=offset != 0)
+    # a non-finite particle or offset makes its cloud's mean non-finite
     if not np.all(np.isfinite(m_bar)):
         j = int(np.flatnonzero(~np.isfinite(m_bar))[0])
         bad = np.flatnonzero(~np.isfinite(x[j]))
-        where = f"particle {int(bad[0])}" if bad.size else "mean overflow"
+        where = (f"particle {int(bad[0])}" if bad.size
+                 else "offset overflow" if not math.isfinite(offset[j]) else "mean overflow")
         raise SimulationError(f"non-finite state in row {j}, {where}")
 
 
@@ -194,7 +208,8 @@ def simulate_path(
     Cloud ``j`` draws its initial states and all its step randomness from
     ``gens[j]`` alone, so it comes out bit for bit as when run by itself.
     The clouds are the rows of one state array, advanced by one ``step``
-    call per time step; the paths must share their ``dt`` and length.
+    call per time step, and each row's common offset is added in at the
+    end; the paths must share their ``dt`` and length.
     """
     if n < 1:
         raise ValueError("particle count must be >= 1")
@@ -211,12 +226,15 @@ def simulate_path(
     x = np.empty((len(paths), n))  # stepped in place
     for row, rng in zip(x, gens):
         row[:] = spec.initial_law.sample(rng, n)
+    offset = np.zeros(len(paths))  # cloud j is offset[j] + x[j]
+    x_mean = x.mean(axis=1)
     m_bar = np.empty((len(paths), dB1.shape[0] + 1))
-    m = x.mean(axis=1)
+    m = x_mean.copy()
     m_bar[:, 0] = m
     for k, increments in enumerate(dB1, start=1):
-        step(x, spec, dt, m, increments, gens)
+        step(x, offset, spec, dt, m, increments, gens, x_mean)
         m_bar[:, k] = m
+    np.add(x, offset[:, None], out=x, where=offset[:, None] != 0)
     return PathResult(m_bar, x)
 
 

@@ -881,11 +881,12 @@ def _walk(spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int) -> list:
 
     The clouds are the rows of one state matrix, and one ``particle.step``
     call per time step advances the running ones; when rows finish, the
-    survivors are moved up so they stay one contiguous block.  Every rule is
-    checked at every step, time 0 included, and ``t_max`` caps the rows a
-    rule leaves running.  Each running row carries one left-point sum of the
-    running profit ``f dt``, which a rule that ends the row records, so the
-    walk checks the fast mode's potential independently.
+    survivors are moved up, with their offsets and means, so they stay one
+    contiguous block.  Every rule is checked at every step, time 0 included,
+    and ``t_max`` caps the rows a rule leaves running.  Each running row
+    carries one left-point sum of the running profit ``f dt``, which a rule
+    that ends the row records, so the walk checks the fast mode's potential
+    independently.
     """
     f = FAMILIES[spec.family].payoff(spec)[0]
     dt, n_steps, nb = cfg.dt, int(round(cfg.t_max / cfg.dt)), hi - lo
@@ -895,7 +896,9 @@ def _walk(spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int) -> list:
     x = np.empty((nb, cfg.n_particles))
     for j, rng in enumerate(gens):
         x[j] = spec.initial_law.sample(rng, cfg.n_particles)
-    m = x.mean(axis=1)      # the running rows' means, aligned with the rows of x
+    offset = np.zeros(nb)   # cloud j is offset[j] + x[j]
+    x_mean = x.mean(axis=1)  # the rows' means of x, kept current by particle.step
+    m = x_mean.copy()       # the running rows' means, aligned with the rows of x
     fsum = np.zeros(nb)     # the running rows' profit sums, aligned with the rows of x
     rows = np.arange(nb)    # the batch index of each running row of x
     shape = (len(rules), nb)
@@ -908,7 +911,8 @@ def _walk(spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int) -> list:
             if f is not None:
                 fsum[:n] += f((k - 1) * dt, m[:n]) * dt
             dB1 = np.array([gens[r].standard_normal() for r in rows]) * math.sqrt(dt)
-            particle.step(x[:n], spec, dt, m[:n], dB1, [gens[r] for r in rows])
+            particle.step(x[:n], offset[:n], spec, dt, m[:n], dB1, [gens[r] for r in rows],
+                          x_mean[:n])
         for i, rule in enumerate(rules):
             live = np.flatnonzero(step[i, rows] < 0)
             stopped = _first_stop(rule, m[live], k, dt)
@@ -922,7 +926,9 @@ def _walk(spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int) -> list:
             for dst, src in enumerate(keep):
                 if dst != src:
                     x[dst] = x[src]
-            m[:keep.size], fsum[:keep.size], rows = m[keep], fsum[keep], rows[keep]
+            for a in (offset, x_mean, m, fsum):
+                a[:keep.size] = a[keep]
+            rows = rows[keep]
         if rows.size == 0:
             break
     return [(step[i], m_at[i], hit[i], None if profit is None else profit[i])

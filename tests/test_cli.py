@@ -693,9 +693,9 @@ FROZEN_OUTPUTS = {
         'summary.json': '9334b4e1330ae05453fe043ac8d277a345c398fa517817b3b96c1e20bd9656aa',
     },
     'fokker_planck_compare-quit': {
-        'densities.csv': '2f1e2a4452aadc4ac70d6c4ef0e826bac9155079aea2fa5f19209c193a7f11b0',
-        'fp_summary.csv': '36f5e4414a0bf8f4164d28ef7f910fc7b4a248de4e2983881c77762a65f58d49',
-        'summary.json': '55208ab392c64b1d04239e1de0b90eb1fd4ffcd32f861e748beced5a3989c4a2',
+        'densities.csv': '646a395d6ea9e53bd5d62844dc36996741f26a27a4c2cd6ad8de12c89d81f068',
+        'fp_summary.csv': 'eaf5dfabee83896f9385bf7e7c0d968dfefc5115d419eb996574f4fbe2eb04f9',
+        'summary.json': '14421a2f6ffa9aea9c7309e7ef1a12e4c42013e3a4efb494f35023c4dbf9281d',
     },
     'var_ineq_check-sell': {
         'summary.json': '63bd62777ea90dae5387235f332966a65afe5f63811038843737eccaf81bf61b',

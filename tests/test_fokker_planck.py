@@ -9,6 +9,7 @@ from mvstop.fokker_planck import (
     apply_A0_star,
     apply_A1_star,
     cfl_bound,
+    check_grid,
     compare_to_particles,
     evolve_spide,
     gaussian_density,
@@ -30,6 +31,26 @@ def test_grid_density_validation():
         GridDensity(np.array([0.0, 1.0, 3.0]), np.zeros(3))   # non-uniform
     with pytest.raises(GridError):
         GridDensity(np.array([0.0, 1.0]), np.zeros(2))        # too short
+
+
+def test_grid_with_uneven_steps_rejected():
+    # 601 nodes on [-3, 3], the first 300 steps longer by 4.5e-11 relative and the rest as
+    # much shorter: up to 1.35e-10 off uniform, which the KDE's binning would take as uniform
+    dx = 6.0 / 600
+    steps = np.r_[np.full(300, dx * (1 + 4.5e-11)), np.full(300, dx * (1 - 4.5e-11))]
+    x = np.r_[-3.0, -3.0 + np.cumsum(steps)]
+    assert abs(x[-1] - 3.0) < 1e-12
+    for grid in (x, np.r_[np.linspace(-3.0, 3.0, 600), np.nan]):
+        with pytest.raises(GridError, match="uniform"):
+            check_grid(grid)
+
+
+def test_linspace_grids_pass_the_uniformity_check():
+    # np.linspace keeps every step within 2 ulps of max|x| of the first
+    rng = np.random.default_rng(40)
+    for _ in range(500):
+        lo, width = rng.uniform(-100.0, 100.0), 10 ** rng.uniform(-3.0, 3.0)
+        check_grid(np.linspace(lo, lo + width, int(rng.integers(3, 5000))))
 
 
 def test_decreasing_grid_rejected():
@@ -268,6 +289,30 @@ def test_evolve_matches_reference_step(case, clips):
         assert abs(g.clipped_mass - w.clipped_mass) <= tol
         assert g.cfl_bound == pytest.approx(w.cfl_bound, rel=tol)
     assert (sum(d.clipped_mass for d in got_diags) > 0) == clips
+
+
+def _rigid_quit():
+    # no idiosyncratic noise: the density rides the common noise
+    spec = make_quit_model(0.4, 0.0, initial_law=InitialLaw("normal", 0.0, 0.3))
+    return spec, gaussian_density(make_grid(-3, 3, 301), 0.0, 0.3), 2e-4
+
+
+@pytest.mark.parametrize("case", [_quit_with_jumps, _rigid_quit, _two_atom_sell],
+                         ids=["quit_jumps", "rigid_quit", "sell_two_atoms"])
+def test_evolve_equals_a_chain_of_fresh_steps(case):
+    # step_spide builds a fresh kernel for each step, so a chain of its steps is the
+    # reference for the coefficients that evolve_spide's one kernel computes once when no
+    # coefficient reads the mean (both quit cases), and for its reused buffers
+    spec, density, dt = case()
+    incs = np.random.default_rng(18).normal(0.0, np.sqrt(dt), 200)
+    got, got_diags = evolve_spide(density, spec, dt, incs)
+    want, want_diags = density, []
+    for dB1 in incs:
+        want, diag = step_spide(want, spec, dt, float(dB1))
+        want_diags.append(diag)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.time == want.time
+    assert got_diags == want_diags
 
 
 @pytest.mark.parametrize("dB1", [np.nan, np.inf, 1e300])

@@ -23,9 +23,10 @@ from mvstop.particle import step
 def _jump_step(spec, n, rng):
     """Each particle's increment over one ``step`` (dt 0.1) of a zero cloud,
     with the diffusions switched off: the compensated jumps alone."""
-    x = np.zeros((1, n))
-    step(x, replace(spec, s0=0.0, s1=0.0), 0.1, np.zeros(1), np.zeros(1), [rng])
-    return x[0]
+    x, offset = np.zeros((1, n)), np.zeros(1)
+    step(x, offset, replace(spec, s0=0.0, s1=0.0), 0.1, np.zeros(1), np.zeros(1), [rng],
+         np.zeros(1))
+    return offset[0] + x[0]
 
 
 class TestInitialLaw:

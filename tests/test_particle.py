@@ -37,10 +37,10 @@ def test_common_noise_variance():
 
 def test_step_moments_quit_model():
     spec = make_quit_model(0.4, 0.3)
-    x, m = np.zeros((1, 200_000)), np.zeros(1)
-    step(x, spec, 0.01, m, np.array([0.05]), [np.random.default_rng(2)])
-    # every particle moves by b1 dB1 plus its own N(0, b2^2 dt)
-    assert m[0] == x.mean()
+    x, offset, m = np.zeros((1, 200_000)), np.zeros(1), np.zeros(1)
+    step(x, offset, spec, 0.01, m, np.array([0.05]), [np.random.default_rng(2)], np.zeros(1))
+    # every particle moves by b1 dB1 plus its own N(0, b2^2 dt); the offset stays
+    assert m[0] == x.mean() and offset[0] == 0.0
     assert x.mean() == pytest.approx(0.4 * 0.05, abs=1e-3)
     assert x.std() == pytest.approx(0.3 * 0.1, rel=0.01)
 
@@ -50,12 +50,84 @@ def test_no_idiosyncratic_noise_is_rigid_translation():
     rng = np.random.default_rng(3)
     common = CommonNoisePath.sample(0.5, 0.01, rng)
     states0 = spec.initial_law.sample(np.random.default_rng(4), 1000)
-    x, m = states0.reshape(1, -1).copy(), np.array([states0.mean()])
+    x, offset, m = states0.reshape(1, -1).copy(), np.zeros(1), np.array([states0.mean()])
+    x_mean = m.copy()
     for k in range(common.increments.size):
-        step(x, spec, 0.01, m, common.increments[k:k + 1], [np.random.default_rng(5)])
+        step(x, offset, spec, 0.01, m, common.increments[k:k + 1], [np.random.default_rng(5)],
+             x_mean)
+    assert x_mean[0] == states0.mean() and m[0] == x_mean[0] + offset[0]
+    assert np.array_equal(x[0], states0)  # the offset carries the whole move
     np.testing.assert_allclose(
-        x[0], states0 + 0.4 * common.brownian()[-1], atol=1e-12
+        offset[0] + x[0], states0 + 0.4 * common.brownian()[-1], atol=1e-12
     )
+
+
+def test_a_rigid_step_never_writes_the_states():
+    # without idiosyncratic noise or jumps every particle moves alike: the offset takes the
+    # move, and the states may be read-only
+    spec = make_quit_model(0.4, 0.0)
+    x = np.random.default_rng(36).normal(0.0, 0.3, (2, 1000))
+    x.flags.writeable = False
+    offset = np.array([0.0, 0.5])
+    x_mean = x.mean(axis=1)
+    m = x_mean + offset
+    rng = np.random.default_rng(37)
+    before = rng.bit_generator.state
+    step(x, offset, spec, 0.01, m, np.array([0.1, -0.2]), [rng, rng], x_mean)
+    assert offset.tolist() == [0.4 * 0.1, 0.5 + 0.4 * -0.2]
+    assert m.tolist() == (x.mean(axis=1) + offset).tolist()
+    assert rng.bit_generator.state == before
+
+
+def _two_add_reference(spec, path, n, rng):
+    """A rigid cloud stepped as it was before clouds carried an offset: every
+    particle moves by the shift, then by the common noise, then by its jumps.
+
+    Returns the final states, the means, each particle's largest jump count
+    and ``S``: the largest ``|state|`` on the path plus the largest ``|move|``,
+    the sum of shifts and common noise so far, which bounds every value
+    that either arithmetic adds."""
+    lam, dt = spec.levy.intensity, path.dt
+    x = spec.initial_law.sample(rng, n)
+    means, jumps = [x.mean()], np.zeros(n, dtype=int)
+    move = largest_move = 0.0
+    largest_state = np.abs(x).max()
+    for dB1 in path.increments:
+        m = means[-1]
+        shift = spec.drift(m) * dt
+        if lam > 0:
+            shift = shift - dt * lam * spec.expected_jump_amp(m)
+        common = spec.diffusion_common(m) * dB1
+        x += shift
+        x += common
+        if lam > 0:
+            owners, marks = _draw_jumps(spec.levy, n, dt, [rng])
+            np.add.at(x, owners, spec.jump_amp(m, marks))
+            jumps += np.bincount(owners, minlength=n)
+        means.append(x.mean())
+        move += shift + common
+        largest_move = max(largest_move, abs(move))
+        largest_state = max(largest_state, np.abs(x).max())
+    return x, np.array(means), int(jumps.max()), 1.01 * (largest_state + largest_move)
+
+
+@pytest.mark.parametrize("intensity", [0.0, 3.0], ids=["no_jumps", "jumps"])
+def test_rigid_cloud_is_the_two_add_cloud_to_rounding(intensity):
+    # A particle takes 2 K adds for K steps in the reference and 2 K + 1 here (the
+    # offset's and the final one), plus its J jumps on each side; each add rounds by at
+    # most eps / 2 of a value below S.  A mean adds the rounding of numpy's pairwise sum
+    # on each side, at most (16 + log2 n) eps S: 8 lanes of up to 16 adds, then one level
+    # per halving.  The 1% in S covers the reference's own rounding of the move.
+    spec = make_quit_model(0.4, 0.0, gamma0=-0.1, intensity=intensity,
+                           initial_law=InitialLaw("normal", 0.5, 0.3))
+    n, path = 1000, CommonNoisePath.sample(0.5, 0.01, np.random.default_rng(38))
+    got = simulate_path(spec, [path], n, [np.random.default_rng(39)])
+    want, means, most, big = _two_add_reference(spec, path, n, np.random.default_rng(39))
+    eps, k = np.finfo(float).eps, path.increments.size
+    bound = (4 * k + 2 * most + 1) * eps / 2 * big
+    assert np.abs(got.states[0] - want).max() <= bound
+    assert np.abs(got.m_bar[0] - means).max() <= bound + 2 * (16 + math.log2(n)) * eps * big
+    assert not np.array_equal(got.states[0], want)  # the arithmetic did change
 
 
 def test_compensated_jumps_keep_conditional_mean():
@@ -110,9 +182,10 @@ def test_compensated_two_atom_increment():
     spec = ModelSpec("quit", discrete_marks(5.0, [-0.1, -0.3], [0.25, 0.75]),
                      InitialLaw("point", 0.0), b0=0.3, j0=1.0)
     # one step of a zero cloud with no diffusion and no common noise (dB1 = 0)
-    x = np.zeros((1, 200_000))
-    step(x, spec, 0.1, np.zeros(1), np.zeros(1), [np.random.default_rng(23)])
-    draws = x[0]
+    x, offset = np.zeros((1, 200_000)), np.zeros(1)
+    step(x, offset, spec, 0.1, np.zeros(1), np.zeros(1), [np.random.default_rng(23)],
+         np.zeros(1))
+    draws = offset[0] + x[0]
     assert abs(draws.mean()) < 0.0025                     # SE 0.0004
     assert abs(draws.var() - 0.035) < 0.001               # SE 0.00017
 
@@ -135,10 +208,12 @@ def test_batched_rows_match_single_rows():
     x, m = x0.copy(), x0.mean(axis=1)
     dB1 = np.array([0.05, -0.02, 0.1])
     seeds = (27, 28, 29)
-    step(x, spec, 0.01, m, dB1, [np.random.default_rng(s) for s in seeds])
+    step(x, np.zeros(3), spec, 0.01, m, dB1, [np.random.default_rng(s) for s in seeds],
+         m.copy())
     for j, seed in enumerate(seeds):
         row, m_row = x0[j:j + 1].copy(), x0[j:j + 1].mean(axis=1)
-        step(row, spec, 0.01, m_row, dB1[j:j + 1], [np.random.default_rng(seed)])
+        step(row, np.zeros(1), spec, 0.01, m_row, dB1[j:j + 1], [np.random.default_rng(seed)],
+             m_row.copy())
         assert np.array_equal(row[0], x[j]) and m_row[0] == m[j]
 
 
@@ -147,9 +222,17 @@ def test_batched_rows_match_single_rows():
                     InitialLaw("lognormal", 0.0, 0.2)),
     make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=3.0,
                     initial_law=InitialLaw("normal", 0.0, 0.3)),
-], ids=["sell_two_atoms", "quit_one_atom"])
+    make_quit_model(0.3, 0.0, initial_law=InitialLaw("normal", 0.0, 0.3)),
+    make_quit_model(0.3, 0.0, gamma0=-0.1, intensity=0.1,
+                    initial_law=InitialLaw("normal", 0.0, 0.3)),
+    make_sell_model(0.1, 0.3, 0.0, 0.2, 1.0, discrete_marks(0.2, [-0.1, -0.3], [0.5, 0.5]),
+                    InitialLaw("lognormal", 0.0, 0.2)),
+], ids=["sell_two_atoms", "quit_one_atom", "rigid_quit", "rigid_quit_rare_jumps",
+        "rigid_sell_two_atoms"])
 def test_clouds_stepped_together_match_each_cloud_alone(spec):
-    # every cloud draws from its own generator alone, so batching changes no draw
+    # every cloud draws from its own generator alone, so batching changes no draw; a rigid
+    # cloud keeps its own offset, and recomputes its mean only on the steps that it jumps
+    # in (the rare jumps, 0.5 per step and cloud, leave some clouds still on some steps)
     paths = [CommonNoisePath.sample(0.2, 0.01, np.random.default_rng(s)) for s in (30, 31, 32)]
     seeds = (33, 34, 35)
     together = simulate_path(spec, paths, 500, [np.random.default_rng(s) for s in seeds])
@@ -174,15 +257,16 @@ def test_common_noise_path_rejects_2d_increments():
 def test_step_rejects_a_bad_dt(dt):
     spec = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5)
     with pytest.raises(ValueError, match="step dt must be finite and > 0"):
-        step(np.zeros((1, 10)), spec, dt, np.zeros(1), np.zeros(1), [np.random.default_rng(0)])
+        step(np.zeros((1, 10)), np.zeros(1), spec, dt, np.zeros(1), np.zeros(1),
+             [np.random.default_rng(0)], np.zeros(1))
 
 
 def test_step_rejects_a_strided_state():
     # the jumps are added through a flat view, which a strided array has not
     x = np.zeros((10, 2)).T
     with pytest.raises(ValueError, match="C-contiguous"):
-        step(x, make_quit_model(0.3, 0.1), 0.01, np.zeros(2), np.zeros(2),
-             [np.random.default_rng(0), np.random.default_rng(1)])
+        step(x, np.zeros(2), make_quit_model(0.3, 0.1), 0.01, np.zeros(2), np.zeros(2),
+             [np.random.default_rng(0), np.random.default_rng(1)], np.zeros(2))
 
 
 def test_simulate_path_rejects_clouds_that_do_not_fit_together():
@@ -223,7 +307,8 @@ def test_non_finite_state_raises():
     spec = make_quit_model(0.4, 0.3)
     x = np.array([[0.0, np.inf, 1.0]])
     with pytest.raises(SimulationError):
-        step(x, spec, 0.01, x.mean(axis=1), np.zeros(1), [np.random.default_rng(0)])
+        step(x, np.zeros(1), spec, 0.01, x.mean(axis=1), np.zeros(1),
+             [np.random.default_rng(0)], x.mean(axis=1))
 
 
 class TestKde:

@@ -529,6 +529,33 @@ def test_a_particle_sweep_pays_each_rule_as_its_own_run():
     assert len({e.truncation_fraction for e in sweep}) == 3
 
 
+@pytest.mark.parametrize("intensity", [0.0, 0.5], ids=["no_jumps", "jumps"])
+def test_a_rigid_particle_walk_does_not_depend_on_its_batch(monkeypatch, intensity):
+    # without idiosyncratic noise a cloud's move is its offset, so the walk moves each
+    # survivor's offset and mean with its row: a row's stops are the same whether its
+    # batch is the row alone or every replication, in which rows finish at different steps
+    spec = make_quit_model(0.3, 0.0, gamma0=-0.1, intensity=intensity, rho=0.2,
+                           initial_law=InitialLaw("normal", 0.0, 0.3))
+    rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
+    cfg = SimConfig(dt=0.05, replications=12, seed=18, t_max=3.0, mode="particle",
+                    n_particles=200)
+    walk = stopping._walk
+    runs = []
+    for size in (1, cfg.replications):
+        stops = []
+        with monkeypatch.context() as patch:
+            patch.setattr(stopping, "_walk", lambda *a: stops.append(walk(*a)) or stops[-1])
+            estimate = evaluate_rule_mc(spec, rule, replace(cfg, batch_size=size))
+        runs.append((estimate, [np.concatenate(a) for a in zip(*(s[0] for s in stops))]))
+    (one, rows_one), (all_, rows_all) = runs
+    for a, b in zip(rows_one, rows_all, strict=True):  # step, m, hit, profit of each row
+        assert a.tobytes() == b.tobytes()
+    assert len(set(rows_all[0].tolist())) > 2  # rows end at several steps
+    # the estimates merge per-batch sums, whose rounding alone moves with the batching
+    assert one.truncation_fraction == all_.truncation_fraction and 0 < one.truncation_fraction < 1
+    assert (one.mean, one.std_error) == pytest.approx((all_.mean, all_.std_error), rel=1e-12)
+
+
 def test_fast_mode_peak_memory_does_not_grow_with_the_batch():
     # one 4096-row batch over 512 steps: a path block and a profit block of the whole
     # batch would each be 16 MiB, and a batch-sized buffer 64 MiB each; the stop table
