@@ -32,13 +32,14 @@ class CFLError(RuntimeError):
 
 def check_grid(x: np.ndarray) -> None:
     """Raise ``GridError`` unless ``x`` is a uniform, increasing 1-D grid of at
-    least 3 nodes.  Uniform means every step is within ``GRID_ULPS`` ulps of
-    ``max|x|`` of the first, as the steps of ``np.linspace`` are (2 ulps at
-    most): the KDE bins on ``dx`` and the stencils take every step to be it."""
+    least 4 nodes, the one-sided end stencils' width.  Uniform means every step
+    is within ``GRID_ULPS`` ulps of ``max|x|`` of the first, as the steps of
+    ``np.linspace`` are (2 ulps at most): the KDE bins on ``dx`` and the
+    stencils take every step to be it."""
     dx = np.diff(x)
-    if (x.ndim != 1 or x.size < 3 or not dx[0] > 0
+    if (x.ndim != 1 or x.size < 4 or not dx[0] > 0
             or not np.abs(dx - dx[0]).max() <= GRID_ULPS * np.spacing(np.abs(x).max())):
-        raise GridError("grid must be uniform and increasing with at least 3 nodes")
+        raise GridError("grid must be uniform and increasing with at least 4 nodes")
 
 
 @dataclass
@@ -72,9 +73,9 @@ class GridDensity:
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> np.ndarray:
-    if n_points < 3 or x_max <= x_min:
-        raise GridError("need x_max > x_min and n_points >= 3")
-    return np.linspace(x_min, x_max, n_points)
+    x = np.linspace(x_min, x_max, n_points)
+    check_grid(x)
+    return x
 
 
 def gaussian_density(x: np.ndarray, mean: float, std: float) -> GridDensity:
@@ -187,18 +188,11 @@ class _Kernel:
             out += shifted
         return out
 
-    def first_moment(self) -> float:
-        f, pair = self._stack[0], self._pairs[0]
-        np.multiply(self.x, self.rho, out=f)
-        np.add(f[1:], f[:-1], out=pair)
-        pair *= self._d
-        pair /= 2.0
-        return float(np.add.reduce(pair))
-
     def step(self, dt: float, dB1: float) -> StepDiagnostics:
         if dt <= 0:
             raise ValueError("dt must be > 0")
-        coefficients = self._coefficients(self.first_moment() if self._reads_mean else math.nan)
+        m_bar = float(np.trapezoid(self.x * self.rho, self.x)) if self._reads_mean else math.nan
+        coefficients = self._coefficients(m_bar)
         bound = coefficients[-1]
         if dt > bound * (1 + 1e-9):
             raise CFLError(

@@ -141,8 +141,7 @@ def step(
     then the common noise, and ``x`` is not touched.  The jumps of all rows
     go into ``x`` in one pass.  On return ``m_bar`` holds the clouds' means,
     ``mean(x) + offset``, a zero offset left unadded, and ``x_mean`` each
-    row's ``mean(x)``, which a rigid step recomputes only for the rows that
-    a jump moved.
+    row's ``mean(x)``, which a rigid step without jumps leaves as it is.
     """
     if not 0 < dt < math.inf:  # NaN too
         raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
@@ -167,17 +166,11 @@ def step(
             z *= scale[j]
             z += shift[j]
             x[j] += z
-    jumped = None  # the rigid rows that a jump moved
     if levy.intensity > 0:
         owners, marks = _draw_jumps(levy, n, dt, gens)
-        at = owners // n
-        np.add.at(x.reshape(-1), owners, spec.jump_amp(m_bar[at], marks))
-        if rigid:
-            jumped = np.unique(at)
-    if not rigid:
+        np.add.at(x.reshape(-1), owners, spec.jump_amp(m_bar[owners // n], marks))
+    if not rigid or levy.intensity > 0:  # a rigid step without jumps keeps every mean
         np.mean(x, axis=1, out=x_mean)
-    elif jumped is not None:  # a rigid row without jumps keeps its mean
-        x_mean[jumped] = np.mean(x[jumped], axis=1)
     m_bar[:] = x_mean
     np.add(m_bar, offset, out=m_bar, where=offset != 0)
     # a non-finite particle or offset makes its cloud's mean non-finite

@@ -84,8 +84,8 @@ class SimConfig:
     ``batch_size`` replications are one unit of work for the worker pool,
     and per-batch results merge in batch order.  Fast mode keeps a stop of
     13 bytes per row and rule, whatever ``t_max``, and its threshold search
-    the draws of one tile of ``_TILE`` rows besides, 384 KiB; a
-    particle-mode batch holds all its clouds at once.
+    the draws and generators of one tile of ``_TILE`` rows besides, 800 KiB;
+    a particle-mode batch holds all its clouds at once.
     """
 
     dt: float
@@ -444,13 +444,9 @@ def _rep_states(seed: int, lo: int, hi: int):
         s = [_hash(p[i % 4], c).astype(np.uint64) for i, c in enumerate(gen)]
         for st1, st0, sq1, sq0 in zip(*[(s[i] | s[i + 1] << 32).tolist() for i in (0, 2, 4, 6)]):
             inc = ((sq1 << 64 | sq0) << 1 | 1) & _M128
-            yield _pcg64(((inc + (st1 << 64 | st0)) * _PCG64_MULT + inc) & _M128, inc)
-
-
-def _pcg64(state: int, inc: int) -> dict:
-    """The PCG64 generator state with LCG state ``state`` and increment ``inc``."""
-    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": state, "inc": inc}}
+            state = ((inc + (st1 << 64 | st0)) * _PCG64_MULT + inc) & _M128
+            yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                   "state": {"state": state, "inc": inc}}
 
 
 def _rng() -> np.random.Generator:
@@ -664,7 +660,7 @@ class _StopSearch:
     passages' randomness as blocks from its own stream, ``_BLOCK`` passages
     at a time, and a passage reads its fixed columns whether it uses them
     or not.  A tile holds its rows' blocks, ``32 _BLOCK`` bytes per row,
-    besides the stop table.
+    and their generators, about 830 bytes each, besides the stop table.
 
     Every row starts at the initial mean, so time 0 ends a rule on every
     row or on none, and a rule it ends draws nothing.  The other rules'
@@ -716,7 +712,7 @@ class _StopSearch:
         m = np.empty((len(live), nb))  # z, then m in place
         hit = np.zeros((len(live), nb), dtype=bool)
         if live:  # a rule time 0 ended draws nothing
-            fill(_rng(), key, step, m, hit)  # the generator holds each row's stream in turn
+            fill(key, step, m, hit)
         m *= self.sign
         self.to_m(m, out=m)
         table = {live[i]: c for c, i in enumerate(order)}
@@ -730,54 +726,51 @@ class _StopSearch:
                       else self.potential(0.0, m0) - self.potential(stop[0] * dt, stop[1]))
             yield *stop, profit
 
-    def _thresholds(self, rng, bars, step, z_out, hit) -> None:
+    def _thresholds(self, bars, step, z_out, hit) -> None:
         """Every row's stops for the ascending barriers ``bars`` into ``step``,
         ``z_out`` and ``hit``, one table row per barrier and one column per
         replication row, ``_TILE`` rows at a time (``_tile``).  The tiles share one buffer of
-        blocks and the generator ``rng``."""
+        blocks and one generator per tile row."""
         bars = np.array(bars)
-        blocks = np.empty((2, min(self.nb, _TILE), _BLOCK, 2))  # a tile's normals, uniforms
+        width = min(self.nb, _TILE)
+        gens = [_rng() for _ in range(width)]
+        blocks = np.empty((2, width, _BLOCK, 2))  # a tile's normals, uniforms
         for lo in range(0, self.nb, _TILE):
             tile = slice(lo, lo + _TILE)
             states = _rep_states(self.seed, self.lo + lo, self.lo + min(lo + _TILE, self.nb))
-            self._tile(rng, states, bars, blocks, step[:, tile], z_out[:, tile], hit[:, tile])
+            self._tile(gens, states, bars, blocks, step[:, tile], z_out[:, tile], hit[:, tile])
 
-    def _tile(self, rng, states, bars: np.ndarray, blocks: np.ndarray, step, z_out,
+    def _tile(self, gens, states, bars: np.ndarray, blocks: np.ndarray, step, z_out,
               hit) -> None:
         """The stops of one tile of rows, every running row advanced one passage
         per pass.
 
-        Row ``r`` starts its stream at the ``r``-th of ``states`` and fills
-        column ``r`` of ``step``, ``z_out`` and ``hit``.  It draws a block of
-        ``2 _BLOCK`` normals, then one of ``2 _BLOCK`` uniforms, and its
-        passage ``p`` reads pair ``p % _BLOCK`` of each: the passage normal and
-        the overshoot normal, the uniform of the inverse Gaussian and the
-        uniform of a drift away from the barrier, whether it uses them or not.
+        Row ``r`` loads the ``r``-th of ``states`` into its generator
+        ``gens[r]`` and fills column ``r`` of ``step``, ``z_out`` and ``hit``.
+        It draws a block of ``2 _BLOCK`` normals, then one of ``2 _BLOCK``
+        uniforms, and its passage ``p`` reads pair ``p % _BLOCK`` of each: the
+        passage normal and the overshoot normal, the uniform of the inverse
+        Gaussian and the uniform of a drift away from the barrier, whether it
+        uses them or not.
         A row that needs a passage past its blocks draws the next pair of
-        blocks from its stream, and a capped row draws its capped value
-        (``_killed_end``) from its stream after its blocks.  So a row's
+        blocks from its generator, and a capped row draws its capped value
+        (``_killed_end``) from it, which stands past its blocks.  So a row's
         draws depend on its stream alone.
         """
         mu, sigma, dt, n, nbars = self.mu, self.sigma, self.dt, self.n_steps, bars.size
         width = step.shape[1]
         normal, uniform = blocks[:, :width]
-        starts = []  # each row's (state, inc) before its current blocks, 144 bytes
 
-        def draw(r: int) -> None:  # row r's next blocks, from the loaded stream
-            rng.standard_normal(out=normal[r])
-            rng.random(out=uniform[r])
-
-        def past_blocks(r: int) -> None:  # load row r's stream after its current blocks
-            rng.bit_generator.state = _pcg64(*starts[r])
-            draw(r)  # draws them again, the same
+        def draw(r: int) -> None:  # row r's next blocks, from its stream
+            gens[r].standard_normal(out=normal[r])
+            gens[r].random(out=uniform[r])
 
         def cap(on: np.ndarray) -> None:  # rows ``on`` end at step N, short of barrier i
             ends = []
             for r, kc, zc, bc in zip(rows[on].tolist(), k[on].tolist(), z[on].tolist(),
                                      b[on].tolist()):
                 if kc < n:
-                    past_blocks(r)
-                    zc = _killed_end(rng, zc, bc, (n - kc) * dt, mu, sigma)
+                    zc = _killed_end(gens[r], zc, bc, (n - kc) * dt, mu, sigma)
                 ends.append(zc)
             at, cols, ends = i[on], rows[on], np.array(ends)
             for j in range(int(at.min()), nbars):  # barrier i and every farther one
@@ -785,8 +778,7 @@ class _StopSearch:
                 step[j, cols[past]], z_out[j, cols[past]] = n, ends[past]
 
         for r, state in enumerate(states):
-            rng.bit_generator.state = state
-            starts.append((state["state"]["state"], state["state"]["inc"]))
+            gens[r].bit_generator.state = state
             draw(r)
 
         rows = np.arange(width)                 # the tile column of each running row
@@ -805,9 +797,6 @@ class _StopSearch:
             col = p % _BLOCK
             if p and not col:  # every running row has read its blocks: draw the next
                 for r in rows.tolist():
-                    past_blocks(r)
-                    state = rng.bit_generator.state["state"]
-                    starts[r] = state["state"], state["inc"]
                     draw(r)
             tau = self._passage(b - z, normal[rows, col, 0], *uniform[rows, col].T)
             q = tau / dt
@@ -860,11 +849,11 @@ class _StopSearch:
             tau[on] = far
         return tau
 
-    def _forward(self, rng, steps, step, z_out, hit) -> None:
+    def _forward(self, steps, step, z_out, hit) -> None:
         """Every row's values at the ascending stopping steps ``steps``, one row
         at a time; ``hit`` stays unset, since ``stops`` makes a ``fixed_time``
         stop a hit."""
-        mu, sigma, dt = self.mu, self.sigma, self.dt
+        mu, sigma, dt, rng = self.mu, self.sigma, self.dt, _rng()
         for r, state in enumerate(_rep_states(self.seed, self.lo, self.lo + self.nb)):
             rng.bit_generator.state = state
             k, z = 0, self.z0

@@ -311,6 +311,12 @@ VALIDATE_REJECTS = {
         "fokker_planck_compare", FP_MODEL, dict(FP_SMALL, bandwidth=0.0166), {},
         "numerics.bandwidth must be finite and at least half the grid step dx = 0.0333333, "
         "got 0.0166"),
+    # the one-sided end stencils need 4 nodes; a 3-node grid validated and then `run`
+    # aborted with an IndexError inside the density step
+    "three_node_density_grid": (
+        "fokker_planck_compare", FP_MODEL,
+        dict(FP_SMALL, grid={"x_min": -2.0, "x_max": 2.0, "n_points": 3}), {},
+        "grid must be uniform and increasing with at least 4 nodes"),
     "off_grid_path_horizon": (
         "simulate_path", SELL_MODEL, {"dt": 0.01, "horizon": 0.2049, "checkpoints": [0.1]}, {},
         "numerics.horizon must be a whole multiple of dt; 0.2049 is 20.49 steps of 0.01"),

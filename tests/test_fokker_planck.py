@@ -31,6 +31,8 @@ def test_grid_density_validation():
         GridDensity(np.array([0.0, 1.0, 3.0]), np.zeros(3))   # non-uniform
     with pytest.raises(GridError):
         GridDensity(np.array([0.0, 1.0]), np.zeros(2))        # too short
+    with pytest.raises(GridError, match="at least 4 nodes"):  # under the end stencils' width
+        GridDensity(np.linspace(0.0, 1.0, 3), np.zeros(3))
 
 
 def test_grid_with_uneven_steps_rejected():
@@ -50,7 +52,7 @@ def test_linspace_grids_pass_the_uniformity_check():
     rng = np.random.default_rng(40)
     for _ in range(500):
         lo, width = rng.uniform(-100.0, 100.0), 10 ** rng.uniform(-3.0, 3.0)
-        check_grid(np.linspace(lo, lo + width, int(rng.integers(3, 5000))))
+        check_grid(np.linspace(lo, lo + width, int(rng.integers(4, 5000))))
 
 
 def test_decreasing_grid_rejected():

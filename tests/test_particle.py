@@ -231,8 +231,8 @@ def test_batched_rows_match_single_rows():
         "rigid_sell_two_atoms"])
 def test_clouds_stepped_together_match_each_cloud_alone(spec):
     # every cloud draws from its own generator alone, so batching changes no draw; a rigid
-    # cloud keeps its own offset, and recomputes its mean only on the steps that it jumps
-    # in (the rare jumps, 0.5 per step and cloud, leave some clouds still on some steps)
+    # cloud keeps its own offset, and a step with jumps recomputes every cloud's mean (the
+    # rare jumps, 0.5 per step and cloud, leave some clouds still on some steps)
     paths = [CommonNoisePath.sample(0.2, 0.01, np.random.default_rng(s)) for s in (30, 31, 32)]
     seeds = (33, 34, 35)
     together = simulate_path(spec, paths, 500, [np.random.default_rng(s) for s in seeds])

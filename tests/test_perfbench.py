@@ -1,8 +1,11 @@
-"""The benchmark's traced runs of the particle and density workloads, end to end.
+"""The benchmark's traced runs of its three workloads, end to end.
 
-The tracer wraps ``mvstop.particle.step`` and ``mvstop.cli.simulate_path``
-and reads the result's ``floor_events``; for the density cross-check it
-wraps ``mvstop.cli.kde_density`` and ``mvstop.cli.evolve_spide`` and
+For the stop search the tracer wraps ``threshold_sweep``,
+``evaluate_rule_mc``, ``dynkin_residual`` and ``conditional_mean_oracle``
+of ``mvstop.cli`` and reads the estimates they return.  It wraps
+``mvstop.particle.step`` and ``mvstop.cli.simulate_path`` and reads the
+result's ``floor_events``; for the density cross-check it wraps
+``mvstop.cli.kde_density`` and ``mvstop.cli.evolve_spide`` and
 ``step_spide``, ``apply_A0_star``, ``apply_A1_star`` and ``cfl_bound`` of
 ``mvstop.fokker_planck``.  A change to any of them breaks traced runs.
 These run the smoke size in a subprocess, as the benchmark does.  A smoke
@@ -26,6 +29,10 @@ def _traced_smoke_run(workload: str) -> None:
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
+
+
+def test_traced_stop_search_smoke_run_is_correct():
+    _traced_smoke_run("fast_mc")
 
 
 def test_traced_particle_smoke_run_is_correct():
