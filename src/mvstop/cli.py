@@ -28,7 +28,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .fokker_planck import compare_to_particles, evolve_spide, gaussian_density, make_grid
+from .fokker_planck import (
+    CFLError, GridError, check_first_step, compare_to_particles, evolve_spide, gaussian_density,
+    make_grid,
+)
 from .generator import check_variational_inequalities, default_probe_grid
 from .model import InitialLaw, ModelError, ModelSpec
 from .particle import (
@@ -407,13 +410,18 @@ def _fokker_planck_compare(spec, numerics, checks, seed):
         raise ValueError("numerics.dt must be a whole multiple of spide_dt and divide horizon")
     if numerics["bandwidth"] is not None:  # None: Silverman's, checked by kde_density
         check_bandwidth(numerics["bandwidth"], x, "numerics.")
+    start = gaussian_density(x, law.loc, law.scale)
+    try:  # the first density step's guards, so that run does not abort on it
+        check_first_step(start, spec, spide_dt)
+    except (CFLError, GridError) as exc:
+        key = "grid" if isinstance(exc, GridError) else "spide_dt" if numerics["spide_dt"] else "dt"
+        raise ValueError(f"numerics.{key}: {exc}") from exc
 
     def compute(out, mhash, summary):
         ss = np.random.SeedSequence(seed, spawn_key=(0,))
         rng_common, rng_cloud = [np.random.default_rng(c) for c in ss.spawn(2)]
         common = CommonNoisePath.sample(horizon, spide_dt, rng_common)
-        density = gaussian_density(x, law.loc, law.scale)
-        density, diags = evolve_spide(density, spec, spide_dt, common.increments)
+        density, diags = evolve_spide(start, spec, spide_dt, common.increments)
         coarse = CommonNoisePath(dt, common.increments.reshape(-1, ratio).sum(axis=1))
         result = simulate_path(spec, [coarse], numerics["n"], [rng_cloud])
         kde = kde_density(result.states[0], numerics["bandwidth"], x)

@@ -166,14 +166,10 @@ class _Kernel:
         out[-1] = (diag * s0 + a * (2 * s0 - 5 * s1 + 4 * s2 - s3)
                    - b * (3 * s0 - 4 * s1 + s2))
 
-    def update(self, m_bar: float, dt: float, dB1: float, keep: float,
-               out: np.ndarray) -> np.ndarray:
-        """``keep rho + dt A0* rho + dB1 A1* rho`` at mean ``m_bar`` into ``out``."""
-        return self._update(self._coefficients(m_bar), dt, dB1, keep, out)
-
     def _update(self, coefficients: tuple, dt: float, dB1: float, keep: float,
                 out: np.ndarray) -> np.ndarray:
-        """``update`` on the ``_coefficients`` at its mean.
+        """``keep rho + dt A0* rho + dB1 A1* rho`` on the ``_coefficients`` at
+        a mean into ``out``.
 
         With ``r = sum_k lam p_k`` and the compensator's transport
         ``g = sum_k lam p_k gamma_k``, ``A0* rho = (b1^2 + b2^2) / 2 D^2[rho]
@@ -188,7 +184,9 @@ class _Kernel:
             out += shifted
         return out
 
-    def step(self, dt: float, dB1: float) -> StepDiagnostics:
+    def check(self, dt: float) -> tuple:
+        """The ``_coefficients`` at the density's mean, once a step of ``dt``
+        is known to keep within the CFL bound and off the grid's ends."""
         if dt <= 0:
             raise ValueError("dt must be > 0")
         m_bar = float(np.trapezoid(self.x * self.rho, self.x)) if self._reads_mean else math.nan
@@ -202,6 +200,11 @@ class _Kernel:
         edge = (abs(self._ends[0]) + abs(self._ends[-1])) * self.dx
         if edge > BOUNDARY_TOL:
             raise GridError(f"density mass at grid boundary {edge:.3e} exceeds {BOUNDARY_TOL:.1e}")
+        return coefficients
+
+    def step(self, dt: float, dB1: float) -> StepDiagnostics:
+        coefficients = self.check(dt)
+        bound = coefficients[-1]
         stack = self._stack
         new, neg, pos = stack
         self._update(coefficients, dt, dB1, 1.0, new)
@@ -232,12 +235,20 @@ class _Kernel:
 
 def apply_A0_star(density: GridDensity, spec: ModelSpec, m_bar: float) -> np.ndarray:
     """Drift, diffusion and compensated jump parts of the adjoint generator at mean ``m_bar``."""
-    return _Kernel(density, spec).update(m_bar, 1.0, 0.0, 0.0, np.empty_like(density.values))
+    kernel = _Kernel(density, spec)
+    return kernel._update(kernel._coefficients(m_bar), 1.0, 0.0, 0.0, np.empty_like(kernel.rho))
 
 
 def apply_A1_star(density: GridDensity, spec: ModelSpec, m_bar: float) -> np.ndarray:
     """Common-noise transport term ``-D[beta1 rho]``; ``m_bar`` as in ``apply_A0_star``."""
-    return _Kernel(density, spec).update(m_bar, 0.0, 1.0, 0.0, np.empty_like(density.values))
+    kernel = _Kernel(density, spec)
+    return kernel._update(kernel._coefficients(m_bar), 0.0, 1.0, 0.0, np.empty_like(kernel.rho))
+
+
+def check_first_step(density: GridDensity, spec: ModelSpec, dt: float) -> None:
+    """Raise the ``CFLError`` or ``GridError`` that a step of ``dt`` from
+    ``density`` would raise before it updates anything."""
+    _Kernel(density, spec).check(dt)
 
 
 def step_spide(

@@ -7,7 +7,7 @@ empirical measure stands in for the conditional law, and its mean is the
 coefficients depend on nothing else, so each step evaluates a few scalars
 per cloud and applies them to the whole state array, or, when no particle
 has noise of its own, to one common offset per cloud.  ``step`` advances
-many clouds at once, one per row of a state array.
+a run's ``Clouds`` at once, one per row of their state array.
 """
 
 from __future__ import annotations
@@ -112,41 +112,58 @@ def _draw_jumps(levy: LevyMeasureSpec, n: int, dt: float, gens: list):
     return owners, levy.atoms[0][0] if one_atom else np.concatenate(marks)
 
 
-def _per_row(value, rows: int) -> list:
-    """A per-row array or a scalar shared by all rows, as ``rows`` floats."""
-    return value.tolist() if np.ndim(value) else [float(value)] * rows
+class Clouds:
+    """A run's clouds, stepped together by ``step``.  Cloud ``j`` is
+    ``offset[j] + x[j]``, row ``j`` of the C-contiguous state array ``x`` moved
+    by its common offset, with mean ``m[j]``, row mean ``x_mean[j]`` and
+    generator ``gens[j]``, which draws its initial states and all its other
+    randomness; ``rows[j]`` is its index among the clouds it was built with."""
+
+    def __init__(self, spec: ModelSpec, n: int, gens: list):
+        if n < 1:
+            raise ValueError("particle count must be >= 1")
+        self.spec, self.gens = spec, list(gens)
+        self.x = np.empty((len(self.gens), n))
+        for row, rng in zip(self.x, self.gens):
+            row[:] = spec.initial_law.sample(rng, n)
+        self.offset = np.zeros(len(self.gens))
+        self.x_mean = self.x.mean(axis=1)
+        self.m = self.x_mean.copy()
+        self.rows = np.arange(len(self.gens))
+
+    def keep(self, alive: np.ndarray) -> None:
+        """Keep the clouds at the increasing indices ``alive``, moved up in
+        order, each row of ``x`` copied in place."""
+        for dst, src in enumerate(alive):
+            if dst != src:
+                self.x[dst] = self.x[src]
+        self.x = self.x[:alive.size]
+        self.offset, self.x_mean, self.m, self.rows = (
+            a[alive] for a in (self.offset, self.x_mean, self.m, self.rows))
+        self.gens = [self.gens[j] for j in alive]
+
+    def states(self) -> np.ndarray:
+        """The particles: ``x`` with each cloud's offset added in, in place."""
+        np.add(self.x, self.offset[:, None], out=self.x, where=self.offset[:, None] != 0)
+        return self.x
 
 
-def step(
-    x: np.ndarray,
-    offset: np.ndarray,
-    spec: ModelSpec,
-    dt: float,
-    m_bar: np.ndarray,
-    dB1: np.ndarray,
-    gens: list,
-    x_mean: np.ndarray,
-) -> None:
-    """Euler-Maruyama step of ``rows`` clouds, in place and unclamped.
-
-    Cloud ``j`` is ``offset[j] + x[j]``, row ``j`` of the C-contiguous
-    ``(rows, n)`` array ``x`` moved by its common offset.  It has mean
-    ``m_bar[j]``, common-noise increment ``dB1[j]`` and generator
-    ``gens[j]``, which draws that row's randomness and nothing else: the
+def step(clouds: Clouds, dt: float, dB1: np.ndarray) -> None:
+    """Euler-Maruyama step of the ``clouds``, in place and unclamped, cloud
+    ``j`` with common-noise increment ``dB1[j]``.  Its generator draws the
     idiosyncratic normals (none when ``s0 == s1 == 0``), then the jumps of
-    ``_draw_jumps`` (none without intensity).  With idiosyncratic noise a
-    row of ``x`` moves by ``shift + scale * z`` in one update, drift,
-    compensator and common noise in ``shift``, and its offset stays.
-    Without it every particle moves alike, so the offset takes the shift and
-    then the common noise, and ``x`` is not touched.  The jumps of all rows
-    go into ``x`` in one pass.  On return ``m_bar`` holds the clouds' means,
-    ``mean(x) + offset``, a zero offset left unadded, and ``x_mean`` each
-    row's ``mean(x)``, which a rigid step without jumps leaves as it is.
+    ``_draw_jumps`` (none without intensity).  With idiosyncratic noise a row
+    of ``x`` moves by ``shift + scale * z`` in one update, drift, compensator
+    and common noise in ``shift``, and its offset stays.  Without it every
+    particle moves alike, so the offset takes the shift and then the common
+    noise, and ``x`` is not touched.  The jumps of all clouds go into ``x`` in
+    one pass.  On return ``m`` holds the clouds' means, ``mean(x) + offset``,
+    a zero offset left unadded, and ``x_mean`` each row's ``mean(x)``, which a
+    rigid step without jumps leaves as it is.
     """
     if not 0 < dt < math.inf:  # NaN too
         raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
-    if x.ndim != 2 or not x.flags.c_contiguous:  # the jumps go in through a flat view
-        raise ValueError("step needs a C-contiguous (rows, n) state array")
+    x, offset, m_bar, spec = clouds.x, clouds.offset, clouds.m, clouds.spec
     rows, n = x.shape
     levy = spec.levy
     rigid = not (spec.s0 or spec.s1)
@@ -158,20 +175,20 @@ def step(
         offset += shift
         offset += common
     else:
-        shift = _per_row(shift + common, rows)
-        scale = _per_row(spec.diffusion_idio(m_bar) * math.sqrt(dt), rows)
+        shift = np.broadcast_to(shift + common, rows).tolist()
+        scale = np.broadcast_to(spec.diffusion_idio(m_bar) * math.sqrt(dt), rows).tolist()
         z = np.empty(n)  # one row of idiosyncratic normals at a time
-        for j, rng in enumerate(gens):
+        for j, rng in enumerate(clouds.gens):
             rng.standard_normal(out=z)
             z *= scale[j]
             z += shift[j]
             x[j] += z
     if levy.intensity > 0:
-        owners, marks = _draw_jumps(levy, n, dt, gens)
+        owners, marks = _draw_jumps(levy, n, dt, clouds.gens)
         np.add.at(x.reshape(-1), owners, spec.jump_amp(m_bar[owners // n], marks))
     if not rigid or levy.intensity > 0:  # a rigid step without jumps keeps every mean
-        np.mean(x, axis=1, out=x_mean)
-    m_bar[:] = x_mean
+        np.mean(x, axis=1, out=clouds.x_mean)
+    m_bar[:] = clouds.x_mean
     np.add(m_bar, offset, out=m_bar, where=offset != 0)
     # a non-finite particle or offset makes its cloud's mean non-finite
     if not np.all(np.isfinite(m_bar)):
@@ -179,7 +196,7 @@ def step(
         bad = np.flatnonzero(~np.isfinite(x[j]))
         where = (f"particle {int(bad[0])}" if bad.size
                  else "offset overflow" if not math.isfinite(offset[j]) else "mean overflow")
-        raise SimulationError(f"non-finite state in row {j}, {where}")
+        raise SimulationError(f"non-finite state in cloud {int(clouds.rows[j])}, {where}")
 
 
 @dataclass
@@ -200,12 +217,9 @@ def simulate_path(
 
     Cloud ``j`` draws its initial states and all its step randomness from
     ``gens[j]`` alone, so it comes out bit for bit as when run by itself.
-    The clouds are the rows of one state array, advanced by one ``step``
-    call per time step, and each row's common offset is added in at the
-    end; the paths must share their ``dt`` and length.
+    The clouds are advanced together, by one ``step`` call per time step;
+    the paths must share their ``dt`` and length.
     """
-    if n < 1:
-        raise ValueError("particle count must be >= 1")
     if not paths:
         raise ValueError("simulate_path needs at least one common-noise path")
     if len(gens) != len(paths):
@@ -216,19 +230,13 @@ def simulate_path(
         raise ValueError("the common-noise paths of one simulate_path call must share "
                          "their dt and step count")
     dB1 = np.stack([p.increments for p in paths], axis=1)  # row k: the clouds' increments
-    x = np.empty((len(paths), n))  # stepped in place
-    for row, rng in zip(x, gens):
-        row[:] = spec.initial_law.sample(rng, n)
-    offset = np.zeros(len(paths))  # cloud j is offset[j] + x[j]
-    x_mean = x.mean(axis=1)
+    clouds = Clouds(spec, n, gens)
     m_bar = np.empty((len(paths), dB1.shape[0] + 1))
-    m = x_mean.copy()
-    m_bar[:, 0] = m
+    m_bar[:, 0] = clouds.m
     for k, increments in enumerate(dB1, start=1):
-        step(x, offset, spec, dt, m, increments, gens, x_mean)
-        m_bar[:, k] = m
-    np.add(x, offset[:, None], out=x, where=offset[:, None] != 0)
-    return PathResult(m_bar, x)
+        step(clouds, dt, increments)
+        m_bar[:, k] = clouds.m
+    return PathResult(m_bar, clouds.states())
 
 
 def silverman_bandwidth(states: np.ndarray) -> float:

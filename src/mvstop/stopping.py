@@ -868,40 +868,31 @@ def _walk(spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int) -> list:
     """Particle mode's stops: per rule, ``(step, m, hit, profit)`` of every row,
     found by walking one interacting cloud per replication.
 
-    The clouds are the rows of one state matrix, and one ``particle.step``
-    call per time step advances the running ones; when rows finish, the
-    survivors are moved up, with their offsets and means, so they stay one
-    contiguous block.  Every rule is checked at every step, time 0 included,
-    and ``t_max`` caps the rows a rule leaves running.  Each running row
-    carries one left-point sum of the running profit ``f dt``, which a rule
-    that ends the row records, so the walk checks the fast mode's potential
-    independently.
+    One ``particle.step`` call per time step advances the running clouds;
+    when rows finish, ``Clouds.keep`` moves the survivors up.  Every rule is
+    checked at every step, time 0 included, and ``t_max`` caps the rows a
+    rule leaves running.  Each running row carries one left-point sum of the
+    running profit ``f dt``, which a rule that ends the row records, so the
+    walk checks the fast mode's potential independently.
     """
     f = FAMILIES[spec.family].payoff(spec)[0]
     dt, n_steps, nb = cfg.dt, int(round(cfg.t_max / cfg.dt)), hi - lo
     gens = [_rng() for _ in range(nb)]
     for rng, state in zip(gens, _rep_states(cfg.seed, lo, hi)):
         rng.bit_generator.state = state
-    x = np.empty((nb, cfg.n_particles))
-    for j, rng in enumerate(gens):
-        x[j] = spec.initial_law.sample(rng, cfg.n_particles)
-    offset = np.zeros(nb)   # cloud j is offset[j] + x[j]
-    x_mean = x.mean(axis=1)  # the rows' means of x, kept current by particle.step
-    m = x_mean.copy()       # the running rows' means, aligned with the rows of x
-    fsum = np.zeros(nb)     # the running rows' profit sums, aligned with the rows of x
-    rows = np.arange(nb)    # the batch index of each running row of x
+    clouds = particle.Clouds(spec, cfg.n_particles, gens)
+    fsum = np.zeros(nb)     # the running rows' profit sums, aligned with the clouds
     shape = (len(rules), nb)
     step = np.full(shape, -1, dtype=np.int32)  # -1 while the rule runs the row
     m_at, hit = np.empty(shape), np.zeros(shape, dtype=bool)
     profit = np.zeros(shape) if f is not None else None
     for k in range(n_steps + 1):
-        n = rows.size
         if k:
             if f is not None:
-                fsum[:n] += f((k - 1) * dt, m[:n]) * dt
-            dB1 = np.array([gens[r].standard_normal() for r in rows]) * math.sqrt(dt)
-            particle.step(x[:n], offset[:n], spec, dt, m[:n], dB1, [gens[r] for r in rows],
-                          x_mean[:n])
+                fsum += f((k - 1) * dt, clouds.m) * dt
+            dB1 = np.array([rng.standard_normal() for rng in clouds.gens]) * math.sqrt(dt)
+            particle.step(clouds, dt, dB1)
+        rows, m = clouds.rows, clouds.m
         for i, rule in enumerate(rules):
             live = np.flatnonzero(step[i, rows] < 0)
             stopped = _first_stop(rule, m[live], k, dt)
@@ -911,15 +902,11 @@ def _walk(spec: ModelSpec, cfg: SimConfig, rules, lo: int, hi: int) -> list:
             if profit is not None:
                 profit[i, done] = fsum[at]
         keep = np.flatnonzero((step[:, rows] < 0).any(axis=0))
-        if keep.size < n:  # rows finished: move the survivors up, in order
-            for dst, src in enumerate(keep):
-                if dst != src:
-                    x[dst] = x[src]
-            for a in (offset, x_mean, m, fsum):
-                a[:keep.size] = a[keep]
-            rows = rows[keep]
-        if rows.size == 0:
+        if keep.size == 0:
             break
+        if keep.size < rows.size:  # rows finished: move the survivors up, in order
+            clouds.keep(keep)
+            fsum = fsum[keep]
     return [(step[i], m_at[i], hit[i], None if profit is None else profit[i])
             for i in range(len(rules))]
 

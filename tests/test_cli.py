@@ -194,6 +194,15 @@ RUN_ABORTS = {
     "zero_delta": ("dynkin_check", SELL_MODEL, {"delta": 0}, "numerics.delta"),
     "fokker_planck_zero_horizon": (
         "fokker_planck_compare", FP_MODEL, dict(FP_SMALL, horizon=0), "numerics.horizon"),
+    "fokker_planck_unstable_dt": (  # no spide_dt: the density steps by dt
+        "fokker_planck_compare", dict(FP_MODEL, sigma1=0.4), {"dt": 1e-2},
+        "numerics.dt: dt=1.000e-02 exceeds stability bound 1.562e-04"),
+    "fokker_planck_mass_at_the_grid_end": (
+        "fokker_planck_compare",
+        {**{k: v for k, v in FP_MODEL.items() if k != "x0"}, "sigma1": 0.4,
+         "initial": {"kind": "normal", "loc": 2.9, "scale": 0.3}},
+        {"dt": 1e-3, "spide_dt": 1e-4},
+        "numerics.grid: density mass at grid boundary 1.995e-02 exceeds 1.0e-06"),
     "non_numeric_initial_scale": (
         "evaluate_rule", dict(SELL_MODEL, initial={"kind": "normal", "scale": "wide"}),
         {"rule": RULE}, "'scale' in model.initial"),
@@ -595,16 +604,19 @@ class TestRunExperiment:
         assert row["n"] == "1000"
 
     def test_aborting_experiment_reports_failure(self, tmp_path):
+        # a sell density's CFL bound falls as its mean grows: the first step is stable, so
+        # the config validates, and a later step aborts the run
         body = base_config(
             tmp_path,
             experiment="fokker_planck_compare",
-            model=dict(FP_MODEL, sigma1=0.4),   # dt breaks the CFL bound of the default grid
-            numerics={"dt": 1e-3, "horizon": 0.01, "n": 100},
+            model=dict(SELL_MODEL, alpha0=0.9, sigma1=0.01, rho=1.0,
+                       initial={"kind": "normal", "loc": 1.0, "scale": 0.2}),
+            numerics={"dt": 6e-4, "horizon": 0.06, "n": 100},
         )
         config = load_config(write_config(tmp_path, body))
         assert run_experiment(config) == 1
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert "aborted" in summary["checks"]
+        assert summary["checks"]["aborted"]["value"].startswith("CFLError")
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,15 @@ from mvstop.model import (
     make_sell_model,
     no_jumps,
 )
-from mvstop.particle import step
+from mvstop.particle import Clouds, step
 
 
 def _jump_step(spec, n, rng):
-    """Each particle's increment over one ``step`` (dt 0.1) of a zero cloud,
-    with the diffusions switched off: the compensated jumps alone."""
-    x, offset = np.zeros((1, n)), np.zeros(1)
-    step(x, offset, replace(spec, s0=0.0, s1=0.0), 0.1, np.zeros(1), np.zeros(1), [rng],
-         np.zeros(1))
-    return offset[0] + x[0]
+    """Each particle's increment over one ``step`` (dt 0.1) of a quit model's
+    zero cloud, with the diffusions switched off: the compensated jumps alone."""
+    clouds = Clouds(replace(spec, s0=0.0, s1=0.0), n, [rng])
+    step(clouds, 0.1, np.zeros(1))
+    return clouds.states()[0]
 
 
 class TestInitialLaw:

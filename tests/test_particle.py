@@ -10,6 +10,7 @@ from mvstop.fokker_planck import GridDensity, GridError
 from mvstop.particle import (
     _KDE_CHUNK,
     _KDE_REACH,
+    Clouds,
     CommonNoisePath,
     SimulationError,
     _draw_jumps,
@@ -36,11 +37,11 @@ def test_common_noise_variance():
 
 
 def test_step_moments_quit_model():
-    spec = make_quit_model(0.4, 0.3)
-    x, offset, m = np.zeros((1, 200_000)), np.zeros(1), np.zeros(1)
-    step(x, offset, spec, 0.01, m, np.array([0.05]), [np.random.default_rng(2)], np.zeros(1))
+    clouds = Clouds(make_quit_model(0.4, 0.3), 200_000, [np.random.default_rng(2)])
+    step(clouds, 0.01, np.array([0.05]))
+    x = clouds.x
     # every particle moves by b1 dB1 plus its own N(0, b2^2 dt); the offset stays
-    assert m[0] == x.mean() and offset[0] == 0.0
+    assert clouds.m[0] == x.mean() and clouds.offset[0] == 0.0
     assert x.mean() == pytest.approx(0.4 * 0.05, abs=1e-3)
     assert x.std() == pytest.approx(0.3 * 0.1, rel=0.01)
 
@@ -50,12 +51,11 @@ def test_no_idiosyncratic_noise_is_rigid_translation():
     rng = np.random.default_rng(3)
     common = CommonNoisePath.sample(0.5, 0.01, rng)
     states0 = spec.initial_law.sample(np.random.default_rng(4), 1000)
-    x, offset, m = states0.reshape(1, -1).copy(), np.zeros(1), np.array([states0.mean()])
-    x_mean = m.copy()
+    clouds = Clouds(spec, 1000, [np.random.default_rng(4)])
     for k in range(common.increments.size):
-        step(x, offset, spec, 0.01, m, common.increments[k:k + 1], [np.random.default_rng(5)],
-             x_mean)
-    assert x_mean[0] == states0.mean() and m[0] == x_mean[0] + offset[0]
+        step(clouds, 0.01, common.increments[k:k + 1])
+    x, offset, x_mean = clouds.x, clouds.offset, clouds.x_mean
+    assert x_mean[0] == states0.mean() and clouds.m[0] == x_mean[0] + offset[0]
     assert np.array_equal(x[0], states0)  # the offset carries the whole move
     np.testing.assert_allclose(
         offset[0] + x[0], states0 + 0.4 * common.brownian()[-1], atol=1e-12
@@ -65,18 +65,16 @@ def test_no_idiosyncratic_noise_is_rigid_translation():
 def test_a_rigid_step_never_writes_the_states():
     # without idiosyncratic noise or jumps every particle moves alike: the offset takes the
     # move, and the states may be read-only
-    spec = make_quit_model(0.4, 0.0)
-    x = np.random.default_rng(36).normal(0.0, 0.3, (2, 1000))
-    x.flags.writeable = False
-    offset = np.array([0.0, 0.5])
-    x_mean = x.mean(axis=1)
-    m = x_mean + offset
-    rng = np.random.default_rng(37)
-    before = rng.bit_generator.state
-    step(x, offset, spec, 0.01, m, np.array([0.1, -0.2]), [rng, rng], x_mean)
-    assert offset.tolist() == [0.4 * 0.1, 0.5 + 0.4 * -0.2]
-    assert m.tolist() == (x.mean(axis=1) + offset).tolist()
-    assert rng.bit_generator.state == before
+    spec = make_quit_model(0.4, 0.0, initial_law=InitialLaw("normal", 0.0, 0.3))
+    clouds = Clouds(spec, 1000, [np.random.default_rng(36), np.random.default_rng(37)])
+    clouds.x.flags.writeable = False
+    clouds.offset[1] = 0.5
+    clouds.m[1] += 0.5
+    before = [rng.bit_generator.state for rng in clouds.gens]
+    step(clouds, 0.01, np.array([0.1, -0.2]))
+    assert clouds.offset.tolist() == [0.4 * 0.1, 0.5 + 0.4 * -0.2]
+    assert clouds.m.tolist() == (clouds.x.mean(axis=1) + clouds.offset).tolist()
+    assert [rng.bit_generator.state for rng in clouds.gens] == before
 
 
 def _two_add_reference(spec, path, n, rng):
@@ -182,10 +180,9 @@ def test_compensated_two_atom_increment():
     spec = ModelSpec("quit", discrete_marks(5.0, [-0.1, -0.3], [0.25, 0.75]),
                      InitialLaw("point", 0.0), b0=0.3, j0=1.0)
     # one step of a zero cloud with no diffusion and no common noise (dB1 = 0)
-    x, offset = np.zeros((1, 200_000)), np.zeros(1)
-    step(x, offset, spec, 0.1, np.zeros(1), np.zeros(1), [np.random.default_rng(23)],
-         np.zeros(1))
-    draws = offset[0] + x[0]
+    clouds = Clouds(spec, 200_000, [np.random.default_rng(23)])
+    step(clouds, 0.1, np.zeros(1))
+    draws = clouds.states()[0]
     assert abs(draws.mean()) < 0.0025                     # SE 0.0004
     assert abs(draws.var() - 0.035) < 0.001               # SE 0.00017
 
@@ -203,18 +200,16 @@ def test_rigid_model_without_jumps_draws_nothing():
 def test_batched_rows_match_single_rows():
     # each generator fills only its own row, whatever the other rows are
     spec = make_sell_model(0.1, 0.3, 0.2, 0.2, 1.0,
-                           discrete_marks(3.0, [-0.1, -0.3], [0.5, 0.5]))
-    x0 = np.random.default_rng(26).lognormal(0.0, 0.2, (3, 400))
-    x, m = x0.copy(), x0.mean(axis=1)
+                           discrete_marks(3.0, [-0.1, -0.3], [0.5, 0.5]),
+                           InitialLaw("lognormal", 0.0, 0.2))
     dB1 = np.array([0.05, -0.02, 0.1])
     seeds = (27, 28, 29)
-    step(x, np.zeros(3), spec, 0.01, m, dB1, [np.random.default_rng(s) for s in seeds],
-         m.copy())
+    clouds = Clouds(spec, 400, [np.random.default_rng(s) for s in seeds])
+    step(clouds, 0.01, dB1)
     for j, seed in enumerate(seeds):
-        row, m_row = x0[j:j + 1].copy(), x0[j:j + 1].mean(axis=1)
-        step(row, np.zeros(1), spec, 0.01, m_row, dB1[j:j + 1], [np.random.default_rng(seed)],
-             m_row.copy())
-        assert np.array_equal(row[0], x[j]) and m_row[0] == m[j]
+        alone = Clouds(spec, 400, [np.random.default_rng(seed)])
+        step(alone, 0.01, dB1[j:j + 1])
+        assert np.array_equal(alone.x[0], clouds.x[j]) and alone.m[0] == clouds.m[j]
 
 
 @pytest.mark.parametrize("spec", [
@@ -257,16 +252,7 @@ def test_common_noise_path_rejects_2d_increments():
 def test_step_rejects_a_bad_dt(dt):
     spec = make_quit_model(0.3, 0.1, gamma0=-0.1, intensity=0.5)
     with pytest.raises(ValueError, match="step dt must be finite and > 0"):
-        step(np.zeros((1, 10)), np.zeros(1), spec, dt, np.zeros(1), np.zeros(1),
-             [np.random.default_rng(0)], np.zeros(1))
-
-
-def test_step_rejects_a_strided_state():
-    # the jumps are added through a flat view, which a strided array has not
-    x = np.zeros((10, 2)).T
-    with pytest.raises(ValueError, match="C-contiguous"):
-        step(x, np.zeros(2), make_quit_model(0.3, 0.1), 0.01, np.zeros(2), np.zeros(2),
-             [np.random.default_rng(0), np.random.default_rng(1)], np.zeros(2))
+        step(Clouds(spec, 10, [np.random.default_rng(0)]), dt, np.zeros(1))
 
 
 def test_simulate_path_rejects_clouds_that_do_not_fit_together():
@@ -304,11 +290,19 @@ def test_particle_count_must_be_positive():
 
 
 def test_non_finite_state_raises():
-    spec = make_quit_model(0.4, 0.3)
-    x = np.array([[0.0, np.inf, 1.0]])
+    clouds = Clouds(make_quit_model(0.4, 0.3), 3, [np.random.default_rng(0)])
+    clouds.x[0, 1] = np.inf
     with pytest.raises(SimulationError):
-        step(x, np.zeros(1), spec, 0.01, x.mean(axis=1), np.zeros(1),
-             [np.random.default_rng(0)], x.mean(axis=1))
+        step(clouds, 0.01, np.zeros(1))
+
+
+def test_a_non_finite_cloud_is_named_by_its_index_at_build():
+    # after survivors move up, a cloud's row is no longer its index among the clouds built
+    clouds = Clouds(make_quit_model(0.4, 0.3), 3, [np.random.default_rng(s) for s in range(4)])
+    clouds.keep(np.array([1, 3]))
+    clouds.x[1, 2] = np.inf
+    with pytest.raises(SimulationError, match="non-finite state in cloud 3, particle 2"):
+        step(clouds, 0.01, np.zeros(2))
 
 
 class TestKde:

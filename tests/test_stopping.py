@@ -529,12 +529,14 @@ def test_a_particle_sweep_pays_each_rule_as_its_own_run():
     assert len({e.truncation_fraction for e in sweep}) == 3
 
 
-@pytest.mark.parametrize("intensity", [0.0, 0.5], ids=["no_jumps", "jumps"])
-def test_a_rigid_particle_walk_does_not_depend_on_its_batch(monkeypatch, intensity):
-    # without idiosyncratic noise a cloud's move is its offset, so the walk moves each
-    # survivor's offset and mean with its row: a row's stops are the same whether its
-    # batch is the row alone or every replication, in which rows finish at different steps
-    spec = make_quit_model(0.3, 0.0, gamma0=-0.1, intensity=intensity, rho=0.2,
+@pytest.mark.parametrize("sigma2, intensity", [(0.0, 0.0), (0.0, 0.5), (0.1, 0.5)],
+                         ids=["rigid_no_jumps", "rigid_jumps", "noisy_jumps"])
+def test_a_particle_walk_does_not_depend_on_its_batch(monkeypatch, sigma2, intensity):
+    # the walk moves each survivor's offset, means and generator with its row: a rigid
+    # cloud's move is its offset, and a noisy cloud draws its normals and jumps from its
+    # own generator, so a row's stops are the same whether its batch is the row alone or
+    # every replication, in which rows finish at different steps
+    spec = make_quit_model(0.3, sigma2, gamma0=-0.1, intensity=intensity, rho=0.2,
                            initial_law=InitialLaw("normal", 0.0, 0.3))
     rule = StoppingRule("threshold_down", threshold=QUIT_ETA)
     cfg = SimConfig(dt=0.05, replications=12, seed=18, t_max=3.0, mode="particle",
